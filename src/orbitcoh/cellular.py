@@ -73,66 +73,25 @@ class CellularForm:
     def rank_of(self, label) -> int:
         return self.piece_ranks[self.poset.index[label]]
 
-    def diff_block(self, y: int, x: int) -> IntMatrix:
-        m = self.diff.get((y, x))
-        if m is None:
-            m = IntMatrix(self.piece_ranks[y], self.piece_ranks[x])
-        return m
-
-    def lower_offsets(self, x: int):
-        """Sorted lower covers of x with offsets into their direct sum."""
-        lowers = sorted(self.poset.lower[x])
-        offsets = []
-        total = 0
-        for y in lowers:
-            offsets.append(total)
-            total += self.piece_ranks[y]
-        return lowers, offsets, total
-
     def stacked_diff(self, x: int) -> IntMatrix:
         """The differential of the piece at x into the sum of its covers."""
-        lowers, _, total = self.lower_offsets(x)
-        if not lowers:
-            return IntMatrix(0, self.piece_ranks[x])
-        return vstack_blocks([self.diff_block(y, x) for y in lowers])
+        pr = self.piece_ranks
+        return _layout(sorted(self.poset.lower[x]), pr, [x], pr, self.diff)
 
     def restricted_complex(self, mask: int) -> ChainComplex:
         """Chain complex of the pieces on a down-closed set of elements."""
-        poset = self.poset
-        members = [i for i in poset.mask_elements(mask) if self.piece_ranks[i]]
+        poset, pr = self.poset, self.piece_ranks
+        members = [i for i in poset.mask_elements(mask) if pr[i]]
         if not members:
             return ChainComplex([0], {}, check=False)
         by_rank: dict[int, list[int]] = {}
         for i in members:
             by_rank.setdefault(poset.rank[i], []).append(i)
         top = max(by_rank)
-        ranks = [sum(self.piece_ranks[i] for i in by_rank.get(r, []))
-                 for r in range(top + 1)]
-        bounds = {}
-        for r in range(1, top + 1):
-            uppers = sorted(by_rank.get(r, []))
-            lowers = sorted(by_rank.get(r - 1, []))
-            lo_off = {}
-            total = 0
-            for y in lowers:
-                lo_off[y] = total
-                total += self.piece_ranks[y]
-            mat = IntMatrix(ranks[r - 1], ranks[r])
-            col = 0
-            for x in uppers:
-                for y in poset.lower[x]:
-                    block = self.diff.get((y, x))
-                    if block is None or y not in lo_off:
-                        continue
-                    off = lo_off[y]
-                    for a in range(block.rows):
-                        row = mat.data[off + a]
-                        brow = block.data[a]
-                        for b in range(block.cols):
-                            if brow[b]:
-                                row[col + b] = brow[b]
-                col += self.piece_ranks[x]
-            bounds[r] = mat
+        ranks = [sum(pr[i] for i in by_rank.get(r, [])) for r in range(top + 1)]
+        bounds = {r: _layout(by_rank.get(r - 1, []), pr, by_rank.get(r, []), pr,
+                             self.diff)
+                  for r in range(1, top + 1)}
         return ChainComplex(ranks, bounds, check=False)
 
     def to_json_dict(self) -> dict:
@@ -148,27 +107,51 @@ class CellularForm:
         }
 
 
-def vstack_blocks(blocks: list[IntMatrix]) -> IntMatrix:
-    from .intlinalg import vstack
-    return vstack(blocks)
+def _layout(rows, row_sizes, cols, col_sizes, blocks) -> IntMatrix:
+    """The matrix from the sum of the pieces at ``cols`` to the sum at ``rows``.
+
+    Pieces are laid out in list order; the row piece at y has rank
+    ``row_sizes[y]`` and the column piece at x has rank ``col_sizes[x]``.
+    The (y, x) block is ``blocks[(y, x)]``, or zero where that is missing.
+    """
+    offset = {}
+    total = 0
+    for y in rows:
+        offset[y] = total
+        total += row_sizes[y]
+    out = IntMatrix(total, sum(col_sizes[x] for x in cols))
+    col = 0
+    for x in cols:
+        if col_sizes[x]:
+            for y in rows:
+                b = blocks.get((y, x))
+                if b is None:
+                    continue
+                for a, brow in enumerate(b.data):
+                    orow = out.data[offset[y] + a]
+                    for j, v in enumerate(brow):
+                        if v:
+                            orow[col + j] = v
+        col += col_sizes[x]
+    return out
+
+
+def _split_rows(mat: IntMatrix, rows, sizes) -> dict[int, IntMatrix]:
+    """Inverse of ``_layout`` in the rows: the row block of each element."""
+    out = {}
+    start = 0
+    for y in rows:
+        out[y] = IntMatrix(sizes[y], mat.cols, mat.data[start:start + sizes[y]])
+        start += sizes[y]
+    return out
 
 
 def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int):
-    """Extension matrices from all rank-0 elements below x, stacked."""
+    """Rank-0 elements below x and their extension maps into x, side by side."""
     zeros = [y for y in poset.mask_elements(poset.down[x])
              if poset.rank[y] == 0 and y != x]
-    zeros.sort()
-    offsets = []
-    total = 0
-    for y in zeros:
-        offsets.append(total)
-        total += g.ranks[y]
-    if zeros:
-        mat = hstack([g.map_index(y, x) for y in zeros]) if total else \
-            IntMatrix(g.ranks[x], 0)
-    else:
-        mat = IntMatrix(g.ranks[x], 0)
-    return zeros, offsets, total, mat
+    maps = {(x, y): g.map_index(y, x) for y in zeros if g.ranks[y]}
+    return zeros, _layout([x], g.ranks, zeros, g.ranks, maps)
 
 
 def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
@@ -186,98 +169,47 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     for x in order:
         if poset.rank[x] == 0 or g.ranks[x] == 0:
             continue
-        _, _, _, mat = _rank0_map(poset, g, x)
+        _, mat = _rank0_map(poset, g, x)
         if elementary_divisors(mat) != [1] * g.ranks[x]:
             return NotCellular(poset.labels[x], "surjectivity",
                                "rank-0 values do not surject onto the value here")
 
     piece_ranks = [0] * poset.n
     diff: dict[tuple[int, int], IntMatrix] = {}
-    kernels: dict[int, list[list[int]]] = {}  # rank-1 kernels in rank-0 coords
 
     for x in order:
         r = poset.rank[x]
         if r == 0:
             piece_ranks[x] = g.ranks[x]
             continue
+        zeros, mat = _rank0_map(poset, g, x)
         if r == 1:
-            zeros, offsets, total, mat = _rank0_map(poset, g, x)
-            ker = kernel_basis(mat)
-            kernels[x] = ker
-            piece_ranks[x] = len(ker)
-            for pos, y in enumerate(zeros):
-                block = IntMatrix(g.ranks[y], len(ker))
-                for col, vec in enumerate(ker):
-                    for a in range(g.ranks[y]):
-                        block.data[a][col] = vec[offsets[pos] + a]
-                if block.rows:
-                    diff[(y, x)] = block
-            continue
+            lowers, d = zeros, mat
+        else:
+            # kernel-sum condition: rank-1 kernels below x must generate the
+            # full kernel of the rank-0 map, as a lattice
+            below = poset.down[x] & ~(1 << x)
+            ones = [y for y in poset.mask_elements(below) if poset.rank[y] == 1]
+            gens = _layout(zeros, piece_ranks, ones, piece_ranks, diff).transpose()
+            if not same_lattice(gens.data, kernel_basis(mat), mat.cols):
+                return NotCellular(poset.labels[x], "kernel-sum",
+                                   "rank-1 kernels do not generate the full kernel")
 
-        # kernel-sum condition: rank-1 kernels below x must generate the
-        # full kernel of the rank-0 map, as a lattice
-        zeros, offsets, total, mat = _rank0_map(poset, g, x)
-        pos_of = {y: off for y, off in zip(zeros, offsets)}
-        gens = []
-        for x1 in poset.mask_elements(poset.down[x]):
-            if poset.rank[x1] != 1 or x1 == x:
-                continue
-            z1, off1, _, _ = _rank0_map(poset, g, x1)
-            for vec in kernels.get(x1, []):
-                emb = [0] * total
-                for p, y in enumerate(z1):
-                    base = pos_of[y]
-                    for a in range(g.ranks[y]):
-                        emb[base + a] = vec[off1[p] + a]
-                gens.append(emb)
-        big = kernel_basis(mat)
-        if not same_lattice(gens, big, total):
-            return NotCellular(poset.labels[x], "kernel-sum",
-                               "rank-1 kernels do not generate the full kernel")
-
-        # positive homology of the part strictly below x must vanish in
-        # degrees 1..r-2 (degree r-1 cycles become the new piece)
-        below = poset.down[x] & ~(1 << x)
-        partial = CellularForm(poset, g, piece_ranks, diff)
-        cx = partial.restricted_complex(below)
-        h = homology(cx)
-        for i in range(1, r - 1):
-            b, tors = h.groups[i] if i < len(h.groups) else (0, ())
-            if b or tors:
-                return NotCellular(poset.labels[x], "positive-homology",
-                                   f"homology below is nonzero in degree {i}")
-
-        lowers = sorted(poset.lower[x])
-        lo_off = {}
-        tot = 0
-        for y in lowers:
-            lo_off[y] = tot
-            tot += piece_ranks[y]
-        rows_elems = sorted(z for z in poset.mask_elements(below)
-                            if poset.rank[z] == r - 2)
-        z_off = {}
-        ztot = 0
-        for z in rows_elems:
-            z_off[z] = ztot
-            ztot += piece_ranks[z]
-        dmat = IntMatrix(ztot, tot)
-        for y in lowers:
-            for z in poset.lower[y]:
-                block = diff.get((z, y))
-                if block is None:
-                    continue
-                for a in range(block.rows):
-                    row = dmat.data[z_off[z] + a]
-                    for b in range(block.cols):
-                        if block.data[a][b]:
-                            row[lo_off[y] + b] = block.data[a][b]
-        ker = kernel_basis(dmat)
-        piece_ranks[x] = len(ker)
-        for y in lowers:
-            block = IntMatrix(piece_ranks[y], len(ker))
-            for col, vec in enumerate(ker):
-                for a in range(piece_ranks[y]):
-                    block.data[a][col] = vec[lo_off[y] + a]
+            # positive homology of the part strictly below x must vanish in
+            # degrees 1..r-2 (degree r-1 cycles become the new piece)
+            partial = CellularForm(poset, g, piece_ranks, diff)
+            cx = partial.restricted_complex(below)
+            h = homology(cx)
+            for i in range(1, r - 1):
+                b, tors = h.groups[i] if i < len(h.groups) else (0, ())
+                if b or tors:
+                    return NotCellular(poset.labels[x], "positive-homology",
+                                       f"homology below is nonzero in degree {i}")
+            lowers, d = sorted(poset.lower[x]), cx.boundary(r - 1)
+        # the new piece is the kernel of d, split over the lower covers
+        ker = IntMatrix.from_cols(kernel_basis(d), d.cols)
+        piece_ranks[x] = ker.cols
+        for y, block in _split_rows(ker, lowers, piece_ranks).items():
             if block.rows:
                 diff[(y, x)] = block
 
@@ -297,6 +229,11 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None,
     if g is None:
         g = form.copresheaf
     poset = form.poset
+    pr = form.piece_ranks
+    # first, so that the block layouts below agree with G's ranks
+    for x in range(poset.n):
+        if poset.rank[x] == 0 and pr[x] != g.ranks[x]:
+            raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
     if slow:
         for x in range(poset.n):
             cx = form.restricted_complex(poset.down[x])
@@ -306,30 +243,17 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None,
                 if b or tors:
                     raise FormViolation(
                         f"positive homology below {poset.labels[x]} in degree {i}")
-            zeros, offsets, total, mat = _rank0_map(poset, g, x)
             if poset.rank[x] == 0:
-                if form.piece_ranks[x] != g.ranks[x]:
-                    raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
                 continue
             # H_0 below x must be G(x) via the extension maps: the kernel of
             # the summed extension map equals the image of the differential
-            img = []
-            pos_of = {y: off for y, off in zip(zeros, offsets)}
-            for y1 in poset.mask_elements(poset.down[x]):
-                if poset.rank[y1] != 1:
-                    continue
-                stack = form.stacked_diff(y1)
-                for col in range(stack.cols):
-                    emb = [0] * total
-                    row0 = 0
-                    for y in sorted(poset.lower[y1]):
-                        for a in range(form.piece_ranks[y]):
-                            emb[pos_of[y] + a] = stack.data[row0 + a][col]
-                        row0 += form.piece_ranks[y]
-                    img.append(emb)
+            zeros, mat = _rank0_map(poset, g, x)
+            ones = [y for y in poset.mask_elements(poset.down[x])
+                    if poset.rank[y] == 1]
+            img = _layout(zeros, pr, ones, pr, form.diff)
             if elementary_divisors(mat) != [1] * g.ranks[x]:
                 raise FormViolation(f"values below {poset.labels[x]} do not surject")
-            if not same_lattice(img, kernel_basis(mat), total):
+            if not same_lattice(img.transpose().data, kernel_basis(mat), mat.cols):
                 raise FormViolation(
                     f"degree-0 homology below {poset.labels[x]} is not G there")
         return True
@@ -337,14 +261,12 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None,
     for x in range(poset.n):
         r = poset.rank[x]
         if r == 0:
-            if form.piece_ranks[x] != g.ranks[x]:
-                raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
             continue
         if r == 1:
-            zeros, offsets, total, mat = _rank0_map(poset, g, x)
+            _, mat = _rank0_map(poset, g, x)
             stack = form.stacked_diff(x)
             cols = [stack.column(j) for j in range(stack.cols)]
-            if not same_lattice(cols, kernel_basis(mat), total):
+            if not same_lattice(cols, kernel_basis(mat), mat.cols):
                 raise FormViolation(
                     f"rank-1 piece at {poset.labels[x]} is not the kernel")
             if len(elementary_divisors(stack)) != form.piece_ranks[x]:
@@ -352,33 +274,15 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None,
                     f"differential not injective at {poset.labels[x]}")
             continue
         stack = form.stacked_diff(x)
-        lowers, _, tot = form.lower_offsets(x)
-        below = poset.down[x] & ~(1 << x)
-        rows_elems = sorted(z for z in poset.mask_elements(below)
-                            if poset.rank[z] == r - 2)
-        z_off = {}
-        ztot = 0
-        for z in rows_elems:
-            z_off[z] = ztot
-            ztot += form.piece_ranks[z]
-        nxt = IntMatrix(ztot, tot)
-        off = 0
-        for y in lowers:
-            for z in poset.lower[y]:
-                block = form.diff.get((z, y))
-                if block is None:
-                    continue
-                for a in range(block.rows):
-                    for b in range(block.cols):
-                        if block.data[a][b]:
-                            nxt.data[z_off[z] + a][off + b] = block.data[a][b]
-            off += form.piece_ranks[y]
+        twos = [z for z in poset.mask_elements(poset.down[x])
+                if poset.rank[z] == r - 2]
+        nxt = _layout(twos, pr, sorted(poset.lower[x]), pr, form.diff)
         if not nxt.mul(stack).is_zero():
             raise FormViolation(f"d o d nonzero above {poset.labels[x]}")
         if len(elementary_divisors(stack)) != form.piece_ranks[x]:
             raise FormViolation(f"differential not injective at {poset.labels[x]}")
         cols = [stack.column(j) for j in range(stack.cols)]
-        if not same_lattice(cols, kernel_basis(nxt), tot):
+        if not same_lattice(cols, kernel_basis(nxt), nxt.cols):
             raise FormViolation(
                 f"three-term sequence not exact at {poset.labels[x]}")
     return True
@@ -393,33 +297,13 @@ def cellular_chain(form: CellularForm, f: Presheaf) -> ChainComplex:
     by_rank: dict[int, list[int]] = {}
     for i in range(poset.n):
         by_rank.setdefault(poset.rank[i], []).append(i)
-    sizes = {}
-    offs: dict[int, dict[int, int]] = {}
-    for r in range(top + 1):
-        total = 0
-        offs[r] = {}
-        for x in sorted(by_rank.get(r, [])):
-            offs[r][x] = total
-            total += form.piece_ranks[x] * f.ranks[x]
-        sizes[r] = total
-    ranks = [sizes[r] for r in range(top + 1)]
-    bounds = {}
-    for r in range(1, top + 1):
-        mat = IntMatrix(ranks[r - 1], ranks[r])
-        for x in sorted(by_rank.get(r, [])):
-            for y in poset.lower[x]:
-                block = form.diff.get((y, x))
-                if block is None or form.piece_ranks[y] == 0:
-                    continue
-                piece = kron(block, f.map_index(y, x))
-                ro, co = offs[r - 1][y], offs[r][x]
-                for a in range(piece.rows):
-                    prow = piece.data[a]
-                    mrow = mat.data[ro + a]
-                    for b in range(piece.cols):
-                        if prow[b]:
-                            mrow[co + b] = prow[b]
-        bounds[r] = mat
+    sizes = [form.piece_ranks[i] * f.ranks[i] for i in range(poset.n)]
+    ranks = [sum(sizes[x] for x in by_rank.get(r, [])) for r in range(top + 1)]
+    blocks = {(y, x): kron(d, f.map_index(y, x))
+              for (y, x), d in form.diff.items() if sizes[y] and sizes[x]}
+    bounds = {r: _layout(by_rank.get(r - 1, []), sizes, by_rank.get(r, []), sizes,
+                         blocks)
+              for r in range(1, top + 1)}
     return ChainComplex(ranks, bounds, check=True)
 
 
@@ -442,17 +326,7 @@ class FormMorphism:
         poset = f.source
         for x in range(poset.n):
             fx = f.image[x]
-            acc: dict[int, IntMatrix] = {}
-            for y in poset.lower[x]:
-                block = src.diff.get((y, x))
-                if block is None:
-                    continue
-                contrib = self.components[y].mul(block)
-                fy = f.image[y]
-                if fy in acc:
-                    add_into(acc[fy], contrib)
-                else:
-                    acc[fy] = contrib.copy()
+            acc = _pushed_sum(f, self.components, src, x)
             lhs: dict[int, IntMatrix] = {}
             phi = self.components[x]
             for yq in tgt.poset.lower[fx]:
@@ -478,11 +352,17 @@ class FormMorphism:
         return True
 
 
-def add_into(a: IntMatrix, b: IntMatrix):
-    for i in range(a.rows):
-        ra, rb = a.data[i], b.data[i]
-        for j in range(a.cols):
-            ra[j] += rb[j]
+def _pushed_sum(f: PosetMorphism, components, form: CellularForm,
+                x: int) -> dict[int, IntMatrix]:
+    """Sum of Phi_y . d(y, x) over the lower covers y of x, grouped by f(y)."""
+    pr = form.piece_ranks
+    groups: dict[int, list[int]] = {}
+    for y in sorted(form.poset.lower[x]):
+        if (y, x) in form.diff:
+            groups.setdefault(f.image[y], []).append(y)
+    return {z: hstack([components[y] for y in ys]).mul(
+                _layout(ys, pr, [x], pr, form.diff))
+            for z, ys in groups.items()}
 
 
 def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
@@ -515,32 +395,13 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
             components[x] = IntMatrix(target.piece_ranks[fx],
                                       source.piece_ranks[x])
             continue
-        # rank-preserving piece: solve the commuting square column by column
-        lowers_q, _, tot_q = target.lower_offsets(fx)
-        q_off = {}
-        off = 0
-        for y in lowers_q:
-            q_off[y] = off
-            off += target.piece_ranks[y]
-        rhs_cols = []
-        for col in range(source.piece_ranks[x]):
-            rhs = [0] * tot_q
-            for y in poset.lower[x]:
-                block = source.diff.get((y, x))
-                if block is None:
-                    continue
-                fy = f.image[y]
-                if tgt_poset.rank[fy] != poset.rank[y]:
-                    continue  # Phi vanishes on the piece at y
-                comp = components[y]
-                base = q_off[fy]
-                for a in range(comp.rows):
-                    s = 0
-                    for b in range(comp.cols):
-                        if block.data[b][col] and comp.data[a][b]:
-                            s += comp.data[a][b] * block.data[b][col]
-                    rhs[base + a] += s
-            rhs_cols.append(rhs)
+        # rank-preserving piece: solve the commuting square column by column;
+        # pieces at y that f moves below a lower cover of fx carry Phi = 0
+        pushed = _pushed_sum(f, components, source, x)
+        rhs = _layout(sorted(tgt_poset.lower[fx]), target.piece_ranks,
+                      [x], source.piece_ranks,
+                      {(fy, x): m for fy, m in pushed.items()})
+        rhs_cols = [rhs.column(j) for j in range(rhs.cols)]
         if fx not in solvers:
             solvers[fx] = SNFSolver(target.stacked_diff(fx))
         solver = solvers[fx]

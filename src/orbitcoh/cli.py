@@ -42,8 +42,11 @@ def _check_km(args):
 
 def _emit(args, payload: dict, text: str):
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dumps(payload))
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(dumps(payload))
+        except OSError as exc:
+            raise BadInput(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -123,6 +126,10 @@ def cmd_ring(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_km(args)
+    if args.mode == "real":
+        print("unsupported: verify has no real-mode oracle yet; "
+              "use --mode complex", file=sys.stderr)
+        return EXIT_UNSUPPORTED
     graph = _graph_from_args(args)
     report = verify_full(graph, args.k, args.m, oracle_limit=args.oracle_limit)
     payload = {
@@ -172,9 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, needs_graph=True):
         if needs_graph:
-            p.add_argument("--graph", help="graph JSON file")
-            p.add_argument("--complete", type=int,
-                           help="complete graph on N vertices")
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--graph", help="graph JSON file")
+            source.add_argument("--complete", type=int,
+                                help="complete graph on N vertices")
         p.add_argument("--k", type=int, default=2, help="order of each cyclic factor")
         p.add_argument("--m", type=int, default=2, help="number of coordinates")
         p.add_argument("--mode", choices=["complex", "real"], default="complex")

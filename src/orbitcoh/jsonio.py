@@ -28,13 +28,13 @@ def parse_graph(data) -> Graph:
         raise BadInput("graph JSON must be an object")
     if "complete" in data:
         n = data["complete"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadInput("complete: expects a positive integer")
         return Graph.complete(n)
     try:
         n = data["n"]
         edges = data["edges"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadInput("n must be a positive integer")
         return Graph.make(n, [tuple(e) for e in edges])
     except (KeyError, TypeError, ValueError) as exc:
@@ -61,8 +61,9 @@ def parse_poset(data) -> GradedPoset:
 def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     """{"ranks": [ints], "extensions": {"lo->hi": [[row-major ints]]}}.
 
-    ``ranks`` parallels the poset's element list in its original order;
-    extensions are keyed by cover pairs and default to zero maps.
+    ``ranks`` parallels the poset's labels in sorted order (``poset.labels``),
+    not the order of the poset file; extensions are keyed by cover pairs
+    and default to zero maps.
     """
     try:
         ranks = [int(r) for r in data["ranks"]]

@@ -260,17 +260,22 @@ def poincare_polynomial(pres: RingPresentation) -> list[int]:
     return pres.poincare_polynomial()
 
 
+class RingAxiomViolation(Exception):
+    """The structure constants break a ring axiom."""
+
+
 def check_ring_axioms(pres: RingPresentation, triples: bool = True):
     """Graded commutativity, associativity, degrees and grading law.
 
-    Returns a dict of counters; raises AssertionError on any violation.
+    Returns a dict of counters; raises RingAxiomViolation on any violation.
+    The checks are explicit raises, so they also run under ``python -O``.
     """
     n = len(pres.basis)
     stats = {"pairs": 0, "nonzero": 0, "triples": 0}
     unit = pres.unit_index()
     for i in range(n):
-        assert pres.cup_basis(unit, i) == {i: 1}
-        assert pres.cup_basis(i, unit) == {i: 1}
+        if pres.cup_basis(unit, i) != {i: 1} or pres.cup_basis(i, unit) != {i: 1}:
+            raise RingAxiomViolation(f"the unit does not act as 1 on basis element {i}")
     for i in range(n):
         ei = pres.basis[i]
         for j in range(n):
@@ -283,14 +288,15 @@ def check_ring_axioms(pres: RingPresentation, triples: bool = True):
                                     pres.matrices[ej.theta]).label()
                 for idx in ij:
                     e = pres.basis[idx]
-                    assert e.degree == ei.degree + ej.degree
-                    assert e.theta == target
+                    if e.degree != ei.degree + ej.degree or e.theta != target:
+                        raise RingAxiomViolation(
+                            f"product {i}*{j} has term {idx} outside degree "
+                            f"{ei.degree + ej.degree} and grading {target}")
             ji = pres.cup_basis(j, i)
-            if pres.mode == "real":
-                assert ij == ji
-            else:
-                sign = -1 if (ei.degree * ej.degree) % 2 else 1
-                assert ij == {idx: sign * c for idx, c in ji.items()}
+            sign = -1 if pres.mode != "real" and (ei.degree * ej.degree) % 2 else 1
+            if ij != {idx: sign * c for idx, c in ji.items()}:
+                raise RingAxiomViolation(
+                    f"products {i}*{j} and {j}*{i} are not graded commutative")
     if triples:
         for i in range(n):
             for j in range(n):
@@ -313,5 +319,7 @@ def check_ring_axioms(pres: RingPresentation, triples: bool = True):
                         right = {t: c % 2 for t, c in right.items()}
                     left = {t: c for t, c in left.items() if c}
                     right = {t: c for t, c in right.items() if c}
-                    assert left == right
+                    if left != right:
+                        raise RingAxiomViolation(
+                            f"({i}*{j})*{l} differs from {i}*({j}*{l})")
     return stats

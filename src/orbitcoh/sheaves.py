@@ -151,33 +151,7 @@ class Presheaf(_SheafBase):
 
     def restriction(self, x, y) -> IntMatrix:
         """Restriction F(y) -> F(x) for x <= y."""
-        i, j = self.base.index[x], self.base.index[y]
-        if not self.base.leq(i, j):
-            raise ValueError("elements are not comparable")
-        return self._restrict_index(i, j)
-
-    def _restrict_index(self, i: int, j: int) -> IntMatrix:
-        key = (j, i)
-        cached = self._composed.get(key)
-        if cached is not None:
-            return cached
-        if i == j:
-            out = IntMatrix.identity(self.ranks[i])
-        else:
-            for lo in self.base.lower[j]:
-                if self.base.leq(i, lo):
-                    out = self._restrict_index(i, lo).mul(self.maps[(lo, j)])
-                    break
-            else:  # pragma: no cover
-                raise ValueError("no path found")
-        self._composed[key] = out
-        return out
-
-    def map_index(self, i: int, j: int) -> IntMatrix:
-        # orient presheaf.map(x, y) as the restriction F(y) -> F(x)
-        if not self.base.leq(i, j):
-            raise ValueError("elements are not comparable")
-        return self._restrict_index(i, j)
+        return self.map(x, y)
 
 
 def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str,

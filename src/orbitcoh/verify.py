@@ -30,7 +30,12 @@ from .orbit import (
     restrict_matrix,
     zero_class,
 )
-from .ring import RingPresentation, check_ring_axioms, cohomology_presentation
+from .ring import (
+    RingAxiomViolation,
+    RingPresentation,
+    check_ring_axioms,
+    cohomology_presentation,
+)
 from .sheaves import delta_sheaf
 
 
@@ -294,6 +299,6 @@ def verify_full(graph: Graph, k: int, m: int,
             report.axiom_stats = check_ring_axioms(pres)
             report.add(True, "ring axioms hold "
                              f"({report.axiom_stats['pairs']} pairs)")
-        except AssertionError as exc:
+        except RingAxiomViolation as exc:
             report.add(False, f"ring axioms fail: {exc}")
     return report

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import bottom, partition_lattice, top
@@ -13,7 +15,9 @@ from orbitcoh.cellular import (
     verify_cellular_form,
 )
 from orbitcoh.intlinalg import IntMatrix, homology
+from orbitcoh.jsonio import dumps
 from orbitcoh.oracle import TorComplex
+from orbitcoh.orbit import Graph, build_lkm
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,
@@ -124,6 +128,23 @@ def test_verify_rejects_perturbed_form():
         verify_cellular_form(bad)
 
 
+def test_verify_rejects_wrong_rank0_piece():
+    # the rank-1 element sorts before the rank-0 one whose piece is wrong
+    p = build_poset(["a", "b", "c"], [("b", "a"), ("c", "a")],
+                    {"a": 1, "b": 0, "c": 0})
+    g = constant_sheaf(p, 1, "co")
+    form = construct_cellular_form(p, g)
+    a, b = p.index["a"], p.index["b"]
+    ranks = list(form.piece_ranks)
+    ranks[b] = 2
+    diff = dict(form.diff)
+    diff[(b, a)] = IntMatrix(2, 1, [[1], [0]])
+    bad = CellularForm(p, g, ranks, diff)
+    for slow in (False, True):
+        with pytest.raises(FormViolation, match="rank-0 piece at b"):
+            verify_cellular_form(bad, slow=slow)
+
+
 def test_cellular_chain_delta_concentrates():
     # coefficients delta_x: Tor is the piece at x, in degree rank(x)
     p3 = partition_lattice(3)
@@ -159,6 +180,23 @@ def test_cellular_chain_matches_oracle_constant():
     for n in range(max(len(h_cell.groups), len(h_k.groups))):
         assert h_cell.betti(n) == h_k.betti(n)
         assert h_cell.torsion(n) == h_k.torsion(n)
+
+
+@pytest.mark.parametrize("graph, digest", [
+    (Graph.path(3),
+     "90c4f013b93d8c3e410881a25805c134a81b86cf413ecfbea4bef36afde7beae"),
+    (Graph.complete(3),
+     "04edd893a82ee07cc4b644f30d773bdf26e8d779aa99c4aaf2bc232cc2009ee9"),
+], ids=["P3", "K3"])
+def test_orbit_lattice_form_is_pinned(graph, digest):
+    # the form's JSON on L(G, 2, 2) is fixed byte for byte
+    lkm = build_lkm(graph, 2, 2)
+    g = delta_sheaf(lkm.poset, [lkm.bottom_label()], 1, "co")
+    form = construct_cellular_form(lkm.poset, g)
+    text = dumps(form.to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    verify_cellular_form(form)
+    verify_cellular_form(form, slow=True)
 
 
 def test_form_morphism_identity():

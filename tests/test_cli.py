@@ -49,6 +49,34 @@ def test_betti_bad_k():
     assert code == 2
 
 
+def test_betti_unwritable_out(tmp_path):
+    out = tmp_path / "missing" / "b.json"
+    code, _, err = run_cli(["betti", "--complete", "2", "--k", "2", "--m", "2",
+                            "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("graph", [{"n": True, "edges": []}, {"complete": True}])
+def test_betti_bool_graph_size(tmp_path, graph):
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(graph))
+    code, text, err = run_cli(["betti", "--graph", str(g), "--k", "2", "--m", "2"])
+    assert code == 2
+    assert text == "" and err.startswith("error: ")
+
+
+def test_betti_graph_and_complete_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--graph", str(tmp_path / "g.json"), "--complete", "2",
+              "--k", "2", "--m", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --complete: not allowed with argument --graph" \
+        in captured.err
+
+
 def test_betti_missing_graph():
     code, _, _ = run_cli(["betti", "--k", "2", "--m", "2"])
     assert code == 2
@@ -82,6 +110,13 @@ def test_ring_real(tmp_path):
 def test_ring_m1_unsupported():
     code, _, _ = run_cli(["ring", "--complete", "2", "--k", "2", "--m", "1"])
     assert code == 3
+
+
+def test_verify_real_unsupported():
+    code, text, err = run_cli(["verify", "--complete", "2", "--m", "2",
+                               "--mode", "real"])
+    assert code == 3
+    assert text == "" and err.startswith("unsupported: ")
 
 
 def test_verify_complete2():

@@ -1,5 +1,10 @@
+import json
+import subprocess
+import sys
+
 import pytest
 
+from conftest import subprocess_env
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
     UnsupportedM,
@@ -80,6 +85,44 @@ def test_cup_lands_in_join_grading():
 def test_ring_axioms_k2():
     stats = check_ring_axioms(cohomology_presentation(Graph.complete(2), 2, 2))
     assert stats["pairs"] == 100
+
+
+CORRUPT_UNIT = """
+import json, sys
+import orbitcoh.verify as verify
+from orbitcoh.orbit import Graph
+from orbitcoh.ring import RingAxiomViolation, check_ring_axioms, cohomology_presentation
+
+def corrupted(*args, **kwargs):
+    # unit * e_1 = 2 e_1: one wrong structure constant
+    pres = cohomology_presentation(*args, **kwargs)
+    unit = pres.unit_index()
+    i = next(i for i in range(len(pres.basis)) if i != unit)
+    pres._pair_cache[(unit, i)] = {i: 2}
+    return pres
+
+try:
+    check_ring_axioms(corrupted(Graph.complete(2), 2, 2))
+    raised = False
+except RingAxiomViolation:
+    raised = True
+verify.cohomology_presentation = corrupted
+report = verify.verify_full(Graph.complete(2), 2, 2, products=False)
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
+                  "ok": report.ok, "lines": report.lines}))
+"""
+
+
+def test_ring_axioms_fire_under_optimize():
+    # the checks must not be asserts, which python -O strips
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPT_UNIT],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["optimize"] == 1
+    assert result["raised"]
+    assert result["ok"] is False
+    assert any(line.startswith("FAIL ring axioms fail") for line in result["lines"])
 
 
 def test_m1_requires_additive_flag():
