@@ -1,13 +1,15 @@
 """Cellular forms on graded posets and their morphisms.
 
 A cellular form of a pair (P, G) is a P-graded free module with a
-rank-decreasing differential whose restriction below any element has
-homology concentrated in degree zero, where it reproduces G.  It exists
-iff Tor(delta_x Z, G) is concentrated in degree rank(x) for every x,
-and it is unique.  The constructor below decides existence and builds
-the form in polynomial time, working up the ranks; morphisms of forms
-are produced by the inverse-differential recursion, which pins them
-uniquely.
+rank-decreasing differential such that, below every element x, the
+complex of its pieces augmented by G(x) is exact.  That augmented
+complex has G(x) in degree 0 and the rank-i pieces in degree i + 1; its
+first map sends each rank-0 value into G(x) by the extension map.  A
+form exists iff Tor(delta_x Z, G) is concentrated in degree rank(x) for
+every x, and it is unique.  The constructor below decides existence and
+builds the form in polynomial time, working up the ranks; morphisms of
+forms are produced by the inverse-differential recursion, which pins
+them uniquely.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from .intlinalg import (
     ChainComplex,
     IntMatrix,
+    InvalidComplex,
     SNFSolver,
     elementary_divisors,
     homology,
@@ -41,7 +44,9 @@ class PreconditionFailed(Exception):
 class NotCellular:
     """Verdict that (P, G) admits no cellular form, with the failing spot.
 
-    ``step`` is one of 'surjectivity', 'kernel-sum', 'positive-homology'.
+    ``step`` is one of 'surjectivity', 'kernel-sum', 'positive-homology',
+    named by the lowest degree where the augmented complex below the
+    element has homology: 0, 1, or i + 1 for positive homology in degree i.
     """
 
     element: object
@@ -78,20 +83,24 @@ class CellularForm:
         pr = self.piece_ranks
         return _layout(sorted(self.poset.lower[x]), pr, [x], pr, self.diff)
 
-    def restricted_complex(self, mask: int) -> ChainComplex:
-        """Chain complex of the pieces on a down-closed set of elements."""
-        poset, pr = self.poset, self.piece_ranks
-        members = [i for i in poset.mask_elements(mask) if pr[i]]
-        if not members:
-            return ChainComplex([0], {}, check=False)
-        by_rank: dict[int, list[int]] = {}
+    def augmented_complex(self, x: int, mask: int) -> ChainComplex:
+        """The pieces on a down-closed mask below x, augmented by G(x).
+
+        Degree 0 is G(x) and degree i + 1 is the sum of the rank-i pieces
+        in the mask; the first map is the rank-0 extension map into G(x).
+        The mask holds every rank-0 element below x.  Whether the boundaries
+        compose to zero is left to the caller.
+        """
+        poset, pr, g = self.poset, self.piece_ranks, self.copresheaf
+        members = poset.mask_elements(mask)
+        top = max(poset.rank[i] for i in members)
+        levels: list[list[int]] = [[] for _ in range(top + 1)]
         for i in members:
-            by_rank.setdefault(poset.rank[i], []).append(i)
-        top = max(by_rank)
-        ranks = [sum(pr[i] for i in by_rank.get(r, [])) for r in range(top + 1)]
-        bounds = {r: _layout(by_rank.get(r - 1, []), pr, by_rank.get(r, []), pr,
-                             self.diff)
-                  for r in range(1, top + 1)}
+            levels[poset.rank[i]].append(i)
+        bounds = {i + 1: _layout(levels[i - 1], pr, levels[i], pr, self.diff)
+                  for i in range(1, len(levels))}
+        bounds[1] = _rank0_map(poset, g, x)
+        ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
         return ChainComplex(ranks, bounds, check=False)
 
     def to_json_dict(self) -> dict:
@@ -146,21 +155,39 @@ def _split_rows(mat: IntMatrix, rows, sizes) -> dict[int, IntMatrix]:
     return out
 
 
-def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int):
-    """Rank-0 elements below x and their extension maps into x, side by side."""
-    zeros = [y for y in poset.mask_elements(poset.down[x])
-             if poset.rank[y] == 0 and y != x]
+def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> IntMatrix:
+    """The extension maps of the rank-0 elements below x into x, side by side."""
+    zeros = [y for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0]
     maps = {(x, y): g.map_index(y, x) for y in zeros if g.ranks[y]}
-    return zeros, _layout([x], g.ranks, zeros, g.ranks, maps)
+    return _layout([x], g.ranks, zeros, g.ranks, maps)
+
+
+def _lowest_homology(groups):
+    """The lowest degree with nonzero homology, or None if there is none."""
+    return next((i for i, (b, tors) in enumerate(groups) if b or tors), None)
+
+
+def _step(degree: int):
+    """The verdict step and detail for homology in a degree of the augmented complex."""
+    if degree == 0:
+        return "surjectivity", "rank-0 values do not surject onto the value here"
+    if degree == 1:
+        return "kernel-sum", "rank-1 kernels do not generate the full kernel"
+    return "positive-homology", f"homology below is nonzero in degree {degree - 1}"
 
 
 def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     """Decide cellularity of (P, G) and build the form when it exists.
 
-    Returns a CellularForm, or a NotCellular verdict naming the first
-    element (in rank then label order) where the construction breaks
-    and which condition broke: the rank-0 surjectivity test, the
-    kernel-sum test, or positive homology strictly below the element.
+    Works up the ranks.  At an element x of rank r, the augmented complex
+    of the pieces strictly below x must be exact in degrees 0..r-1; the
+    piece at x is then the kernel of its top map (degree r, the lower
+    covers).  Returns a CellularForm, or a NotCellular verdict naming the
+    first element (in rank then label order) where this breaks and the
+    step of the lowest failing degree: 0 is the rank-0 surjectivity
+    test, 1 the kernel-sum test (the rank-1 kernels generate the kernel
+    of the rank-0 map), and i + 1 positive homology in degree i.
+    Surjectivity is tested at every element before any piece is built.
     """
     if not poset.graded:
         raise ValueError("cellular forms need a genuinely graded poset")
@@ -169,10 +196,8 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     for x in order:
         if poset.rank[x] == 0 or g.ranks[x] == 0:
             continue
-        _, mat = _rank0_map(poset, g, x)
-        if elementary_divisors(mat) != [1] * g.ranks[x]:
-            return NotCellular(poset.labels[x], "surjectivity",
-                               "rank-0 values do not surject onto the value here")
+        if elementary_divisors(_rank0_map(poset, g, x)) != [1] * g.ranks[x]:
+            return NotCellular(poset.labels[x], *_step(0))
 
     piece_ranks = [0] * poset.n
     diff: dict[tuple[int, int], IntMatrix] = {}
@@ -182,34 +207,16 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         if r == 0:
             piece_ranks[x] = g.ranks[x]
             continue
-        zeros, mat = _rank0_map(poset, g, x)
-        if r == 1:
-            lowers, d = zeros, mat
-        else:
-            # kernel-sum condition: rank-1 kernels below x must generate the
-            # full kernel of the rank-0 map, as a lattice
-            below = poset.down[x] & ~(1 << x)
-            ones = [y for y in poset.mask_elements(below) if poset.rank[y] == 1]
-            gens = _layout(zeros, piece_ranks, ones, piece_ranks, diff).transpose()
-            if not same_lattice(gens.data, kernel_basis(mat), mat.cols):
-                return NotCellular(poset.labels[x], "kernel-sum",
-                                   "rank-1 kernels do not generate the full kernel")
-
-            # positive homology of the part strictly below x must vanish in
-            # degrees 1..r-2 (degree r-1 cycles become the new piece)
-            partial = CellularForm(poset, g, piece_ranks, diff)
-            cx = partial.restricted_complex(below)
-            h = homology(cx)
-            for i in range(1, r - 1):
-                b, tors = h.groups[i] if i < len(h.groups) else (0, ())
-                if b or tors:
-                    return NotCellular(poset.labels[x], "positive-homology",
-                                       f"homology below is nonzero in degree {i}")
-            lowers, d = sorted(poset.lower[x]), cx.boundary(r - 1)
-        # the new piece is the kernel of d, split over the lower covers
+        partial = CellularForm(poset, g, piece_ranks, diff)
+        cx = partial.augmented_complex(x, poset.down[x] & ~(1 << x))
+        degree = _lowest_homology(homology(cx).groups[:r])
+        if degree is not None:
+            return NotCellular(poset.labels[x], *_step(degree))
+        # the new piece is the kernel of the top map, split over the lower covers
+        d = cx.boundary(r)
         ker = IntMatrix.from_cols(kernel_basis(d), d.cols)
         piece_ranks[x] = ker.cols
-        for y, block in _split_rows(ker, lowers, piece_ranks).items():
+        for y, block in _split_rows(ker, sorted(poset.lower[x]), piece_ranks).items():
             if block.rows:
                 diff[(y, x)] = block
 
@@ -220,66 +227,45 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None,
                          slow: bool = False):
     """Check a claimed form; raise FormViolation with the offending spot.
 
-    The default check is the three-condition shortcut (rank-0 pieces,
-    rank-1 kernels, three-term integral exactness), which characterizes
-    the form once the pair is known to be cellular.  ``slow=True`` runs
-    the full definition instead: trivial positive homology below every
-    element and degree-zero homology reproducing G.
+    Both checks read the augmented complex of the closed down-set of each
+    element x of rank r: G(x) in degree 0, the rank-i pieces in degree
+    i + 1, and the piece at x on top in degree r + 1.  The default check
+    tests its top three terms only: the map out of the piece at x is
+    injective and its image is the kernel of the next map, which is the
+    rank-0 map into G(x) when r = 1.  That characterizes the form once the
+    pair is known to be cellular.  ``slow=True`` tests the full definition
+    instead: the boundaries compose to zero and the complex is exact, with
+    the lowest failing degree named as in construct_cellular_form.
     """
-    if g is None:
-        g = form.copresheaf
-    poset = form.poset
-    pr = form.piece_ranks
+    if g is not None:
+        form = CellularForm(form.poset, g, form.piece_ranks, form.diff)
+    poset, pr, g = form.poset, form.piece_ranks, form.copresheaf
     # first, so that the block layouts below agree with G's ranks
     for x in range(poset.n):
         if poset.rank[x] == 0 and pr[x] != g.ranks[x]:
             raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
     if slow:
         for x in range(poset.n):
-            cx = form.restricted_complex(poset.down[x])
-            h = homology(cx)
-            for i in range(1, len(h.groups)):
-                b, tors = h.groups[i]
-                if b or tors:
-                    raise FormViolation(
-                        f"positive homology below {poset.labels[x]} in degree {i}")
-            if poset.rank[x] == 0:
-                continue
-            # H_0 below x must be G(x) via the extension maps: the kernel of
-            # the summed extension map equals the image of the differential
-            zeros, mat = _rank0_map(poset, g, x)
-            ones = [y for y in poset.mask_elements(poset.down[x])
-                    if poset.rank[y] == 1]
-            img = _layout(zeros, pr, ones, pr, form.diff)
-            if elementary_divisors(mat) != [1] * g.ranks[x]:
-                raise FormViolation(f"values below {poset.labels[x]} do not surject")
-            if not same_lattice(img.transpose().data, kernel_basis(mat), mat.cols):
-                raise FormViolation(
-                    f"degree-0 homology below {poset.labels[x]} is not G there")
+            cx = form.augmented_complex(x, poset.down[x])
+            try:
+                cx.validate()
+            except InvalidComplex:
+                raise FormViolation(f"d o d nonzero below {poset.labels[x]}") from None
+            degree = _lowest_homology(homology(cx).groups)
+            if degree is not None:
+                step, detail = _step(degree)
+                raise FormViolation(f"{step} fails at {poset.labels[x]} ({detail})")
         return True
 
     for x in range(poset.n):
         r = poset.rank[x]
         if r == 0:
             continue
-        if r == 1:
-            _, mat = _rank0_map(poset, g, x)
-            stack = form.stacked_diff(x)
-            cols = [stack.column(j) for j in range(stack.cols)]
-            if not same_lattice(cols, kernel_basis(mat), mat.cols):
-                raise FormViolation(
-                    f"rank-1 piece at {poset.labels[x]} is not the kernel")
-            if len(elementary_divisors(stack)) != form.piece_ranks[x]:
-                raise FormViolation(
-                    f"differential not injective at {poset.labels[x]}")
-            continue
-        stack = form.stacked_diff(x)
-        twos = [z for z in poset.mask_elements(poset.down[x])
-                if poset.rank[z] == r - 2]
-        nxt = _layout(twos, pr, sorted(poset.lower[x]), pr, form.diff)
+        cx = form.augmented_complex(x, poset.down[x])
+        stack, nxt = cx.boundary(r + 1), cx.boundary(r)
         if not nxt.mul(stack).is_zero():
             raise FormViolation(f"d o d nonzero above {poset.labels[x]}")
-        if len(elementary_divisors(stack)) != form.piece_ranks[x]:
+        if len(elementary_divisors(stack)) != pr[x]:
             raise FormViolation(f"differential not injective at {poset.labels[x]}")
         cols = [stack.column(j) for j in range(stack.cols)]
         if not same_lattice(cols, kernel_basis(nxt), nxt.cols):

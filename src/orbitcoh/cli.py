@@ -187,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, default=2, help="number of coordinates")
         p.add_argument("--mode", choices=["complex", "real"], default="complex")
         p.add_argument("--out", help="write JSON here instead of a text table")
-        p.add_argument("--oracle-limit", type=int, default=100,
-                       dest="oracle_limit",
-                       help="largest poset the brute-force oracle will accept")
 
     p_betti = sub.add_parser("betti", help="Betti table and Poincare polynomial")
     common(p_betti)
@@ -202,6 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="verify the closed form against "
                                              "the brute-force oracle")
     common(p_verify)
+    p_verify.add_argument("--oracle-limit", type=int, default=100,
+                          dest="oracle_limit",
+                          help="largest poset the brute-force oracle will accept")
     p_verify.set_defaults(func=cmd_verify)
 
     p_cell = sub.add_parser("cellular", help="run the cellular form "

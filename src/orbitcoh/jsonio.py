@@ -23,7 +23,11 @@ def load_json(path: str):
 
 
 def parse_graph(data) -> Graph:
-    """{"n": int, "edges": [[i, j], ...]} or {"complete": n}."""
+    """{"n": int, "edges": [[i, j], ...]} or {"complete": n}.
+
+    ``n`` and every edge endpoint must be JSON integers, not booleans or
+    floats; endpoints run from 1 to n.
+    """
     if not isinstance(data, dict):
         raise BadInput("graph JSON must be an object")
     if "complete" in data:
@@ -36,7 +40,10 @@ def parse_graph(data) -> Graph:
         edges = data["edges"]
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadInput("n must be a positive integer")
-        return Graph.make(n, [tuple(e) for e in edges])
+        edges = [tuple(e) for e in edges]
+        if any(isinstance(v, bool) or not isinstance(v, int) for e in edges for v in e):
+            raise BadInput("edge endpoints must be integers")
+        return Graph.make(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad graph JSON: {exc}") from exc
 

@@ -101,9 +101,6 @@ class TorComplex:
             lst.sort()
         self.chains = chains
 
-    def top_degree(self) -> int:
-        return len(self.ranks) - 1
-
     def rank(self, n: int) -> int:
         return self.ranks[n] if 0 <= n < len(self.ranks) else 0
 
@@ -238,9 +235,6 @@ class TorDegree:
             else:
                 out.append(x)
         return tuple(out)
-
-    def is_boundary(self, vec: list[int]) -> bool:
-        return all(x == 0 for x in self.class_coords(vec))
 
     def free_generators(self) -> list[list[int]]:
         """Cycle representatives of a basis of the free part."""

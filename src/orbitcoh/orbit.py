@@ -222,9 +222,6 @@ class PartialMatrix:
                     out.append((block, t))
         return out
 
-    def fully_defined(self) -> bool:
-        return self.r_f == 0
-
     def label(self) -> str:
         part = "|".join("-".join(str(v) for v in b) for b in self.partition)
         rows = []

@@ -156,9 +156,6 @@ class OSAlgebra:
     def total_rank(self) -> int:
         return sum(len(v) for v in self.nbc.values())
 
-    def grading_of(self, mono: tuple[int, ...]):
-        return self.lattice.labels[self._join_of(mono)]
-
     def monomial_labels(self, mono: tuple[int, ...]):
         return tuple(self.lattice.labels[self.atoms[p]] for p in mono)
 

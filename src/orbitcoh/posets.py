@@ -265,9 +265,6 @@ class PosetMorphism:
     def __call__(self, label):
         return self.mapping[label]
 
-    def apply_index(self, i: int) -> int:
-        return self.image[i]
-
 
 def identity_morphism(p: GradedPoset) -> PosetMorphism:
     return PosetMorphism(p, p, {lab: lab for lab in p.labels})

@@ -59,9 +59,6 @@ class _SheafBase:
         if check:
             self._check_functorial()
 
-    def rank_at(self, i: int) -> int:
-        return self.ranks[i]
-
     def rank_of(self, label) -> int:
         return self.ranks[self.base.index[label]]
 

@@ -115,17 +115,22 @@ def test_surjectivity_failure():
 
 
 def test_verify_rejects_perturbed_form():
+    # every nonzero block in turn; the blocks out of the top break d o d = 0,
+    # which the full definition must catch as well as the shortcut
     p3 = partition_lattice(3)
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
     form = construct_cellular_form(p3, g)
-    key = next(k for k, m in form.diff.items() if m.rows and m.cols)
-    bad_diff = dict(form.diff)
-    perturbed = bad_diff[key].copy()
-    perturbed.data[0][0] += 1
-    bad_diff[key] = perturbed
-    bad = CellularForm(p3, g, form.piece_ranks, bad_diff)
-    with pytest.raises(FormViolation):
-        verify_cellular_form(bad)
+    keys = sorted(k for k, m in form.diff.items() if m.rows and m.cols)
+    assert len(keys) == 6
+    for key in keys:
+        bad_diff = dict(form.diff)
+        perturbed = bad_diff[key].copy()
+        perturbed.data[0][0] += 1
+        bad_diff[key] = perturbed
+        bad = CellularForm(p3, g, form.piece_ranks, bad_diff)
+        for slow in (False, True):
+            with pytest.raises(FormViolation):
+                verify_cellular_form(bad, slow=slow)
 
 
 def test_verify_rejects_wrong_rank0_piece():

@@ -57,7 +57,9 @@ def test_betti_unwritable_out(tmp_path):
     assert err.startswith("error: cannot write") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("graph", [{"n": True, "edges": []}, {"complete": True}])
+@pytest.mark.parametrize("graph", [{"n": True, "edges": []}, {"complete": True},
+                                   {"n": 2, "edges": [[True, 2]]},
+                                   {"n": 2, "edges": [[1.0, 2]]}])
 def test_betti_bool_graph_size(tmp_path, graph):
     g = tmp_path / "g.json"
     g.write_text(json.dumps(graph))
@@ -129,6 +131,14 @@ def test_verify_oracle_limit():
     code, _, err = run_cli(["verify", "--complete", "3", "--k", "3", "--m", "2",
                             "--oracle-limit", "50"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["betti", "ring"])
+def test_oracle_limit_is_verify_only(command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--complete", "2", "--k", "2", "--m", "2",
+              "--oracle-limit", "5"])
+    assert exc.value.code == 2
 
 
 def poset_json():
