@@ -47,7 +47,6 @@ def test_star_poset_form():
     assert form.rank_of("top") == 1
     assert form.rank_of("a0") == 1 and form.rank_of("a1") == 1
     verify_cellular_form(form)
-    verify_cellular_form(form, slow=True)
 
 
 def test_star_poset_form_k3():
@@ -88,7 +87,7 @@ def test_two_diamond_is_cellular():
     form = construct_cellular_form(p, g)
     assert isinstance(form, CellularForm)
     assert form.rank_of("T") == 1
-    verify_cellular_form(form, slow=True)
+    verify_cellular_form(form)
 
 
 def test_disjoint_supports_not_cellular():
@@ -115,8 +114,7 @@ def test_surjectivity_failure():
 
 
 def test_verify_rejects_perturbed_form():
-    # every nonzero block in turn; the blocks out of the top break d o d = 0,
-    # which the full definition must catch as well as the shortcut
+    # every nonzero block in turn; the blocks out of the top break d o d = 0
     p3 = partition_lattice(3)
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
     form = construct_cellular_form(p3, g)
@@ -128,9 +126,8 @@ def test_verify_rejects_perturbed_form():
         perturbed.data[0][0] += 1
         bad_diff[key] = perturbed
         bad = CellularForm(p3, g, form.piece_ranks, bad_diff)
-        for slow in (False, True):
-            with pytest.raises(FormViolation):
-                verify_cellular_form(bad, slow=slow)
+        with pytest.raises(FormViolation):
+            verify_cellular_form(bad)
 
 
 def test_verify_rejects_wrong_rank0_piece():
@@ -145,9 +142,8 @@ def test_verify_rejects_wrong_rank0_piece():
     diff = dict(form.diff)
     diff[(b, a)] = IntMatrix(2, 1, [[1], [0]])
     bad = CellularForm(p, g, ranks, diff)
-    for slow in (False, True):
-        with pytest.raises(FormViolation, match="rank-0 piece at b"):
-            verify_cellular_form(bad, slow=slow)
+    with pytest.raises(FormViolation, match="rank-0 piece at b"):
+        verify_cellular_form(bad)
 
 
 def test_cellular_chain_delta_concentrates():
@@ -201,7 +197,6 @@ def test_orbit_lattice_form_is_pinned(graph, digest):
     text = dumps(form.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     verify_cellular_form(form)
-    verify_cellular_form(form, slow=True)
 
 
 def test_form_morphism_identity():
@@ -237,7 +232,6 @@ def test_product_form_verifies():
     assert prod.rank_of(("top", "top")) == 1
     assert prod.rank_of(("a0", "top")) == 1
     verify_cellular_form(prod)
-    verify_cellular_form(prod, slow=True)
 
 
 def test_product_with_point_form():
