@@ -1,0 +1,58 @@
+"""Oracle-side formal chains: pinned basis cycles and cup products."""
+
+import hashlib
+from math import factorial
+
+from orbitcoh.oracle import GMOracle
+from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
+from orbitcoh.ring import cohomology_presentation
+from orbitcoh.verify import braid_chain, theta_cycle
+
+
+def _digest(data) -> str:
+    return hashlib.sha256(repr(data).encode()).hexdigest()
+
+
+def _cycles(pres):
+    return [theta_cycle(pres, e.theta, e.os_mono, e.bcp_index) for e in pres.basis]
+
+
+def test_theta_cycles_are_pinned():
+    # sorted theta_cycle chains of every basis element of K2 (k = 3) and P3
+    # (k = 2), recorded before the chain builders shared one shuffle loop
+    chains = []
+    for graph, k in [(Graph.complete(2), 3), (Graph.path(3), 2)]:
+        pres = cohomology_presentation(graph, k, 2)
+        chains.append([sorted(c.items()) for c in _cycles(pres)])
+    assert _digest(chains) == (
+        "5f99339c6770b379a9fd7f175e12a4aea0caec735e37a42336ea0c7f2dae43c1")
+
+
+def test_oracle_cups_are_pinned():
+    # GMOracle.cup on the basis cycles of every ordered basis pair of K2
+    # (k = 2), recorded before cup pushed its shuffles without a cross dict
+    graph = Graph.complete(2)
+    pres = cohomology_presentation(graph, 2, 2)
+    inter = IntersectionLattice(build_lkm(graph, 2, 2))
+    oracle = GMOracle(inter.poset, inter.codim)
+    cycles = []
+    for e, formal in zip(pres.basis, _cycles(pres)):
+        mat = pres.matrices[e.theta]
+        deg = mat.r_b + mat.r_f
+        cycles.append((e.theta, deg, oracle.complex_at(e.theta).vector(formal, deg)))
+    cups = [oracle.cup(*a, *b) for a in cycles for b in cycles]
+    assert _digest(cups) == (
+        "9f9fe235d041687b668e18ed049cc1202f04ffef5c6591df281104c7241a7928")
+
+
+def test_braid_chain_has_one_chain_per_ordering():
+    # r independent atoms give r! distinct partial-join chains, signed by
+    # the permutation that orders them
+    pres = cohomology_presentation(Graph.complete(4), 1, 2)
+    seen = set()
+    for e in pres.basis:
+        chains = braid_chain(pres, e.os_mono)
+        assert len(chains) == factorial(len(e.os_mono))
+        assert set(chains.values()) <= {1, -1}
+        seen.add(len(e.os_mono))
+    assert seen == {0, 1, 2, 3}
