@@ -219,7 +219,7 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     return CellularForm(poset, g, piece_ranks, diff)
 
 
-def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None):
+def verify_cellular_form(form: CellularForm):
     """Check a claimed form; raise FormViolation with the offending spot.
 
     Tests the definition directly: for every element x, the augmented
@@ -228,8 +228,6 @@ def verify_cellular_form(form: CellularForm, g: Copresheaf | None = None):
     zero and is exact.  The lowest failing degree is named by its step as
     in construct_cellular_form.
     """
-    if g is not None:
-        form = CellularForm(form.poset, g, form.piece_ranks, form.diff)
     poset, pr, g = form.poset, form.piece_ranks, form.copresheaf
     # first, so that the block layouts below agree with G's ranks
     for x in range(poset.n):

@@ -108,7 +108,7 @@ def cmd_ring(args) -> int:
     if args.m == 1:
         raise UnsupportedM("the ring presentation needs m > 1")
     pres = _presentation(args, additive_only=False)
-    payload = pres.to_json_dict(include_products=True)
+    payload = pres.to_json_dict()
     payload["command"] = "ring"
     nonzero = sum(1 for entry in payload.get("products", []) if entry[2])
     lines = [

@@ -71,11 +71,6 @@ class IntMatrix:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         [[self.data[i][j] for i in range(self.rows)]
-                          for j in range(self.cols)])
-
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.data)
 
@@ -117,16 +112,6 @@ def hstack(blocks: list[IntMatrix]) -> IntMatrix:
         raise ValueError("row count mismatch in hstack")
     data = [sum((b.data[i] for b in blocks), []) for i in range(rows)]
     return IntMatrix(rows, sum(b.cols for b in blocks), data)
-
-
-def vstack(blocks: list[IntMatrix]) -> IntMatrix:
-    if not blocks:
-        raise ValueError("empty vstack")
-    cols = blocks[0].cols
-    if any(b.cols != cols for b in blocks):
-        raise ValueError("column count mismatch in vstack")
-    data = [row for b in blocks for row in b.data]
-    return IntMatrix(sum(b.rows for b in blocks), cols, data)
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:

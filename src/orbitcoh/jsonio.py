@@ -6,12 +6,17 @@ import json
 
 from .intlinalg import IntMatrix
 from .orbit import Graph
-from .posets import GradedPoset, build_poset
+from .posets import Cyclic, GradedPoset, NotGraded, build_poset
 from .sheaves import Copresheaf
 
 
 class BadInput(Exception):
     """Malformed or schema-violating input."""
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool (floats are rejected too)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_json(path: str):
@@ -32,16 +37,16 @@ def parse_graph(data) -> Graph:
         raise BadInput("graph JSON must be an object")
     if "complete" in data:
         n = data["complete"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise BadInput("complete: expects a positive integer")
         return Graph.complete(n)
     try:
         n = data["n"]
         edges = data["edges"]
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise BadInput("n must be a positive integer")
         edges = [tuple(e) for e in edges]
-        if any(isinstance(v, bool) or not isinstance(v, int) for e in edges for v in e):
+        if not all(_is_int(v) for e in edges for v in e):
             raise BadInput("edge endpoints must be integers")
         return Graph.make(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
@@ -49,16 +54,24 @@ def parse_graph(data) -> Graph:
 
 
 def parse_poset(data) -> GradedPoset:
-    """{"elements": [labels], "covers": [[lo, hi], ...], "rank": [ints]}."""
+    """{"elements": [labels], "covers": [[lo, hi], ...], "rank": [ints]}.
+
+    Every cover must name listed elements, and every rank must be a JSON
+    integer.
+    """
     try:
         elements = [str(e) for e in data["elements"]]
         covers = [(str(lo), str(hi)) for lo, hi in data["covers"]]
-        ranks = [int(r) for r in data["rank"]]
+        ranks = list(data["rank"])
         if len(ranks) != len(elements):
             raise BadInput("rank list must parallel elements")
+        if not all(_is_int(r) for r in ranks):
+            raise BadInput("ranks must be integers")
+        known = set(elements)
+        if not all(lo in known and hi in known for lo, hi in covers):
+            raise BadInput("covers name elements that are not listed")
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad poset JSON: {exc}") from exc
-    from .posets import Cyclic, NotGraded
     try:
         return build_poset(elements, covers, dict(zip(elements, ranks)))
     except (Cyclic, NotGraded, ValueError) as exc:
@@ -70,18 +83,24 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
 
     ``ranks`` parallels the poset's labels in sorted order (``poset.labels``),
     not the order of the poset file; extensions are keyed by cover pairs
-    and default to zero maps.
+    and default to zero maps.  Ranks must be nonnegative JSON integers and
+    matrix entries JSON integers.
     """
     try:
-        ranks = [int(r) for r in data["ranks"]]
+        ranks = list(data["ranks"])
         raw = data.get("extensions", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise BadInput(f"bad copresheaf JSON: {exc}") from exc
+    if not all(_is_int(r) and r >= 0 for r in ranks):
+        raise BadInput("ranks must be nonnegative integers")
+    if not isinstance(raw, dict):
+        raise BadInput("extensions must be an object")
     if len(ranks) != poset.n:
         raise BadInput("ranks list must parallel the poset elements")
     rank_of = dict(zip(poset.labels, ranks))
     maps = {}
     seen = set()
+    covers = set(poset.covers)
     for key, rows in raw.items():
         if "->" not in key:
             raise BadInput(f"extension key {key!r} is not 'lo->hi'")
@@ -89,11 +108,13 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         if lo_lab not in poset.index or hi_lab not in poset.index:
             raise BadInput(f"extension key {key!r} names unknown elements")
         lo, hi = poset.index[lo_lab], poset.index[hi_lab]
-        if (lo, hi) not in set(poset.covers):
+        if (lo, hi) not in covers:
             raise BadInput(f"extension key {key!r} is not a cover")
         try:
-            mat = IntMatrix(rank_of[hi_lab], rank_of[lo_lab],
-                            [[int(x) for x in row] for row in rows])
+            entries = [list(row) for row in rows]
+            if not all(_is_int(x) for row in entries for x in row):
+                raise BadInput(f"bad matrix at {key!r}: entries must be integers")
+            mat = IntMatrix(rank_of[hi_lab], rank_of[lo_lab], entries)
         except (TypeError, ValueError) as exc:
             raise BadInput(f"bad matrix at {key!r}: {exc}") from exc
         maps[(lo, hi)] = mat

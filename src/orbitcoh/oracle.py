@@ -3,15 +3,18 @@
 The chain K_*(P, G; F) has degree-n basis (p_0 < ... < p_n, b (x) c)
 with b a basis vector of G(p_0) and c one of F(p_n); its homology is
 Tor^P_*(F, G).  On top of it sit induced maps of f-homomorphisms, the
-shuffle cross product, the Goresky-MacPherson sum over an intersection
-lattice, and the cup product computed as cross-then-star.  Everything
-here exists to verify the closed-form ring elsewhere in the package,
-so it favors transparency over speed and refuses oversized posets.
+Goresky-MacPherson sum over an intersection lattice, and one
+shuffle-and-push primitive, ``shuffle_push``: the shuffle product of two
+formal chains mapped elementwise into a poset.  It builds the shuffle
+cross product and the cup product (cross-then-star, in one pass), and
+the ``verify`` module builds its basis cycles with it.  Everything here
+exists to verify the closed-form ring elsewhere in the package, so it
+favors transparency over speed and refuses oversized posets.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .intlinalg import (
     ChainComplex,
@@ -21,8 +24,10 @@ from .intlinalg import (
     homology_mod2,
     kernel_basis,
     HomologySummary,
+    smith_normal_form,
+    unimodular_inverse,
 )
-from .posets import GradedPoset
+from .posets import GradedPoset, join
 from .sheaves import Copresheaf, FHom, Presheaf, delta_sheaf
 
 
@@ -204,7 +209,6 @@ class TorDegree:
         if img_coords:
             y = IntMatrix.from_rows([list(c) for c in zip(*img_coords)], len(img_coords)) \
                 if z else IntMatrix(0, len(img_coords))
-            from .intlinalg import smith_normal_form
             u, d, _ = smith_normal_form(y)
             self._u = u
             self.invariants = [d.data[i][i] for i in range(min(d.rows, d.cols))
@@ -238,7 +242,6 @@ class TorDegree:
 
     def free_generators(self) -> list[list[int]]:
         """Cycle representatives of a basis of the free part."""
-        from .intlinalg import unimodular_inverse
         z = len(self.kernel)
         if z == 0:
             return []
@@ -336,24 +339,39 @@ def shuffles(p: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], .
     return tuple(out)
 
 
+def shuffle_push(x: dict, y: dict, pair) -> dict:
+    """Shuffle product of two formal chains, pushed forward along ``pair``.
+
+    ``x`` and ``y`` map chains (tuples) to coefficients.  Each chain pair
+    (u, v) and (p, q)-shuffle path contributes sign * x[u] * y[v] at the
+    chain ``pair(u[a], v[b])`` over the path's steps (a, b); images that
+    repeat an element are degenerate and dropped.
+    """
+    out: dict = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            for path, sign in shuffles(len(u) - 1, len(v) - 1):
+                image = tuple(pair(u[a], v[b]) for a, b in path)
+                if len(set(image)) == len(image):
+                    out[image] = out.get(image, 0) + sign * cu * cv
+    return {k: c for k, c in out.items() if c}
+
+
 def cross_formal(x: dict, y: dict, g2, f2) -> dict:
-    """Shuffle cross product of formal K-chains.
+    """Shuffle cross product of formal K-chains over the product poset.
 
     ``g2`` and ``f2`` are the sheaves of the second factor, needed to
     flatten tensor-basis indices row-major (first factor major).
     """
     out: dict = {}
     for (lab1, g1i, f1i), c1 in x.items():
-        p = len(lab1) - 1
         for (lab2, g2i, f2i), c2 in y.items():
-            q = len(lab2) - 1
             gflat = g1i * g2.rank_of(lab2[0]) + g2i
             fflat = f1i * f2.rank_of(lab2[-1]) + f2i
-            base = c1 * c2
-            for path, sign in shuffles(p, q):
-                chain = tuple((lab1[a], lab2[b]) for a, b in path)
+            pushed = shuffle_push({lab1: c1}, {lab2: c2}, lambda a, b: (a, b))
+            for chain, c in pushed.items():
                 key = (chain, gflat, fflat)
-                out[key] = out.get(key, 0) + base * sign
+                out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
 
 
@@ -436,44 +454,31 @@ class GMOracle:
         self._star_checked.add(key)
 
     def cup(self, x, nx: int, vx: list[int], y, ny: int, vy: list[int]):
-        """Cross-then-star cup product of two Tor classes.
+        """Cross-then-star cup product of two Tor classes, in one pass.
 
         Inputs are cycle vectors in the complexes at x and y; the result
         is (x v y, degree, cycle vector) with the zero vector when the
-        codimension condition fails.
+        codimension condition fails.  The star map is the identity on the
+        rank-1 delta sheaves at ((M, M)) and ((x, y)), so each shuffle of
+        the two label chains goes straight to its chain of joins, and
+        degenerate images vanish.
         """
         kx, ky = self.complex_at(x), self.complex_at(y)
         if not kx.is_cycle(vx, nx):
             raise NotCycle("first argument is not a cycle")
         if not ky.is_cycle(vy, ny):
             raise NotCycle("second argument is not a cycle")
-        lat = self.lattice
-        xy = lat.labels[lat.join_index(lat.index[x], lat.index[y])]
+        xy = join(self.lattice, x, y)
         target = self.complex_at(xy)
         n = nx + ny
         if self.codim[x] + self.codim[y] != self.codim[xy]:
             return xy, n, [0] * target.rank(n)
         self._check_star_minimal(x, y, xy)
-        cross = cross_formal(kx.formal(vx, nx), ky.formal(vy, ny),
-                             self.delta_m, self.complex_at(y).f)
-        out: dict = {}
-        for (chain, gi, fi), coeff in cross.items():
-            image = []
-            ok = True
-            prev = None
-            for a, b in chain:
-                z = lat.labels[lat.join_index(lat.index[a], lat.index[b])]
-                if z == prev:
-                    ok = False
-                    break
-                image.append(z)
-                prev = z
-            if not ok or len(set(image)) != len(image):
-                continue
-            # star components are the identity at ((M, M)) and ((x, y))
-            key = (tuple(image), gi, fi)
-            out[key] = out.get(key, 0) + coeff
-        vec = target.vector({k: v for k, v in out.items() if v}, n)
+        star = shuffle_push(
+            {lab: c for (lab, _, _), c in kx.formal(vx, nx).items()},
+            {lab: c for (lab, _, _), c in ky.formal(vy, ny).items()},
+            partial(join, self.lattice))
+        vec = target.vector({(chain, 0, 0): c for chain, c in star.items()}, n)
         if not target.is_cycle(vec, n):
             raise NotCycle("cup image failed to be a cycle")
         return xy, n, vec

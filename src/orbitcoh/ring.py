@@ -196,7 +196,7 @@ class RingPresentation:
 
     # -- export ---------------------------------------------------------------
 
-    def to_json_dict(self, include_products: bool = True) -> dict:
+    def to_json_dict(self) -> dict:
         basis = []
         for e in self.basis:
             basis.append({
@@ -221,7 +221,7 @@ class RingPresentation:
         }
         if self.additive_only:
             out["additive_only"] = True
-        if include_products and not self.additive_only:
+        else:
             products = []
             for i in range(len(self.basis)):
                 for j in range(len(self.basis)):

@@ -1,26 +1,28 @@
 """Cross-checks of the closed-form ring against the brute-force oracle.
 
-Each ring basis element gets an explicit Tor cycle over the lattice:
-an alternating chain of partial joins realizes the nbc monomial, the
-shuffle product of one-step entry cycles realizes the completion
+Each ring basis element gets an explicit Tor cycle over the lattice.
+Every piece of it is a shuffle product of one-step chains pushed into a
+lattice by ``oracle.shuffle_push``: the one-step chains (bottom -> atom)
+pushed along the bond-lattice join realize the nbc monomial, the
+one-step entry cycles pushed along concatenation realize the completion
 tensor, and the two are shuffled together and pushed through the
-restriction map (J, w) -> w|_J into the lattice.  Rank comparisons,
-cup-product comparisons against cross-then-star, and the ring axioms
-all hang off these cycles.
+restriction map (J, w) -> w|_J into the orbit lattice.  Rank
+comparisons, cup-product comparisons against cross-then-star, and the
+ring axioms all hang off these cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from math import factorial
 
-from .intlinalg import elementary_divisors
+from .intlinalg import IntMatrix, elementary_divisors
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     GMOracle,
     OracleTooLarge,
     TorComplex,
-    shuffles,
+    shuffle_push,
 )
 from .orbit import (
     Graph,
@@ -42,33 +44,21 @@ from .sheaves import delta_sheaf
 def braid_chain(pres: RingPresentation, mono: tuple) -> dict:
     """Alternating sum of partial-join chains realizing an nbc monomial.
 
-    Keys are (chain of bond-lattice labels, 0, 0); the chain runs from
-    the bottom partition through the partial joins of the atoms.
+    The shuffle product of the one-step chains (bottom -> atom), pushed
+    along the bond-lattice join.  Folding in the next atom at step t of a
+    chain through p earlier atoms has shuffle sign (-1)^(p - t), the sign
+    of moving it past the p - t atoms after it, so every ordering of the
+    atoms appears once, with its permutation sign.  Keys are chains of
+    bond-lattice labels starting at the bottom partition.
     """
     bond = pres.bond
     bot = bond.minimum()
-    out: dict = {}
-    if not mono:
-        key = ((bond.labels[bot],), 0, 0)
-        return {key: 1}
-    atoms = [pres.os.atoms[p] for p in mono]
-    for perm in permutations(range(len(atoms))):
-        sign = 1
-        for i in range(len(perm)):
-            for j in range(i + 1, len(perm)):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        chain = [bot]
-        acc = bot
-        for pos in perm:
-            acc = bond.join_index(acc, atoms[pos])
-            chain.append(acc)
-        labels = tuple(bond.labels[i] for i in chain)
-        if len(set(labels)) != len(labels):
-            raise AssertionError("independent atoms gave a degenerate chain")
-        key = (labels, 0, 0)
-        out[key] = out.get(key, 0) + sign
-    return {k: v for k, v in out.items() if v}
+    chains = {(bot,): 1}
+    for p in mono:
+        chains = shuffle_push(chains, {(bot, pres.os.atoms[p]): 1}, bond.join_index)
+    if len(chains) != factorial(len(mono)):
+        raise AssertionError("independent atoms gave a degenerate chain")
+    return {tuple(bond.labels[i] for i in c): v for c, v in chains.items()}
 
 
 def fiber_chain(mat: PartialMatrix, assignment: tuple) -> dict:
@@ -76,44 +66,25 @@ def fiber_chain(mat: PartialMatrix, assignment: tuple) -> dict:
 
     Each undefined entry contributes (class -> undefined) minus
     (zero class -> undefined); defined entries contribute their point.
-    Keys are (chain of fiber matrices as entry-value tuples, coeff).
+    The entries are folded in row-major order, pushed along concatenation
+    of entry values.  Keys are chains of fiber matrices.
     """
-    entries = []
-    for block, row in zip(mat.rows(), mat.entries):
-        for t, e in enumerate(row):
-            entries.append((block, t, e))
+    classes = iter(assignment)
     state: dict = {((),): 1}
-    assign_pos = 0
-    for block, t, value in entries:
-        if value is None:
-            cls = assignment[assign_pos]
-            assign_pos += 1
-            factor = [((cls, None), 1), ((zero_class(len(block)), None), -1)]
-        else:
-            factor = [((value,), 1)]
-        new_state: dict = {}
-        for schain, scoeff in state.items():
-            p = len(schain) - 1
-            for fchain, fcoeff in factor:
-                q = len(fchain) - 1
-                for path, sign in shuffles(p, q):
-                    chain = tuple(schain[a] + (fchain[b],) for a, b in path)
-                    coeff = scoeff * fcoeff * sign
-                    new_state[chain] = new_state.get(chain, 0) + coeff
-        state = {k: v for k, v in new_state.items() if v}
-    out = {}
-    for chain, coeff in state.items():
-        mats = []
-        for values in chain:
-            grid = []
-            idx = 0
-            for block in mat.rows():
-                grid.append(tuple(values[idx:idx + mat.m]))
-                idx += mat.m
-            mats.append(PartialMatrix(mat.n, mat.k, mat.m, mat.partition,
-                                      tuple(grid)))
-        out[tuple(mats)] = coeff
-    return out
+    for block, row in zip(mat.rows(), mat.entries):
+        for value in row:
+            if value is None:
+                factor = {(next(classes), None): 1,
+                          (zero_class(len(block)), None): -1}
+            else:
+                factor = {(value,): 1}
+            state = shuffle_push(state, factor, lambda s, v: s + (v,))
+
+    def matrix(values):
+        grid = tuple(values[i:i + mat.m] for i in range(0, len(values), mat.m))
+        return PartialMatrix(mat.n, mat.k, mat.m, mat.partition, grid)
+
+    return {tuple(map(matrix, chain)): c for chain, c in state.items()}
 
 
 def theta_cycle(pres: RingPresentation, theta: str, mono: tuple,
@@ -123,30 +94,10 @@ def theta_cycle(pres: RingPresentation, theta: str, mono: tuple,
     The result is a formal chain keyed by (label chain, 0, 0) in
     K(L_k^m, delta^bottom; delta_theta), of degree r_b + r_f.
     """
-    mat = pres.matrices[theta]
-    base = braid_chain(pres, mono)
-    fiber = fiber_chain(mat, assignment)
-    out: dict = {}
-    for (lchain, _, _), c1 in base.items():
-        p = len(lchain) - 1
-        for fmats, c2 in fiber.items():
-            q = len(fmats) - 1
-            for path, sign in shuffles(p, q):
-                labels = []
-                ok = True
-                prev = None
-                for a, b in path:
-                    lab = restrict_matrix(fmats[b], lchain[a]).label()
-                    if lab == prev:
-                        ok = False
-                        break
-                    labels.append(lab)
-                    prev = lab
-                if not ok or len(set(labels)) != len(labels):
-                    continue
-                key = (tuple(labels), 0, 0)
-                out[key] = out.get(key, 0) + c1 * c2 * sign
-    return {k: v for k, v in out.items() if v}
+    cycle = shuffle_push(braid_chain(pres, mono),
+                         fiber_chain(pres.matrices[theta], assignment),
+                         lambda lab, fmat: restrict_matrix(fmat, lab).label())
+    return {(chain, 0, 0): c for chain, c in cycle.items()}
 
 
 @dataclass
@@ -232,10 +183,10 @@ def verify_full(graph: Graph, k: int, m: int,
 
     # (b) cup products of all basis pairs against cross-then-star
     if products:
-        layout: dict[str, dict] = {}
+        layout: dict[str, list] = {}
         cycles = []
         coords_ok = True
-        for idx, e in enumerate(pres.basis):
+        for e in pres.basis:
             mat = pres.matrices[e.theta]
             deg = mat.r_b + mat.r_f
             formal = theta_cycle(pres, e.theta, e.os_mono, e.bcp_index)
@@ -243,8 +194,7 @@ def verify_full(graph: Graph, k: int, m: int,
             vec = kc.vector(formal, deg)
             coords = kc.tor(deg).class_coords(vec)
             cycles.append((e.theta, deg, vec, coords))
-            layout.setdefault(e.theta, {})[
-                (e.os_mono, e.bcp_index)] = (idx, coords)
+            layout.setdefault(e.theta, []).append(coords)
         for theta, entries in sorted(layout.items()):
             m2 = pres.matrices[theta]
             tor = oracle.complex_at(theta).tor(m2.r_b + m2.r_f)
@@ -255,7 +205,7 @@ def verify_full(graph: Graph, k: int, m: int,
             # free-part coordinates form a unimodular square matrix
             s = len(tor.invariants)
             cols = []
-            for _, coords in entries.values():
+            for coords in entries:
                 if any(coords[:s]):
                     coords_ok = False
                 cols.append(list(coords[s:]))
@@ -263,7 +213,6 @@ def verify_full(graph: Graph, k: int, m: int,
             if tor.betti != size or any(len(c) != size for c in cols):
                 coords_ok = False
             else:
-                from .intlinalg import IntMatrix
                 mat = IntMatrix.from_cols(cols, size)
                 if elementary_divisors(mat) != [1] * size:
                     coords_ok = False
@@ -278,7 +227,6 @@ def verify_full(graph: Graph, k: int, m: int,
                 rhs = oracle.class_coords(xy, n, vec)
                 lhs = [0] * len(rhs)
                 for idx, c in pres.cup_basis(i, j).items():
-                    e = pres.basis[idx]
                     target, _, _, coords = cycles[idx]
                     if target != xy:
                         mismatches += 1

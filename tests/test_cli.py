@@ -189,11 +189,34 @@ def test_cellular_failure_exit1(tmp_path):
     assert "kernel-sum" in text and "T" in text
 
 
+CHAIN_POSET = {"elements": ["a", "b"], "covers": [["a", "b"]], "rank": [0, 1]}
+CHAIN_COPRESHEAF = {"ranks": [1, 1], "extensions": {"a->b": [[1]]}}
+
+
 def test_cellular_bad_json(tmp_path):
-    pf = tmp_path / "p.json"
-    pf.write_text("{not json")
-    code, _, _ = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(pf)])
-    assert code == 2
+    # unparsable JSON, and well-formed JSON that breaks the schema, exit 2
+    # with an error line
+    cases = {
+        "not-json": ("{not json", "{not json"),
+        "unknown-cover": (
+            {"elements": ["a", "b"], "covers": [["a", "z"]], "rank": [0, 1]},
+            CHAIN_COPRESHEAF),
+        "extensions-list": (CHAIN_POSET, {"ranks": [1, 1], "extensions": []}),
+        "float-rank": (dict(CHAIN_POSET, rank=[0, 1.9]), CHAIN_COPRESHEAF),
+        "bool-rank": (dict(CHAIN_POSET, rank=[0, True]), CHAIN_COPRESHEAF),
+        "bool-piece-rank": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, ranks=[1, True])),
+        "negative-piece-rank": (CHAIN_POSET, {"ranks": [-1, 1]}),
+        "float-entry": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": [[1.5]]})),
+        "bool-entry": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": [[True]]})),
+    }
+    for name, (poset, copresheaf) in cases.items():
+        pf = tmp_path / f"{name}.poset.json"
+        cf = tmp_path / f"{name}.copresheaf.json"
+        for path, data in ((pf, poset), (cf, copresheaf)):
+            path.write_text(data if isinstance(data, str) else json.dumps(data))
+        code, _, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf)])
+        assert code == 2, name
+        assert err.startswith("error: "), name
 
 
 def test_cli_determinism_across_hash_seeds(tmp_path):
