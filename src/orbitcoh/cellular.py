@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     ChainComplex,
+    ColumnSolver,
     IntMatrix,
     InvalidComplex,
-    SNFSolver,
     elementary_divisors,
     homology,
     hstack,
@@ -341,7 +341,7 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
         raise ValueError("t must be a copresheaf f-homomorphism")
     validate_fhom(t)
 
-    solvers: dict[int, SNFSolver] = {}
+    solvers: dict[int, ColumnSolver] = {}
     components: dict[int, IntMatrix] = {}
     for x in sorted(range(poset.n), key=lambda i: (poset.rank[i], i)):
         fx = f.image[x]
@@ -361,7 +361,7 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
                       {(fy, x): m for fy, m in pushed.items()})
         rhs_cols = [rhs.column(j) for j in range(rhs.cols)]
         if fx not in solvers:
-            solvers[fx] = SNFSolver(target.stacked_diff(fx))
+            solvers[fx] = ColumnSolver(target.stacked_diff(fx))
         solver = solvers[fx]
         if target.piece_ranks[fx] == 0:
             if any(any(rhs) for rhs in rhs_cols):

@@ -1,12 +1,15 @@
 """Exact linear algebra over the integers.
 
-Dense matrices of Python ints (arbitrary precision), Smith and Hermite
-normal forms, integer kernels, exact solves, and homology of chain
-complexes of free abelian groups.  No floating point anywhere.
+Dense matrices of Python ints (arbitrary precision) and homology of
+chain complexes of free abelian groups.  The Smith normal form answers
+for invariant factors; the row Hermite form answers every lattice
+question: membership, coordinates, integer kernels and exact solves.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 
@@ -338,10 +341,6 @@ def elementary_divisors(a: IntMatrix) -> list[int]:
     return [1] * ones + divisors
 
 
-def matrix_rank(a: IntMatrix) -> int:
-    return len(elementary_divisors(a))
-
-
 def rank_mod2(a: IntMatrix) -> int:
     """Rank over GF(2), rows packed into Python int bitmasks."""
     masks = []
@@ -371,22 +370,16 @@ def row_hermite(vectors, ncols: int) -> list[list[int]]:
     """
     basis: list[list[int]] = []  # kept sorted by pivot column
     pivots: list[int] = []
-
-    def first_nonzero(v):
-        for j, x in enumerate(v):
-            if x:
-                return j
-        return None
-
     for vec in vectors:
         v = list(vec)
         if len(v) != ncols:
             raise ValueError("vector length mismatch")
+        j = 0
         while True:
-            j = first_nonzero(v)
+            # every reduction clears v[j], so the next pivot lies further right
+            j = next((jj for jj in range(j, ncols) if v[jj]), None)
             if j is None:
                 break
-            import bisect
             pos = bisect.bisect_left(pivots, j)
             if pos < len(pivots) and pivots[pos] == j:
                 row = basis[pos]
@@ -407,81 +400,90 @@ def row_hermite(vectors, ncols: int) -> list[list[int]]:
                 basis.insert(pos, v)
                 pivots.insert(pos, j)
                 break
-    # back-reduce entries above pivots
-    for idx in range(len(basis) - 1, -1, -1):
-        j = pivots[idx]
-        p = basis[idx][j]
-        for above in range(idx):
-            row = basis[above]
+    # back-reduce entries above pivots, leftmost pivot first: each step
+    # changes only columns from its own pivot on, so it keeps the entries
+    # above earlier pivots reduced
+    for idx, j in enumerate(pivots):
+        prow = basis[idx]
+        p = prow[j]
+        for row in basis[:idx]:
             q = row[j] // p
             if q:
                 for jj in range(j, ncols):
-                    row[jj] -= q * basis[idx][jj]
+                    row[jj] -= q * prow[jj]
     return basis
 
 
-def lattice_contains(hermite_basis: list[list[int]], vec) -> bool:
-    """Membership of an integer vector in a lattice given by its Hermite basis."""
+def hermite_coords(basis: list[list[int]], vec) -> list[int] | None:
+    """Coordinates of `vec` over an echelon basis, or None outside its lattice.
+
+    `basis` rows must have strictly increasing first nonzero columns, as
+    those of `row_hermite` do.  One pass down the rows: each pivot fixes
+    its coordinate, and an entry of `vec` that no remaining row can clear
+    puts it outside the lattice.
+    """
     v = list(vec)
-    for row in hermite_basis:
-        j = next(k for k, x in enumerate(row) if x)
-        if v[j]:
-            q, r = divmod(v[j], row[j])
-            if r:
-                return False
-            for jj in range(j, len(v)):
+    n = len(v)
+    coords = []
+    j = 0
+    for row in basis:
+        if len(row) != n:
+            raise ValueError("vector length mismatch")
+        while not row[j]:
+            if v[j]:
+                return None
+            j += 1
+        q, r = divmod(v[j], row[j])
+        if r:
+            return None
+        if q:
+            for jj in range(j, n):
                 v[jj] -= q * row[jj]
-    return not any(v)
+        coords.append(q)
+        j += 1
+    return None if any(v[j:]) else coords
 
 
-def same_lattice(gens_a, gens_b, ncols: int) -> bool:
-    return row_hermite(gens_a, ncols) == row_hermite(gens_b, ncols)
+class ColumnSolver:
+    """Hermite reduction of the columns of A, for its kernel and exact solves.
+
+    Column j, extended by the unit vector e_j, is the row (A·e_j, e_j).
+    In the row Hermite form of these rows, the rows with a nonzero A-part
+    are an echelon basis of the column lattice, each followed by the
+    combination of columns that gives it; the rest have a zero A-part,
+    and their unit parts are the Hermite basis of ker A.
+    """
+
+    def __init__(self, a: IntMatrix):
+        m, n = a.rows, a.cols
+        self.rows, self.cols = m, n
+        extended = [a.column(j) + [int(i == j) for i in range(n)] for j in range(n)]
+        hermite = row_hermite(extended, m + n)
+        split = sum(1 for row in hermite if any(row[:m]))
+        self.image = [row[:m] for row in hermite[:split]]
+        self.combos = [row[m:] for row in hermite[:split]]
+        self.kernel = [row[m:] for row in hermite[split:]]
+
+    def solve(self, b: list[int]) -> list[int]:
+        if len(b) != self.rows:
+            raise ValueError("rhs length mismatch")
+        if self.kernel:
+            raise NonUnique("matrix has nontrivial kernel")
+        coords = hermite_coords(self.image, b)
+        if coords is None:
+            raise NoIntegerSolution("rhs outside the column lattice")
+        return [sum(q * combo[i] for q, combo in zip(coords, self.combos))
+                for i in range(self.cols)]
 
 
 def kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Basis of the integer kernel lattice {x : A·x = 0}.
-
-    The kernel of an integer matrix is automatically saturated; the
-    basis is returned in canonical Hermite form (echelon, first nonzero
-    entry of each vector positive).
-    """
-    _, dm, vm = smith_normal_form(a)
-    r = sum(1 for i in range(min(dm.rows, dm.cols)) if dm.data[i][i])
-    vecs = [vm.column(j) for j in range(r, a.cols)]
-    return row_hermite(vecs, a.cols)
-
-
-class SNFSolver:
-    """Factor A once and solve A·x = b repeatedly (exact, unique solves)."""
-
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        self.u, self.d, self.v = smith_normal_form(a)
-        self.rank = sum(1 for i in range(min(a.rows, a.cols)) if self.d.data[i][i])
-
-    def solve(self, b: list[int]) -> list[int]:
-        a = self.a
-        if len(b) != a.rows:
-            raise ValueError("rhs length mismatch")
-        if self.rank < a.cols:
-            raise NonUnique("matrix has nontrivial kernel")
-        c = self.u.apply(b)
-        y = []
-        for i in range(a.cols):
-            di = self.d.data[i][i]
-            q, r = divmod(c[i], di)
-            if r:
-                raise NoIntegerSolution(f"no integer solution at row {i}")
-            y.append(q)
-        for i in range(a.cols, a.rows):
-            if c[i]:
-                raise NoIntegerSolution("rhs outside the column span")
-        return self.v.apply(y)
+    """Basis of the integer kernel lattice {x : A·x = 0}, in row Hermite form."""
+    return ColumnSolver(a).kernel
 
 
 def solve_unique(a: IntMatrix, b: list[int]) -> list[int]:
     """Solve A·x = b when the solution exists and is unique over Z."""
-    return SNFSolver(a).solve(b)
+    return ColumnSolver(a).solve(b)
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:

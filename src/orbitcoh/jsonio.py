@@ -56,13 +56,17 @@ def parse_graph(data) -> Graph:
 def parse_poset(data) -> GradedPoset:
     """{"elements": [labels], "covers": [[lo, hi], ...], "rank": [ints]}.
 
-    Every cover must name listed elements, and every rank must be a JSON
-    integer.
+    The three fields must be JSON arrays and every cover a pair; every
+    cover must name listed elements, and every rank must be a JSON integer.
     """
     try:
+        if not all(isinstance(data[key], list) for key in ("elements", "covers", "rank")):
+            raise BadInput("elements, covers and rank must be arrays")
+        if not all(isinstance(c, list) and len(c) == 2 for c in data["covers"]):
+            raise BadInput("each cover must be a [lo, hi] array")
         elements = [str(e) for e in data["elements"]]
         covers = [(str(lo), str(hi)) for lo, hi in data["covers"]]
-        ranks = list(data["rank"])
+        ranks = data["rank"]
         if len(ranks) != len(elements):
             raise BadInput("rank list must parallel elements")
         if not all(_is_int(r) for r in ranks):

@@ -19,7 +19,7 @@ from functools import lru_cache, partial
 from .intlinalg import (
     ChainComplex,
     IntMatrix,
-    SNFSolver,
+    hermite_coords,
     homology,
     homology_mod2,
     kernel_basis,
@@ -174,9 +174,6 @@ class TorComplex:
     def formal(self, vec: list[int], n: int) -> dict:
         return {k: v for k, v in zip(self.keys[n], vec) if v}
 
-    def is_cycle(self, vec: list[int], n: int) -> bool:
-        return all(x == 0 for x in self.boundary(n).apply(vec))
-
     def tor(self, n: int) -> "TorDegree":
         if n not in self._tor:
             self._tor[n] = TorDegree(self, n)
@@ -187,25 +184,19 @@ class TorDegree:
     """Homology of K_* in one degree, with class arithmetic.
 
     Classes are compared through canonical coordinates: cycle
-    coefficients over the (saturated) kernel lattice, normalized modulo
-    the boundary image via Smith form.
+    coefficients over the Hermite basis of the kernel lattice, normalized
+    modulo the boundary image via Smith form.  The kernel is saturated,
+    so a vector has kernel coordinates exactly when it is a cycle.
     """
 
     def __init__(self, complex_: TorComplex, n: int):
         self.complex = complex_
         self.n = n
-        self.kernel = kernel_basis(complex_.boundary(n)) if complex_.rank(n) else []
-        self._solver = None
-        if self.kernel:
-            kmat = IntMatrix.from_cols(self.kernel, complex_.rank(n))
-            self._solver = SNFSolver(kmat)
+        self.kernel = kernel_basis(complex_.boundary(n))
         z = len(self.kernel)
         bnd = complex_.boundary(n + 1)
-        img_coords = []
-        for j in range(bnd.cols):
-            col = bnd.column(j)
-            if any(col):
-                img_coords.append(self._kernel_coords(col))
+        img_coords = [self.kernel_coords(col)
+                      for col in map(bnd.column, range(bnd.cols)) if any(col)]
         if img_coords:
             y = IntMatrix.from_rows([list(c) for c in zip(*img_coords)], len(img_coords)) \
                 if z else IntMatrix(0, len(img_coords))
@@ -219,18 +210,18 @@ class TorDegree:
         self.betti = z - len(self.invariants)
         self.torsion = tuple(t for t in self.invariants if t > 1)
 
-    def _kernel_coords(self, vec: list[int]) -> list[int]:
-        if not self.kernel:
-            if any(vec):
-                raise NotCycle("nonzero vector in a degree with no cycles")
-            return []
-        return self._solver.solve(vec)
+    def kernel_coords(self, vec: list[int]) -> list[int]:
+        """Coordinates of a cycle over the kernel basis; NotCycle otherwise."""
+        if len(vec) != self.complex.rank(self.n):
+            raise ValueError("vector length mismatch")
+        coords = hermite_coords(self.kernel, vec)
+        if coords is None:
+            raise NotCycle(f"representative in degree {self.n} is not closed")
+        return coords
 
     def class_coords(self, vec: list[int]) -> tuple[int, ...]:
         """Canonical coordinates of a cycle's homology class."""
-        if not self.complex.is_cycle(vec, self.n):
-            raise NotCycle(f"representative in degree {self.n} is not closed")
-        y = self._kernel_coords(vec)
+        y = self.kernel_coords(vec)
         w = self._u.apply(y)
         out = []
         for i, x in enumerate(w):
@@ -461,13 +452,12 @@ class GMOracle:
         codimension condition fails.  The star map is the identity on the
         rank-1 delta sheaves at ((M, M)) and ((x, y)), so each shuffle of
         the two label chains goes straight to its chain of joins, and
-        degenerate images vanish.
+        degenerate images vanish.  Both inputs and the image must have
+        kernel coordinates; a chain that is not closed raises NotCycle.
         """
         kx, ky = self.complex_at(x), self.complex_at(y)
-        if not kx.is_cycle(vx, nx):
-            raise NotCycle("first argument is not a cycle")
-        if not ky.is_cycle(vy, ny):
-            raise NotCycle("second argument is not a cycle")
+        kx.tor(nx).kernel_coords(vx)
+        ky.tor(ny).kernel_coords(vy)
         xy = join(self.lattice, x, y)
         target = self.complex_at(xy)
         n = nx + ny
@@ -479,8 +469,7 @@ class GMOracle:
             {lab: c for (lab, _, _), c in ky.formal(vy, ny).items()},
             partial(join, self.lattice))
         vec = target.vector({(chain, 0, 0): c for chain, c in star.items()}, n)
-        if not target.is_cycle(vec, n):
-            raise NotCycle("cup image failed to be a cycle")
+        target.tor(n).kernel_coords(vec)
         return xy, n, vec
 
     def class_coords(self, x, n: int, vec: list[int]) -> tuple[int, ...]:

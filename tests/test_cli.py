@@ -208,6 +208,8 @@ def test_cellular_bad_json(tmp_path):
         "negative-piece-rank": (CHAIN_POSET, {"ranks": [-1, 1]}),
         "float-entry": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": [[1.5]]})),
         "bool-entry": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": [[True]]})),
+        "elements-string": (dict(CHAIN_POSET, elements="ab"), CHAIN_COPRESHEAF),
+        "cover-string": (dict(CHAIN_POSET, covers=["ab"]), CHAIN_COPRESHEAF),
     }
     for name, (poset, copresheaf) in cases.items():
         pf = tmp_path / f"{name}.poset.json"

@@ -10,16 +10,14 @@ from orbitcoh.intlinalg import (
     NoIntegerSolution,
     NonUnique,
     elementary_divisors,
+    hermite_coords,
     hstack,
     homology,
     homology_mod2,
     kernel_basis,
     kron,
-    lattice_contains,
-    matrix_rank,
     rank_mod2,
     row_hermite,
-    same_lattice,
     smith_normal_form,
     solve_unique,
     unimodular_inverse,
@@ -110,7 +108,7 @@ def test_kernel_is_saturated():
         ker = kernel_basis(a)
         for vec in ker:
             assert all(x == 0 for x in a.apply(vec))
-        assert len(ker) == c - matrix_rank(a)
+        assert len(ker) == c - len(elementary_divisors(a))
         if ker:
             # saturation: Hermite pivots of the kernel have gcd content 1 per
             # SNF of the stacked basis (all invariant factors are 1)
@@ -156,10 +154,21 @@ def test_invalid_complex_rejected():
 def test_hermite_and_lattice_equality():
     h = row_hermite([[2, 0], [0, 2], [1, 1]], 2)
     assert h == [[1, 1], [0, 2]]
-    assert same_lattice([[2, 0], [1, 1]], [[1, 1], [2, 0], [3, 1]], 2)
-    assert not same_lattice([[2, 0]], [[1, 0]], 2)
-    assert lattice_contains(h, [3, 1])
-    assert not lattice_contains(h, [1, 0])
+    assert row_hermite([[2, 0], [1, 1]], 2) == row_hermite([[1, 1], [2, 0], [3, 1]], 2)
+    assert row_hermite([[2, 0]], 2) != row_hermite([[1, 0]], 2)
+    assert hermite_coords(h, [3, 1]) == [3, -1]
+    assert hermite_coords(h, [1, 0]) is None
+    with pytest.raises(ValueError):
+        hermite_coords(h, [1, 0, 0])
+    # every entry above a pivot lies in [0, pivot), even after later
+    # pivots have been used for back-reduction
+    assert row_hermite([[3, 4, 2], [-4, 3, -1], [2, 2, -2]], 3) == [
+        [1, 0, 74], [0, 1, 45], [0, 0, 80]]
+    # the same lattice from another generating set gives the same basis
+    gens = [[-4, 0, -2], [-3, -4, -4], [2, 2, -4]]
+    reordered = [gens[2], gens[0], gens[1], [-7, -4, -6]]
+    assert row_hermite(gens, 3) == row_hermite(reordered, 3) == [
+        [1, 0, 38], [0, 2, 20], [0, 0, 50]]
 
 
 def test_unimodular_inverse():

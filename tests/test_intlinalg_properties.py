@@ -1,0 +1,93 @@
+"""The Hermite route for kernels and solves, against Smith-form references.
+
+Hypothesis draws small integer matrices; the references are the Smith
+normal form of this package (for kernels and column-lattice membership)
+and sympy's (for elementary divisors).  Runs are derandomized and keep
+no example database; the constants cache goes to the system temporary
+directory, as in ``test_orbit_properties.py``.
+"""
+
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+from sympy import Matrix
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+from orbitcoh.intlinalg import (
+    ColumnSolver,
+    IntMatrix,
+    NoIntegerSolution,
+    elementary_divisors,
+    kernel_basis,
+    row_hermite,
+    smith_normal_form,
+)
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
+
+laws = settings(derandomize=True, database=None, max_examples=200)
+entries = st.integers(-4, 4)
+
+
+@st.composite
+def matrices(draw, min_rows=0, max_rows=5, min_cols=1, max_cols=5):
+    rows = draw(st.integers(min_rows, max_rows))
+    cols = draw(st.integers(min_cols, max_cols))
+    data = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(rows, cols, data)
+
+
+def snf_rank(d: IntMatrix) -> int:
+    return sum(1 for i in range(min(d.rows, d.cols)) if d.data[i][i])
+
+
+def in_column_lattice(a: IntMatrix, b: list[int]) -> bool:
+    # U·A·V = D, so A·x = b is solvable iff D·y = U·b is
+    u, d, _ = smith_normal_form(a)
+    c = u.apply(b)
+    r = snf_rank(d)
+    return (all(c[i] % d.data[i][i] == 0 for i in range(r))
+            and not any(c[r:]))
+
+
+@laws
+@given(matrices())
+def test_kernel_basis_matches_smith_reference(a):
+    _, d, v = smith_normal_form(a)
+    trailing = [v.column(j) for j in range(snf_rank(d), a.cols)]
+    assert kernel_basis(a) == row_hermite(trailing, a.cols)
+
+
+@laws
+@given(matrices(min_rows=1), st.data())
+def test_solve_inverts_injective_matrices(a, data):
+    assume(len(elementary_divisors(a)) == a.cols)
+    x = data.draw(st.lists(st.integers(-6, 6), min_size=a.cols, max_size=a.cols))
+    assert ColumnSolver(a).solve(a.apply(x)) == x
+
+
+@laws
+@given(matrices(min_rows=1), st.data())
+def test_no_solution_exactly_outside_column_lattice(a, data):
+    assume(len(elementary_divisors(a)) == a.cols)
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=a.cols, max_size=a.cols))
+    e = data.draw(st.lists(st.integers(-1, 1), min_size=a.rows, max_size=a.rows))
+    b = [p + q for p, q in zip(a.apply(x), e)]
+    try:
+        ColumnSolver(a).solve(b)
+        solved = True
+    except NoIntegerSolution:
+        solved = False
+    assert solved == in_column_lattice(a, b)
+
+
+@laws
+@given(matrices(min_rows=1))
+def test_elementary_divisors_match_sympy(a):
+    d = sympy_snf(Matrix(a.data))
+    expected = [abs(d[i, i]) for i in range(min(a.rows, a.cols)) if d[i, i]]
+    assert elementary_divisors(a) == expected

@@ -1,8 +1,11 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import bottom, partition_lattice, top
+from conftest import bottom, partition_lattice, subprocess_env, top
 from orbitcoh.intlinalg import IntMatrix
 from orbitcoh.posets import (
     GradedPoset,
@@ -260,17 +263,48 @@ def test_oracle_cup_zero_cases():
 
 
 def test_oracle_cup_not_cycle():
+    # at the top of Pi_3, degree 2 holds the three chains bottom < atom <
+    # top; a single one has boundary -(bottom < top), so it is not closed
     orc = braid_oracle(3)
-    a = ((1, 2), (3,))
-    ka = orc.complex_at(a)
-    bad = [0] * ka.rank(2)
-    if ka.rank(2):
-        # a single chain is generally not closed
-        bad[0] = 1
-        t = top(3)
-        kt = orc.complex_at(t)
-        with pytest.raises(NotCycle):
-            orc.cup(t, 2, bad if False else bad, a, 1, [0] * ka.rank(1))
+    a, t = ((1, 2), (3,)), top(3)
+    assert orc.complex_at(t).rank(2) == 3
+    bad = [1, 0, 0]
+    zero = [0] * orc.complex_at(a).rank(1)
+    with pytest.raises(NotCycle):
+        orc.cup(t, 2, bad, a, 1, zero)
+    with pytest.raises(NotCycle):
+        orc.cup(a, 1, zero, t, 2, bad)
+    with pytest.raises(NotCycle):
+        orc.class_coords(t, 2, bad)
+
+
+CUP_NOT_CYCLE = """
+import json, sys
+from orbitcoh.oracle import GMOracle, NotCycle
+from orbitcoh.posets import build_poset
+
+# Pi_3: the bottom, three atoms and the top
+atoms = ["a", "b", "c"]
+lat = build_poset(["0"] + atoms + ["1"],
+                  [("0", x) for x in atoms] + [(x, "1") for x in atoms],
+                  {"0": 0, "a": 1, "b": 1, "c": 1, "1": 2})
+orc = GMOracle(lat, {lab: lat.rank_of(lab) for lab in lat.labels})
+zero = [0] * orc.complex_at("a").rank(1)
+try:
+    orc.cup("1", 2, [1, 0, 0], "a", 1, zero)
+    raised = False
+except NotCycle:
+    raised = True
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+"""
+
+
+def test_cup_not_cycle_fires_under_optimize():
+    # the cycle checks must not be asserts, which python -O strips
+    proc = subprocess.run([sys.executable, "-O", "-c", CUP_NOT_CYCLE],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"optimize": 1, "raised": True}
 
 
 def test_oracle_cup_braid_products():
