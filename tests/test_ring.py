@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from conftest import subprocess_env
+from orbitcoh import jsonio
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
     UnsupportedM,
@@ -167,3 +169,30 @@ def test_json_export_shape():
     assert all(set(e) == {"degree", "grading", "labels"} for e in data["basis"])
     for i, j, terms in data["products"]:
         assert terms
+
+
+def _export_digest(pres) -> str:
+    return hashlib.sha256(jsonio.dumps(pres.to_json_dict()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("graph,k,m,digest", [
+    (Graph.complete(2), 3, 2,
+     "fcb7bee4d1aa2af39d1fc0c18410973c5164ae966fb560a49e6c7097ea119f1c"),
+    (Graph.complete(3), 2, 2,
+     "eed6b70e73228af29e91511b91567425ae1c09766a7797f4eae2b2c6453ed705"),
+    (Graph.make(4, [(1, 2), (3, 4)]), 2, 2,
+     "8b55e59cc948dd43b5995f5ca1089a05d703de49978c00f3bc63dcd701a21da1"),
+    (Graph.path(3), 2, 2,
+     "1a35dc1d964aac989088ac37891a5681f77b57d8371c4acb2aa8beedfaa4289d"),
+    (Graph.complete(2), 2, 3,
+     "c3590bbc7cee26f356665491a786a402e96dfdf5cf67f88cff7d93aa3fb6c407"),
+])
+def test_ring_json_is_pinned(graph, k, m, digest):
+    # the full ring export (basis, gradings, products), recorded before the
+    # product table was built per grading pair
+    assert _export_digest(cohomology_presentation(graph, k, m)) == digest
+
+
+def test_real_ring_json_is_pinned():
+    assert _export_digest(real_gr_presentation(Graph.path(3), 2)) == (
+        "869a1fe7d74d30e70f8999d10dac5528b8423bc4fb2f44ecbc37f98ef66f21da")
