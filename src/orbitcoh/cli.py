@@ -88,7 +88,8 @@ def cmd_betti(args) -> int:
         "mode": pres.mode,
         "betti": [[d, r] for d, r in pres.betti_table().items()],
         "poincare": poincare,
-        "gradings": {t: pres.piece_rank(t) for t in pres.gradings()},
+        "gradings": {mat.label(): pres.piece_rank(g)
+                     for g, mat in enumerate(pres.matrices)},
     }
     if additive and pres.mode == "complex":
         payload["warning"] = ("m = 1 output is additive only; the ring "
@@ -110,10 +111,10 @@ def cmd_ring(args) -> int:
     pres = _presentation(args, additive_only=False)
     payload = pres.to_json_dict()
     payload["command"] = "ring"
-    nonzero = sum(1 for entry in payload.get("products", []) if entry[2])
+    nonzero = len(payload["products"])
     lines = [
         f"basis: {len(pres.basis)} elements over "
-        f"{len(pres.gradings())} gradings ({pres.mode} mode)",
+        f"{len(pres.matrices)} gradings ({pres.mode} mode)",
         "poincare: " + _poincare_string(pres.poincare_polynomial()),
         f"nonzero basis products: {nonzero}",
         "idx  degree  grading",

@@ -652,7 +652,10 @@ def build_intersection_lattice(graph: Graph, k: int, m: int) -> IntersectionLatt
 
 def independence(a: PartialMatrix, b: PartialMatrix) -> bool:
     """Additivity of both the base rank and the fiber rank under join."""
-    j = join_theta(a, b)
+    return _additive(a, b, join_theta(a, b))
+
+
+def _additive(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix) -> bool:
     return a.r_b + b.r_b == j.r_b and a.r_f + b.r_f == j.r_f
 
 
@@ -666,9 +669,13 @@ def _image_entry(entry, join_partition):
 
 def perm_sign(a: PartialMatrix, b: PartialMatrix) -> int:
     """Sign of the permutation aligning Ud(a) ++ Ud(b) with Ud(a v b)."""
-    if not independence(a, b):
-        raise NotIndependent("sign defined only for independent pairs")
     j = join_theta(a, b)
+    if not _additive(a, b, j):
+        raise NotIndependent("sign defined only for independent pairs")
+    return _aligned_sign(a, b, j)
+
+
+def _aligned_sign(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix) -> int:
     target = j.undefined()
     pos = {e: i for i, e in enumerate(target)}
     seq = []
@@ -826,9 +833,9 @@ def phi_product(u: BCpElement, v: BCpElement) -> BCpElement:
     """
     a, b = u.theta, v.theta
     j = join_theta(a, b)
-    if not independence(a, b):
+    if not _additive(a, b, j):
         return BCpElement(j, {})
-    sign = perm_sign(a, b)
+    sign = _aligned_sign(a, b, j)
     out: dict[PartialMatrix, int] = {}
     for eta, cu in u.coeffs.items():
         for nu, cv in v.coeffs.items():

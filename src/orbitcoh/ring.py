@@ -1,21 +1,28 @@
 """The cohomology ring of a chromatic orbit configuration space.
 
-Gradings are partial matrices; the piece at theta is the tensor of the
-OS-algebra piece at the underlying partition with the group of
-vanishing-sum completion combinations, and products multiply the two
-factors with the alignment sign of the undefined entries.  The real
-quotient carries the same pieces over Z/2 in compressed degrees.
+Gradings are partial matrices, numbered in (degree, label) order.  The
+piece at theta is the tensor of the OS-algebra piece at the underlying
+partition with the group of vanishing-sum completion combinations; its
+basis is the run of (nbc monomial, completion assignment) rows,
+row-major, from ``offset[g]``.  Two gradings multiply to zero unless
+they are independent, and then every product of their pieces lands in
+their join: the OS product tensored with the completion product, times
+the Koszul sign.  So the product table is built one grading pair at a
+time and keeps nonzero entries only.  The real quotient carries the
+same pieces over Z/2 in compressed degrees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
+from itertools import product
 
 from .orbit import (
     Graph,
     PartialMatrix,
     bcp_assignments,
-    bcp_basis_element,
+    bcp_basis,
     bcp_coords,
     bcp_rank,
     bond_lattice,
@@ -38,7 +45,8 @@ class UnsupportedM(Exception):
 class GradedBasisElement:
     """One basis vector: a grading, an nbc monomial, a completion tensor."""
 
-    theta: str
+    grading: int  # position in RingPresentation.matrices
+    theta: str  # the label of that matrix
     os_mono: tuple
     bcp_index: tuple
     degree: int
@@ -66,17 +74,20 @@ class RingPresentation:
         self.additive_only = additive_only or m == 1
         self.bond = bond_lattice(graph)
         self.os = OSAlgebra(self.bond, edge_atom_order(graph))
-        self.matrices: dict[str, PartialMatrix] = {}
-        self.bcp_elements: dict[str, list] = {}
-        self._assignments: dict[str, list] = {}
-        self._bcp_index_of: dict[str, dict] = {}
+        graded = sorted((self.degree_of(mat), mat.label(), mat)
+                        for partition in self.bond.labels if self.os.nbc[partition]
+                        for mat in fiber_matrices(graph, partition, k, m)
+                        if bcp_rank(mat))
+        self.matrices: list[PartialMatrix] = [mat for _, _, mat in graded]
         self.basis: list[GradedBasisElement] = []
-        self._enumerate_basis()
-        self.index = {(e.theta, e.os_mono, e.bcp_index): i
-                      for i, e in enumerate(self.basis)}
-        self._pair_cache: dict[tuple[int, int], dict[int, int]] = {}
+        self.offset = [0]
+        for g, (deg, lab, mat) in enumerate(graded):
+            for mono in self.os.nbc[mat.partition]:
+                for assignment in bcp_assignments(mat):
+                    self.basis.append(GradedBasisElement(g, lab, mono, assignment, deg))
+            self.offset.append(len(self.basis))
 
-    # -- construction ---------------------------------------------------------
+    # -- additive data --------------------------------------------------------
 
     def degree_of(self, mat: PartialMatrix) -> int:
         if self.mode == "real":
@@ -89,43 +100,14 @@ class RingPresentation:
         mu = moebius(self.bond, bot, mat.partition)
         return abs(mu) * bcp_rank(mat)
 
-    def _enumerate_basis(self):
-        staged = []
-        for partition in self.bond.labels:
-            os_piece = self.os.nbc[partition]
-            if not os_piece:
-                continue
-            for mat in fiber_matrices(self.graph, partition, self.k, self.m):
-                if bcp_rank(mat) == 0:
-                    continue
-                lab = mat.label()
-                self.matrices[lab] = mat
-                assignments = bcp_assignments(mat)
-                self._assignments[lab] = assignments
-                self._bcp_index_of[lab] = {a: i for i, a in enumerate(assignments)}
-                self.bcp_elements[lab] = [bcp_basis_element(mat, a)
-                                          for a in assignments]
-                deg = self.degree_of(mat)
-                for mono in os_piece:
-                    for assignment in assignments:
-                        staged.append(GradedBasisElement(
-                            lab, mono, assignment, deg))
-        staged.sort(key=lambda e: (e.degree, e.theta, e.os_mono, e.bcp_index))
-        self.basis = staged
-
-    # -- additive data --------------------------------------------------------
-
-    def gradings(self) -> list[str]:
-        return sorted(self.matrices)
-
-    def piece_rank(self, theta: str) -> int:
-        mat = self.matrices[theta]
-        return len(self.os.nbc[mat.partition]) * len(self._assignments[theta])
+    def piece_rank(self, g: int) -> int:
+        return self.offset[g + 1] - self.offset[g]
 
     def betti_table(self) -> dict[int, int]:
         out: dict[int, int] = {}
-        for e in self.basis:
-            out[e.degree] = out.get(e.degree, 0) + 1
+        for g, mat in enumerate(self.matrices):
+            d = self.degree_of(mat)
+            out[d] = out.get(d, 0) + self.piece_rank(g)
         return dict(sorted(out.items()))
 
     def poincare_polynomial(self) -> list[int]:
@@ -135,64 +117,82 @@ class RingPresentation:
 
     # -- products -------------------------------------------------------------
 
-    def cup_basis(self, i: int, j: int) -> dict[int, int]:
-        """Structure constants for the product of two basis elements."""
+    @cached_property
+    def products(self) -> dict[tuple[int, int], dict[int, int]]:
+        """Nonzero structure constants, filled one grading pair at a time.
+
+        Partitions whose bond ranks do not add carry no independent
+        grading pair.  Over every other pair of partitions the OS products
+        of the two nbc pieces are taken once; each independent grading
+        pair over it multiplies its completion bases with ``phi_product``
+        once per assignment pair.
+        """
         if self.additive_only:
             raise UnsupportedM("additive-only presentation has no products")
-        key = (i, j)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        e1, e2 = self.basis[i], self.basis[j]
-        a = self.matrices[e1.theta]
-        b = self.matrices[e2.theta]
-        out: dict[int, int] = {}
-        if independence(a, b):
-            os_part = self.os.multiply_monomials(e1.os_mono, e2.os_mono)
-            if os_part:
-                u = self.bcp_elements[e1.theta][
-                    self._bcp_index_of[e1.theta][e1.bcp_index]]
-                v = self.bcp_elements[e2.theta][
-                    self._bcp_index_of[e2.theta][e2.bcp_index]]
-                w = phi_product(u, v)
-                if not w.is_zero():
+        bond, nbc, offset = self.bond, self.os.nbc, self.offset
+        grading_of = {mat: g for g, mat in enumerate(self.matrices)}
+        over: dict[int, list[int]] = {}
+        for g, mat in enumerate(self.matrices):
+            over.setdefault(bond.index[mat.partition], []).append(g)
+        completion_basis = cache(lambda g: bcp_basis(self.matrices[g]))
+        table: dict[tuple[int, int], dict[int, int]] = {}
+        for pa, left in over.items():
+            for pb, right in over.items():
+                pj = bond.join_index(pa, pb)
+                if bond.rank[pj] != bond.rank[pa] + bond.rank[pb]:
+                    continue
+                target = nbc[bond.labels[pj]]
+                os_table = {}
+                for x, mono_a in enumerate(nbc[bond.labels[pa]]):
+                    for y, mono_b in enumerate(nbc[bond.labels[pb]]):
+                        prod = self.os.multiply_monomials(mono_a, mono_b)
+                        if prod:
+                            os_table[x, y] = [(target.index(mono), c)
+                                              for mono, c in prod.items()]
+                if not os_table:
+                    continue
+                for ga, gb in product(left, right):
+                    a, b = self.matrices[ga], self.matrices[gb]
+                    if not independence(a, b):
+                        continue
                     # Koszul regrading: the completion factor of the first
                     # element moves past the lattice factor of the second
                     koszul = -1 if (a.r_f * b.r_b) % 2 else 1
-                    target = w.theta.label()
-                    coords = bcp_coords(w.theta, w.coeffs)
-                    assignments = self._assignments[target]
-                    for mono, c_os in os_part.items():
-                        for pos, c_b in enumerate(coords):
-                            if not c_b:
-                                continue
-                            coeff = koszul * c_os * c_b
-                            if self.mode == "real":
-                                coeff %= 2
-                            if coeff:
-                                idx = self.index[(target, mono, assignments[pos])]
-                                out[idx] = out.get(idx, 0) + coeff
-        self._pair_cache[key] = out
-        return out
+                    us, vs = completion_basis(ga), completion_basis(gb)
+                    phi = {}
+                    for (s, u), (t, v) in product(enumerate(us), enumerate(vs)):
+                        w = phi_product(u, v)
+                        if not w.is_zero():
+                            coords = bcp_coords(w.theta, w.coeffs)
+                            phi[s, t] = [(pos, koszul * c)
+                                         for pos, c in enumerate(coords) if c]
+                    if not phi:
+                        continue
+                    # every product of the pair lands in its join, w.theta
+                    gt = grading_of[w.theta]
+                    width = self.piece_rank(gt) // len(target)
+                    for (x, y), os_terms in os_table.items():
+                        for (s, t), bcp_terms in phi.items():
+                            entry = {}
+                            for (mono_pos, c_os), (pos, c_b) in product(os_terms,
+                                                                        bcp_terms):
+                                coeff = c_os * c_b
+                                if self.mode == "real":
+                                    coeff %= 2
+                                if coeff:
+                                    entry[offset[gt] + mono_pos * width + pos] = coeff
+                            if entry:
+                                table[offset[ga] + x * len(us) + s,
+                                      offset[gb] + y * len(vs) + t] = entry
+        return table
 
-    def cup(self, x: dict[int, int], y: dict[int, int]) -> dict[int, int]:
-        """Bilinear extension of the basis product to combinations."""
-        out: dict[int, int] = {}
-        for i, ci in x.items():
-            if not ci:
-                continue
-            for j, cj in y.items():
-                if not cj:
-                    continue
-                for idx, c in self.cup_basis(i, j).items():
-                    out[idx] = out.get(idx, 0) + ci * cj * c
-        if self.mode == "real":
-            out = {idx: c % 2 for idx, c in out.items()}
-        return {idx: c for idx, c in out.items() if c}
+    def cup_basis(self, i: int, j: int) -> dict[int, int]:
+        """Structure constants for the product of two basis elements."""
+        return self.products.get((i, j), {})
 
     def unit_index(self) -> int:
-        bot = empty_matrix(self.graph, self.k, self.m).label()
-        return self.index[(bot, (), ())]
+        bottom = empty_matrix(self.graph, self.k, self.m)
+        return self.offset[self.matrices.index(bottom)]
 
     # -- export ---------------------------------------------------------------
 
@@ -215,21 +215,15 @@ class RingPresentation:
             "m": self.m,
             "mode": self.mode,
             "basis": basis,
-            "gradings": {lab: mat.to_json_dict()
-                         for lab, mat in sorted(self.matrices.items())},
+            "gradings": {mat.label(): mat.to_json_dict() for mat in self.matrices},
             "poincare": self.poincare_polynomial(),
         }
         if self.additive_only:
             out["additive_only"] = True
         else:
-            products = []
-            for i in range(len(self.basis)):
-                for j in range(len(self.basis)):
-                    entry = self.cup_basis(i, j)
-                    if entry:
-                        products.append(
-                            [i, j, [[c, idx] for idx, c in sorted(entry.items())]])
-            out["products"] = products
+            out["products"] = [[i, j, [[c, idx] for idx, c in sorted(entry.items())]]
+                               for (i, j), entry in sorted(self.products.items())
+                               if entry]
         return out
 
     def _atom_name(self, pos: int) -> str:
@@ -252,74 +246,62 @@ def real_gr_presentation(graph: Graph, m: int) -> RingPresentation:
     return RingPresentation(graph, 2, m, mode="real")
 
 
-def betti_table(pres: RingPresentation) -> dict[int, int]:
-    return pres.betti_table()
-
-
-def poincare_polynomial(pres: RingPresentation) -> list[int]:
-    return pres.poincare_polynomial()
-
-
 class RingAxiomViolation(Exception):
     """The structure constants break a ring axiom."""
 
 
 def check_ring_axioms(pres: RingPresentation, triples: bool = True):
-    """Graded commutativity, associativity, degrees and grading law.
+    """Unit law, degrees and grading law, graded commutativity, associativity.
 
+    Only nonzero products can break the grading and commutativity laws,
+    so those walks go over the nonzero entries; associativity is walked
+    over the triples (i, j, l) with i*j nonzero (see below).
     Returns a dict of counters; raises RingAxiomViolation on any violation.
     The checks are explicit raises, so they also run under ``python -O``.
     """
+    table = pres.products
     n = len(pres.basis)
-    stats = {"pairs": 0, "nonzero": 0, "triples": 0}
+    nonzero = [ij for ij, entry in table.items() if entry]
+    stats = {"pairs": n * n, "nonzero": len(nonzero), "triples": 0}
+
+    def cup(i, j):
+        return table.get((i, j), {})
+
     unit = pres.unit_index()
     for i in range(n):
-        if pres.cup_basis(unit, i) != {i: 1} or pres.cup_basis(i, unit) != {i: 1}:
+        if cup(unit, i) != {i: 1} or cup(i, unit) != {i: 1}:
             raise RingAxiomViolation(f"the unit does not act as 1 on basis element {i}")
-    for i in range(n):
-        ei = pres.basis[i]
-        for j in range(n):
-            ej = pres.basis[j]
-            ij = pres.cup_basis(i, j)
-            stats["pairs"] += 1
-            if ij:
-                stats["nonzero"] += 1
-                target = join_theta(pres.matrices[ei.theta],
-                                    pres.matrices[ej.theta]).label()
-                for idx in ij:
-                    e = pres.basis[idx]
-                    if e.degree != ei.degree + ej.degree or e.theta != target:
-                        raise RingAxiomViolation(
-                            f"product {i}*{j} has term {idx} outside degree "
-                            f"{ei.degree + ej.degree} and grading {target}")
-            ji = pres.cup_basis(j, i)
-            sign = -1 if pres.mode != "real" and (ei.degree * ej.degree) % 2 else 1
-            if ij != {idx: sign * c for idx, c in ji.items()}:
+    for i, j in nonzero:
+        ei, ej = pres.basis[i], pres.basis[j]
+        target = join_theta(pres.matrices[ei.grading], pres.matrices[ej.grading])
+        for idx in cup(i, j):
+            e = pres.basis[idx]
+            if e.degree != ei.degree + ej.degree or pres.matrices[e.grading] != target:
                 raise RingAxiomViolation(
-                    f"products {i}*{j} and {j}*{i} are not graded commutative")
+                    f"product {i}*{j} has term {idx} outside degree "
+                    f"{ei.degree + ej.degree} and grading {target.label()}")
+        sign = -1 if pres.mode != "real" and (ei.degree * ej.degree) % 2 else 1
+        if cup(i, j) != {idx: sign * c for idx, c in cup(j, i).items()}:
+            raise RingAxiomViolation(
+                f"products {i}*{j} and {j}*{i} are not graded commutative")
     if triples:
-        for i in range(n):
-            for j in range(n):
-                ij = pres.cup_basis(i, j)
-                for l in range(n):
-                    jl = pres.cup_basis(j, l)
-                    stats["triples"] += 1
-                    if not ij and not jl:
-                        continue  # both associations vanish
-                    left: dict[int, int] = {}
-                    for idx, c in ij.items():
-                        for t, c2 in pres.cup_basis(idx, l).items():
-                            left[t] = left.get(t, 0) + c * c2
-                    right: dict[int, int] = {}
-                    for idx, c in jl.items():
-                        for t, c2 in pres.cup_basis(i, idx).items():
-                            right[t] = right.get(t, 0) + c * c2
-                    if pres.mode == "real":
-                        left = {t: c % 2 for t, c in left.items()}
-                        right = {t: c % 2 for t, c in right.items()}
-                    left = {t: c for t, c in left.items() if c}
-                    right = {t: c for t, c in right.items() if c}
-                    if left != right:
-                        raise RingAxiomViolation(
-                            f"({i}*{j})*{l} differs from {i}*({j}*{l})")
+        def times(terms, factor):
+            out: dict[int, int] = {}
+            for idx, c in terms.items():
+                for t, c2 in factor(idx).items():
+                    out[t] = out.get(t, 0) + c * c2
+            if pres.mode == "real":
+                out = {t: c % 2 for t, c in out.items()}
+            return {t: c for t, c in out.items() if c}
+
+        # Triples with i*j = 0 need no walk once the laws above hold:
+        # i*(j*l) = +-(l*j)*i, which is zero when l*j is, and otherwise
+        # the walk of (l, j, i) equates it with l*(j*i) = 0.
+        for (i, j), l in product(nonzero, range(n)):
+            stats["triples"] += 1
+            left = times(cup(i, j), lambda idx: cup(idx, l))
+            right = times(cup(j, l), lambda idx: cup(i, idx))
+            if left != right:
+                raise RingAxiomViolation(
+                    f"({i}*{j})*{l} differs from {i}*({j}*{l})")
     return stats

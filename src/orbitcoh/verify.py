@@ -87,7 +87,7 @@ def fiber_chain(mat: PartialMatrix, assignment: tuple) -> dict:
     return {tuple(map(matrix, chain)): c for chain, c in state.items()}
 
 
-def theta_cycle(pres: RingPresentation, theta: str, mono: tuple,
+def theta_cycle(pres: RingPresentation, grading: int, mono: tuple,
                 assignment: tuple) -> dict:
     """Explicit Tor cycle over the orbit lattice for one basis element.
 
@@ -95,7 +95,7 @@ def theta_cycle(pres: RingPresentation, theta: str, mono: tuple,
     K(L_k^m, delta^bottom; delta_theta), of degree r_b + r_f.
     """
     cycle = shuffle_push(braid_chain(pres, mono),
-                         fiber_chain(pres.matrices[theta], assignment),
+                         fiber_chain(pres.matrices[grading], assignment),
                          lambda lab, fmat: restrict_matrix(fmat, lab).label())
     return {(chain, 0, 0): c for chain, c in cycle.items()}
 
@@ -183,21 +183,21 @@ def verify_full(graph: Graph, k: int, m: int,
 
     # (b) cup products of all basis pairs against cross-then-star
     if products:
-        layout: dict[str, list] = {}
+        layout: dict[int, list] = {}
         cycles = []
         coords_ok = True
         for e in pres.basis:
-            mat = pres.matrices[e.theta]
+            mat = pres.matrices[e.grading]
             deg = mat.r_b + mat.r_f
-            formal = theta_cycle(pres, e.theta, e.os_mono, e.bcp_index)
+            formal = theta_cycle(pres, e.grading, e.os_mono, e.bcp_index)
             kc = oracle.complex_at(e.theta)
             vec = kc.vector(formal, deg)
             coords = kc.tor(deg).class_coords(vec)
             cycles.append((e.theta, deg, vec, coords))
-            layout.setdefault(e.theta, []).append(coords)
-        for theta, entries in sorted(layout.items()):
-            m2 = pres.matrices[theta]
-            tor = oracle.complex_at(theta).tor(m2.r_b + m2.r_f)
+            layout.setdefault(e.grading, []).append(coords)
+        for g, entries in layout.items():
+            m2 = pres.matrices[g]
+            tor = oracle.complex_at(m2.label()).tor(m2.r_b + m2.r_f)
             if tor.torsion:
                 coords_ok = False
                 continue

@@ -9,10 +9,10 @@ from conftest import subprocess_env
 from orbitcoh import jsonio
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
+    RingAxiomViolation,
     UnsupportedM,
     check_ring_axioms,
     cohomology_presentation,
-    poincare_polynomial,
     real_gr_presentation,
 )
 
@@ -44,17 +44,17 @@ def test_k1_reduction():
 
 def test_degree_formula():
     pres = cohomology_presentation(Graph.complete(3), 2, 2)
-    for theta, mat in pres.matrices.items():
+    for mat in pres.matrices:
         assert pres.degree_of(mat) == 3 * mat.r_b + mat.r_f
     # r_b = 1, r_f = 1, m = 2 gives degree 4
-    mat = next(m for m in pres.matrices.values() if m.r_b == 1 and m.r_f == 1)
+    mat = next(m for m in pres.matrices if m.r_b == 1 and m.r_f == 1)
     assert pres.degree_of(mat) == 4
 
 
 def test_rank_formula_vs_piece_sizes():
     pres = cohomology_presentation(Graph.path(3), 3, 2)
-    for theta, mat in pres.matrices.items():
-        assert pres.piece_rank(theta) == pres.rank_formula(mat)
+    for g, mat in enumerate(pres.matrices):
+        assert pres.piece_rank(g) == pres.rank_formula(mat)
 
 
 def test_unit_and_dependent_products():
@@ -64,8 +64,8 @@ def test_unit_and_dependent_products():
         assert pres.cup_basis(unit, i) == {i: 1}
     # two distinct completions of the same block are dependent
     comp_indices = [i for i, e in enumerate(pres.basis)
-                    if pres.matrices[e.theta].r_b == 1
-                    and pres.matrices[e.theta].r_f == 0]
+                    if pres.matrices[e.grading].r_b == 1
+                    and pres.matrices[e.grading].r_f == 0]
     i, j = comp_indices[0], comp_indices[1]
     assert pres.cup_basis(i, j) == {}
 
@@ -77,8 +77,8 @@ def test_cup_lands_in_join_grading():
             prod = pres.cup_basis(i, j)
             if not prod:
                 continue
-            target = join_theta(pres.matrices[ei.theta],
-                                pres.matrices[ej.theta]).label()
+            target = join_theta(pres.matrices[ei.grading],
+                                pres.matrices[ej.grading]).label()
             for idx in prod:
                 assert pres.basis[idx].theta == target
                 assert pres.basis[idx].degree == ei.degree + ej.degree
@@ -87,6 +87,26 @@ def test_cup_lands_in_join_grading():
 def test_ring_axioms_k2():
     stats = check_ring_axioms(cohomology_presentation(Graph.complete(2), 2, 2))
     assert stats["pairs"] == 100
+
+
+@pytest.mark.parametrize("edits,match", [
+    # e1*e2 doubled on both sides: still graded commutative, not associative
+    ({(1, 2): {4: 2}, (2, 1): {4: -2}}, "differs from"),
+    # a term on the zero pair e1 * (e1 e2), with no partner entry
+    ({(1, 4): {7: 1}}, "outside degree|graded commutative|differs from"),
+    # e2*e1 with the wrong sign
+    ({(2, 1): {4: 1}}, "graded commutative"),
+    # e1*e2 = e1 e3 on both sides: right degree, wrong grading
+    ({(1, 2): {5: 1}, (2, 1): {5: -1}}, "outside degree"),
+])
+def test_axioms_catch_corrupted_products(edits, match):
+    # P4 at k = 1 is the exterior algebra on its edges e1, e2, e3, with
+    # basis 1, e1, e2, e3, e1e2, e1e3, e2e3, e1e2e3
+    pres = cohomology_presentation(Graph.path(4), 1, 2)
+    assert pres.cup_basis(1, 2) == {4: 1} and pres.cup_basis(1, 4) == {}
+    pres.products.update(edits)
+    with pytest.raises(RingAxiomViolation, match=match):
+        check_ring_axioms(pres)
 
 
 CORRUPT_UNIT = """
@@ -100,7 +120,7 @@ def corrupted(*args, **kwargs):
     pres = cohomology_presentation(*args, **kwargs)
     unit = pres.unit_index()
     i = next(i for i in range(len(pres.basis)) if i != unit)
-    pres._pair_cache[(unit, i)] = {i: 2}
+    pres.products[(unit, i)] = {i: 2}
     return pres
 
 try:

@@ -14,7 +14,7 @@ def _digest(data) -> str:
 
 
 def _cycles(pres):
-    return [theta_cycle(pres, e.theta, e.os_mono, e.bcp_index) for e in pres.basis]
+    return [theta_cycle(pres, e.grading, e.os_mono, e.bcp_index) for e in pres.basis]
 
 
 def test_theta_cycles_are_pinned():
@@ -37,7 +37,7 @@ def test_oracle_cups_are_pinned():
     oracle = GMOracle(inter.poset, inter.codim)
     cycles = []
     for e, formal in zip(pres.basis, _cycles(pres)):
-        mat = pres.matrices[e.theta]
+        mat = pres.matrices[e.grading]
         deg = mat.r_b + mat.r_f
         cycles.append((e.theta, deg, oracle.complex_at(e.theta).vector(formal, deg)))
     cups = [oracle.cup(*a, *b) for a in cycles for b in cycles]
