@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import partition_lattice
+from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
     BCpElement,
     Graph,
@@ -10,6 +12,7 @@ from orbitcoh.orbit import (
     OrbitLattice,
     bcp_basis,
     bcp_boundary,
+    bcp_form,
     bcp_coords,
     bcp_rank,
     block_classes,
@@ -364,3 +367,21 @@ def test_phi_product_commutes_with_boundary():
             lhs = {k: v2 for k, v2 in lhs.items() if v2}
             rhs = {k: v2 for k, v2 in rhs.items() if v2}
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("graph, k, m, digest", [
+    (Graph.complete(3), 2, 2,
+     "97593a56d4291dd5fba28609b0a0dbcedfb0b1fab41ab5460915d2afc0ca6415"),
+    (Graph.complete(3), 3, 1,
+     "bec4f07ef1085fb00ba1af1a850bfb9186881f7b563445d4f745e523f8ae1930"),
+    (Graph.complete(2), 4, 2,
+     "3da170231e83f060b3b67529c96d4b99f3158b98c5e04b61bf031b9d8eb92e75"),
+    (Graph.path(3), 3, 2,
+     "829aaea47f2633cd6d936278a8cc2b64fd7a2006ea5eee1daf34da491b080001"),
+], ids=["K3-k2-m2", "K3-k3-m1", "K2-k4-m2", "P3-k3-m2"])
+def test_bcp_forms_are_pinned(graph, k, m, digest):
+    # the explicit BCp form of every fiber, in bond-lattice label order,
+    # is fixed byte for byte
+    text = "".join(dumps(bcp_form(fiber_poset(graph, part, k, m)).to_json_dict())
+                   for part in bond_lattice(graph).labels)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
