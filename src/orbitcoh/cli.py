@@ -131,6 +131,8 @@ def cmd_verify(args) -> int:
         print("unsupported: verify has no real-mode oracle yet; "
               "use --mode complex", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    if args.oracle_limit < 0:
+        raise BadInput("--oracle-limit must be a non-negative integer")
     graph = _graph_from_args(args)
     report = verify_full(graph, args.k, args.m, oracle_limit=args.oracle_limit)
     payload = {

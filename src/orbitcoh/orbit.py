@@ -282,21 +282,6 @@ def fill_entry(theta: PartialMatrix, block, t: int, values) -> PartialMatrix:
                          tuple(tuple(row) for row in new_rows))
 
 
-def completions(theta: PartialMatrix):
-    """All completions of theta, in lexicographic entry order."""
-    ud = theta.undefined()
-    if not ud:
-        return [theta]
-    choices = [block_classes(len(b), theta.k) for b, _ in ud]
-    out = []
-    for combo in product(*choices):
-        cur = theta
-        for (block, t), vals in zip(ud, combo):
-            cur = fill_entry(cur, block, t, vals)
-        out.append(cur)
-    return out
-
-
 def restrict_matrix(theta: PartialMatrix, target_partition) -> PartialMatrix:
     """Restriction to a refinement of theta's partition."""
     k = theta.k
@@ -672,10 +657,15 @@ def perm_sign(a: PartialMatrix, b: PartialMatrix) -> int:
     j = join_theta(a, b)
     if not _additive(a, b, j):
         raise NotIndependent("sign defined only for independent pairs")
-    return _aligned_sign(a, b, j)
+    return _aligned_sign(a, b, j)[0]
 
 
-def _aligned_sign(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix) -> int:
+def _aligned_sign(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix):
+    """The sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and the alignment.
+
+    The alignment lists, for each entry of Ud(a) ++ Ud(b), the position
+    of its image in Ud(j).
+    """
     target = j.undefined()
     pos = {e: i for i, e in enumerate(target)}
     seq = []
@@ -689,21 +679,17 @@ def _aligned_sign(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix) -> int:
         for jdx in range(i + 1, len(seq)):
             if seq[i] > seq[jdx]:
                 sign = -sign
-    return sign
+    return sign, seq
 
 
 # -- the fiber cellular form BCp -------------------------------------------------
-
-
-@dataclass
-class BCpElement:
-    """Formal sum of completions subject to the vanishing-sum condition."""
-
-    theta: PartialMatrix
-    coeffs: dict
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs.values())
+#
+# The BCp piece at theta is the tensor product, over the undefined entries
+# of theta, of the vanishing-sum group of each entry's block classes, with
+# basis eta_c - eta_zero for c away from the zero class.  An element is a
+# coordinate dict {assignment: coeff} over ``bcp_assignments(theta)``: the
+# assignment alpha stands for the tensor of (eta_{alpha_e} - eta_zero)
+# over the entries e, in sorted undefined order.
 
 
 def bcp_rank(theta: PartialMatrix) -> int:
@@ -724,77 +710,36 @@ def bcp_assignments(theta: PartialMatrix):
     return list(product(*choices)) if ud else [()]
 
 
-def bcp_basis_element(theta: PartialMatrix, assignment) -> BCpElement:
-    """Expansion of the tensor of (eta_c - eta_zero) over undefined entries."""
-    ud = theta.undefined()
-    coeffs: dict[PartialMatrix, int] = {}
-    for picks in product((0, 1), repeat=len(ud)):
-        cur = theta
-        for (block, t), choice, vals in zip(ud, picks, assignment):
-            fill = vals if choice else zero_class(len(block))
-            cur = fill_entry(cur, block, t, fill)
-        sign = (-1) ** (len(ud) - sum(picks))
-        coeffs[cur] = coeffs.get(cur, 0) + sign
-    return BCpElement(theta, coeffs)
-
-
-def bcp_basis(theta: PartialMatrix):
-    return [bcp_basis_element(theta, a) for a in bcp_assignments(theta)]
-
-
-def bcp_coords(theta: PartialMatrix, coeffs: dict) -> list[int]:
-    """Coordinates in the bcp basis; raises if not a member.
-
-    The completion with every entry away from the zero class appears in
-    exactly one basis element, so extraction is triangular.
-    """
-    ud = theta.undefined()
-    assignments = bcp_assignments(theta)
-    coords = []
-    for assignment in assignments:
-        cur = theta
-        for (block, t), vals in zip(ud, assignment):
-            cur = fill_entry(cur, block, t, vals)
-        coords.append(coeffs.get(cur, 0))
-    residual = dict(coeffs)
-    for coord, assignment in zip(coords, assignments):
-        if not coord:
-            continue
-        elem = bcp_basis_element(theta, assignment)
-        for key, v in elem.coeffs.items():
-            residual[key] = residual.get(key, 0) - coord * v
-    if any(residual.values()):
-        raise ValueError("element is not in BCp (vanishing sums violated)")
-    return coords
-
-
-def bcp_boundary(u: BCpElement):
+def bcp_boundary(theta: PartialMatrix, coords: dict):
     """Signed projections onto the one-step completions of theta.
 
-    Returns a list of (psi, sign, BCpElement over psi) with the sign
+    Returns a list of (psi, sign, coordinates over psi) with the sign
     (-1)^(position of the filled entry in the sorted undefined list).
+    Filling entry i with class v sends the basis tensor alpha to
+    +alpha without i when v = alpha_i, to -alpha without i when v is the
+    zero class, and to nothing otherwise.
     """
-    theta = u.theta
     out = []
     for i, (block, t) in enumerate(theta.undefined()):
         sign = -1 if i % 2 else 1
+        zero = zero_class(len(block))
         for vals in block_classes(len(block), theta.k):
-            psi = fill_entry(theta, block, t, vals)
-            proj: dict[PartialMatrix, int] = {}
-            for eta, c in u.coeffs.items():
-                if eta.leq_same_support(psi):
-                    proj[eta] = proj.get(eta, 0) + c
-            proj = {k2: v for k2, v in proj.items() if v}
+            proj: dict[tuple, int] = {}
+            for alpha, c in coords.items():
+                if vals == zero or alpha[i] == vals:
+                    rest = alpha[:i] + alpha[i + 1:]
+                    proj[rest] = proj.get(rest, 0) + (-c if vals == zero else c)
+            proj = {key: v for key, v in proj.items() if v}
             if proj:
-                out.append((psi, sign, BCpElement(psi, proj)))
+                out.append((fill_entry(theta, block, t, vals), sign, proj))
     return out
 
 
 def bcp_form(fiber: FiberData):
     """The explicit cellular form (sum of BCp pieces) on a fiber poset.
 
-    Pieces are the bcp bases; differential blocks re-express the signed
-    projections of basis elements in the bases one completion down.
+    Pieces are the bcp bases; differential blocks hold the coordinates of
+    the signed projections of basis tensors one completion down.
     """
     from .cellular import CellularForm
     from .intlinalg import IntMatrix
@@ -802,48 +747,91 @@ def bcp_form(fiber: FiberData):
     poset = fiber.poset
     g = constant_sheaf(poset, 1, "co")
     ranks = []
-    basis_of = {}
+    position_of = {}
     for lab in poset.labels:
-        mat = fiber.by_label[lab]
-        basis_of[lab] = bcp_basis(mat)
-        ranks.append(len(basis_of[lab]))
+        assignments = bcp_assignments(fiber.by_label[lab])
+        position_of[lab] = {alpha: i for i, alpha in enumerate(assignments)}
+        ranks.append(len(assignments))
     diff: dict[tuple[int, int], IntMatrix] = {}
     for lab in poset.labels:
         xi = poset.index[lab]
-        for col, elem in enumerate(basis_of[lab]):
-            for psi, sign, piece in bcp_boundary(elem):
+        for alpha, col in position_of[lab].items():
+            for psi, sign, coords in bcp_boundary(fiber.by_label[lab], {alpha: 1}):
                 plab = psi.label()
                 yi = poset.index[plab]
-                coords = bcp_coords(psi, piece.coeffs)
                 block = diff.get((yi, xi))
                 if block is None:
                     block = IntMatrix(ranks[yi], ranks[xi])
                     diff[(yi, xi)] = block
-                for row, c in enumerate(coords):
-                    if c:
-                        block.data[row][col] += sign * c
+                for key, c in coords.items():
+                    block.data[position_of[plab][key]][col] += sign * c
     return CellularForm(poset, g, ranks, diff)
 
 
-def phi_product(u: BCpElement, v: BCpElement) -> BCpElement:
-    """The form-morphism product: signed completion-wise join.
+def _completion(theta: PartialMatrix, picks) -> PartialMatrix:
+    """Theta with its undefined entries, in sorted order, set to picks (None: zero)."""
+    rest = iter(picks)
+    rows = []
+    for block, row in zip(theta.rows(), theta.entries):
+        rows.append(tuple(e if e is not None else next(rest) or zero_class(len(block))
+                          for e in row))
+    return PartialMatrix(theta.n, theta.k, theta.m, theta.partition, tuple(rows))
 
-    Zero on dependent pairs; on independent pairs the result is checked
-    to satisfy the BCp membership condition.
+
+def phi_product(a: PartialMatrix, b: PartialMatrix):
+    """The form-morphism product of the BCp pieces at a and b, entry by entry.
+
+    None on a dependent pair.  Otherwise (j, sign, factors): the join j,
+    the sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and one
+    factor per undefined entry of j, in order.  Each entry of j has one
+    source entry e in Ud(a) ++ Ud(b), and the completion-wise join sends
+    class c at e to a class J_e(c) there, whatever the other entries
+    hold.  So one join of completions, with the i-th nonzero class at
+    every source entry (zero where there is none), gives J_e there for
+    all e at once.  A factor is (position of e, {c: coordinates of
+    eta_{J_e(c)} - eta_{J_e(0)}}) over the nonzero classes c;
+    ``phi_coords`` multiplies them out.
     """
-    a, b = u.theta, v.theta
     j = join_theta(a, b)
     if not _additive(a, b, j):
-        return BCpElement(j, {})
-    sign = _aligned_sign(a, b, j)
-    out: dict[PartialMatrix, int] = {}
-    for eta, cu in u.coeffs.items():
-        for nu, cv in v.coeffs.items():
-            w = join_theta(eta, nu)
-            if w.r_f != 0:
-                raise AssertionError("join of completions is not complete")
-            out[w] = out.get(w, 0) + sign * cu * cv
-    out = {k2: val for k2, val in out.items() if val}
-    result = BCpElement(j, out)
-    bcp_coords(j, out)  # membership check
-    return result
+        return None
+    sign, seq = _aligned_sign(a, b, j)
+    ud_a = a.undefined()
+    classes = [block_classes(len(block), a.k)[1:] for block, _ in ud_a + b.undefined()]
+
+    def lift(picks):
+        w = join_theta(_completion(a, picks[:len(ud_a)]), _completion(b, picks[len(ud_a):]))
+        if w.r_f:
+            raise NotIndependent("join of completions is not complete")
+        return w
+
+    base = lift([None] * len(classes))
+    lifts = [lift([cs[i] if i < len(cs) else None for cs in classes])
+             for i in range(max(map(len, classes), default=0))]
+    rows, target = j.rows(), j.undefined()
+    factors = [None] * len(seq)
+    for src, (cs, pos) in enumerate(zip(classes, seq)):
+        p, t = target[pos]
+        r, zero = rows.index(p), zero_class(len(p))
+        terms = {}
+        for c, w in zip(cs, lifts):
+            terms[c] = [(cls, s) for cls, s in ((w.entries[r][t], 1), (base.entries[r][t], -1))
+                        if cls != zero]
+        factors[pos] = (src, terms)
+    return j, sign, factors
+
+
+def phi_coords(prod, alpha: tuple, beta: tuple) -> dict:
+    """Coordinates of the product of basis tensors alpha (at a) and beta (at b).
+
+    ``prod`` is a result of ``phi_product(a, b)`` other than None.  The
+    product is the sign times the tensor, over the entries of the join,
+    of each factor's two terms at the class its source entry carries.
+    """
+    _, sign, factors = prod
+    picks = alpha + beta
+    coords = {(): sign}
+    for src, terms in factors:
+        coords = {key + (cls,): c * s for key, c in coords.items()
+                  for cls, s in terms[picks[src]]}
+    return coords

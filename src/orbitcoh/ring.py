@@ -2,14 +2,15 @@
 
 Gradings are partial matrices, numbered in (degree, label) order.  The
 piece at theta is the tensor of the OS-algebra piece at the underlying
-partition with the group of vanishing-sum completion combinations; its
-basis is the run of (nbc monomial, completion assignment) rows,
-row-major, from ``offset[g]``.  Two gradings multiply to zero unless
-they are independent, and then every product of their pieces lands in
-their join: the OS product tensored with the completion product, times
-the Koszul sign.  So the product table is built one grading pair at a
-time and keeps nonzero entries only.  The real quotient carries the
-same pieces over Z/2 in compressed degrees.
+partition with the completion tensors BCp(theta); its basis is the run
+of (nbc monomial, completion assignment) rows, row-major, from
+``offset[g]``.  Two gradings multiply to zero unless they are
+independent, and then every product of their pieces lands in their
+join: the OS product tensored with the completion product, times the
+Koszul sign.  The completion product works entry by entry, from maps
+found once per grading pair, so the product table is built one grading
+pair at a time and keeps nonzero entries only.  The real quotient
+carries the same pieces over Z/2 in compressed degrees.
 """
 
 from __future__ import annotations
@@ -22,15 +23,13 @@ from .orbit import (
     Graph,
     PartialMatrix,
     bcp_assignments,
-    bcp_basis,
-    bcp_coords,
     bcp_rank,
     bond_lattice,
     edge_atom_order,
     empty_matrix,
     fiber_matrices,
-    independence,
     join_theta,
+    phi_coords,
     phi_product,
 )
 from .osalg import OSAlgebra
@@ -79,11 +78,12 @@ class RingPresentation:
                         for mat in fiber_matrices(graph, partition, k, m)
                         if bcp_rank(mat))
         self.matrices: list[PartialMatrix] = [mat for _, _, mat in graded]
+        self.assignments = [bcp_assignments(mat) for mat in self.matrices]
         self.basis: list[GradedBasisElement] = []
         self.offset = [0]
         for g, (deg, lab, mat) in enumerate(graded):
             for mono in self.os.nbc[mat.partition]:
-                for assignment in bcp_assignments(mat):
+                for assignment in self.assignments[g]:
                     self.basis.append(GradedBasisElement(g, lab, mono, assignment, deg))
             self.offset.append(len(self.basis))
 
@@ -123,9 +123,10 @@ class RingPresentation:
 
         Partitions whose bond ranks do not add carry no independent
         grading pair.  Over every other pair of partitions the OS products
-        of the two nbc pieces are taken once; each independent grading
-        pair over it multiplies its completion bases with ``phi_product``
-        once per assignment pair.
+        of the two nbc pieces are taken once.  Each grading pair over it
+        calls ``phi_product`` once, which is None on a dependent pair;
+        ``phi_coords`` then gives the completion coordinates of every
+        assignment pair.
         """
         if self.additive_only:
             raise UnsupportedM("additive-only presentation has no products")
@@ -134,7 +135,8 @@ class RingPresentation:
         over: dict[int, list[int]] = {}
         for g, mat in enumerate(self.matrices):
             over.setdefault(bond.index[mat.partition], []).append(g)
-        completion_basis = cache(lambda g: bcp_basis(self.matrices[g]))
+        position = cache(lambda g: {alpha: i for i, alpha in
+                                    enumerate(self.assignments[g])})
         table: dict[tuple[int, int], dict[int, int]] = {}
         for pa, left in over.items():
             for pb, right in over.items():
@@ -153,24 +155,20 @@ class RingPresentation:
                     continue
                 for ga, gb in product(left, right):
                     a, b = self.matrices[ga], self.matrices[gb]
-                    if not independence(a, b):
+                    pair = phi_product(a, b)
+                    if pair is None:
                         continue
+                    # every product of the pair lands in its join
+                    gt = grading_of[pair[0]]
+                    width, where = len(self.assignments[gt]), position(gt)
                     # Koszul regrading: the completion factor of the first
                     # element moves past the lattice factor of the second
                     koszul = -1 if (a.r_f * b.r_b) % 2 else 1
-                    us, vs = completion_basis(ga), completion_basis(gb)
+                    us, vs = self.assignments[ga], self.assignments[gb]
                     phi = {}
-                    for (s, u), (t, v) in product(enumerate(us), enumerate(vs)):
-                        w = phi_product(u, v)
-                        if not w.is_zero():
-                            coords = bcp_coords(w.theta, w.coeffs)
-                            phi[s, t] = [(pos, koszul * c)
-                                         for pos, c in enumerate(coords) if c]
-                    if not phi:
-                        continue
-                    # every product of the pair lands in its join, w.theta
-                    gt = grading_of[w.theta]
-                    width = self.piece_rank(gt) // len(target)
+                    for (s, alpha), (t, beta) in product(enumerate(us), enumerate(vs)):
+                        phi[s, t] = [(where[key], koszul * c)
+                                     for key, c in phi_coords(pair, alpha, beta).items()]
                     for (x, y), os_terms in os_table.items():
                         for (s, t), bcp_terms in phi.items():
                             entry = {}

@@ -14,7 +14,7 @@ ring axioms all hang off these cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import factorial, prod
 
 from .intlinalg import IntMatrix, elementary_divisors
 from .oracle import (
@@ -29,6 +29,7 @@ from .orbit import (
     IntersectionLattice,
     PartialMatrix,
     build_lkm,
+    graph_partitions,
     restrict_matrix,
     zero_class,
 )
@@ -132,13 +133,15 @@ def verify_full(graph: Graph, k: int, m: int,
     grading by grading; cup products of every basis pair against the
     cross-then-star oracle product (on by default when sigma is
     bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
-    when the lattice exceeds the limit.
+    when the lattice exceeds the limit, before building it: each block
+    of size s >= 2 carries m entries of k^(s-1) classes or undefined.
     """
     report = VerifyReport(graph, k, m)
+    size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
+               for part in graph_partitions(graph))
+    if oracle_limit is not None and size > oracle_limit:
+        raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
     lkm = build_lkm(graph, k, m)
-    if oracle_limit is not None and lkm.poset.n > oracle_limit:
-        raise OracleTooLarge(
-            f"orbit lattice has {lkm.poset.n} elements, limit {oracle_limit}")
     pres = cohomology_presentation(graph, k, m, additive_only=(m == 1))
     inter = IntersectionLattice(lkm)
     bijective = len(inter.by_label) == lkm.poset.n

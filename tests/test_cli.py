@@ -133,6 +133,16 @@ def test_verify_oracle_limit():
     assert code == 3
 
 
+@pytest.mark.parametrize("limit, want, prefix", [("-5", 2, "error: "),
+                                                 ("0", 3, "unsupported: ")])
+def test_verify_oracle_limit_sign(limit, want, prefix):
+    # a negative limit is malformed input; zero is a limit no lattice meets
+    code, text, err = run_cli(["verify", "--complete", "2", "--k", "2", "--m", "2",
+                               "--oracle-limit", limit])
+    assert code == want
+    assert text == "" and err.startswith(prefix)
+
+
 @pytest.mark.parametrize("command", ["betti", "ring"])
 def test_oracle_limit_is_verify_only(command):
     with pytest.raises(SystemExit) as exc:

@@ -1,25 +1,23 @@
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
 from conftest import partition_lattice
 from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
-    BCpElement,
     Graph,
     NotIndependent,
     OrbitLattice,
-    bcp_basis,
+    bcp_assignments,
     bcp_boundary,
     bcp_form,
-    bcp_coords,
     bcp_rank,
     block_classes,
     bond_lattice,
     build_intersection_lattice,
     build_lkm,
-    completions,
     empty_matrix,
     fiber_of,
     fiber_poset,
@@ -29,10 +27,13 @@ from orbitcoh.orbit import (
     make_matrix,
     matrix_leq,
     perm_sign,
+    phi_coords,
     phi_product,
     restrict_matrix,
     sigma_canonical,
+    zero_class,
 )
+from orbitcoh.ring import cohomology_presentation
 
 
 def test_bond_lattice_complete_is_partition_lattice():
@@ -277,44 +278,116 @@ def test_rf_subadditive_for_independent_bases():
         assert join_theta(a, b).r_f <= a.r_f + b.r_f
 
 
+def _fill(theta, values):
+    """Theta with its undefined entries filled in sorted order."""
+    for (block, t), vals in zip(theta.undefined(), values):
+        theta = fill_entry(theta, block, t, vals)
+    return theta
+
+
+def _expand(theta, alpha):
+    """A basis tensor as its signed formal sum of completions."""
+    zeros = [zero_class(len(block)) for block, _ in theta.undefined()]
+    out = {}
+    for picks in product((0, 1), repeat=len(zeros)):
+        eta = _fill(theta, [c if pick else z for pick, c, z in zip(picks, alpha, zeros)])
+        out[eta] = out.get(eta, 0) + (-1) ** (len(zeros) - sum(picks))
+    return out
+
+
+def _coords(theta, formal):
+    """Coordinates of a formal sum of completions, read at the all-nonzero ones.
+
+    Asserts the vanishing sums: the sum is exactly the combination of
+    basis tensors with those coordinates.
+    """
+    coords = {alpha: formal.get(_fill(theta, alpha), 0) for alpha in bcp_assignments(theta)}
+    coords = {alpha: c for alpha, c in coords.items() if c}
+    residual = dict(formal)
+    for alpha, c in coords.items():
+        for eta, v in _expand(theta, alpha).items():
+            residual[eta] = residual.get(eta, 0) - c * v
+    assert not any(residual.values())
+    return coords
+
+
+def _brute_product(a, b, alpha, beta):
+    """The product by definition: signed join of every completion pair."""
+    j = join_theta(a, b)
+    target = j.undefined()
+    seq = []
+    for block, t in a.undefined() + b.undefined():
+        p = next(p for p in j.partition if set(block) <= set(p))
+        seq.append(target.index((p, t)))
+    sign = (-1) ** sum(x > y for i, x in enumerate(seq) for y in seq[i + 1:])
+    formal = {}
+    for eta, cu in _expand(a, alpha).items():
+        for nu, cv in _expand(b, beta).items():
+            w = join_theta(eta, nu)
+            assert w.r_f == 0
+            formal[w] = formal.get(w, 0) + sign * cu * cv
+    return j, _coords(j, {w: c for w, c in formal.items() if c})
+
+
+@pytest.mark.parametrize("graph, k", [
+    (Graph.complete(2), 4),
+    (Graph.complete(3), 2),
+    (Graph.make(4, [(1, 2), (3, 4)]), 2),
+    (Graph.path(3), 3),
+], ids=["K2-k4", "K3-k2", "2K2-k2", "P3-k3"])
+def test_phi_product_matches_completion_joins(graph, k):
+    # the entry-by-entry product against the definition, on every ordered
+    # grading pair: zero exactly on dependent pairs, else the same join and
+    # coordinates for every pair of basis tensors
+    mats = cohomology_presentation(graph, k, 2).matrices
+    independent = 0
+    for a, b in product(mats, repeat=2):
+        j = join_theta(a, b)
+        pair = phi_product(a, b)
+        if a.r_b + b.r_b != j.r_b or a.r_f + b.r_f != j.r_f:
+            assert pair is None
+            continue
+        independent += 1
+        assert pair[0] == j
+        for alpha, beta in product(bcp_assignments(a), bcp_assignments(b)):
+            assert (j, phi_coords(pair, alpha, beta)) == _brute_product(a, b, alpha, beta)
+    assert independent
+
+
 def test_bcp_rank_formula():
     g3 = Graph.complete(3)
     theta = make_matrix(g3, 3, 1, [(1, 2), (3,)], [(None,)])
     assert bcp_rank(theta) == 2  # k = 3, block of size 2
-    basis = bcp_basis(theta)
+    basis = bcp_assignments(theta)
     assert len(basis) == 2
-    for elem in basis:
-        assert sum(elem.coeffs.values()) == 0
+    for alpha in basis:
+        assert sum(_expand(theta, alpha).values()) == 0
 
 
 def test_bcp_empty_ud():
     g3 = Graph.complete(3)
     theta = make_matrix(g3, 2, 1, [(1, 2), (3,)], [((0, 1),)])
-    basis = bcp_basis(theta)
-    assert len(basis) == 1
-    assert basis[0].coeffs == {theta: 1}
+    assert bcp_assignments(theta) == [()]
+    assert _expand(theta, ()) == {theta: 1}
 
 
-def test_bcp_membership_rejects_bad_sum():
-    g3 = Graph.complete(3)
-    theta = make_matrix(g3, 2, 1, [(1, 2, 3)], [(None,)])
-    eta = completions(theta)[0]
-    with pytest.raises(ValueError):
-        bcp_coords(theta, {eta: 1})
+def _boundary(theta, coords):
+    """The signed boundary as one dict keyed by (psi, assignment over psi)."""
+    out = {}
+    for psi, sign, piece in bcp_boundary(theta, coords):
+        for key, c in piece.items():
+            out[psi, key] = out.get((psi, key), 0) + sign * c
+    return out
 
 
 def test_bcp_boundary_squares_to_zero():
     g3 = Graph.complete(3)
     theta = make_matrix(g3, 2, 2, [(1, 2, 3)], [(None, None)])
-    total: dict = {}
-    for elem in bcp_basis(theta):
-        first = bcp_boundary(elem)
+    for alpha in bcp_assignments(theta):
         acc: dict = {}
-        for psi, sign, piece in first:
-            for chi, sign2, piece2 in bcp_boundary(piece):
-                for eta, c in piece2.coeffs.items():
-                    key = (chi, eta)
-                    acc[key] = acc.get(key, 0) + sign * sign2 * c
+        for (psi, key), c in _boundary(theta, {alpha: 1}).items():
+            for chi_key, c2 in _boundary(psi, {key: c}).items():
+                acc[chi_key] = acc.get(chi_key, 0) + c2
         assert not any(acc.values())
 
 
@@ -322,51 +395,48 @@ def test_phi_product_simple():
     g4 = Graph.complete(4)
     theta = make_matrix(g4, 2, 2, [(1, 2), (3,), (4,)], [(None, (0, 0))])
     psi = make_matrix(g4, 2, 2, [(3, 4), (1,), (2,)], [((0, 1), (0, 1))])
-    u = bcp_basis(theta)[0]
-    v = bcp_basis(psi)[0]
-    w = phi_product(u, v)
-    assert not w.is_zero()
-    assert w.theta == join_theta(theta, psi)
-    assert len(w.coeffs) == 2  # (eta1 v psi) - (eta0 v psi)
-    assert sorted(w.coeffs.values()) == [-1, 1]
+    pair = phi_product(theta, psi)
+    assert pair[0] == join_theta(theta, psi)
+    # (eta1 v psi) - (eta0 v psi): one basis tensor, with the alignment sign
+    alpha = bcp_assignments(theta)[0]
+    assert phi_coords(pair, alpha, ()) == {alpha: perm_sign(theta, psi)}
 
 
 def test_phi_product_dependent_zero():
     g3 = Graph.complete(3)
     a = make_matrix(g3, 2, 1, [(1, 2), (3,)], [((0, 0),)])
     b = make_matrix(g3, 2, 1, [(1, 2), (3,)], [((0, 1),)])
-    w = phi_product(bcp_basis(a)[0], bcp_basis(b)[0])
-    assert w.is_zero()
+    assert phi_product(a, b) is None
+
+
+def _phi(a, alpha, b, beta):
+    """The product keyed by (join, assignment); empty on a dependent pair."""
+    pair = phi_product(a, b)
+    if pair is None:
+        return {}
+    return {(pair[0], key): c for key, c in phi_coords(pair, alpha, beta).items()}
 
 
 def test_phi_product_commutes_with_boundary():
-    # d(Phi(u x v)) and Phi(du x v) +- Phi(u x dv) agree on random pairs
+    # d(Phi(u x v)) and Phi(du x v) +- Phi(u x dv) agree on all basis pairs
     g4 = Graph.complete(4)
-    rng = random.Random(7)
     theta = make_matrix(g4, 2, 2, [(1, 2), (3,), (4,)], [(None, (0, 0))])
     psi = make_matrix(g4, 2, 2, [(3, 4), (1,), (2,)], [(None, None)])
-    for u in bcp_basis(theta):
-        for v in bcp_basis(psi):
-            w = phi_product(u, v)
-            lhs: dict = {}
-            for chi, sign, piece in bcp_boundary(w):
-                for eta, c in piece.coeffs.items():
-                    lhs[(chi, eta)] = lhs.get((chi, eta), 0) + sign * c
+    j = join_theta(theta, psi)
+    sign_u = -1 if theta.r_f % 2 else 1
+    for alpha in bcp_assignments(theta):
+        for beta in bcp_assignments(psi):
+            w = {key: c for (_, key), c in _phi(theta, alpha, psi, beta).items()}
+            lhs = _boundary(j, w)
             rhs: dict = {}
-            for chi, sign, piece in bcp_boundary(u):
-                prod = phi_product(piece, v)
-                for eta, c in prod.coeffs.items():
-                    key = (prod.theta, eta)
-                    rhs[key] = rhs.get(key, 0) + sign * c
-            sign_u = -1 if theta.r_f % 2 else 1
-            for chi, sign, piece in bcp_boundary(v):
-                prod = phi_product(u, piece)
-                for eta, c in prod.coeffs.items():
-                    key = (prod.theta, eta)
-                    rhs[key] = rhs.get(key, 0) + sign_u * sign * c
-            lhs = {k: v2 for k, v2 in lhs.items() if v2}
-            rhs = {k: v2 for k, v2 in rhs.items() if v2}
-            assert lhs == rhs
+            terms = [(c, _phi(chi, key, psi, beta))
+                     for (chi, key), c in _boundary(theta, {alpha: 1}).items()]
+            terms += [(sign_u * c, _phi(theta, alpha, chi, key))
+                      for (chi, key), c in _boundary(psi, {beta: 1}).items()]
+            for c, prod in terms:
+                for key, v in prod.items():
+                    rhs[key] = rhs.get(key, 0) + c * v
+            assert lhs == {key: v for key, v in rhs.items() if v}
 
 
 @pytest.mark.parametrize("graph, k, m, digest", [

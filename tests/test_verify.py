@@ -3,10 +3,13 @@
 import hashlib
 from math import factorial
 
-from orbitcoh.oracle import GMOracle
+import pytest
+
+import orbitcoh.verify
+from orbitcoh.oracle import GMOracle, OracleTooLarge
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
 from orbitcoh.ring import cohomology_presentation
-from orbitcoh.verify import braid_chain, theta_cycle
+from orbitcoh.verify import braid_chain, theta_cycle, verify_full
 
 
 def _digest(data) -> str:
@@ -56,3 +59,24 @@ def test_braid_chain_has_one_chain_per_ordering():
         assert set(chains.values()) <= {1, -1}
         seen.add(len(e.os_mono))
     assert seen == {0, 1, 2, 3}
+
+
+def test_oversized_lattice_is_refused_before_it_is_built(monkeypatch):
+    # L(K2, 30, 2) has 1 + 31^2 elements; the guard counts them without
+    # building the lattice
+    def refuse(*args):
+        raise AssertionError("the orbit lattice was built")
+
+    monkeypatch.setattr(orbitcoh.verify, "build_lkm", refuse)
+    with pytest.raises(OracleTooLarge) as exc:
+        verify_full(Graph.complete(2), 30, 2)
+    assert str(exc.value) == "orbit lattice has 962 elements, limit 100"
+
+
+def test_size_guard_counts_the_lattice():
+    for graph, k, m in [(Graph.complete(3), 2, 2), (Graph.path(3), 3, 1),
+                        (Graph.make(4, [(1, 2), (3, 4)]), 2, 2)]:
+        with pytest.raises(OracleTooLarge) as exc:
+            verify_full(graph, k, m, oracle_limit=0)
+        assert str(exc.value) == (
+            f"orbit lattice has {build_lkm(graph, k, m).poset.n} elements, limit 0")
