@@ -821,14 +821,14 @@ def phi_product(a: PartialMatrix, b: PartialMatrix):
     return j, sign, factors
 
 
-def phi_coords(prod, alpha: tuple, beta: tuple) -> dict:
+def phi_coords(pair, alpha: tuple, beta: tuple) -> dict:
     """Coordinates of the product of basis tensors alpha (at a) and beta (at b).
 
-    ``prod`` is a result of ``phi_product(a, b)`` other than None.  The
+    ``pair`` is a result of ``phi_product(a, b)`` other than None.  The
     product is the sign times the tensor, over the entries of the join,
     of each factor's two terms at the class its source entry carries.
     """
-    _, sign, factors = prod
+    _, sign, factors = pair
     picks = alpha + beta
     coords = {(): sign}
     for src, terms in factors:
