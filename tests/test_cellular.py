@@ -183,15 +183,20 @@ def test_cellular_chain_matches_oracle_constant():
         assert h_cell.torsion(n) == h_k.torsion(n)
 
 
-@pytest.mark.parametrize("graph, digest", [
-    (Graph.path(3),
+@pytest.mark.parametrize("graph, k, digest", [
+    (Graph.path(3), 2,
      "90c4f013b93d8c3e410881a25805c134a81b86cf413ecfbea4bef36afde7beae"),
-    (Graph.complete(3),
+    (Graph.complete(3), 2,
      "04edd893a82ee07cc4b644f30d773bdf26e8d779aa99c4aaf2bc232cc2009ee9"),
-], ids=["P3", "K3"])
-def test_orbit_lattice_form_is_pinned(graph, digest):
-    # the form's JSON on L(G, 2, 2) is fixed byte for byte
-    lkm = build_lkm(graph, 2, 2)
+    (Graph.complete(3), 3,
+     "21067c1814e1702396347950a270b85770748ef236bd8dea5b132b0493c223cf"),
+    (Graph.path(3), 3,
+     "e5fe93d32ee9cebc6eb06b7a326c0a2e57f37f73a5fafc4ab123a05637566354"),
+], ids=["P3", "K3", "K3-k3", "P3-k3"])
+def test_orbit_lattice_form_is_pinned(graph, k, digest):
+    # the form's JSON on L(G, k, 2) is fixed byte for byte; L(K3, 3, 2) is
+    # the benchmark's lattice, with a 198x300 top boundary
+    lkm = build_lkm(graph, k, 2)
     g = delta_sheaf(lkm.poset, [lkm.bottom_label()], 1, "co")
     form = construct_cellular_form(lkm.poset, g)
     text = dumps(form.to_json_dict())
