@@ -24,7 +24,6 @@ from .intlinalg import (
     elementary_divisors,
     homology,
     hstack,
-    kernel_basis,
     kron,
 )
 from .posets import GradedPoset, PosetMorphism, product_poset
@@ -178,12 +177,14 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     Works up the ranks.  At an element x of rank r, the augmented complex
     below x, built while the piece at x is still zero, must be exact in
     degrees 0..r-1; the piece at x is then the kernel of its map out of
-    degree r, the lower covers.  Returns a CellularForm, or a NotCellular verdict naming the
-    first element (in rank then label order) where this breaks and the
-    step of the lowest failing degree: 0 is the rank-0 surjectivity
-    test, 1 the kernel-sum test (the rank-1 kernels generate the kernel
-    of the rank-0 map), and i + 1 positive homology in degree i.
-    Surjectivity is tested at every element before any piece is built.
+    degree r, the lower covers, read from the one ``UnitReduction`` of
+    that boundary that gave homology its divisors.  Returns a
+    CellularForm, or a NotCellular verdict naming the first element (in
+    rank then label order) where this breaks and the step of the lowest
+    failing degree: 0 is the rank-0 surjectivity test, 1 the kernel-sum
+    test (the rank-1 kernels generate the kernel of the rank-0 map), and
+    i + 1 positive homology in degree i.  Surjectivity is tested at every
+    element before any piece is built.
     """
     if not poset.graded:
         raise ValueError("cellular forms need a genuinely graded poset")
@@ -209,8 +210,7 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         if degree is not None:
             return NotCellular(poset.labels[x], *_step(degree))
         # the new piece is the kernel of the top map, split over the lower covers
-        d = cx.boundary(r)
-        ker = IntMatrix.from_cols(kernel_basis(d), d.cols)
+        ker = IntMatrix.from_cols(cx.reduction(r).kernel, cx.ranks[r])
         piece_ranks[x] = ker.cols
         for y, block in _split_rows(ker, sorted(poset.lower[x]), piece_ranks).items():
             if block.rows:

@@ -1,16 +1,18 @@
 """Exact linear algebra over the integers.
 
 Dense matrices of Python ints (arbitrary precision) and homology of
-chain complexes of free abelian groups.  The Smith normal form answers
-for invariant factors; the row Hermite form answers every lattice
-question: membership, coordinates, integer kernels and exact solves.
-No floating point anywhere.
+chain complexes of free abelian groups.  One sparse elimination of the
++-1 pivots (``UnitReduction``) gives the invariant factors, with the
+Smith form of its small core, and the integer kernel, lifted from the
+core's; the row Hermite form makes kernel bases canonical and answers
+membership, coordinates and exact solves.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NoIntegerSolution(Exception):
@@ -263,18 +265,18 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
-    """Eliminate +-1 pivots in place; return how many were eliminated.
+    """Eliminate +-1 pivots in place; return them as (column, value, row).
 
-    Pivots are chosen Markowitz-style to limit fill-in.  Only row
-    operations with integer multipliers of +-1 pivots are used, so the
-    invariant factors of the input are 1^k followed by those of the
-    residual matrix.
+    Pivots are chosen Markowitz-style to limit fill-in, and each row is
+    kept as it was when chosen: it holds no earlier pivot's column.  Only
+    row operations by +-1 pivots are used, so the invariant factors of
+    the input are 1^k (k pivots) followed by those of the core left.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    eliminated = 0
+    pivots = []
     while True:
         piv = None
         best = None
@@ -290,7 +292,7 @@ def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
             if best == 0:
                 break
         if piv is None:
-            return eliminated
+            return pivots
         pi, pj = piv
         prow = rows.pop(pi)
         pval = prow[pj]
@@ -311,34 +313,64 @@ def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
             if not row:
                 del rows[i]
         del cols[pj]
-        eliminated += 1
+        pivots.append((pj, pval, prow))
+
+
+class UnitReduction:
+    """One ``_sparse_unit_eliminate`` of A: its pivots, core, divisors and kernel."""
+
+    def __init__(self, a: IntMatrix):
+        self.cols = a.cols
+        self.core = {i: r for i, row in enumerate(a.data)
+                     if (r := {j: x for j, x in enumerate(row) if x})}
+        self.pivots = _sparse_unit_eliminate(self.core)
+
+    def _dense_core(self, cindex: list[int]) -> IntMatrix:
+        cpos = {j: p for p, j in enumerate(cindex)}
+        core = IntMatrix(len(self.core), len(cindex))
+        for p, i in enumerate(sorted(self.core)):
+            for j, x in self.core[i].items():
+                core.data[p][cpos[j]] = x
+        return core
+
+    @cached_property
+    def divisors(self) -> list[int]:
+        """1 per pivot, then the Smith form of the core's nonzero columns."""
+        ones = [1] * len(self.pivots)
+        if not self.core:
+            return ones
+        _, dm, _ = smith_normal_form(
+            self._dense_core(sorted({j for row in self.core.values() for j in row})))
+        return ones + [dm.data[i][i] for i in range(min(dm.rows, dm.cols)) if dm.data[i][i]]
+
+    @cached_property
+    def kernel(self) -> list[list[int]]:
+        """Hermite basis of ker A, lifted from the core's kernel.
+
+        The core's kernel lives on the nonpivot columns; each pivot row
+        fixes its pivot coordinate from later and nonpivot columns only,
+        so substituting in reverse pivot order lifts a basis to a basis.
+        """
+        pivot_cols = {pj for pj, _, _ in self.pivots}
+        free = [j for j in range(self.cols) if j not in pivot_cols]
+        core_kernel = ColumnSolver(self._dense_core(free)).kernel
+        # coordinate j of every lifted vector, as {vector index: value}
+        coord = {j: {v: y[p] for v, y in enumerate(core_kernel) if y[p]}
+                 for p, j in enumerate(free)}
+        for pj, pval, prow in reversed(self.pivots):
+            acc: dict[int, int] = {}
+            for j, c in prow.items():  # coord has no pj yet: it is skipped
+                for v, y in coord.get(j, {}).items():
+                    acc[v] = acc.get(v, 0) - pval * c * y
+            coord[pj] = {v: y for v, y in acc.items() if y}
+        lifted = [[coord[j].get(v, 0) for j in range(self.cols)]
+                  for v in range(len(core_kernel))]
+        return row_hermite(lifted, self.cols)
 
 
 def elementary_divisors(a: IntMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith form, in divisibility order.
-
-    Transform matrices are not tracked, which allows a sparse
-    unit-pivot sweep before the dense elimination; this is the fast
-    path used for homology ranks of big incidence-like boundaries.
-    """
-    rows: dict[int, dict[int, int]] = {}
-    for i, row in enumerate(a.data):
-        r = {j: x for j, x in enumerate(row) if x}
-        if r:
-            rows[i] = r
-    ones = _sparse_unit_eliminate(rows)
-    if not rows:
-        return [1] * ones
-    rindex = sorted(rows)
-    cindex = sorted({j for row in rows.values() for j in row})
-    cpos = {j: p for p, j in enumerate(cindex)}
-    core = IntMatrix(len(rindex), len(cindex))
-    for p, i in enumerate(rindex):
-        for j, x in rows[i].items():
-            core.data[p][cpos[j]] = x
-    _, dm, _ = smith_normal_form(core)
-    divisors = [dm.data[i][i] for i in range(min(dm.rows, dm.cols)) if dm.data[i][i]]
-    return [1] * ones + divisors
+    """Nonzero diagonal of the Smith form: 1 per unit pivot, then the core's."""
+    return UnitReduction(a).divisors
 
 
 def rank_mod2(a: IntMatrix) -> int:
@@ -477,8 +509,8 @@ class ColumnSolver:
 
 
 def kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Basis of the integer kernel lattice {x : A·x = 0}, in row Hermite form."""
-    return ColumnSolver(a).kernel
+    """Hermite basis of the integer kernel {x : A·x = 0}, lifted by one ``UnitReduction``."""
+    return UnitReduction(a).kernel
 
 
 def solve_unique(a: IntMatrix, b: list[int]) -> list[int]:
@@ -504,11 +536,12 @@ class ChainComplex:
     boundaries must vanish.
     """
 
-    __slots__ = ("ranks", "boundaries")
+    __slots__ = ("ranks", "boundaries", "_reductions")
 
     def __init__(self, ranks: list[int], boundaries: dict[int, IntMatrix], check: bool = True):
         self.ranks = list(ranks)
         self.boundaries = dict(boundaries)
+        self._reductions: dict[int, UnitReduction] = {}
         top = len(self.ranks)
         for i in range(1, top):
             d = self.boundaries.get(i)
@@ -530,6 +563,12 @@ class ChainComplex:
             upper = self.ranks[i] if 0 <= i < len(self.ranks) else 0
             d = IntMatrix(lower, upper)
         return d
+
+    def reduction(self, i: int) -> UnitReduction:
+        """The unit-pivot reduction of boundary i, made once and then kept."""
+        if i not in self._reductions:
+            self._reductions[i] = UnitReduction(self.boundary(i))
+        return self._reductions[i]
 
     def validate(self):
         """Check del o del = 0, exploiting sparsity of the boundaries."""
@@ -578,9 +617,9 @@ class HomologySummary:
 
 
 def homology(complex_: ChainComplex) -> HomologySummary:
-    """Integral homology via Smith normal form of the boundaries."""
+    """Integral homology from the divisors of each kept boundary reduction."""
     top = len(complex_.ranks)
-    divisors = {i: elementary_divisors(complex_.boundary(i)) for i in range(1, top + 1)}
+    divisors = {i: complex_.reduction(i).divisors for i in range(1, top + 1)}
     groups = []
     for n in range(top):
         r_out = len(divisors.get(n, []))

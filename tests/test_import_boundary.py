@@ -1,0 +1,44 @@
+"""The closed form never reaches the oracle through package imports.
+
+``orbitcoh/__init__.py`` imports every module, so importing ``orbit``
+loads ``oracle`` anyway; the boundary is checked statically instead, on
+the ``from .X import`` statements (at any depth) of each module's source.
+"""
+
+import ast
+from pathlib import Path
+
+import orbitcoh
+
+PACKAGE = Path(orbitcoh.__file__).parent
+
+
+def package_imports(path: Path) -> set[str]:
+    """The sibling modules that one source file imports from."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                names.add(node.module.split(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def import_closure(roots, graph) -> set[str]:
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(graph.get(name, ()))
+    return seen
+
+
+def test_closed_form_does_not_import_the_oracle():
+    graph = {p.stem: package_imports(p) for p in PACKAGE.glob("*.py")}
+    assert {"orbit", "ring", "oracle", "verify"} <= set(graph)
+    closure = import_closure(["orbit", "ring"], graph)
+    assert not closure & {"oracle", "verify"}, sorted(closure)
+    # the check reads what it should: verify does reach the oracle
+    assert "oracle" in import_closure(["verify"], graph)

@@ -116,7 +116,7 @@ def test_kernel_is_saturated():
             assert elementary_divisors(b) == [1] * len(ker)
 
 
-def test_homology_point_and_shифt():
+def test_homology_point_and_shift():
     point = ChainComplex([1], {})
     assert homology(point).groups == ((1, ()),)
     # Z -> Z with zero map

@@ -10,7 +10,7 @@ directory, as in ``test_orbit_properties.py``.
 import tempfile
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 from sympy import Matrix
@@ -20,6 +20,7 @@ from orbitcoh.intlinalg import (
     ColumnSolver,
     IntMatrix,
     NoIntegerSolution,
+    UnitReduction,
     elementary_divisors,
     kernel_basis,
     row_hermite,
@@ -91,3 +92,44 @@ def test_elementary_divisors_match_sympy(a):
     d = sympy_snf(Matrix(a.data))
     expected = [abs(d[i, i]) for i in range(min(a.rows, a.cols)) if d[i, i]]
     assert elementary_divisors(a) == expected
+
+
+# incidence-like entries: mostly 0 and +-1, so most pivots are units, with
+# some +-2 and +-3 that can leave a nonempty core after the unit pivots
+sparse_entries = st.sampled_from([0] * 12 + [1, -1] * 3 + [2, -2, 3, -3])
+PATH_INCIDENCE = IntMatrix(3, 4, [[1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]])
+WITH_CORE = IntMatrix(3, 4, [[1, 1, 0, 0], [2, 0, 2, 0], [0, 3, 0, 3]])
+
+
+@st.composite
+def incidence_like(draw):
+    rows = draw(st.integers(0, 12))
+    cols = draw(st.integers(0, 16))
+    data = draw(st.lists(st.lists(sparse_entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return IntMatrix(rows, cols, data)
+
+
+def test_examples_cover_both_lifts():
+    assert not UnitReduction(PATH_INCIDENCE).core
+    assert UnitReduction(WITH_CORE).core
+
+
+@laws
+@given(incidence_like())
+@example(PATH_INCIDENCE)
+@example(WITH_CORE)
+def test_sparse_kernel_and_divisors_match_smith_reference(a):
+    _, d, v = smith_normal_form(a)
+    rank = snf_rank(d)
+    trailing = [v.column(j) for j in range(rank, a.cols)]
+    assert kernel_basis(a) == row_hermite(trailing, a.cols)
+    assert elementary_divisors(a) == [d.data[i][i] for i in range(rank)]
+
+
+def test_kernel_of_matrix_without_rows_is_identity():
+    assert kernel_basis(IntMatrix(0, 3)) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_kernel_of_matrix_without_columns_is_empty():
+    assert kernel_basis(IntMatrix(4, 0)) == []
