@@ -22,7 +22,6 @@ from .intlinalg import (
     hermite_coords,
     homology,
     homology_mod2,
-    kernel_basis,
     HomologySummary,
     smith_normal_form,
     unimodular_inverse,
@@ -192,7 +191,7 @@ class TorDegree:
     def __init__(self, complex_: TorComplex, n: int):
         self.complex = complex_
         self.n = n
-        self.kernel = kernel_basis(complex_.boundary(n))
+        self.kernel = complex_.chain_complex().reduction(n).kernel
         z = len(self.kernel)
         bnd = complex_.boundary(n + 1)
         img_coords = [self.kernel_coords(col)

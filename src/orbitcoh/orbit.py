@@ -308,7 +308,10 @@ def restrict_matrix(theta: PartialMatrix, target_partition) -> PartialMatrix:
 
 
 def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
-    """The fibration order: a <= b iff pi(a) <= pi(b) and a <= b|_{pi(a)}."""
+    """The fibration order: a <= b iff pi(a) <= pi(b) and a <= b|_{pi(a)}.
+
+    The defining reference that ``OrbitLattice``'s cover build is tested against.
+    """
     if not refines(a.partition, b.partition):
         return False
     return a.leq_same_support(restrict_matrix(b, a.partition))
@@ -452,6 +455,14 @@ def fiber_poset(graph: Graph, partition, k: int, m: int) -> FiberData:
 class OrbitLattice:
     """The total poset of fibers over the bond lattice, with its join.
 
+    The order is ``matrix_leq``; its covers come from the fibration onto
+    the bond lattice.  A cover inside a fiber fills one undefined entry
+    (``fiber_poset``).  Over a bond cover pi < pi(theta') the only
+    candidate is the cartesian lift restrict_matrix(theta', pi) < theta',
+    a cover unless the block B that pi splits has two vertices and
+    theta' leaves an entry of row B undefined: filling that entry gives
+    an element strictly between.
+
     The stored rank is r_b + r_f, which is a genuine grading only when
     no block can split into two blocks of size >= 2 (n <= 3); the poset
     is built non-strictly and the flag ``poset.graded`` records whether
@@ -463,27 +474,28 @@ class OrbitLattice:
         self.k = k
         self.m = m
         self.bond = bond_lattice(graph)
-        mats = []
+        self.by_label = {}
+        fibers = {}
+        covers = []
         for part in self.bond.labels:
-            mats.extend(fiber_matrices(graph, part, k, m))
-        self.by_label = {mat.label(): mat for mat in mats}
-        labels = sorted(self.by_label)
-        n = len(labels)
-        up = [0] * n
-        for i, la in enumerate(labels):
-            for j, lb in enumerate(labels):
-                if matrix_leq(self.by_label[la], self.by_label[lb]):
-                    up[i] |= 1 << j
-        covers = [(labels[i], labels[j]) for i, j in _covers_from_up(up)]
-        rank = {lab: self.by_label[lab].r_b + self.by_label[lab].r_f
-                for lab in labels}
-        self.poset = GradedPoset(labels, covers, rank, strict=False)
+            fiber = fiber_poset(graph, part, k, m)
+            fibers[part] = fiber.by_label.values()
+            self.by_label.update(fiber.by_label)
+            labels = fiber.poset.labels
+            covers.extend((labels[lo], labels[hi]) for lo, hi in fiber.poset.covers)
+        for lo, hi in self.bond.covers:
+            part, top = self.bond.labels[lo], self.bond.labels[hi]
+            split = next(b for b in top if b not in part)
+            row = [b for b in top if len(b) >= 2].index(split)
+            for mat in fibers[top]:
+                if len(split) == 2 and None in mat.entries[row]:
+                    continue
+                covers.append((restrict_matrix(mat, part).label(), mat.label()))
+        rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
+        self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
 
     def matrix(self, label) -> PartialMatrix:
         return self.by_label[label]
-
-    def pi(self, label):
-        return self.by_label[label].partition
 
     def join(self, la, lb) -> str:
         return join_theta(self.by_label[la], self.by_label[lb]).label()
@@ -582,6 +594,11 @@ def fiber_of(alpha: PartialMatrix, graph: Graph):
 class IntersectionLattice:
     """Image of sigma: canonical forms ordered by reverse subspace inclusion.
 
+    By definition a <= b iff sigma(a v b) = b.  Sigma is extensive
+    (theta <= sigma(theta)) and idempotent, so for canonical a and b
+    that holds exactly when a <= b in the orbit lattice: the order is
+    the orbit order restricted to the canonical forms.
+
     For k = 1 no pair of arrangement members can be incompatible, so
     only fully defined matrices are genuine intersections; undefined
     entries are dropped from the lattice in that case.
@@ -600,29 +617,12 @@ class IntersectionLattice:
             mats[can.label()] = can
         self.by_label = mats
         labels = sorted(mats)
-        n = len(labels)
-        joins = {}
-
-        def join_lab(la, lb):
-            key = (la, lb) if la <= lb else (lb, la)
-            if key not in joins:
-                j = join_theta(mats[la], mats[lb])
-                joins[key] = sigma_canonical(j, self.graph).label()
-            return joins[key]
-
-        up = [0] * n
-        for i, la in enumerate(labels):
-            for j, lb in enumerate(labels):
-                if join_lab(la, lb) == lb:
-                    up[i] |= 1 << j
+        pos = [lattice.poset.index[lab] for lab in labels]
+        up = [sum(1 << j for j, q in enumerate(pos) if lattice.poset.up[p] >> q & 1)
+              for p in pos]
         covers = [(labels[i], labels[j]) for i, j in _covers_from_up(up)]
-        codim = {lab: mats[lab].codim() for lab in labels}
-        self.codim = codim
-        self.poset = GradedPoset(labels, covers, codim, strict=False)
-        self._join_lab = join_lab
-
-    def join(self, la, lb) -> str:
-        return self._join_lab(la, lb)
+        self.codim = {lab: mats[lab].codim() for lab in labels}
+        self.poset = GradedPoset(labels, covers, self.codim, strict=False)
 
     def ambient(self) -> str:
         return empty_matrix(self.graph, self.k, self.m).label()

@@ -248,7 +248,7 @@ class RingAxiomViolation(Exception):
     """The structure constants break a ring axiom."""
 
 
-def check_ring_axioms(pres: RingPresentation, triples: bool = True):
+def check_ring_axioms(pres: RingPresentation):
     """Unit law, degrees and grading law, graded commutativity, associativity.
 
     Only nonzero products can break the grading and commutativity laws,
@@ -282,24 +282,23 @@ def check_ring_axioms(pres: RingPresentation, triples: bool = True):
         if cup(i, j) != {idx: sign * c for idx, c in cup(j, i).items()}:
             raise RingAxiomViolation(
                 f"products {i}*{j} and {j}*{i} are not graded commutative")
-    if triples:
-        def times(terms, factor):
-            out: dict[int, int] = {}
-            for idx, c in terms.items():
-                for t, c2 in factor(idx).items():
-                    out[t] = out.get(t, 0) + c * c2
-            if pres.mode == "real":
-                out = {t: c % 2 for t, c in out.items()}
-            return {t: c for t, c in out.items() if c}
+    def times(terms, factor):
+        out: dict[int, int] = {}
+        for idx, c in terms.items():
+            for t, c2 in factor(idx).items():
+                out[t] = out.get(t, 0) + c * c2
+        if pres.mode == "real":
+            out = {t: c % 2 for t, c in out.items()}
+        return {t: c for t, c in out.items() if c}
 
-        # Triples with i*j = 0 need no walk once the laws above hold:
-        # i*(j*l) = +-(l*j)*i, which is zero when l*j is, and otherwise
-        # the walk of (l, j, i) equates it with l*(j*i) = 0.
-        for (i, j), l in product(nonzero, range(n)):
-            stats["triples"] += 1
-            left = times(cup(i, j), lambda idx: cup(idx, l))
-            right = times(cup(j, l), lambda idx: cup(i, idx))
-            if left != right:
-                raise RingAxiomViolation(
-                    f"({i}*{j})*{l} differs from {i}*({j}*{l})")
+    # Triples with i*j = 0 need no walk once the laws above hold:
+    # i*(j*l) = +-(l*j)*i, which is zero when l*j is, and otherwise
+    # the walk of (l, j, i) equates it with l*(j*i) = 0.
+    for (i, j), l in product(nonzero, range(n)):
+        stats["triples"] += 1
+        left = times(cup(i, j), lambda idx: cup(idx, l))
+        right = times(cup(j, l), lambda idx: cup(i, idx))
+        if left != right:
+            raise RingAxiomViolation(
+                f"({i}*{j})*{l} differs from {i}*({j}*{l})")
     return stats

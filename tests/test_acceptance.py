@@ -229,7 +229,7 @@ def test_criterion_6_ring_axioms():
     """Graded commutativity and associativity for n = 2, 3 complete graphs."""
     for n in (2, 3):
         pres = cohomology_presentation(Graph.complete(n), 2, 2)
-        stats = check_ring_axioms(pres, triples=True)
+        stats = check_ring_axioms(pres)
         assert stats["pairs"] == len(pres.basis) ** 2
     report(6, "graded commutativity and associativity on all pairs/triples")
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from orbitcoh.cellular import CellularForm, construct_cellular_form, verify_cellular_form
-from orbitcoh.intlinalg import IntMatrix, elementary_divisors
+from orbitcoh.intlinalg import HomologySummary, IntMatrix, elementary_divisors
 from orbitcoh.oracle import (
     TorComplex,
     cross_formal,
@@ -186,5 +186,18 @@ def test_intersection_lattice_k1_is_bond_lattice():
 
 def test_verify_full_with_torsion_flag():
     from orbitcoh.verify import verify_full
-    rep = verify_full(Graph.complete(2), 2, 2, torsion=True)
+    rep = verify_full(Graph.complete(2), 2, 2)
     assert rep.ok
+
+
+def test_oracle_torsion_fails_the_rank_check(monkeypatch):
+    # the closed form is torsion-free, so a Z/2 in an oracle Tor group fails
+    # its grading's rank line even though the free ranks agree
+    from orbitcoh.verify import verify_full
+    homology = TorComplex.homology
+    monkeypatch.setattr(TorComplex, "homology", lambda self: HomologySummary(
+        homology(self).groups + ((0, (2,)),)))
+    rep = verify_full(Graph.complete(2), 2, 2, products=False)
+    assert not rep.ok
+    assert all(line.startswith("FAIL ranks at ") for line in rep.lines[:-1])
+    assert "Z/2" in rep.lines[0]

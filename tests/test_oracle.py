@@ -71,6 +71,18 @@ def test_partition3_concentrated_top():
     assert h.is_free()
 
 
+def test_tor_kernels_are_the_kept_reductions():
+    # each Tor degree reads its kernel off the boundary reduction that the
+    # homology computation keeps, instead of reducing the boundary again
+    p3 = partition_lattice(3)
+    kc = TorComplex(p3, delta_sheaf(p3, [bottom(3)], 1, "co"),
+                    delta_sheaf(p3, [top(3)], 1, "pre"))
+    h = kc.homology()
+    for n in range(len(h.groups)):
+        assert kc.tor(n).kernel is kc.chain_complex().reduction(n).kernel
+        assert kc.tor(n).betti == h.betti(n)
+
+
 def test_contractible_interval_invariant():
     # K_*(P, delta^y Z; j_x* Z) is the cone on the open interval: homology Z
     # in degree 0 whenever y <= x, and zero otherwise

@@ -1,6 +1,8 @@
 import hashlib
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -110,22 +112,60 @@ def test_lkm_sizes():
     assert lkm1.poset.n == 1 + 4  # single class per entry: 2^(1*2) fiber
 
 
+ORDER_CASES = [
+    (Graph.complete(2), 2, 2),
+    (Graph.complete(3), 1, 2),
+    (Graph.complete(3), 2, 1),
+    (Graph.complete(3), 3, 2),
+    (Graph.make(4, [(1, 2), (3, 4)]), 2, 2),
+    (Graph.complete(4), 2, 1),
+    (Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2, 1),
+]
+
+
+def _assert_order_is(poset, leq):
+    """The poset's order is the relation leq on its indices, its covers are leq's."""
+    n = poset.n
+    up = [sum(1 << j for j in range(n) if leq(i, j)) for i in range(n)]
+    assert poset.up == up
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    covers = [(i, j) for i in range(n) for j in range(n)
+              if i != j and up[i] >> j & 1 and not up[i] & down[j] & ~(1 << i | 1 << j)]
+    assert list(poset.covers) == covers
+
+
 def test_lkm_fibration_law():
-    lkm = build_lkm(Graph.complete(3), 2, 1)
-    p = lkm.poset
-    for i, la in enumerate(p.labels):
-        for j, lb in enumerate(p.labels):
-            a, b = lkm.matrix(la), lkm.matrix(lb)
-            direct = p.leq(i, j)
-            law = refines_ok(a, b)
-            assert direct == law
+    # the order built from fiber covers and cartesian lifts is matrix_leq,
+    # with exactly its covers
+    for graph, k, m in ORDER_CASES:
+        lkm = build_lkm(graph, k, m)
+        mats = [lkm.matrix(lab) for lab in lkm.poset.labels]
+        _assert_order_is(lkm.poset, lambda i, j: matrix_leq(mats[i], mats[j]))
 
 
-def refines_ok(a, b):
-    from orbitcoh.orbit import refines
-    if not refines(a.partition, b.partition):
-        return False
-    return a.leq_same_support(restrict_matrix(b, a.partition))
+def test_intersection_order_is_sigma_of_join():
+    # a <= b iff sigma(a v b) = b, on the canonical forms
+    for graph, k, m in ORDER_CASES:
+        il = build_intersection_lattice(graph, k, m)
+        mats = [il.by_label[lab] for lab in il.poset.labels]
+        _assert_order_is(il.poset, lambda i, j: sigma_canonical(
+            join_theta(mats[i], mats[j]), graph) == mats[j])
+
+
+@pytest.mark.parametrize("name, graph, k, m", [
+    ("lkm-K3-k3-m2.json", Graph.complete(3), 3, 2),
+    ("lkm-P3-k4-m2.json", Graph.path(3), 4, 2),
+])
+def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
+    # the benchmark's stored lattices are build_lkm(...).poset exactly
+    data = json.loads((Path(__file__).resolve().parent.parent
+                       / "perfbench" / "data" / name).read_text())
+    assert data["source"] == f"orbitcoh.orbit.build_lkm({name.split('-')[1]}, k={k}, m={m}).poset"
+    p = build_lkm(graph, k, m).poset
+    assert data["elements"] == list(p.labels)
+    assert data["covers"] == [[p.labels[lo], p.labels[hi]] for lo, hi in p.covers]
+    assert data["rank"] == list(p.rank)
+    assert data["bottom"] == p.labels[p.minimum()]
 
 
 def test_join_is_least_upper_bound_in_poset():

@@ -163,8 +163,9 @@ def test_real_presentation():
     assert pres.poincare_polynomial() == [1, 9]
     with pytest.raises(UnsupportedM):
         real_gr_presentation(Graph.complete(2), 1)
-    stats = check_ring_axioms(pres, triples=False)
+    stats = check_ring_axioms(pres)
     assert stats["pairs"] == 100
+    assert stats["triples"] == 190
 
 
 def test_real_products_mod2():
