@@ -16,24 +16,21 @@ from .intlinalg import (
     homology,
     kernel_basis,
     smith_normal_form,
-    solve_unique,
 )
-from .oracle import GMOracle, TorComplex, gm_cohomology
+from .oracle import GMOracle, TorComplex
 from .orbit import (
     Graph,
     PartialMatrix,
     bond_lattice,
-    build_intersection_lattice,
     build_lkm,
-    fiber_of,
     independence,
     join_theta,
     perm_sign,
     phi_product,
 )
-from .osalg import OSAlgebra, nbc_basis, os_multiply, os_vs_cellular
-from .posets import GradedPoset, build_poset, enumerate_chains, join, moebius, product_poset
-from .ring import RingPresentation, cohomology_presentation, real_gr_presentation
+from .osalg import OSAlgebra, os_vs_cellular
+from .posets import GradedPoset, build_poset, join, moebius, product_poset
+from .ring import RingPresentation
 from .sheaves import Copresheaf, FHom, Presheaf, delta_sheaf, pullback, star_fhom
 from .verify import verify_full
 

@@ -14,7 +14,7 @@ from .cellular import CellularForm, construct_cellular_form
 from .jsonio import BadInput, dumps, load_json, parse_copresheaf, parse_graph, parse_poset
 from .oracle import OracleTooLarge
 from .orbit import Graph
-from .ring import RingPresentation, UnsupportedM, cohomology_presentation, real_gr_presentation
+from .ring import RingPresentation, UnsupportedM
 from .verify import verify_full
 
 EXIT_OK = 0
@@ -66,18 +66,13 @@ def _poincare_string(coeffs: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _presentation(args, additive_only: bool) -> RingPresentation:
-    graph = _graph_from_args(args)
-    if args.mode == "real":
-        return real_gr_presentation(graph, args.m)
-    return cohomology_presentation(graph, args.k, args.m,
-                                   additive_only=additive_only)
+def _presentation(args) -> RingPresentation:
+    return RingPresentation(_graph_from_args(args), args.k, args.m, args.mode)
 
 
 def cmd_betti(args) -> int:
     _check_km(args)
-    additive = args.m == 1
-    pres = _presentation(args, additive_only=additive)
+    pres = _presentation(args)
     poincare = pres.poincare_polynomial()
     payload = {
         "command": "betti",
@@ -91,7 +86,7 @@ def cmd_betti(args) -> int:
         "gradings": {mat.label(): pres.piece_rank(g)
                      for g, mat in enumerate(pres.matrices)},
     }
-    if additive and pres.mode == "complex":
+    if pres.m == 1:
         payload["warning"] = ("m = 1 output is additive only; the ring "
                               "statement needs m > 1")
     lines = ["degree  rank"]
@@ -108,7 +103,7 @@ def cmd_ring(args) -> int:
     _check_km(args)
     if args.m == 1:
         raise UnsupportedM("the ring presentation needs m > 1")
-    pres = _presentation(args, additive_only=False)
+    pres = _presentation(args)
     payload = pres.to_json_dict()
     payload["command"] = "ring"
     nonzero = len(payload["products"])

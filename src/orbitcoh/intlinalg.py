@@ -513,11 +513,6 @@ def kernel_basis(a: IntMatrix) -> list[list[int]]:
     return UnitReduction(a).kernel
 
 
-def solve_unique(a: IntMatrix, b: list[int]) -> list[int]:
-    """Solve A·x = b when the solution exists and is unique over Z."""
-    return ColumnSolver(a).solve(b)
-
-
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular square matrix (U·A·V = I gives A^-1 = V·U)."""
     if a.rows != a.cols:

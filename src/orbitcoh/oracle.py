@@ -391,6 +391,7 @@ class GMOracle:
         self.delta_m = delta_sheaf(lattice, [self.ambient], 1, "co")
         self._complexes: dict = {}
         self._star_checked: set = set()
+        self._cycles_checked: set = set()
 
     def complex_at(self, x) -> TorComplex:
         if x not in self._complexes:
@@ -451,12 +452,15 @@ class GMOracle:
         codimension condition fails.  The star map is the identity on the
         rank-1 delta sheaves at ((M, M)) and ((x, y)), so each shuffle of
         the two label chains goes straight to its chain of joins, and
-        degenerate images vanish.  Both inputs and the image must have
-        kernel coordinates; a chain that is not closed raises NotCycle.
+        degenerate images vanish.  Both inputs (on first use) and the image
+        must have kernel coordinates; a chain that is not closed raises NotCycle.
         """
+        for z, nz, vz in ((x, nx, vx), (y, ny, vy)):
+            key = (z, nz, tuple(vz))
+            if key not in self._cycles_checked:
+                self.complex_at(z).tor(nz).kernel_coords(vz)
+                self._cycles_checked.add(key)
         kx, ky = self.complex_at(x), self.complex_at(y)
-        kx.tor(nx).kernel_coords(vx)
-        ky.tor(ny).kernel_coords(vy)
         xy = join(self.lattice, x, y)
         target = self.complex_at(xy)
         n = nx + ny
@@ -473,9 +477,3 @@ class GMOracle:
 
     def class_coords(self, x, n: int, vec: list[int]) -> tuple[int, ...]:
         return self.complex_at(x).tor(n).class_coords(vec)
-
-
-def gm_cohomology(lattice: GradedPoset, codim: dict, mode: str = "complex",
-                  limit: int | None = DEFAULT_ORACLE_LIMIT):
-    """Goresky-MacPherson cohomology of the complement; see GMOracle."""
-    return GMOracle(lattice, codim, mode=mode, limit=limit).cohomology()

@@ -20,13 +20,6 @@ class NotIndependent(Exception):
     """The two partial matrices fail rank additivity under join."""
 
 
-class FiberTooLarge(Exception):
-    """An undefined row is too big to enumerate its splits."""
-
-
-MAX_SPLIT_ROW = 12
-
-
 @dataclass(frozen=True)
 class Graph:
     """Simple graph on vertices 1..n with sorted edge pairs."""
@@ -439,14 +432,13 @@ class FiberData:
 
 def fiber_poset(graph: Graph, partition, k: int, m: int) -> FiberData:
     """All partial matrices over one partition, ranked by undefined count."""
-    mats = fiber_matrices(graph, partition, k, m)
-    by_label = {mat.label(): mat for mat in mats}
+    label_of = {mat: mat.label() for mat in fiber_matrices(graph, partition, k, m)}
     covers = []
-    for mat in mats:
+    for mat, lab in label_of.items():
         for block, t in mat.undefined():
             for vals in block_classes(len(block), k):
-                covers.append((fill_entry(mat, block, t, vals).label(),
-                               mat.label()))
+                covers.append((label_of[fill_entry(mat, block, t, vals)], lab))
+    by_label = {lab: mat for mat, lab in label_of.items()}
     poset = GradedPoset(list(by_label), covers,
                         {lab: by_label[lab].r_f for lab in by_label})
     return FiberData(poset, by_label)
@@ -483,6 +475,7 @@ class OrbitLattice:
             self.by_label.update(fiber.by_label)
             labels = fiber.poset.labels
             covers.extend((labels[lo], labels[hi]) for lo, hi in fiber.poset.covers)
+        label_of = {mat: lab for lab, mat in self.by_label.items()}
         for lo, hi in self.bond.covers:
             part, top = self.bond.labels[lo], self.bond.labels[hi]
             split = next(b for b in top if b not in part)
@@ -490,15 +483,12 @@ class OrbitLattice:
             for mat in fibers[top]:
                 if len(split) == 2 and None in mat.entries[row]:
                     continue
-                covers.append((restrict_matrix(mat, part).label(), mat.label()))
+                covers.append((label_of[restrict_matrix(mat, part)], label_of[mat]))
         rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
         self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
 
     def matrix(self, label) -> PartialMatrix:
         return self.by_label[label]
-
-    def join(self, la, lb) -> str:
-        return join_theta(self.by_label[la], self.by_label[lb]).label()
 
     def bottom_label(self) -> str:
         return empty_matrix(self.graph, self.k, self.m).label()
@@ -553,51 +543,15 @@ def sigma_canonical(theta: PartialMatrix, graph: Graph) -> PartialMatrix:
                          tuple(entries))
 
 
-def _connected_partitions(graph: Graph, vertices):
-    """Set partitions of ``vertices`` into graph-connected parts of size >= 2."""
-    verts = tuple(sorted(vertices))
-    if len(verts) > MAX_SPLIT_ROW:
-        raise FiberTooLarge(f"undefined row {verts} too large to split")
-    out = []
-    for part in set(_set_partitions(verts)):
-        if all(len(b) >= 2 and graph.connected_subset(b) for b in part):
-            out.append(part)
-    return sorted(out)
-
-
-def fiber_of(alpha: PartialMatrix, graph: Graph):
-    """All sigma-preimages: splits of the undefined rows of the canonical form."""
-    if sigma_canonical(alpha, graph) != alpha:
-        raise ValueError("fiber_of expects a canonical form")
-    undef_rows = [b for b, row in zip(alpha.rows(), alpha.entries)
-                  if all(e is None for e in row)]
-    kept_blocks = [b for b in alpha.partition if b not in undef_rows]
-    kept_entries = {b: row for b, row in zip(alpha.rows(), alpha.entries)
-                    if b not in undef_rows}
-    split_choices = [_connected_partitions(graph, b) for b in undef_rows]
-    out = []
-    for combo in product(*split_choices) if split_choices else [()]:
-        blocks = list(kept_blocks)
-        for split in combo:
-            blocks.extend(split)
-        partition = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        entries = []
-        for b in partition:
-            if len(b) < 2:
-                continue
-            entries.append(kept_entries.get(b, (None,) * alpha.m))
-        out.append(PartialMatrix(alpha.n, alpha.k, alpha.m, partition,
-                                 tuple(entries)))
-    return sorted(out, key=lambda mat: mat.label())
-
-
 class IntersectionLattice:
     """Image of sigma: canonical forms ordered by reverse subspace inclusion.
 
     By definition a <= b iff sigma(a v b) = b.  Sigma is extensive
     (theta <= sigma(theta)) and idempotent, so for canonical a and b
     that holds exactly when a <= b in the orbit lattice: the order is
-    the orbit order restricted to the canonical forms.
+    the orbit order restricted to the canonical forms.  ``sigma`` maps
+    every orbit-lattice label to the label of its canonical form, so a
+    sigma fiber is the preimage of one label.
 
     For k = 1 no pair of arrangement members can be incompatible, so
     only fully defined matrices are genuine intersections; undefined
@@ -605,16 +559,16 @@ class IntersectionLattice:
     """
 
     def __init__(self, lattice: OrbitLattice):
-        self.graph = lattice.graph
-        self.k, self.m = lattice.k, lattice.m
+        self.k = lattice.k
         self.sigma = {}
         mats = {}
         for lab, mat in lattice.by_label.items():
             can = sigma_canonical(mat, lattice.graph)
-            self.sigma[lab] = can.label()
+            can_lab = lab if can is mat else can.label()
+            self.sigma[lab] = can_lab
             if self.k == 1 and can.r_f:
                 continue
-            mats[can.label()] = can
+            mats[can_lab] = can
         self.by_label = mats
         labels = sorted(mats)
         pos = [lattice.poset.index[lab] for lab in labels]
@@ -623,13 +577,6 @@ class IntersectionLattice:
         covers = [(labels[i], labels[j]) for i, j in _covers_from_up(up)]
         self.codim = {lab: mats[lab].codim() for lab in labels}
         self.poset = GradedPoset(labels, covers, self.codim, strict=False)
-
-    def ambient(self) -> str:
-        return empty_matrix(self.graph, self.k, self.m).label()
-
-
-def build_intersection_lattice(graph: Graph, k: int, m: int) -> IntersectionLattice:
-    return IntersectionLattice(OrbitLattice(graph, k, m))
 
 
 # -- independence and the sign permutation ---------------------------------------

@@ -239,20 +239,6 @@ class OSAlgebra:
         return CellularForm(lat, g, ranks, diff)
 
 
-def nbc_basis(lattice: GradedPoset, atom_order=None) -> OSAlgebra:
-    """Build the OS-algebra of a geometric lattice; nbc depends on the order."""
-    return OSAlgebra(lattice, atom_order)
-
-
-def os_multiply(alg: OSAlgebra, a, b) -> dict:
-    """Product in the OS-algebra; inputs are monomials or dicts."""
-    if isinstance(a, tuple):
-        a = {a: 1}
-    if isinstance(b, tuple):
-        b = {b: 1}
-    return alg.multiply(a, b)
-
-
 class ComparisonReport:
     """Outcome of checking the cellular route against the nbc oracle."""
 

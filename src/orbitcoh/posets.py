@@ -174,27 +174,6 @@ class GradedPoset:
         self._mobius[key] = val
         return val
 
-    def chain_tuples(self, length: int) -> list[tuple[int, ...]]:
-        """All chains i_0 < i_1 < ... < i_length as index tuples."""
-        if length < 0:
-            return []
-        out: list[tuple[int, ...]] = []
-
-        def extend(chain: list[int]):
-            if len(chain) == length + 1:
-                out.append(tuple(chain))
-                return
-            last = chain[-1]
-            for j in self.mask_elements(self.up[last]):
-                if j != last:
-                    chain.append(j)
-                    extend(chain)
-                    chain.pop()
-
-        for i in range(self.n):
-            extend([i])
-        return out
-
 
 def build_poset(elements, covers, rank, strict: bool = True) -> GradedPoset:
     """Validated poset from labels, cover pairs and a rank list or map.
@@ -229,12 +208,6 @@ def product_poset(p: GradedPoset, q: GradedPoset) -> GradedPoset:
         for a in p.labels:
             covers.append(((a, q.labels[lo]), (a, q.labels[hi])))
     return GradedPoset(labels, covers, rank, strict=p.graded and q.graded)
-
-
-def enumerate_chains(poset: GradedPoset, length: int) -> list[tuple]:
-    """All chains p_0 < ... < p_length as label tuples, in index order."""
-    return [tuple(poset.labels[i] for i in chain)
-            for chain in poset.chain_tuples(length)]
 
 
 def chain_poset(length: int) -> GradedPoset:

@@ -52,25 +52,21 @@ class GradedBasisElement:
 
 
 class RingPresentation:
-    """Basis, degrees and structure constants of the cohomology ring."""
+    """Basis, degrees and structure constants; at m = 1 the basis and degrees only."""
 
-    def __init__(self, graph: Graph, k: int, m: int, mode: str = "complex",
-                 additive_only: bool = False):
+    def __init__(self, graph: Graph, k: int, m: int, mode: str = "complex"):
         if k < 1 or m < 1:
             raise ValueError("k and m must be positive")
         if mode not in ("complex", "real"):
             raise ValueError("mode must be 'complex' or 'real'")
         if mode == "real" and k != 2:
             raise ValueError("the real case is the fixed-point case k = 2")
-        if m == 1 and not additive_only:
-            raise UnsupportedM(
-                "the ring structure is proved only for m > 1; "
-                "pass additive_only=True for the additive data")
+        if mode == "real" and m == 1:
+            raise UnsupportedM("the real statement also needs m > 1")
         self.graph = graph
         self.k = k
         self.m = m
         self.mode = mode
-        self.additive_only = additive_only or m == 1
         self.bond = bond_lattice(graph)
         self.os = OSAlgebra(self.bond, edge_atom_order(graph))
         graded = sorted((self.degree_of(mat), mat.label(), mat)
@@ -128,8 +124,8 @@ class RingPresentation:
         ``phi_coords`` then gives the completion coordinates of every
         assignment pair.
         """
-        if self.additive_only:
-            raise UnsupportedM("additive-only presentation has no products")
+        if self.m == 1:
+            raise UnsupportedM("the ring structure is proved only for m > 1")
         bond, nbc, offset = self.bond, self.os.nbc, self.offset
         grading_of = {mat: g for g, mat in enumerate(self.matrices)}
         over: dict[int, list[int]] = {}
@@ -216,7 +212,7 @@ class RingPresentation:
             "gradings": {mat.label(): mat.to_json_dict() for mat in self.matrices},
             "poincare": self.poincare_polynomial(),
         }
-        if self.additive_only:
+        if self.m == 1:
             out["additive_only"] = True
         else:
             out["products"] = [[i, j, [[c, idx] for idx, c in sorted(entry.items())]]
@@ -228,20 +224,6 @@ class RingPresentation:
         atom = self.bond.labels[self.os.atoms[pos]]
         block = next(b for b in atom if len(b) == 2)
         return f"e{block[0]}-{block[1]}"
-
-
-def cohomology_presentation(graph: Graph, k: int, m: int,
-                            additive_only: bool = False) -> RingPresentation:
-    """Integral presentation; additive-only when m = 1 (with that flag)."""
-    return RingPresentation(graph, k, m, mode="complex",
-                            additive_only=additive_only)
-
-
-def real_gr_presentation(graph: Graph, m: int) -> RingPresentation:
-    """Associated graded ring of the real fixed-point case over Z/2."""
-    if m == 1:
-        raise UnsupportedM("the real statement also needs m > 1")
-    return RingPresentation(graph, 2, m, mode="real")
 
 
 class RingAxiomViolation(Exception):

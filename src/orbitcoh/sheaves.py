@@ -94,7 +94,7 @@ class _SheafBase:
         raise NotImplementedError
 
     def map(self, x, y) -> IntMatrix:
-        """Composed structure map for a comparable pair x <= y (labels)."""
+        """Composed structure map for labels x <= y: G(x) -> G(y), or F(y) -> F(x)."""
         i, j = self.base.index[x], self.base.index[y]
         return self.map_index(i, j)
 
@@ -130,9 +130,6 @@ class Copresheaf(_SheafBase):
     def _step_matrix(self, lo, hi, acc):
         return self.maps[(lo, hi)].mul(acc)
 
-    def extension(self, x, y) -> IntMatrix:
-        return self.map(x, y)
-
 
 class Presheaf(_SheafBase):
     """Contravariant assignment; restriction matrices go down covers."""
@@ -145,10 +142,6 @@ class Presheaf(_SheafBase):
     def _step_matrix(self, lo, hi, acc):
         # acc: F(lo) -> F(target of walk); extend to F(hi) by precomposing
         return acc.mul(self.maps[(lo, hi)])
-
-    def restriction(self, x, y) -> IntMatrix:
-        """Restriction F(y) -> F(x) for x <= y."""
-        return self.map(x, y)
 
 
 def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str,

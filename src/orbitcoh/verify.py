@@ -37,7 +37,6 @@ from .ring import (
     RingAxiomViolation,
     RingPresentation,
     check_ring_axioms,
-    cohomology_presentation,
 )
 from .sheaves import delta_sheaf
 
@@ -142,7 +141,7 @@ def verify_full(graph: Graph, k: int, m: int,
     if oracle_limit is not None and size > oracle_limit:
         raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
     lkm = build_lkm(graph, k, m)
-    pres = cohomology_presentation(graph, k, m, additive_only=(m == 1))
+    pres = RingPresentation(graph, k, m)
     inter = IntersectionLattice(lkm)
     bijective = len(inter.by_label) == lkm.poset.n
     if products is None:
@@ -244,7 +243,7 @@ def verify_full(graph: Graph, k: int, m: int,
                    f"({mismatches} mismatches)")
 
     # (c) ring axioms
-    if axioms and not pres.additive_only:
+    if axioms and m > 1:
         try:
             report.axiom_stats = check_ring_axioms(pres)
             report.add(True, "ring axioms hold "

@@ -19,15 +19,17 @@ from orbitcoh.cellular import (
     construct_cellular_form,
 )
 from orbitcoh.intlinalg import homology
-from orbitcoh.oracle import TorComplex, gm_cohomology
-from orbitcoh.orbit import Graph, bond_lattice, build_intersection_lattice, edge_atom_order
-from orbitcoh.osalg import nbc_basis, os_vs_cellular
-from orbitcoh.posets import GradedPoset, build_poset, moebius
-from orbitcoh.ring import (
-    check_ring_axioms,
-    cohomology_presentation,
-    real_gr_presentation,
+from orbitcoh.oracle import GMOracle, TorComplex
+from orbitcoh.orbit import (
+    Graph,
+    IntersectionLattice,
+    bond_lattice,
+    build_lkm,
+    edge_atom_order,
 )
+from orbitcoh.osalg import OSAlgebra, os_vs_cellular
+from orbitcoh.posets import GradedPoset, build_poset, moebius
+from orbitcoh.ring import RingPresentation, check_ring_axioms
 from orbitcoh.sheaves import Copresheaf, Presheaf, constant_sheaf, delta_sheaf
 from orbitcoh.verify import verify_full
 
@@ -86,7 +88,7 @@ def test_criterion_3_k1_reduction():
     """k = 1 gives the classical configuration space Poincare polynomial."""
     for n in (2, 3, 4):
         for m in (2, 3):
-            pres = cohomology_presentation(Graph.complete(n), 1, m)
+            pres = RingPresentation(Graph.complete(n), 1, m)
             assert pres.poincare_polynomial() == config_space_poincare(n, m)
     report(3, "k = 1 reduces to prod (1 + i t^(2m-1)) for n <= 4, m in {2, 3}")
 
@@ -99,7 +101,7 @@ def test_criterion_4_os_cross_check():
         bot = lat.labels[lat.minimum()]
         form = construct_cellular_form(lat, delta_sheaf(lat, [bot], 1, "co"))
         assert isinstance(form, CellularForm)
-        alg = nbc_basis(lat, edge_atom_order(graph))
+        alg = OSAlgebra(lat, edge_atom_order(graph))
         for lab in lat.labels:
             assert form.rank_of(lab) == alg.piece_rank(lab)
         assert sum(form.piece_ranks) == math.factorial(n)
@@ -228,7 +230,7 @@ def test_criterion_5_randomized_equivalence():
 def test_criterion_6_ring_axioms():
     """Graded commutativity and associativity for n = 2, 3 complete graphs."""
     for n in (2, 3):
-        pres = cohomology_presentation(Graph.complete(n), 2, 2)
+        pres = RingPresentation(Graph.complete(n), 2, 2)
         stats = check_ring_axioms(pres)
         assert stats["pairs"] == len(pres.basis) ** 2
     report(6, "graded commutativity and associativity on all pairs/triples")
@@ -236,10 +238,10 @@ def test_criterion_6_ring_axioms():
 
 def test_criterion_7_real_case():
     """Gr Poincare 1 + 9t over Z/2 equals real-mode oracle dimensions."""
-    pres = real_gr_presentation(Graph.complete(2), 2)
+    pres = RingPresentation(Graph.complete(2), 2, 2, "real")
     assert pres.poincare_polynomial() == [1, 9]
-    il = build_intersection_lattice(Graph.complete(2), 2, 2)
-    dims = gm_cohomology(il.poset, il.codim, mode="real")
+    il = IntersectionLattice(build_lkm(Graph.complete(2), 2, 2))
+    dims = GMOracle(il.poset, il.codim, mode="real").cohomology()
     top = max(dims)
     vec = [dims.get(d, 0) for d in range(top + 1)]
     assert vec == [1, 9]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -107,6 +108,23 @@ def test_ring_real(tmp_path):
                           "--mode", "real", "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["poincare"] == [1, 9]
+
+
+@pytest.mark.parametrize("graph,k,digest", [
+    ({"complete": 3}, 2,
+     "8bf7ac389079d2f6eff1782f667ac03e04184794ad7493a728b4f6024ec40311"),
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 3,
+     "8ff435585689e01d7603492d4ea444424e33a67344dfd69a139352c12fb0bc40"),
+], ids=["K3-k2", "P3-k3"])
+def test_betti_m1_json_is_pinned(tmp_path, graph, k, digest):
+    # the additive-only output at m = 1, recorded while the ring still
+    # carried a separate additive-only switch
+    g, out = tmp_path / "g.json", tmp_path / "b.json"
+    g.write_text(json.dumps(graph))
+    code, _, _ = run_cli(["betti", "--graph", str(g), "--k", str(k), "--m", "1",
+                          "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_ring_m1_unsupported():

@@ -15,8 +15,8 @@ from orbitcoh.oracle import (
 from orbitcoh.orbit import (
     Graph,
     bcp_form,
+    IntersectionLattice,
     bond_lattice,
-    build_intersection_lattice,
     build_lkm,
     fiber_poset,
     join_theta,
@@ -36,10 +36,10 @@ from orbitcoh.sheaves import (
 def test_sigma_pullback_of_ambient_delta():
     # pulling delta^M back along sigma gives delta^bottom on the orbit lattice
     lkm = build_lkm(Graph.complete(3), 2, 1)
-    inter = build_intersection_lattice(Graph.complete(3), 2, 1)
+    inter = IntersectionLattice(lkm)
     sig = PosetMorphism(lkm.poset, inter.poset,
                         {lab: inter.sigma[lab] for lab in lkm.poset.labels})
-    g = delta_sheaf(inter.poset, [inter.ambient()], 1, "co")
+    g = delta_sheaf(inter.poset, [inter.poset.labels[inter.poset.minimum()]], 1, "co")
     back = pullback(sig, g)
     bottom = lkm.bottom_label()
     for lab in lkm.poset.labels:
@@ -53,13 +53,13 @@ def test_sigma_induced_iso_noninjective():
     # glued element of K_4 whose fiber has four members
     graph = Graph.complete(4)
     lkm = build_lkm(graph, 2, 1)
-    inter = build_intersection_lattice(graph, 2, 1)
+    inter = IntersectionLattice(lkm)
     assert lkm.poset.n == 75 and inter.poset.n == 72
     sig = PosetMorphism(lkm.poset, inter.poset,
                         {lab: inter.sigma[lab] for lab in lkm.poset.labels})
     glued = next(lab for lab, mat in inter.by_label.items()
                  if mat.partition == ((1, 2, 3, 4),) and mat.r_f == 1)
-    g_dst = delta_sheaf(inter.poset, [inter.ambient()], 1, "co")
+    g_dst = delta_sheaf(inter.poset, [inter.poset.labels[inter.poset.minimum()]], 1, "co")
     f_dst = delta_sheaf(inter.poset, [glued], 1, "pre")
     t = canonical_fhom(sig, g_dst)
     k = canonical_fhom(sig, f_dst)
@@ -177,7 +177,7 @@ def test_sigma_is_join_morphism():
 
 
 def test_intersection_lattice_k1_is_bond_lattice():
-    il = build_intersection_lattice(Graph.complete(3), 1, 1)
+    il = IntersectionLattice(build_lkm(Graph.complete(3), 1, 1))
     bl = bond_lattice(Graph.complete(3))
     assert il.poset.n == bl.n
     ranks = sorted(il.codim.values())

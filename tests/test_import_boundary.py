@@ -1,4 +1,4 @@
-"""The closed form never reaches the oracle through package imports.
+"""The package's public names, and the closed form never reaching the oracle.
 
 ``orbitcoh/__init__.py`` imports every module, so importing ``orbit``
 loads ``oracle`` anyway; the boundary is checked statically instead, on
@@ -42,3 +42,25 @@ def test_closed_form_does_not_import_the_oracle():
     assert not closure & {"oracle", "verify"}, sorted(closure)
     # the check reads what it should: verify does reach the oracle
     assert "oracle" in import_closure(["verify"], graph)
+
+
+PUBLIC = [
+    "CellularForm", "ChainComplex", "Copresheaf", "FHom", "GMOracle",
+    "GradedPoset", "Graph", "HomologySummary", "IntMatrix", "NotCellular",
+    "OSAlgebra", "PartialMatrix", "Presheaf", "RingPresentation",
+    "TorComplex", "bond_lattice", "build_lkm", "build_poset", "cellular",
+    "cellular_chain", "construct_cellular_form", "delta_sheaf",
+    "form_morphism", "homology", "independence", "intlinalg", "join",
+    "join_theta", "kernel_basis", "moebius", "oracle", "orbit",
+    "os_vs_cellular", "osalg", "perm_sign", "phi_product", "posets",
+    "product_form", "product_poset", "pullback", "ring", "sheaves",
+    "smith_normal_form", "star_fhom", "verify", "verify_cellular_form",
+    "verify_full",
+]
+
+
+def test_public_names_are_pinned():
+    # one name per object: no alias or wrapper re-exports what another
+    # public name already builds
+    assert sorted(orbitcoh.__all__) == PUBLIC
+    assert len(PUBLIC) == 47

@@ -4,6 +4,7 @@ import pytest
 
 from orbitcoh.intlinalg import (
     ChainComplex,
+    ColumnSolver,
     HomologySummary,
     IntMatrix,
     InvalidComplex,
@@ -19,7 +20,6 @@ from orbitcoh.intlinalg import (
     rank_mod2,
     row_hermite,
     smith_normal_form,
-    solve_unique,
     unimodular_inverse,
 )
 
@@ -82,15 +82,15 @@ def test_snf_random_matrices():
 
 
 def test_solve_unique_examples():
-    assert solve_unique(IntMatrix(1, 1, [[2]]), [4]) == [2]
+    assert ColumnSolver(IntMatrix(1, 1, [[2]])).solve([4]) == [2]
     # 2x2 elimination: x + y = 2, x - y = 0
-    assert solve_unique(IntMatrix(2, 2, [[1, 1], [1, -1]]), [2, 0]) == [1, 1]
+    assert ColumnSolver(IntMatrix(2, 2, [[1, 1], [1, -1]])).solve([2, 0]) == [1, 1]
     with pytest.raises(NoIntegerSolution):
-        solve_unique(IntMatrix(1, 1, [[2]]), [3])
+        ColumnSolver(IntMatrix(1, 1, [[2]])).solve([3])
     with pytest.raises(NonUnique):
-        solve_unique(IntMatrix(1, 2, [[1, 1]]), [2])
+        ColumnSolver(IntMatrix(1, 2, [[1, 1]])).solve([2])
     with pytest.raises(NoIntegerSolution):
-        solve_unique(IntMatrix(2, 1, [[1], [1]]), [1, 2])
+        ColumnSolver(IntMatrix(2, 1, [[1], [1]])).solve([1, 2])
 
 
 def test_kernel_basis_examples():

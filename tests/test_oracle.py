@@ -21,7 +21,6 @@ from orbitcoh.oracle import (
     OracleTooLarge,
     TorComplex,
     cross_formal,
-    gm_cohomology,
     induced_chain_map,
     induced_homology_matrix,
     shuffles,
@@ -229,13 +228,13 @@ def test_gm_point_in_c2():
     # single subspace of complex codimension 2 inside C^2: complement is
     # homotopy equivalent to S^3
     lat = build_poset(["M", "pt"], [("M", "pt")], {"M": 0, "pt": 1})
-    coh = gm_cohomology(lat, {"M": 0, "pt": 2})
+    coh = GMOracle(lat, {"M": 0, "pt": 2}).cohomology()
     assert coh == {0: (1, ()), 3: (1, ())}
 
 
 def test_gm_empty_arrangement():
     lat = point_poset()
-    coh = gm_cohomology(lat, {"*": 0})
+    coh = GMOracle(lat, {"*": 0}).cohomology()
     assert coh == {0: (1, ())}
 
 
@@ -243,14 +242,14 @@ def test_gm_braid_arrangement_pi3():
     # braid arrangement in C^3: Poincare polynomial 1 + 3t + 2t^2
     p3 = partition_lattice(3)
     codim = {lab: p3.rank_of(lab) for lab in p3.labels}
-    coh = gm_cohomology(p3, codim)
+    coh = GMOracle(p3, codim).cohomology()
     assert coh == {0: (1, ()), 1: (3, ()), 2: (2, ())}
 
 
 def test_gm_real_mode_braid():
     p3 = partition_lattice(3)
     codim = {lab: p3.rank_of(lab) for lab in p3.labels}
-    dims = gm_cohomology(p3, codim, mode="real")
+    dims = GMOracle(p3, codim, mode="real").cohomology()
     # the real braid complement in R^3 is 3! contractible chambers
     assert dims == {0: 6}
 

@@ -17,11 +17,10 @@ from orbitcoh.orbit import (
     bcp_form,
     bcp_rank,
     block_classes,
+    IntersectionLattice,
     bond_lattice,
-    build_intersection_lattice,
     build_lkm,
     empty_matrix,
-    fiber_of,
     fiber_poset,
     fill_entry,
     independence,
@@ -35,7 +34,7 @@ from orbitcoh.orbit import (
     sigma_canonical,
     zero_class,
 )
-from orbitcoh.ring import cohomology_presentation
+from orbitcoh.ring import RingPresentation
 
 
 def test_bond_lattice_complete_is_partition_lattice():
@@ -146,7 +145,7 @@ def test_lkm_fibration_law():
 def test_intersection_order_is_sigma_of_join():
     # a <= b iff sigma(a v b) = b, on the canonical forms
     for graph, k, m in ORDER_CASES:
-        il = build_intersection_lattice(graph, k, m)
+        il = IntersectionLattice(build_lkm(graph, k, m))
         mats = [il.by_label[lab] for lab in il.poset.labels]
         _assert_order_is(il.poset, lambda i, j: sigma_canonical(
             join_theta(mats[i], mats[j]), graph) == mats[j])
@@ -174,7 +173,7 @@ def test_join_is_least_upper_bound_in_poset():
     p.require_join_semilattice()
     for la in p.labels:
         for lb in p.labels:
-            got = lkm.join(la, lb)
+            got = join_theta(lkm.matrix(la), lkm.matrix(lb)).label()
             want = p.labels[p.join_index(p.index[la], p.index[lb])]
             assert got == want
 
@@ -237,10 +236,17 @@ def test_sigma_respects_disconnected_graph():
     assert can == theta
 
 
+def _sigma_fiber(graph, alpha):
+    """The sigma-preimage of a canonical form, sorted by label."""
+    lkm = build_lkm(graph, alpha.k, alpha.m)
+    sigma = IntersectionLattice(lkm).sigma
+    return [lkm.matrix(lab) for lab in sorted(sigma) if sigma[lab] == alpha.label()]
+
+
 def test_fiber_of_four_element_row():
     g4 = Graph.complete(4)
     alpha = make_matrix(g4, 2, 1, [(1, 2, 3, 4)], [(None,)])
-    fib = fiber_of(alpha, g4)
+    fib = _sigma_fiber(g4, alpha)
     partitions = sorted(mat.partition for mat in fib)
     assert partitions == sorted([
         ((1, 2, 3, 4),),
@@ -253,7 +259,7 @@ def test_fiber_of_four_element_row():
 def test_fiber_of_fully_defined_is_singleton():
     g2 = Graph.complete(2)
     theta = make_matrix(g2, 2, 2, [(1, 2)], [((0, 1), (0, 0))])
-    assert fiber_of(sigma_canonical(theta, g2), g2) == [theta]
+    assert _sigma_fiber(g2, sigma_canonical(theta, g2)) == [theta]
 
 
 def test_codim_formula_random():
@@ -267,15 +273,15 @@ def test_codim_formula_random():
 
 
 def test_intersection_lattice_small():
-    il = build_intersection_lattice(Graph.complete(2), 2, 2)
+    il = IntersectionLattice(build_lkm(Graph.complete(2), 2, 2))
     assert il.poset.n == 10  # sigma is bijective for n = 2
-    assert il.ambient() == empty_matrix(Graph.complete(2), 2, 2).label()
-    il1 = build_intersection_lattice(Graph.complete(2), 1, 1)
+    assert il.poset.labels[il.poset.minimum()] == empty_matrix(Graph.complete(2), 2, 2).label()
+    il1 = IntersectionLattice(build_lkm(Graph.complete(2), 1, 1))
     assert il1.poset.n == 2
 
 
 def test_intersection_lattice_glues_k4():
-    il = build_intersection_lattice(Graph.complete(4), 2, 1)
+    il = IntersectionLattice(build_lkm(Graph.complete(4), 2, 1))
     lkm = build_lkm(Graph.complete(4), 2, 1)
     assert lkm.poset.n == 75
     # three pair-splits collapse onto the glued four-block element
@@ -379,7 +385,7 @@ def test_phi_product_matches_completion_joins(graph, k):
     # the entry-by-entry product against the definition, on every ordered
     # grading pair: zero exactly on dependent pairs, else the same join and
     # coordinates for every pair of basis tensors
-    mats = cohomology_presentation(graph, k, 2).matrices
+    mats = RingPresentation(graph, k, 2).matrices
     independent = 0
     for a, b in product(mats, repeat=2):
         j = join_theta(a, b)

@@ -7,8 +7,6 @@ from orbitcoh.osalg import (
     Mismatch,
     NotGeometric,
     OSAlgebra,
-    nbc_basis,
-    os_multiply,
     os_vs_cellular,
 )
 from orbitcoh.posets import build_poset, chain_poset
@@ -37,7 +35,7 @@ def edge_order(n):
 
 
 def test_boolean_ranks():
-    alg = nbc_basis(boolean_lattice_2())
+    alg = OSAlgebra(boolean_lattice_2())
     ranks = sorted(alg.piece_rank(x) for x in alg.lattice.labels)
     assert ranks == [1, 1, 1, 1]
     assert alg.total_rank() == 4  # (1, 2, 1) by degree
@@ -45,7 +43,7 @@ def test_boolean_ranks():
 
 def test_pi3_nbc_basis():
     p3 = partition_lattice(3)
-    alg = nbc_basis(p3, edge_order(3))
+    alg = OSAlgebra(p3, edge_order(3))
     # atom order pinned to e12 < e13 < e23
     degree2 = alg.nbc[top(3)]
     assert len(degree2) == 2
@@ -57,7 +55,7 @@ def test_pi3_nbc_basis():
 
 def test_pi4_rank_vector():
     p4 = partition_lattice(4)
-    alg = nbc_basis(p4)
+    alg = OSAlgebra(p4)
     by_rank = [0] * 4
     for x in p4.labels:
         by_rank[p4.rank_of(x)] += alg.piece_rank(x)
@@ -67,12 +65,12 @@ def test_pi4_rank_vector():
 
 def test_total_dimension_factorial():
     for n in (3, 4, 5):
-        assert nbc_basis(partition_lattice(n)).total_rank() == math.factorial(n)
+        assert OSAlgebra(partition_lattice(n)).total_rank() == math.factorial(n)
 
 
 def test_piece_rank_is_moebius():
     p4 = partition_lattice(4)
-    alg = nbc_basis(p4)
+    alg = OSAlgebra(p4)
     b = p4.index[bottom(4)]
     for x in p4.labels:
         assert alg.piece_rank(x) == abs(p4.mobius_index(b, p4.index[x]))
@@ -80,31 +78,31 @@ def test_piece_rank_is_moebius():
 
 def test_not_geometric():
     with pytest.raises(NotGeometric):
-        nbc_basis(chain_poset(2))
+        OSAlgebra(chain_poset(2))
 
 
 def test_multiply_unit_and_square():
     p3 = partition_lattice(3)
-    alg = nbc_basis(p3, edge_order(3))
+    alg = OSAlgebra(p3, edge_order(3))
     e12 = atom_of(p3, alg, ((1, 2), (3,)))
-    assert os_multiply(alg, (), (e12,)) == {(e12,): 1}
-    assert os_multiply(alg, (e12,), (e12,)) == {}
+    assert alg.multiply_monomials((), (e12,)) == {(e12,): 1}
+    assert alg.multiply_monomials((e12,), (e12,)) == {}
 
 
 def test_multiply_circuit_relation():
     # e13 * e23 = e12 e23 - e12 e13 via the triangle circuit
     p3 = partition_lattice(3)
-    alg = nbc_basis(p3, edge_order(3))
+    alg = OSAlgebra(p3, edge_order(3))
     e12 = atom_of(p3, alg, ((1, 2), (3,)))
     e13 = atom_of(p3, alg, ((1, 3), (2,)))
     e23 = atom_of(p3, alg, ((1,), (2, 3)))
-    got = os_multiply(alg, (e13,), (e23,))
+    got = alg.multiply_monomials((e13,), (e23,))
     assert got == {(e12, e23): 1, (e12, e13): -1}
 
 
 def test_graded_anticommutativity():
     p4 = partition_lattice(4)
-    alg = nbc_basis(p4)
+    alg = OSAlgebra(p4)
     monos = [m for x in p4.labels for m in alg.nbc[x]]
     for a in monos:
         for b in monos:

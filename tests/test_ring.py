@@ -10,10 +10,9 @@ from orbitcoh import jsonio
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
     RingAxiomViolation,
+    RingPresentation,
     UnsupportedM,
     check_ring_axioms,
-    cohomology_presentation,
-    real_gr_presentation,
 )
 
 
@@ -32,18 +31,18 @@ def config_poincare(n, m):
 
 
 def test_k2_poincare():
-    pres = cohomology_presentation(Graph.complete(2), 2, 2)
+    pres = RingPresentation(Graph.complete(2), 2, 2)
     assert pres.poincare_polynomial() == [1, 0, 0, 4, 4, 1]
 
 
 def test_k1_reduction():
-    pres = cohomology_presentation(Graph.complete(3), 1, 2)
+    pres = RingPresentation(Graph.complete(3), 1, 2)
     assert pres.poincare_polynomial() == [1, 0, 0, 3, 0, 0, 2]
     assert pres.poincare_polynomial() == config_poincare(3, 2)
 
 
 def test_degree_formula():
-    pres = cohomology_presentation(Graph.complete(3), 2, 2)
+    pres = RingPresentation(Graph.complete(3), 2, 2)
     for mat in pres.matrices:
         assert pres.degree_of(mat) == 3 * mat.r_b + mat.r_f
     # r_b = 1, r_f = 1, m = 2 gives degree 4
@@ -52,13 +51,13 @@ def test_degree_formula():
 
 
 def test_rank_formula_vs_piece_sizes():
-    pres = cohomology_presentation(Graph.path(3), 3, 2)
+    pres = RingPresentation(Graph.path(3), 3, 2)
     for g, mat in enumerate(pres.matrices):
         assert pres.piece_rank(g) == pres.rank_formula(mat)
 
 
 def test_unit_and_dependent_products():
-    pres = cohomology_presentation(Graph.complete(2), 2, 2)
+    pres = RingPresentation(Graph.complete(2), 2, 2)
     unit = pres.unit_index()
     for i in range(len(pres.basis)):
         assert pres.cup_basis(unit, i) == {i: 1}
@@ -71,7 +70,7 @@ def test_unit_and_dependent_products():
 
 
 def test_cup_lands_in_join_grading():
-    pres = cohomology_presentation(Graph.path(3), 2, 2)
+    pres = RingPresentation(Graph.path(3), 2, 2)
     for i, ei in enumerate(pres.basis):
         for j, ej in enumerate(pres.basis):
             prod = pres.cup_basis(i, j)
@@ -85,7 +84,7 @@ def test_cup_lands_in_join_grading():
 
 
 def test_ring_axioms_k2():
-    stats = check_ring_axioms(cohomology_presentation(Graph.complete(2), 2, 2))
+    stats = check_ring_axioms(RingPresentation(Graph.complete(2), 2, 2))
     assert stats["pairs"] == 100
 
 
@@ -102,7 +101,7 @@ def test_ring_axioms_k2():
 def test_axioms_catch_corrupted_products(edits, match):
     # P4 at k = 1 is the exterior algebra on its edges e1, e2, e3, with
     # basis 1, e1, e2, e3, e1e2, e1e3, e2e3, e1e2e3
-    pres = cohomology_presentation(Graph.path(4), 1, 2)
+    pres = RingPresentation(Graph.path(4), 1, 2)
     assert pres.cup_basis(1, 2) == {4: 1} and pres.cup_basis(1, 4) == {}
     pres.products.update(edits)
     with pytest.raises(RingAxiomViolation, match=match):
@@ -113,11 +112,11 @@ CORRUPT_UNIT = """
 import json, sys
 import orbitcoh.verify as verify
 from orbitcoh.orbit import Graph
-from orbitcoh.ring import RingAxiomViolation, check_ring_axioms, cohomology_presentation
+from orbitcoh.ring import RingAxiomViolation, RingPresentation, check_ring_axioms
 
 def corrupted(*args, **kwargs):
     # unit * e_1 = 2 e_1: one wrong structure constant
-    pres = cohomology_presentation(*args, **kwargs)
+    pres = RingPresentation(*args, **kwargs)
     unit = pres.unit_index()
     i = next(i for i in range(len(pres.basis)) if i != unit)
     pres.products[(unit, i)] = {i: 2}
@@ -128,7 +127,7 @@ try:
     raised = False
 except RingAxiomViolation:
     raised = True
-verify.cohomology_presentation = corrupted
+verify.RingPresentation = corrupted
 report = verify.verify_full(Graph.complete(2), 2, 2, products=False)
 print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
                   "ok": report.ok, "lines": report.lines}))
@@ -148,10 +147,8 @@ def test_ring_axioms_fire_under_optimize():
 
 
 def test_m1_requires_additive_flag():
-    with pytest.raises(UnsupportedM):
-        cohomology_presentation(Graph.complete(2), 2, 1)
-    pres = cohomology_presentation(Graph.complete(2), 2, 1, additive_only=True)
-    assert pres.additive_only
+    pres = RingPresentation(Graph.complete(2), 2, 1)
+    assert pres.to_json_dict()["additive_only"] is True
     with pytest.raises(UnsupportedM):
         pres.cup_basis(0, 0)
     # complement of the two hyperplanes x1 = +-x2 in C^2
@@ -159,17 +156,17 @@ def test_m1_requires_additive_flag():
 
 
 def test_real_presentation():
-    pres = real_gr_presentation(Graph.complete(2), 2)
+    pres = RingPresentation(Graph.complete(2), 2, 2, "real")
     assert pres.poincare_polynomial() == [1, 9]
     with pytest.raises(UnsupportedM):
-        real_gr_presentation(Graph.complete(2), 1)
+        RingPresentation(Graph.complete(2), 2, 1, "real")
     stats = check_ring_axioms(pres)
     assert stats["pairs"] == 100
     assert stats["triples"] == 190
 
 
 def test_real_products_mod2():
-    pres = real_gr_presentation(Graph.path(3), 2)
+    pres = RingPresentation(Graph.path(3), 2, 2, "real")
     for i in range(len(pres.basis)):
         for j in range(len(pres.basis)):
             for c in pres.cup_basis(i, j).values():
@@ -177,13 +174,12 @@ def test_real_products_mod2():
 
 
 def test_real_rejects_other_k():
-    from orbitcoh.ring import RingPresentation
     with pytest.raises(ValueError):
         RingPresentation(Graph.complete(2), 3, 2, mode="real")
 
 
 def test_json_export_shape():
-    pres = cohomology_presentation(Graph.complete(2), 2, 2)
+    pres = RingPresentation(Graph.complete(2), 2, 2)
     data = pres.to_json_dict()
     assert data["poincare"] == [1, 0, 0, 4, 4, 1]
     assert len(data["basis"]) == 10
@@ -211,9 +207,9 @@ def _export_digest(pres) -> str:
 def test_ring_json_is_pinned(graph, k, m, digest):
     # the full ring export (basis, gradings, products), recorded before the
     # product table was built per grading pair
-    assert _export_digest(cohomology_presentation(graph, k, m)) == digest
+    assert _export_digest(RingPresentation(graph, k, m)) == digest
 
 
 def test_real_ring_json_is_pinned():
-    assert _export_digest(real_gr_presentation(Graph.path(3), 2)) == (
+    assert _export_digest(RingPresentation(Graph.path(3), 2, 2, "real")) == (
         "869a1fe7d74d30e70f8999d10dac5528b8423bc4fb2f44ecbc37f98ef66f21da")

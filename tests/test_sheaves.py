@@ -71,9 +71,9 @@ def test_composed_maps_along_chain():
         (p.index["x1"], p.index["x2"]): IntMatrix(1, 1, [[3]]),
     }
     g = Copresheaf(p, [1, 1, 1], maps)
-    assert g.extension("x0", "x2") == IntMatrix(1, 1, [[6]])
+    assert g.map("x0", "x2") == IntMatrix(1, 1, [[6]])
     f = Presheaf(p, [1, 1, 1], maps)
-    assert f.restriction("x0", "x2") == IntMatrix(1, 1, [[6]])
+    assert f.map("x0", "x2") == IntMatrix(1, 1, [[6]])
 
 
 def test_pullback_identity_and_point():

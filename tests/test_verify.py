@@ -8,7 +8,7 @@ import pytest
 import orbitcoh.verify
 from orbitcoh.oracle import GMOracle, OracleTooLarge
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
-from orbitcoh.ring import cohomology_presentation
+from orbitcoh.ring import RingPresentation
 from orbitcoh.verify import braid_chain, theta_cycle, verify_full
 
 
@@ -25,7 +25,7 @@ def test_theta_cycles_are_pinned():
     # (k = 2), recorded before the chain builders shared one shuffle loop
     chains = []
     for graph, k in [(Graph.complete(2), 3), (Graph.path(3), 2)]:
-        pres = cohomology_presentation(graph, k, 2)
+        pres = RingPresentation(graph, k, 2)
         chains.append([sorted(c.items()) for c in _cycles(pres)])
     assert _digest(chains) == (
         "5f99339c6770b379a9fd7f175e12a4aea0caec735e37a42336ea0c7f2dae43c1")
@@ -35,7 +35,7 @@ def test_oracle_cups_are_pinned():
     # GMOracle.cup on the basis cycles of every ordered basis pair of K2
     # (k = 2), recorded before cup pushed its shuffles without a cross dict
     graph = Graph.complete(2)
-    pres = cohomology_presentation(graph, 2, 2)
+    pres = RingPresentation(graph, 2, 2)
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
     oracle = GMOracle(inter.poset, inter.codim)
     cycles = []
@@ -51,7 +51,7 @@ def test_oracle_cups_are_pinned():
 def test_braid_chain_has_one_chain_per_ordering():
     # r independent atoms give r! distinct partial-join chains, signed by
     # the permutation that orders them
-    pres = cohomology_presentation(Graph.complete(4), 1, 2)
+    pres = RingPresentation(Graph.complete(4), 1, 2)
     seen = set()
     for e in pres.basis:
         chains = braid_chain(pres, e.os_mono)
