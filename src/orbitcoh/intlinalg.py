@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, prod
 
 
 class NoIntegerSolution(Exception):
@@ -474,6 +475,35 @@ def hermite_coords(basis: list[list[int]], vec) -> list[int] | None:
         coords.append(q)
         j += 1
     return None if any(v[j:]) else coords
+
+
+def echelon_readoff(basis: list[list[int]]) -> tuple[int, dict[int, dict[int, int]]]:
+    """Coordinates over a row Hermite basis, read off its pivot columns.
+
+    Returns ``(d, cols)``: a vector v of the basis's lattice has
+    coordinates (sum over pivot columns p of v[p] * cols[p]) / d, exactly.
+    On the pivot columns the basis is an upper triangular matrix with
+    the pivots on its diagonal; when every pivot is 1 the reduction
+    above the pivots makes it the identity, so d = 1 and coordinate r is
+    v at the r-th pivot.  The map says nothing about membership: check
+    that separately.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    if all(row[p] == 1 for row, p in zip(basis, pivots)):
+        return 1, {p: {r: 1} for r, p in enumerate(pivots)}
+    # d times the inverse of the triangular block is its adjugate, so the
+    # forward substitution against d * e_r divides exactly
+    d = prod(row[p] for row, p in zip(basis, pivots))
+    cols = {}
+    for r, pr in enumerate(pivots):
+        col: list[int] = []
+        for s, p in enumerate(pivots):
+            acc = d * (s == r) - sum(basis[t][p] * col[t] for t in range(s))
+            col.append(acc // basis[s][p])
+        cols[pr] = col
+    g = gcd(d, *(x for col in cols.values() for x in col))
+    return d // g, {p: {s: x // g for s, x in enumerate(col) if x}
+                    for p, col in cols.items()}
 
 
 class ColumnSolver:

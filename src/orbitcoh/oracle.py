@@ -4,22 +4,24 @@ The chain K_*(P, G; F) has degree-n basis (p_0 < ... < p_n, b (x) c)
 with b a basis vector of G(p_0) and c one of F(p_n); its homology is
 Tor^P_*(F, G).  On top of it sit induced maps of f-homomorphisms, the
 Goresky-MacPherson sum over an intersection lattice, and one
-shuffle-and-push primitive, ``shuffle_push``: the shuffle product of two
-formal chains mapped elementwise into a poset.  It builds the shuffle
-cross product and the cup product (cross-then-star, in one pass), and
-the ``verify`` module builds its basis cycles with it.  Everything here
-exists to verify the closed-form ring elsewhere in the package, so it
-favors transparency over speed and refuses oversized posets.
+shuffle-and-push primitive, ``shuffle_tensor``: the shuffle products of
+chain pairs mapped elementwise into a poset, kept apart per pair.
+``shuffle_push`` weights it by the coefficients of two formal chains;
+the ``verify`` module builds its basis cycles with it, and the cup
+product (cross-then-star) pushes the chains of two whole batches of
+cycles through it once.  Everything here exists to verify the
+closed-form ring elsewhere in the package, so it favors transparency
+over speed and refuses oversized posets.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 
 from .intlinalg import (
     ChainComplex,
     IntMatrix,
-    hermite_coords,
+    echelon_readoff,
     homology,
     homology_mod2,
     HomologySummary,
@@ -67,6 +69,7 @@ class TorComplex:
             self.position.append({k: i for i, k in enumerate(keys)})
         self.ranks = [len(k) for k in self.keys]
         self._boundaries: dict[int, IntMatrix] = {}
+        self._columns: dict[int, list[list[tuple[int, int]]]] = {}
         self._complex: ChainComplex | None = None
         self._tor: dict[int, TorDegree] = {}
         self._homology: HomologySummary | None = None
@@ -173,6 +176,38 @@ class TorComplex:
     def formal(self, vec: list[int], n: int) -> dict:
         return {k: v for k, v in zip(self.keys[n], vec) if v}
 
+    def sparse(self, vec: list[int], n: int) -> dict[int, int]:
+        """A dense vector of degree n as {position: coefficient}."""
+        if len(vec) != self.rank(n):
+            raise ValueError("vector length mismatch")
+        return {p: c for p, c in enumerate(vec) if c}
+
+    def columns(self, n: int) -> list[list[tuple[int, int]]]:
+        """Boundary n as sparse columns of (row, value), made once and kept."""
+        if n not in self._columns:
+            bnd = self.boundary(n)
+            cols: list[list[tuple[int, int]]] = [[] for _ in range(bnd.cols)]
+            for r, row in enumerate(bnd.data):
+                for j, x in enumerate(row):
+                    if x:
+                        cols[j].append((r, x))
+            self._columns[n] = cols
+        return self._columns[n]
+
+    def check_cycles(self, n: int, vecs) -> None:
+        """Raise NotCycle unless every sparse vector of degree n is closed.
+
+        One pass of the sparse boundary columns over the whole batch.
+        """
+        cols = self.columns(n)
+        for vec in vecs:
+            acc: dict[int, int] = {}
+            for p, c in vec.items():
+                for r, x in cols[p]:
+                    acc[r] = acc.get(r, 0) + c * x
+            if any(acc.values()):
+                raise NotCycle(f"representative in degree {n} is not closed")
+
     def tor(self, n: int) -> "TorDegree":
         if n not in self._tor:
             self._tor[n] = TorDegree(self, n)
@@ -185,50 +220,93 @@ class TorDegree:
     Classes are compared through canonical coordinates: cycle
     coefficients over the Hermite basis of the kernel lattice, normalized
     modulo the boundary image via Smith form.  The kernel is saturated,
-    so a vector has kernel coordinates exactly when it is a cycle.
+    so every cycle has integer coordinates over it, read off its entries
+    at the basis's pivot columns.  That read-off composed with the Smith
+    transform is one fixed sparse map from chain positions to class
+    coordinates.  Rows of the transform whose invariant factor is 1
+    always read 0, so the map keeps only the torsion and free rows, and a
+    degree without homology needs no kernel basis and no transform.
     """
 
     def __init__(self, complex_: TorComplex, n: int):
         self.complex = complex_
         self.n = n
-        self.kernel = complex_.chain_complex().reduction(n).kernel
-        z = len(self.kernel)
-        bnd = complex_.boundary(n + 1)
-        img_coords = [self.kernel_coords(col)
-                      for col in map(bnd.column, range(bnd.cols)) if any(col)]
-        if img_coords:
-            y = IntMatrix.from_rows([list(c) for c in zip(*img_coords)], len(img_coords)) \
-                if z else IntMatrix(0, len(img_coords))
-            u, d, _ = smith_normal_form(y)
-            self._u = u
-            self.invariants = [d.data[i][i] for i in range(min(d.rows, d.cols))
-                               if d.data[i][i]]
-        else:
-            self._u = IntMatrix.identity(z)
-            self.invariants = []
+        cx = complex_.chain_complex()
+        # the image sits in the saturated kernel with the invariant
+        # factors of the next boundary
+        self.invariants = cx.reduction(n + 1).divisors
+        z = complex_.rank(n) - len(cx.reduction(n).divisors)
         self.betti = z - len(self.invariants)
         self.torsion = tuple(t for t in self.invariants if t > 1)
+        self._moduli = self.invariants + [0] * self.betti
 
-    def kernel_coords(self, vec: list[int]) -> list[int]:
-        """Coordinates of a cycle over the kernel basis; NotCycle otherwise."""
-        if len(vec) != self.complex.rank(self.n):
-            raise ValueError("vector length mismatch")
-        coords = hermite_coords(self.kernel, vec)
-        if coords is None:
-            raise NotCycle(f"representative in degree {self.n} is not closed")
-        return coords
+    @cached_property
+    def kernel(self) -> list[list[int]]:
+        return self.complex.chain_complex().reduction(self.n).kernel
 
-    def class_coords(self, vec: list[int]) -> tuple[int, ...]:
-        """Canonical coordinates of a cycle's homology class."""
-        y = self.kernel_coords(vec)
-        w = self._u.apply(y)
+    @cached_property
+    def _readoff(self) -> tuple[int, dict[int, dict[int, int]]]:
+        return echelon_readoff(self.kernel)
+
+    @cached_property
+    def _u(self) -> IntMatrix:
+        """Left transform of the Smith form of the image in kernel coordinates."""
+        z = len(self.kernel)
+        images = [dict(col) for col in self.complex.columns(self.n + 1) if col]
+        self.complex.check_cycles(self.n, images)
+        y = IntMatrix.from_cols([self.kernel_coords(col) for col in images], z)
+        u, d, _ = smith_normal_form(y)
+        if [d.data[i][i] for i in range(min(d.rows, d.cols)) if d.data[i][i]] \
+                != self.invariants:
+            raise AssertionError("Smith form of the image disagrees with the boundary")
+        return u
+
+    @cached_property
+    def _map(self) -> dict[int, list[tuple[int, int]]]:
+        """Position -> [(class row, coefficient)], on the torsion and free rows."""
+        keep = [i for i, t in enumerate(self._moduli) if t != 1]
+        if not keep:
+            return {}
+        rows = self._u.data
+        out = {}
+        for p, col in self._readoff[1].items():
+            entries = [(i, x) for i in keep
+                       if (x := sum(rows[i][r] * c for r, c in col.items()))]
+            if entries:
+                out[p] = entries
+        return out
+
+    def kernel_coords(self, vec: dict[int, int]) -> list[int]:
+        """Coordinates over the kernel basis of a sparse cycle.
+
+        The caller has checked that ``vec`` is closed; the read-off is
+        meaningless otherwise.
+        """
+        d, readoff = self._readoff
+        acc = [0] * len(self.kernel)
+        for p, c in vec.items():
+            for r, x in readoff.get(p, {}).items():
+                acc[r] += c * x
+        return [x // d for x in acc]
+
+    def class_coords(self, vecs) -> list[tuple[int, ...]]:
+        """Canonical class coordinates of a batch of sparse cycles.
+
+        One batched boundary product checks that every vector is closed
+        (NotCycle otherwise); then the fixed sparse map reads each one.
+        """
+        self.complex.check_cycles(self.n, vecs)
+        cmap = self._map
+        d = self._readoff[0] if cmap else 1
         out = []
-        for i, x in enumerate(w):
-            if i < len(self.invariants):
-                out.append(x % self.invariants[i])
-            else:
-                out.append(x)
-        return tuple(out)
+        for vec in vecs:
+            acc = [0] * len(self._moduli)
+            for p, c in vec.items():
+                for i, x in cmap.get(p, ()):
+                    acc[i] += c * x
+            out.append(tuple(x // d % t if t else x // d
+                             for x, t in zip(acc, self._moduli)))
+        return out
 
     def free_generators(self) -> list[list[int]]:
         """Cycle representatives of a basis of the free part."""
@@ -291,10 +369,9 @@ def induced_homology_matrix(src: TorComplex, dst: TorComplex, k: FHom, t: FHom,
     push = induced_chain_map(src, dst, k, t)
     src_tor = src.tor(n)
     dst_tor = dst.tor(n)
-    cols = []
-    for gen in src_tor.free_generators():
-        image = dst.vector(push(src.formal(gen, n)), n)
-        cols.append(list(dst_tor.class_coords(image)))
+    images = [dst.sparse(dst.vector(push(src.formal(gen, n)), n), n)
+              for gen in src_tor.free_generators()]
+    cols = [list(c) for c in dst_tor.class_coords(images)]
     return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants)) \
         if cols else IntMatrix(dst_tor.betti + len(dst_tor.invariants), 0)
 
@@ -329,40 +406,40 @@ def shuffles(p: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], .
     return tuple(out)
 
 
-def shuffle_push(x: dict, y: dict, pair) -> dict:
-    """Shuffle product of two formal chains, pushed forward along ``pair``.
+def shuffle_tensor(us, vs, pair) -> dict:
+    """Shuffle products of chain pairs pushed forward along ``pair``, kept apart.
 
-    ``x`` and ``y`` map chains (tuples) to coefficients.  Each chain pair
-    (u, v) and (p, q)-shuffle path contributes sign * x[u] * y[v] at the
-    chain ``pair(u[a], v[b])`` over the path's steps (a, b); images that
-    repeat an element are degenerate and dropped.
+    For chains (tuples) u in ``us`` and v in ``vs``, each (p, q)-shuffle
+    path contributes its sign at the chain ``pair(u[a], v[b])`` over the
+    path's steps (a, b); images that repeat an element are degenerate and
+    dropped.  Returns {(u, v): {image: coefficient}}, without the pairs
+    whose push vanishes.
     """
     out: dict = {}
-    for u, cu in x.items():
-        for v, cv in y.items():
+    for u in us:
+        for v in vs:
+            pushed: dict = {}
             for path, sign in shuffles(len(u) - 1, len(v) - 1):
                 image = tuple(pair(u[a], v[b]) for a, b in path)
                 if len(set(image)) == len(image):
-                    out[image] = out.get(image, 0) + sign * cu * cv
-    return {k: c for k, c in out.items() if c}
+                    pushed[image] = pushed.get(image, 0) + sign
+            if pushed := {k: c for k, c in pushed.items() if c}:
+                out[u, v] = pushed
+    return out
 
 
-def cross_formal(x: dict, y: dict, g2, f2) -> dict:
-    """Shuffle cross product of formal K-chains over the product poset.
+def shuffle_push(x: dict, y: dict, pair) -> dict:
+    """Shuffle product of two formal chains, pushed forward along ``pair``.
 
-    ``g2`` and ``f2`` are the sheaves of the second factor, needed to
-    flatten tensor-basis indices row-major (first factor major).
+    ``x`` and ``y`` map chains (tuples) to coefficients; the product is
+    ``shuffle_tensor`` over their chains, weighted by x[u] * y[v].
     """
     out: dict = {}
-    for (lab1, g1i, f1i), c1 in x.items():
-        for (lab2, g2i, f2i), c2 in y.items():
-            gflat = g1i * g2.rank_of(lab2[0]) + g2i
-            fflat = f1i * f2.rank_of(lab2[-1]) + f2i
-            pushed = shuffle_push({lab1: c1}, {lab2: c2}, lambda a, b: (a, b))
-            for chain, c in pushed.items():
-                key = (chain, gflat, fflat)
-                out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v}
+    for (u, v), pushed in shuffle_tensor(x, y, pair).items():
+        cu = x[u] * y[v]
+        for image, c in pushed.items():
+            out[image] = out.get(image, 0) + c * cu
+    return {k: c for k, c in out.items() if c}
 
 
 # -- Goresky-MacPherson oracle ------------------------------------------------
@@ -391,7 +468,7 @@ class GMOracle:
         self.delta_m = delta_sheaf(lattice, [self.ambient], 1, "co")
         self._complexes: dict = {}
         self._star_checked: set = set()
-        self._cycles_checked: set = set()
+        self._join = partial(join, lattice)
 
     def complex_at(self, x) -> TorComplex:
         if x not in self._complexes:
@@ -444,36 +521,74 @@ class GMOracle:
                         f"smaller element below ({x}, {y})")
         self._star_checked.add(key)
 
-    def cup(self, x, nx: int, vx: list[int], y, ny: int, vy: list[int]):
-        """Cross-then-star cup product of two Tor classes, in one pass.
+    def cup_block(self, x, nx: int, xs: list[dict], y, ny: int, ys: list[dict]):
+        """Cross-then-star products of two batches of cycles, in one push.
 
-        Inputs are cycle vectors in the complexes at x and y; the result
-        is (x v y, degree, cycle vector) with the zero vector when the
-        codimension condition fails.  The star map is the identity on the
-        rank-1 delta sheaves at ((M, M)) and ((x, y)), so each shuffle of
-        the two label chains goes straight to its chain of joins, and
-        degenerate images vanish.  Both inputs (on first use) and the image
-        must have kernel coordinates; a chain that is not closed raises NotCycle.
+        ``xs`` and ``ys`` are cycles, as sparse vectors {position:
+        coefficient}, in degrees nx and ny of the complexes at x and y; the
+        caller has checked that they are closed.  Returns (x v y, degree,
+        products) with products[a][b] the sparse vector of xs[a] * ys[b],
+        or None when the codimensions of x and y do not add: the product
+        is then zero by definition and nothing is pushed.
+
+        The star map is the identity on the rank-1 delta sheaves at ((M, M))
+        and ((x, y)), so each shuffle of two label chains goes straight to
+        its chain of joins, and degenerate images vanish.  The product is
+        bilinear in chain coordinates: the union of the chains of xs and of
+        ys is pushed through ``shuffle_tensor`` once, and the tensor is
+        contracted with each side's coefficients.  The images are not yet
+        checked; ``TorDegree.class_coords`` checks them as it reads them.
         """
-        for z, nz, vz in ((x, nx, vx), (y, ny, vy)):
-            key = (z, nz, tuple(vz))
-            if key not in self._cycles_checked:
-                self.complex_at(z).tor(nz).kernel_coords(vz)
-                self._cycles_checked.add(key)
-        kx, ky = self.complex_at(x), self.complex_at(y)
         xy = join(self.lattice, x, y)
-        target = self.complex_at(xy)
         n = nx + ny
         if self.codim[x] + self.codim[y] != self.codim[xy]:
-            return xy, n, [0] * target.rank(n)
+            return xy, n, None
         self._check_star_minimal(x, y, xy)
-        star = shuffle_push(
-            {lab: c for (lab, _, _), c in kx.formal(vx, nx).items()},
-            {lab: c for (lab, _, _), c in ky.formal(vy, ny).items()},
-            partial(join, self.lattice))
-        vec = target.vector({(chain, 0, 0): c for chain, c in star.items()}, n)
-        target.tor(n).kernel_coords(vec)
+        kx, ky, target = self.complex_at(x), self.complex_at(y), self.complex_at(xy)
+        pos = target.position[n] if n < len(target.position) else {}
+        x_chains = {kx.keys[nx][p][0]: p for vec in xs for p in vec}
+        y_chains = {ky.keys[ny][p][0]: p for vec in ys for p in vec}
+        # star[pu]: (pv, [(target position, coefficient)]) per chain pair
+        star: dict[int, list] = {}
+        for (u, v), pushed in shuffle_tensor(x_chains, y_chains, self._join).items():
+            star.setdefault(x_chains[u], []).append(
+                (y_chains[v], [(pos[(image, 0, 0)], c) for image, c in pushed.items()]))
+        products = []
+        for xa in xs:
+            row = []
+            for yb in ys:
+                acc: dict[int, int] = {}
+                for pu, cu in xa.items():
+                    for pv, pushed in star.get(pu, ()):
+                        cv = yb.get(pv)
+                        if cv:
+                            for t, c in pushed:
+                                acc[t] = acc.get(t, 0) + c * cu * cv
+                row.append({t: c for t, c in acc.items() if c})
+            products.append(row)
+        return xy, n, products
+
+    def cup(self, x, nx: int, vx: list[int], y, ny: int, vy: list[int]):
+        """Cup product of two Tor classes: the 1x1 view of ``cup_block``.
+
+        Inputs are dense cycle vectors in the complexes at x and y; the
+        result is (x v y, degree, dense cycle vector), the zero vector when
+        the codimension condition fails.  Both inputs and the image are
+        checked; a chain that is not closed raises NotCycle.
+        """
+        kx, ky = self.complex_at(x), self.complex_at(y)
+        sx, sy = kx.sparse(vx, nx), ky.sparse(vy, ny)
+        kx.check_cycles(nx, [sx])
+        ky.check_cycles(ny, [sy])
+        xy, n, products = self.cup_block(x, nx, [sx], y, ny, [sy])
+        target = self.complex_at(xy)
+        vec = [0] * target.rank(n)
+        if products is not None:
+            target.check_cycles(n, products[0])
+            for p, c in products[0][0].items():
+                vec[p] = c
         return xy, n, vec
 
     def class_coords(self, x, n: int, vec: list[int]) -> tuple[int, ...]:
-        return self.complex_at(x).tor(n).class_coords(vec)
+        kc = self.complex_at(x)
+        return kc.tor(n).class_coords([kc.sparse(vec, n)])[0]

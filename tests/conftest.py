@@ -2,13 +2,15 @@
 
 Built directly from set partitions and refinement, with no imports from
 the package's lattice code, so cross-checks against it are meaningful.
-Also the environment for tests that run the CLI in a subprocess.
+Also the environment for tests that run the CLI in a subprocess, and a
+reference shuffle cross product of formal K-chains.
 """
 
 import os
 from pathlib import Path
 
 import orbitcoh
+from orbitcoh.oracle import shuffle_push
 from orbitcoh.posets import GradedPoset
 
 
@@ -66,3 +68,21 @@ def bottom(n: int):
 
 def top(n: int):
     return (tuple(range(1, n + 1)),)
+
+
+def cross_formal(x: dict, y: dict, g2, f2) -> dict:
+    """Shuffle cross product of formal K-chains over the product poset.
+
+    ``g2`` and ``f2`` are the sheaves of the second factor, needed to
+    flatten tensor-basis indices row-major (first factor major).
+    """
+    out: dict = {}
+    for (lab1, g1i, f1i), c1 in x.items():
+        for (lab2, g2i, f2i), c2 in y.items():
+            gflat = g1i * g2.rank_of(lab2[0]) + g2i
+            fflat = f1i * f2.rank_of(lab2[-1]) + f2i
+            pushed = shuffle_push({lab1: c1}, {lab2: c2}, lambda a, b: (a, b))
+            for chain, c in pushed.items():
+                key = (chain, gflat, fflat)
+                out[key] = out.get(key, 0) + c
+    return {k: v for k, v in out.items() if v}

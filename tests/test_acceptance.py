@@ -10,8 +10,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from conftest import subprocess_env
 from orbitcoh.cellular import (
     CellularForm,
@@ -28,9 +26,9 @@ from orbitcoh.orbit import (
     edge_atom_order,
 )
 from orbitcoh.osalg import OSAlgebra, os_vs_cellular
-from orbitcoh.posets import GradedPoset, build_poset, moebius
+from orbitcoh.posets import build_poset, moebius
 from orbitcoh.ring import RingPresentation, check_ring_axioms
-from orbitcoh.sheaves import Copresheaf, Presheaf, constant_sheaf, delta_sheaf
+from orbitcoh.sheaves import Copresheaf, constant_sheaf, delta_sheaf
 from orbitcoh.verify import verify_full
 
 

@@ -24,9 +24,8 @@ from orbitcoh.posets import (
     chain_poset,
     identity_morphism,
     join_morphism,
-    product_poset,
 )
-from orbitcoh.sheaves import FHom, canonical_fhom, constant_sheaf, delta_sheaf
+from orbitcoh.sheaves import FHom, constant_sheaf, delta_sheaf
 
 
 def star_poset(num_atoms):

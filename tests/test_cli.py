@@ -145,6 +145,34 @@ def test_verify_complete2():
     assert "PASS" in text and "FAIL" not in text
 
 
+@pytest.mark.parametrize("graph,k,digest", [
+    ({"complete": 2}, 2,
+     "7937cbe563db54d5d4beffcc3c3b363befcf588185bc7e35d76f867f73cbaf9f"),
+    ({"complete": 2}, 3,
+     "83df52158d2c9cc6697dfc460a0cd8e1a9699604ac167eec3712501d7fa54a9b"),
+    ({"complete": 2}, 4,
+     "062332e661953f3da309c86e660d100d0fd4f5bd54ddbc3eaa566777c0724e72"),
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2,
+     "32b725bee6ff57a3a4186c375ae6a6fe3aac0e18ed0cc49aff41fa26e2992253"),
+    ({"complete": 3}, 2,
+     "9e1157232f719aeb5ddefb1fa5d491053de2a4c5c856822a4e28870d66a8b8de"),
+], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2"])
+def test_verify_json_is_pinned(tmp_path, graph, k, digest):
+    # recorded while the products were still compared one basis pair at
+    # a time
+    out = tmp_path / "v.json"
+    if "complete" in graph:
+        source = ["--complete", str(graph["complete"])]
+    else:
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        source = ["--graph", str(g)]
+    code, _, _ = run_cli(["verify", *source, "--k", str(k), "--m", "2",
+                          "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_verify_oracle_limit():
     code, _, err = run_cli(["verify", "--complete", "3", "--k", "3", "--m", "2",
                             "--oracle-limit", "50"])

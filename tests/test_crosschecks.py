@@ -4,12 +4,11 @@ import random
 
 import pytest
 
+from conftest import cross_formal
 from orbitcoh.cellular import CellularForm, construct_cellular_form, verify_cellular_form
 from orbitcoh.intlinalg import HomologySummary, IntMatrix, elementary_divisors
 from orbitcoh.oracle import (
     TorComplex,
-    cross_formal,
-    induced_chain_map,
     induced_homology_matrix,
 )
 from orbitcoh.orbit import (
@@ -109,7 +108,7 @@ def test_cross_degree_zero():
 
 def test_oracle_cup_associative_braid():
     from orbitcoh.oracle import GMOracle
-    from conftest import partition_lattice, top
+    from conftest import partition_lattice
     p4 = partition_lattice(4)
     codim = {lab: p4.rank_of(lab) for lab in p4.labels}
     orc = GMOracle(p4, codim)

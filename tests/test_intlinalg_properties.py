@@ -21,7 +21,9 @@ from orbitcoh.intlinalg import (
     IntMatrix,
     NoIntegerSolution,
     UnitReduction,
+    echelon_readoff,
     elementary_divisors,
+    hermite_coords,
     kernel_basis,
     row_hermite,
     smith_normal_form,
@@ -125,6 +127,35 @@ def test_sparse_kernel_and_divisors_match_smith_reference(a):
     trailing = [v.column(j) for j in range(rank, a.cols)]
     assert kernel_basis(a) == row_hermite(trailing, a.cols)
     assert elementary_divisors(a) == [d.data[i][i] for i in range(rank)]
+
+
+def readoff(basis, vec):
+    d, cols = echelon_readoff(basis)
+    acc = [0] * len(basis)
+    for p, col in cols.items():
+        for r, x in col.items():
+            acc[r] += vec[p] * x
+    assert all(x % d == 0 for x in acc)
+    return [x // d for x in acc]
+
+
+def test_readoff_of_non_unit_pivots():
+    # the saturated kernel of [1 -2] has Hermite basis (2, 1), pivot 2
+    assert echelon_readoff([[2, 1]]) == (2, {0: {0: 1}})
+    basis = [[2, 1, 3], [0, 3, 1]]
+    d, cols = echelon_readoff(basis)
+    assert d == 6 and set(cols) == {0, 1}
+    assert readoff(basis, [2 * 5 + 0, 5 - 3 * 2, 15 - 2]) == [5, -2]
+
+
+@laws
+@given(st.lists(st.lists(entries, min_size=5, max_size=5), max_size=4), st.data())
+def test_readoff_matches_hermite_coords(gens, data):
+    basis = row_hermite(gens, 5)
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=len(basis),
+                                max_size=len(basis)))
+    vec = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(5)]
+    assert readoff(basis, vec) == hermite_coords(basis, vec) == coords
 
 
 def test_kernel_of_matrix_without_rows_is_identity():

@@ -5,10 +5,9 @@ import sys
 
 import pytest
 
-from conftest import bottom, partition_lattice, subprocess_env, top
+from conftest import bottom, cross_formal, partition_lattice, subprocess_env, top
 from orbitcoh.intlinalg import IntMatrix
 from orbitcoh.posets import (
-    GradedPoset,
     PosetMorphism,
     build_poset,
     chain_poset,
@@ -20,7 +19,6 @@ from orbitcoh.oracle import (
     NotCycle,
     OracleTooLarge,
     TorComplex,
-    cross_formal,
     induced_chain_map,
     induced_homology_matrix,
     shuffles,
@@ -32,7 +30,6 @@ from orbitcoh.sheaves import (
     delta_sheaf,
     product_sheaf,
     pullback,
-    star_fhom,
 )
 
 

@@ -11,7 +11,6 @@ from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
     Graph,
     NotIndependent,
-    OrbitLattice,
     bcp_assignments,
     bcp_boundary,
     bcp_form,

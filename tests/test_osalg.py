@@ -4,7 +4,6 @@ import pytest
 
 from conftest import bottom, partition_lattice, top
 from orbitcoh.osalg import (
-    Mismatch,
     NotGeometric,
     OSAlgebra,
     os_vs_cellular,

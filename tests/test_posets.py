@@ -7,7 +7,6 @@ from conftest import bottom, partition_lattice, top
 from orbitcoh.oracle import TorComplex
 from orbitcoh.posets import (
     Cyclic,
-    GradedPoset,
     NotComparable,
     NotGraded,
     NotSemilattice,

@@ -3,7 +3,6 @@ import pytest
 from conftest import bottom, partition_lattice, top
 from orbitcoh.intlinalg import IntMatrix
 from orbitcoh.posets import (
-    GradedPoset,
     PosetMorphism,
     build_poset,
     chain_poset,

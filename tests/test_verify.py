@@ -1,13 +1,18 @@
-"""Oracle-side formal chains: pinned basis cycles and cup products."""
+"""Oracle-side formal chains and the product check: pinned basis cycles and
+cup products, corrupted structure constants, and where the oracle works."""
 
 import hashlib
+import sys
+from itertools import product
 from math import factorial
 
 import pytest
 
+import orbitcoh.oracle
 import orbitcoh.verify
-from orbitcoh.oracle import GMOracle, OracleTooLarge
+from orbitcoh.oracle import GMOracle, OracleTooLarge, TorDegree
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
+from orbitcoh.posets import join
 from orbitcoh.ring import RingPresentation
 from orbitcoh.verify import braid_chain, theta_cycle, verify_full
 
@@ -80,3 +85,104 @@ def test_size_guard_counts_the_lattice():
             verify_full(graph, k, m, oracle_limit=0)
         assert str(exc.value) == (
             f"orbit lattice has {build_lkm(graph, k, m).poset.n} elements, limit 0")
+
+
+def _additive(inter, x, y) -> bool:
+    return inter.codim[x] + inter.codim[y] == inter.codim[join(inter.poset, x, y)]
+
+
+def _product_line(report) -> tuple[bool, int]:
+    line = next(l for l in report.lines if " cup products match the oracle on " in l)
+    return line.startswith("PASS "), int(line.rsplit("(", 1)[1].split()[0])
+
+
+def _corrupt(monkeypatch, pair, entry):
+    honest = RingPresentation.cup_basis
+
+    def cup_basis(self, i, j):
+        return dict(entry) if (i, j) == pair else honest(self, i, j)
+
+    monkeypatch.setattr(RingPresentation, "cup_basis", cup_basis)
+
+
+def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
+    # one structure constant of a nonzero product of two positive-degree
+    # classes, off by one; the ring axioms read the table, not cup_basis
+    graph = Graph.path(3)
+    pres = RingPresentation(graph, 2, 2)
+    inter = IntersectionLattice(build_lkm(graph, 2, 2))
+    unit = pres.unit_index()
+    (i, j), entry = next(((i, j), e) for (i, j), e in sorted(pres.products.items())
+                         if unit not in (i, j))
+    assert _additive(inter, pres.basis[i].theta, pres.basis[j].theta)
+    idx = min(entry)
+    _corrupt(monkeypatch, (i, j), {**entry, idx: entry[idx] + 1})
+    report = verify_full(graph, 2, 2)
+    passed, mismatches = _product_line(report)
+    assert report.ok is False and not passed and mismatches >= 1
+
+
+def test_corrupt_constant_in_zero_block_is_caught(monkeypatch):
+    # the square of a class of positive codimension is zero by the
+    # codimension condition alone; the closed form now claims otherwise
+    graph = Graph.path(3)
+    pres = RingPresentation(graph, 2, 2)
+    inter = IntersectionLattice(build_lkm(graph, 2, 2))
+    i = next(i for i, e in enumerate(pres.basis) if e.degree)
+    theta = pres.basis[i].theta
+    assert not _additive(inter, theta, theta) and not pres.cup_basis(i, i)
+    _corrupt(monkeypatch, (i, i), {i: 1})
+    report = verify_full(graph, 2, 2)
+    passed, mismatches = _product_line(report)
+    assert report.ok is False and not passed and mismatches >= 1
+
+
+def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
+    # P3 (k = 2): 287 of the 44 x 44 lattice pairs have additive
+    # codimensions; each is pushed once and read once, the rest not at all
+    graph = Graph.path(3)
+    inter = IntersectionLattice(build_lkm(graph, 2, 2))
+    labels = inter.poset.labels
+    additive = sum(_additive(inter, x, y) for x in labels for y in labels)
+    assert (additive, len(labels) ** 2) == (287, 1936)
+    pushed, reads = [], []
+    tensor, class_coords = orbitcoh.oracle.shuffle_tensor, TorDegree.class_coords
+
+    def counting_tensor(us, vs, pair):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "cup_block":
+            pushed.append((caller.f_locals["x"], caller.f_locals["y"]))
+        return tensor(us, vs, pair)
+
+    def counting_coords(self, vecs):
+        reads.append(len(vecs))
+        return class_coords(self, vecs)
+
+    monkeypatch.setattr(orbitcoh.oracle, "shuffle_tensor", counting_tensor)
+    monkeypatch.setattr(TorDegree, "class_coords", counting_coords)
+    report = verify_full(graph, 2, 2)
+    assert report.ok and report.product_checks == 68 * 68
+    assert len(pushed) == len(set(pushed)) == additive
+    assert all(_additive(inter, x, y) for x, y in pushed)
+    # one read per grading (its basis cycles), then one per pushed pair
+    pres = RingPresentation(graph, 2, 2)
+    assert len(reads) == len(pres.matrices) + additive
+    assert sum(reads) == len(pres.basis) + sum(
+        (pres.offset[a + 1] - pres.offset[a]) * (pres.offset[b + 1] - pres.offset[b])
+        for a, b in product(range(len(pres.matrices)), repeat=2)
+        if _additive(inter, pres.matrices[a].label(), pres.matrices[b].label()))
+
+
+def test_theta_cycles_render_each_restriction_once(monkeypatch):
+    # P3 (k = 2): the basis cycles ask for 5,873 restriction labels, of
+    # 137 distinct (fiber matrix, bond label) pairs
+    rendered = []
+    restrict = orbitcoh.verify.restrict_matrix
+
+    def counting(fmat, lab):
+        rendered.append((fmat, lab))
+        return restrict(fmat, lab)
+
+    monkeypatch.setattr(orbitcoh.verify, "restrict_matrix", counting)
+    assert verify_full(Graph.path(3), 2, 2).ok
+    assert len(rendered) == len(set(rendered)) == 137
