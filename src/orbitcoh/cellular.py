@@ -23,7 +23,6 @@ from .intlinalg import (
     InvalidComplex,
     elementary_divisors,
     homology,
-    hstack,
     kron,
 )
 from .posets import GradedPoset, PosetMorphism, product_poset
@@ -76,8 +75,8 @@ class CellularForm:
     def rank_of(self, label) -> int:
         return self.piece_ranks[self.poset.index[label]]
 
-    def stacked_diff(self, x: int) -> IntMatrix:
-        """The differential of the piece at x into the sum of its covers."""
+    def stacked_diff(self, x: int) -> list[dict[int, int]]:
+        """The differential of the piece at x into the sum of its covers, as columns."""
         pr = self.piece_ranks
         return _layout(sorted(self.poset.lower[x]), pr, [x], pr, self.diff)
 
@@ -111,8 +110,8 @@ class CellularForm:
         }
 
 
-def _layout(rows, row_sizes, cols, col_sizes, blocks) -> IntMatrix:
-    """The matrix from the sum of the pieces at ``cols`` to the sum at ``rows``.
+def _layout(rows, row_sizes, cols, col_sizes, blocks) -> list[dict[int, int]]:
+    """The map from the sum of the pieces at ``cols`` to the sum at ``rows``, as columns.
 
     Pieces are laid out in list order; the row piece at y has rank
     ``row_sizes[y]`` and the column piece at x has rank ``col_sizes[x]``.
@@ -123,34 +122,22 @@ def _layout(rows, row_sizes, cols, col_sizes, blocks) -> IntMatrix:
     for y in rows:
         offset[y] = total
         total += row_sizes[y]
-    out = IntMatrix(total, sum(col_sizes[x] for x in cols))
-    col = 0
+    out = []
     for x in cols:
-        if col_sizes[x]:
-            for y in rows:
-                b = blocks.get((y, x))
-                if b is None:
-                    continue
-                for a, brow in enumerate(b.data):
-                    orow = out.data[offset[y] + a]
-                    for j, v in enumerate(brow):
-                        if v:
-                            orow[col + j] = v
-        col += col_sizes[x]
+        piece: list[dict[int, int]] = [{} for _ in range(col_sizes[x])]
+        for y in rows:
+            b = blocks.get((y, x))
+            if b is None:
+                continue
+            for a, brow in enumerate(b.data):
+                for j, v in enumerate(brow):
+                    if v:
+                        piece[j][offset[y] + a] = v
+        out += piece
     return out
 
 
-def _split_rows(mat: IntMatrix, rows, sizes) -> dict[int, IntMatrix]:
-    """Inverse of ``_layout`` in the rows: the row block of each element."""
-    out = {}
-    start = 0
-    for y in rows:
-        out[y] = IntMatrix(sizes[y], mat.cols, mat.data[start:start + sizes[y]])
-        start += sizes[y]
-    return out
-
-
-def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> IntMatrix:
+def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> list[dict[int, int]]:
     """The extension maps of the rank-0 elements below x into x, side by side."""
     zeros = [y for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0]
     maps = {(x, y): g.map_index(y, x) for y in zeros if g.ranks[y]}
@@ -210,11 +197,14 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         if degree is not None:
             return NotCellular(poset.labels[x], *_step(degree))
         # the new piece is the kernel of the top map, split over the lower covers
-        ker = IntMatrix.from_cols(cx.reduction(r).kernel, cx.ranks[r])
-        piece_ranks[x] = ker.cols
-        for y, block in _split_rows(ker, sorted(poset.lower[x]), piece_ranks).items():
-            if block.rows:
-                diff[(y, x)] = block
+        ker = cx.reduction(r).kernel
+        piece_ranks[x] = len(ker)
+        start = 0
+        for y in sorted(poset.lower[x]):
+            if piece_ranks[y]:
+                diff[(y, x)] = IntMatrix(piece_ranks[y], len(ker), [
+                    [v[start + a] for v in ker] for a in range(piece_ranks[y])])
+            start += piece_ranks[y]
 
     return CellularForm(poset, g, piece_ranks, diff)
 
@@ -318,9 +308,15 @@ def _pushed_sum(f: PosetMorphism, components, form: CellularForm,
     for y in sorted(form.poset.lower[x]):
         if (y, x) in form.diff:
             groups.setdefault(f.image[y], []).append(y)
-    return {z: hstack([components[y] for y in ys]).mul(
-                _layout(ys, pr, [x], pr, form.diff))
-            for z, ys in groups.items()}
+    out = {}
+    for z, ys in groups.items():
+        # row r of the stacked d(y, x) meets column r of the Phi_y side by side
+        phis = [components[y].column(a) for y in ys for a in range(pr[y])]
+        rows = components[ys[0]].rows
+        out[z] = IntMatrix.from_cols(
+            [[sum(v * phis[r][i] for r, v in col.items()) for i in range(rows)]
+             for col in _layout(ys, pr, [x], pr, form.diff)], rows)
+    return out
 
 
 def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
@@ -356,22 +352,21 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
         # rank-preserving piece: solve the commuting square column by column;
         # pieces at y that f moves below a lower cover of fx carry Phi = 0
         pushed = _pushed_sum(f, components, source, x)
-        rhs = _layout(sorted(tgt_poset.lower[fx]), target.piece_ranks,
-                      [x], source.piece_ranks,
-                      {(fy, x): m for fy, m in pushed.items()})
-        rhs_cols = [rhs.column(j) for j in range(rhs.cols)]
+        lower = sorted(tgt_poset.lower[fx])
+        rhs_cols = _layout(lower, target.piece_ranks, [x], source.piece_ranks,
+                           {(fy, x): m for fy, m in pushed.items()})
         if fx not in solvers:
-            solvers[fx] = ColumnSolver(target.stacked_diff(fx))
+            solvers[fx] = ColumnSolver(target.stacked_diff(fx),
+                                       sum(target.piece_ranks[y] for y in lower))
         solver = solvers[fx]
         if target.piece_ranks[fx] == 0:
-            if any(any(rhs) for rhs in rhs_cols):
+            if any(rhs_cols):
                 raise FormViolation(
                     f"no room for the image of the piece at {poset.labels[x]}")
             components[x] = IntMatrix(0, source.piece_ranks[x])
             continue
-        sol_cols = [solver.solve(rhs) for rhs in rhs_cols]
-        components[x] = IntMatrix.from_cols(sol_cols, target.piece_ranks[fx]) \
-            if sol_cols else IntMatrix(target.piece_ranks[fx], 0)
+        components[x] = IntMatrix.from_cols([solver.solve(rhs) for rhs in rhs_cols],
+                                            target.piece_ranks[fx])
     return FormMorphism(f, source, target, components)
 
 

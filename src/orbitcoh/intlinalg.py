@@ -1,11 +1,14 @@
 """Exact linear algebra over the integers.
 
-Dense matrices of Python ints (arbitrary precision) and homology of
-chain complexes of free abelian groups.  One sparse elimination of the
-+-1 pivots (``UnitReduction``) gives the invariant factors, with the
-Smith form of its small core, and the integer kernel, lifted from the
-core's; the row Hermite form makes kernel bases canonical and answers
-membership, coordinates and exact solves.  No floating point anywhere.
+Homology of chain complexes of free abelian groups, all in Python ints
+(arbitrary precision).  A boundary is a list of sparse columns, one per
+basis element of its source, each the image {row: coefficient} of that
+element; ``IntMatrix`` is the dense matrix kept for sheaf maps, form
+blocks and Smith transforms.  One sparse elimination of the +-1 pivots
+(``UnitReduction``) gives the invariant factors, with the Smith form of
+its small core, and the integer kernel, lifted from the core's; the row
+Hermite form makes kernel bases canonical and answers membership,
+coordinates and exact solves.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -53,15 +56,6 @@ class IntMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows, cols: int | None = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cols required for a matrix with no rows")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
     def from_cols(cls, cols, rows: int | None = None) -> "IntMatrix":
         cols = [list(c) for c in cols]
         if rows is None:
@@ -70,9 +64,6 @@ class IntMatrix:
             rows = len(cols[0])
         data = [[c[i] for c in cols] for i in range(rows)]
         return cls(rows, len(cols), data)
-
-    def copy(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, self.data)
 
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
@@ -109,15 +100,13 @@ class IntMatrix:
         return f"IntMatrix({self.rows}x{self.cols}, {self.data!r})"
 
 
-def hstack(blocks: list[IntMatrix]) -> IntMatrix:
-    """Concatenate matrices with equal row counts side by side."""
-    if not blocks:
-        raise ValueError("empty hstack")
-    rows = blocks[0].rows
-    if any(b.rows != rows for b in blocks):
-        raise ValueError("row count mismatch in hstack")
-    data = [sum((b.data[i] for b in blocks), []) for i in range(rows)]
-    return IntMatrix(rows, sum(b.cols for b in blocks), data)
+def sparse_apply(cols: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """A·v for A given by sparse columns and a sparse v, without zero entries."""
+    acc: dict[int, int] = {}
+    for p, c in vec.items():
+        for r, x in cols[p].items():
+            acc[r] = acc.get(r, 0) + c * x
+    return {r: x for r, x in acc.items() if x}
 
 
 def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -318,21 +307,20 @@ def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
 
 
 class UnitReduction:
-    """One ``_sparse_unit_eliminate`` of A: its pivots, core, divisors and kernel."""
+    """One ``_sparse_unit_eliminate`` of the sparse columns of A.
 
-    def __init__(self, a: IntMatrix):
-        self.cols = a.cols
-        self.core = {i: r for i, row in enumerate(a.data)
-                     if (r := {j: x for j, x in enumerate(row) if x})}
+    Keeps its pivots and core, and gives the divisors and kernel of A.
+    """
+
+    def __init__(self, cols: list[dict[int, int]]):
+        self.cols = len(cols)
+        rows: dict[int, dict[int, int]] = {}
+        for j, col in enumerate(cols):
+            for i, x in col.items():
+                if x:
+                    rows.setdefault(i, {})[j] = x
+        self.core = {i: rows[i] for i in sorted(rows)}
         self.pivots = _sparse_unit_eliminate(self.core)
-
-    def _dense_core(self, cindex: list[int]) -> IntMatrix:
-        cpos = {j: p for p, j in enumerate(cindex)}
-        core = IntMatrix(len(self.core), len(cindex))
-        for p, i in enumerate(sorted(self.core)):
-            for j, x in self.core[i].items():
-                core.data[p][cpos[j]] = x
-        return core
 
     @cached_property
     def divisors(self) -> list[int]:
@@ -340,8 +328,9 @@ class UnitReduction:
         ones = [1] * len(self.pivots)
         if not self.core:
             return ones
-        _, dm, _ = smith_normal_form(
-            self._dense_core(sorted({j for row in self.core.values() for j in row})))
+        cindex = sorted({j for row in self.core.values() for j in row})
+        _, dm, _ = smith_normal_form(IntMatrix(len(self.core), len(cindex), [
+            [self.core[i].get(j, 0) for j in cindex] for i in sorted(self.core)]))
         return ones + [dm.data[i][i] for i in range(min(dm.rows, dm.cols)) if dm.data[i][i]]
 
     @cached_property
@@ -354,7 +343,12 @@ class UnitReduction:
         """
         pivot_cols = {pj for pj, _, _ in self.pivots}
         free = [j for j in range(self.cols) if j not in pivot_cols]
-        core_kernel = ColumnSolver(self._dense_core(free)).kernel
+        cpos = {j: p for p, j in enumerate(free)}
+        core_cols: list[dict[int, int]] = [{} for _ in free]
+        for p, i in enumerate(sorted(self.core)):
+            for j, x in self.core[i].items():
+                core_cols[cpos[j]][p] = x
+        core_kernel = ColumnSolver(core_cols, len(self.core)).kernel
         # coordinate j of every lifted vector, as {vector index: value}
         coord = {j: {v: y[p] for v, y in enumerate(core_kernel) if y[p]}
                  for p, j in enumerate(free)}
@@ -369,19 +363,19 @@ class UnitReduction:
         return row_hermite(lifted, self.cols)
 
 
-def elementary_divisors(a: IntMatrix) -> list[int]:
-    """Nonzero diagonal of the Smith form: 1 per unit pivot, then the core's."""
-    return UnitReduction(a).divisors
+def elementary_divisors(cols: list[dict[int, int]]) -> list[int]:
+    """Nonzero Smith diagonal of sparse columns: 1 per unit pivot, then the core's."""
+    return UnitReduction(cols).divisors
 
 
-def rank_mod2(a: IntMatrix) -> int:
-    """Rank over GF(2), rows packed into Python int bitmasks."""
+def rank_mod2(cols: list[dict[int, int]]) -> int:
+    """Rank over GF(2) of sparse columns, each packed into a Python int bitmask."""
     masks = []
-    for row in a.data:
+    for col in cols:
         b = 0
-        for j, x in enumerate(row):
+        for i, x in col.items():
             if x & 1:
-                b |= 1 << j
+                b |= 1 << i
         if b:
             masks.append(b)
     rank = 0
@@ -507,40 +501,51 @@ def echelon_readoff(basis: list[list[int]]) -> tuple[int, dict[int, dict[int, in
 
 
 class ColumnSolver:
-    """Hermite reduction of the columns of A, for its kernel and exact solves.
+    """Hermite reduction of the sparse columns of A, for its kernel and exact solves.
 
-    Column j, extended by the unit vector e_j, is the row (A·e_j, e_j).
-    In the row Hermite form of these rows, the rows with a nonzero A-part
-    are an echelon basis of the column lattice, each followed by the
-    combination of columns that gives it; the rest have a zero A-part,
-    and their unit parts are the Hermite basis of ker A.
+    A has ``rows`` rows.  Column j, extended by the unit vector e_j, is
+    the row (A·e_j, e_j).  In the row Hermite form of these rows, the
+    rows with a nonzero A-part are an echelon basis of the column
+    lattice, each followed by the combination of columns that gives it;
+    the rest have a zero A-part, and their unit parts are the Hermite
+    basis of ker A.
     """
 
-    def __init__(self, a: IntMatrix):
-        m, n = a.rows, a.cols
+    def __init__(self, cols: list[dict[int, int]], rows: int):
+        m, n = rows, len(cols)
         self.rows, self.cols = m, n
-        extended = [a.column(j) + [int(i == j) for i in range(n)] for j in range(n)]
+        extended = []
+        for j, col in enumerate(cols):
+            row = [0] * (m + n)
+            for i, x in col.items():
+                row[i] = x
+            row[m + j] = 1
+            extended.append(row)
         hermite = row_hermite(extended, m + n)
         split = sum(1 for row in hermite if any(row[:m]))
         self.image = [row[:m] for row in hermite[:split]]
         self.combos = [row[m:] for row in hermite[:split]]
         self.kernel = [row[m:] for row in hermite[split:]]
 
-    def solve(self, b: list[int]) -> list[int]:
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
+    def solve(self, b: dict[int, int]) -> list[int]:
+        """The unique x with A·x = b, for a sparse column b."""
+        if any(not 0 <= i < self.rows for i in b):
+            raise ValueError("rhs row out of range")
         if self.kernel:
             raise NonUnique("matrix has nontrivial kernel")
-        coords = hermite_coords(self.image, b)
+        vec = [0] * self.rows
+        for i, x in b.items():
+            vec[i] = x
+        coords = hermite_coords(self.image, vec)
         if coords is None:
             raise NoIntegerSolution("rhs outside the column lattice")
         return [sum(q * combo[i] for q, combo in zip(coords, self.combos))
                 for i in range(self.cols)]
 
 
-def kernel_basis(a: IntMatrix) -> list[list[int]]:
-    """Hermite basis of the integer kernel {x : A·x = 0}, lifted by one ``UnitReduction``."""
-    return UnitReduction(a).kernel
+def kernel_basis(cols: list[dict[int, int]]) -> list[list[int]]:
+    """Hermite basis of ker A for sparse columns A, lifted by one ``UnitReduction``."""
+    return UnitReduction(cols).kernel
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:
@@ -556,37 +561,41 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
 class ChainComplex:
     """Complex of free abelian groups with integer boundary maps.
 
-    `ranks[i]` is the rank in degree i; `boundary[i]` maps degree i to
-    degree i-1 (for 1 <= i < len(ranks)).  The composite of consecutive
-    boundaries must vanish.
+    `ranks[i]` is the rank in degree i; `boundaries[i]` maps degree i to
+    degree i-1 (for 1 <= i < len(ranks)) as ranks[i] sparse columns
+    {row: coefficient}, each row in 0..ranks[i-1]-1.  A missing boundary
+    is zero.  The composite of consecutive boundaries must vanish.
     """
 
     __slots__ = ("ranks", "boundaries", "_reductions")
 
-    def __init__(self, ranks: list[int], boundaries: dict[int, IntMatrix], check: bool = True):
+    def __init__(self, ranks: list[int], boundaries: dict[int, list[dict[int, int]]],
+                 check: bool = True):
         self.ranks = list(ranks)
         self.boundaries = dict(boundaries)
         self._reductions: dict[int, UnitReduction] = {}
         top = len(self.ranks)
-        for i in range(1, top):
-            d = self.boundaries.get(i)
-            if d is None:
-                d = IntMatrix(self.ranks[i - 1], self.ranks[i])
-                self.boundaries[i] = d
-            if d.rows != self.ranks[i - 1] or d.cols != self.ranks[i]:
-                raise ValueError(f"boundary {i} has wrong shape")
-        for i in list(self.boundaries):
+        for i in self.boundaries:
             if not 1 <= i < top:
                 raise ValueError(f"boundary index {i} out of range")
+        for i in range(1, top):
+            if i not in self.boundaries:
+                self.boundaries[i] = [{} for _ in range(self.ranks[i])]
+            cols = self.boundaries[i]
+            if len(cols) != self.ranks[i]:
+                raise ValueError(f"boundary {i} has {len(cols)} columns, "
+                                 f"not {self.ranks[i]}")
+            lo = self.ranks[i - 1]
+            if any(not 0 <= r < lo for col in cols for r in col):
+                raise ValueError(f"boundary {i} has a row outside 0..{lo - 1}")
         if check:
             self.validate()
 
-    def boundary(self, i: int) -> IntMatrix:
+    def boundary(self, i: int) -> list[dict[int, int]]:
+        """Boundary i as sparse columns, empty outside 1 <= i < len(ranks)."""
         d = self.boundaries.get(i)
         if d is None:
-            lower = self.ranks[i - 1] if 1 <= i <= len(self.ranks) else 0
-            upper = self.ranks[i] if 0 <= i < len(self.ranks) else 0
-            d = IntMatrix(lower, upper)
+            d = [{} for _ in range(self.ranks[i] if 0 <= i < len(self.ranks) else 0)]
         return d
 
     def reduction(self, i: int) -> UnitReduction:
@@ -596,22 +605,11 @@ class ChainComplex:
         return self._reductions[i]
 
     def validate(self):
-        """Check del o del = 0, exploiting sparsity of the boundaries."""
+        """Check del o del = 0, one sparse column at a time."""
         for i in range(2, len(self.ranks)):
-            hi, lo = self.boundaries[i], self.boundaries[i - 1]
-            lo_cols = [
-                [(r, x) for r, x in enumerate(lo.column(c)) if x]
-                for c in range(lo.cols)
-            ]
-            for j in range(hi.cols):
-                acc: dict[int, int] = {}
-                for r in range(hi.rows):
-                    x = hi.data[r][j]
-                    if x:
-                        for rr, y in lo_cols[r]:
-                            acc[rr] = acc.get(rr, 0) + x * y
-                if any(acc.values()):
-                    raise InvalidComplex(f"boundary composite nonzero in degree {i}")
+            lo = self.boundaries[i - 1]
+            if any(sparse_apply(lo, col) for col in self.boundaries[i]):
+                raise InvalidComplex(f"boundary composite nonzero in degree {i}")
 
 
 @dataclass(frozen=True)

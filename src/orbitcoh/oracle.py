@@ -26,6 +26,7 @@ from .intlinalg import (
     homology_mod2,
     HomologySummary,
     smith_normal_form,
+    sparse_apply,
     unimodular_inverse,
 )
 from .posets import GradedPoset, join
@@ -68,8 +69,6 @@ class TorComplex:
             self.keys.append(keys)
             self.position.append({k: i for i, k in enumerate(keys)})
         self.ranks = [len(k) for k in self.keys]
-        self._boundaries: dict[int, IntMatrix] = {}
-        self._columns: dict[int, list[list[tuple[int, int]]]] = {}
         self._complex: ChainComplex | None = None
         self._tor: dict[int, TorDegree] = {}
         self._homology: HomologySummary | None = None
@@ -113,43 +112,36 @@ class TorComplex:
 
     # -- boundary ----------------------------------------------------------
 
-    def boundary(self, n: int) -> IntMatrix:
-        """The map from degree n to degree n-1."""
-        cached = self._boundaries.get(n)
-        if cached is not None:
-            return cached
-        rows = self.rank(n - 1)
-        cols = self.rank(n)
-        mat = IntMatrix(rows, cols)
-        if rows and cols:
-            pos_lo = self.position[n - 1]
-            for col, (lab, gi, fi) in enumerate(self.keys[n]):
-                c = tuple(self.poset.index[x] for x in lab)
-                deg = len(c) - 1
-                # face 0: drop p_0, extend the copresheaf part
-                ext = self.g.map_index(c[0], c[1])
-                sub = lab[1:]
-                for gp in range(ext.rows):
-                    v = ext.data[gp][gi]
-                    if v:
-                        mat.data[pos_lo[(sub, gp, fi)]][col] += v
-                # interior faces
-                for i in range(1, deg):
-                    sub = lab[:i] + lab[i + 1:]
-                    sign = -1 if i % 2 else 1
-                    mat.data[pos_lo[(sub, gi, fi)]][col] += sign
-                # face n: drop p_n, restrict the presheaf part
-                restr = self.f.map_index(c[-2], c[-1])
-                sub = lab[:-1]
-                sign = -1 if deg % 2 else 1
-                for fp in range(restr.rows):
-                    v = restr.data[fp][fi]
-                    if v:
-                        mat.data[pos_lo[(sub, gi, fp)]][col] += sign * v
-        self._boundaries[n] = mat
-        return mat
+    def boundary(self, n: int) -> list[dict[int, int]]:
+        """The map from degree n to degree n-1, as sparse columns (1 <= n < len(ranks)).
+
+        Column j is the boundary of basis chain j.  Its faces are distinct
+        chains, so each face writes entries of its own.
+        """
+        pos_lo = self.position[n - 1]
+        cols = []
+        for lab, gi, fi in self.keys[n]:
+            c = tuple(self.poset.index[x] for x in lab)
+            col = {}
+            # face 0: drop p_0, extend the copresheaf part
+            ext = self.g.map_index(c[0], c[1])
+            for gp in range(ext.rows):
+                if v := ext.data[gp][gi]:
+                    col[pos_lo[(lab[1:], gp, fi)]] = v
+            # interior faces
+            for i in range(1, n):
+                col[pos_lo[(lab[:i] + lab[i + 1:], gi, fi)]] = -1 if i % 2 else 1
+            # face n: drop p_n, restrict the presheaf part
+            restr = self.f.map_index(c[-2], c[-1])
+            sign = -1 if n % 2 else 1
+            for fp in range(restr.rows):
+                if v := restr.data[fp][fi]:
+                    col[pos_lo[(lab[:-1], gi, fp)]] = sign * v
+            cols.append(col)
+        return cols
 
     def chain_complex(self) -> ChainComplex:
+        """The complex with every boundary, assembled once and kept."""
         if self._complex is None:
             bounds = {n: self.boundary(n) for n in range(1, len(self.ranks))}
             self._complex = ChainComplex(self.ranks or [0], bounds, check=False)
@@ -182,31 +174,14 @@ class TorComplex:
             raise ValueError("vector length mismatch")
         return {p: c for p, c in enumerate(vec) if c}
 
-    def columns(self, n: int) -> list[list[tuple[int, int]]]:
-        """Boundary n as sparse columns of (row, value), made once and kept."""
-        if n not in self._columns:
-            bnd = self.boundary(n)
-            cols: list[list[tuple[int, int]]] = [[] for _ in range(bnd.cols)]
-            for r, row in enumerate(bnd.data):
-                for j, x in enumerate(row):
-                    if x:
-                        cols[j].append((r, x))
-            self._columns[n] = cols
-        return self._columns[n]
-
     def check_cycles(self, n: int, vecs) -> None:
         """Raise NotCycle unless every sparse vector of degree n is closed.
 
         One pass of the sparse boundary columns over the whole batch.
         """
-        cols = self.columns(n)
-        for vec in vecs:
-            acc: dict[int, int] = {}
-            for p, c in vec.items():
-                for r, x in cols[p]:
-                    acc[r] = acc.get(r, 0) + c * x
-            if any(acc.values()):
-                raise NotCycle(f"representative in degree {n} is not closed")
+        cols = self.chain_complex().boundary(n)
+        if any(sparse_apply(cols, vec) for vec in vecs):
+            raise NotCycle(f"representative in degree {n} is not closed")
 
     def tor(self, n: int) -> "TorDegree":
         if n not in self._tor:
@@ -252,7 +227,7 @@ class TorDegree:
     def _u(self) -> IntMatrix:
         """Left transform of the Smith form of the image in kernel coordinates."""
         z = len(self.kernel)
-        images = [dict(col) for col in self.complex.columns(self.n + 1) if col]
+        images = [col for col in self.complex.chain_complex().boundary(self.n + 1) if col]
         self.complex.check_cycles(self.n, images)
         y = IntMatrix.from_cols([self.kernel_coords(col) for col in images], z)
         u, d, _ = smith_normal_form(y)
@@ -372,8 +347,7 @@ def induced_homology_matrix(src: TorComplex, dst: TorComplex, k: FHom, t: FHom,
     images = [dst.sparse(dst.vector(push(src.formal(gen, n)), n), n)
               for gen in src_tor.free_generators()]
     cols = [list(c) for c in dst_tor.class_coords(images)]
-    return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants)) \
-        if cols else IntMatrix(dst_tor.betti + len(dst_tor.invariants), 0)
+    return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
 
 
 # -- shuffles and cross products ---------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import factorial, prod
 
-from .intlinalg import IntMatrix, elementary_divisors
+from .intlinalg import elementary_divisors
 from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     GMOracle,
@@ -244,9 +244,8 @@ def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOrac
         s = len(tor.invariants)
         if any(any(c[:s]) for c in entries) or tor.betti != len(entries):
             coords_ok = False
-        elif elementary_divisors(
-                IntMatrix.from_cols([c[s:] for c in entries], len(entries))) \
-                != [1] * len(entries):
+        elif elementary_divisors([{i: x for i, x in enumerate(c[s:]) if x}
+                                  for c in entries]) != [1] * len(entries):
             coords_ok = False
     report.add(coords_ok, "basis cycles generate each Tor piece")
 

@@ -2,8 +2,9 @@
 
 Built directly from set partitions and refinement, with no imports from
 the package's lattice code, so cross-checks against it are meaningful.
-Also the environment for tests that run the CLI in a subprocess, and a
-reference shuffle cross product of formal K-chains.
+Also the environment for tests that run the CLI in a subprocess, a
+reference shuffle cross product of formal K-chains, and the sparse
+columns and vectors that the linear algebra takes.
 """
 
 import os
@@ -86,3 +87,13 @@ def cross_formal(x: dict, y: dict, g2, f2) -> dict:
                 key = (chain, gflat, fflat)
                 out[key] = out.get(key, 0) + c
     return {k: v for k, v in out.items() if v}
+
+
+def columns(m) -> list[dict]:
+    """The sparse columns {row: entry} of a dense IntMatrix."""
+    return [{i: row[j] for i, row in enumerate(m.data) if row[j]} for j in range(m.cols)]
+
+
+def sparse(vec) -> dict:
+    """A dense vector as {position: entry}."""
+    return {i: x for i, x in enumerate(vec) if x}

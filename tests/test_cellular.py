@@ -121,7 +121,8 @@ def test_verify_rejects_perturbed_form():
     assert len(keys) == 6
     for key in keys:
         bad_diff = dict(form.diff)
-        perturbed = bad_diff[key].copy()
+        m = bad_diff[key]
+        perturbed = IntMatrix(m.rows, m.cols, m.data)  # a copy of the block
         perturbed.data[0][0] += 1
         bad_diff[key] = perturbed
         bad = CellularForm(p3, g, form.piece_ranks, bad_diff)

@@ -10,7 +10,7 @@ import pytest
 
 import orbitcoh.oracle
 import orbitcoh.verify
-from orbitcoh.oracle import GMOracle, OracleTooLarge, TorDegree
+from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
 from orbitcoh.posets import join
 from orbitcoh.ring import RingPresentation
@@ -51,6 +51,28 @@ def test_oracle_cups_are_pinned():
     cups = [oracle.cup(*a, *b) for a in cycles for b in cycles]
     assert _digest(cups) == (
         "9f9fe235d041687b668e18ed049cc1202f04ffef5c6591df281104c7241a7928")
+
+
+@pytest.mark.parametrize("graph, k", [(Graph.complete(2), 4), (Graph.path(3), 2)],
+                         ids=["K2-k4", "P3-k2"])
+def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k):
+    # verify builds its K-chain complexes unchecked: every one of them must
+    # still be a complex, and a degree-n boundary column holds one entry
+    # per face of a chain of n + 1 elements (the sheaves have rank 1)
+    built = []
+    honest = TorComplex.__init__
+
+    def init(self, *args, **kwargs):
+        honest(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(TorComplex, "__init__", init)
+    assert verify_full(graph, k, 2).ok
+    assert len(built) == IntersectionLattice(build_lkm(graph, k, 2)).poset.n
+    for cx in (kc.chain_complex() for kc in built):
+        cx.validate()
+        for n in range(1, len(cx.ranks)):
+            assert max(map(len, cx.boundary(n)), default=0) <= n + 1
 
 
 def test_braid_chain_has_one_chain_per_ordering():
