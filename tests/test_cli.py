@@ -127,6 +127,26 @@ def test_betti_m1_json_is_pinned(tmp_path, graph, k, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("graph,k,mode,digest", [
+    ({"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4]]}, 4, "complex",
+     "150c56666c8137276e2dd060160591ce6001012f5a9eb6563117e4af38c038a5"),
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 3, "complex",
+     "629e32aa9c8537e8aefe8e08c4e78ab7e23c003874649229707d8f41368d8605"),
+    ({"n": 4, "edges": [[1, 2], [3, 4]]}, 2, "complex",
+     "4b981b4f70fe3e0fc1beacbe738eb2bea776b2a06912febf2830776b9836b3cc"),
+    ({"complete": 3}, 2, "real",
+     "2f8e784f84547b963142cd4692ce9e1e52870d12f634d31b2fb3250c14b2e621"),
+], ids=["K4e-k4", "P3-k3", "2K2-k2", "K3-real"])
+def test_betti_m2_json_is_pinned(tmp_path, graph, k, mode, digest):
+    # recorded while the ring still built every basis vector eagerly
+    g, out = tmp_path / "g.json", tmp_path / "b.json"
+    g.write_text(json.dumps(graph))
+    code, _, _ = run_cli(["betti", "--graph", str(g), "--k", str(k), "--m", "2",
+                          "--mode", mode, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_ring_m1_unsupported():
     code, _, _ = run_cli(["ring", "--complete", "2", "--k", "2", "--m", "1"])
     assert code == 3
