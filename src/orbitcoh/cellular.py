@@ -80,23 +80,6 @@ class CellularForm:
         pr = self.piece_ranks
         return _layout(sorted(self.poset.lower[x]), pr, [x], pr, self.diff)
 
-    def augmented_complex(self, x: int) -> ChainComplex:
-        """The pieces on the closed down-set of x, augmented by G(x).
-
-        Degree 0 is G(x) and degree i + 1 is the sum of the rank-i pieces
-        below x; the first map is the rank-0 extension map into G(x).
-        Whether the boundaries compose to zero is left to the caller.
-        """
-        poset, pr, g = self.poset, self.piece_ranks, self.copresheaf
-        levels: list[list[int]] = [[] for _ in range(poset.rank[x] + 1)]
-        for i in poset.mask_elements(poset.down[x]):
-            levels[poset.rank[i]].append(i)
-        bounds = {i + 1: _layout(levels[i - 1], pr, levels[i], pr, self.diff)
-                  for i in range(1, len(levels))}
-        bounds[1] = _rank0_map(poset, g, x)
-        ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
-        return ChainComplex(ranks, bounds, check=False)
-
     def to_json_dict(self) -> dict:
         poset = self.poset
         return {
@@ -108,6 +91,24 @@ class CellularForm:
                 if m.rows and m.cols
             },
         }
+
+
+def _augmented_complex(poset: GradedPoset, g: Copresheaf, pr, diff, x: int) -> ChainComplex:
+    """The pieces on the closed down-set of x, augmented by G(x).
+
+    ``pr`` and ``diff`` are the piece ranks and differential blocks, as in
+    CellularForm.  Degree 0 is G(x) and degree i + 1 is the sum of the
+    rank-i pieces below x; the first map is the rank-0 extension map into
+    G(x).  Whether the boundaries compose to zero is left to the caller.
+    """
+    levels: list[list[int]] = [[] for _ in range(poset.rank[x] + 1)]
+    for i in poset.mask_elements(poset.down[x]):
+        levels[poset.rank[i]].append(i)
+    bounds = {i + 1: _layout(levels[i - 1], pr, levels[i], pr, diff)
+              for i in range(1, len(levels))}
+    bounds[1] = _rank0_map(poset, g, x)
+    ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
+    return ChainComplex(ranks, bounds, check=False)
 
 
 def _layout(rows, row_sizes, cols, col_sizes, blocks) -> list[dict[int, int]]:
@@ -191,8 +192,7 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         if r == 0:
             piece_ranks[x] = g.ranks[x]
             continue
-        partial = CellularForm(poset, g, piece_ranks, diff)
-        cx = partial.augmented_complex(x)
+        cx = _augmented_complex(poset, g, piece_ranks, diff, x)
         degree = _lowest_homology(homology(cx).groups[:r])
         if degree is not None:
             return NotCellular(poset.labels[x], *_step(degree))
@@ -224,7 +224,7 @@ def verify_cellular_form(form: CellularForm):
         if poset.rank[x] == 0 and pr[x] != g.ranks[x]:
             raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
     for x in range(poset.n):
-        cx = form.augmented_complex(x)
+        cx = _augmented_complex(poset, g, pr, form.diff, x)
         try:
             cx.validate()
         except InvalidComplex:

@@ -74,6 +74,7 @@ def cmd_betti(args) -> int:
     _check_km(args)
     pres = _presentation(args)
     poincare = pres.poincare_polynomial()
+    betti = [[d, r] for d, r in enumerate(poincare) if r]
     payload = {
         "command": "betti",
         "graph": {"n": pres.graph.n,
@@ -81,16 +82,15 @@ def cmd_betti(args) -> int:
         "k": pres.k,
         "m": pres.m,
         "mode": pres.mode,
-        "betti": [[d, r] for d, r in pres.betti_table().items()],
+        "betti": betti,
         "poincare": poincare,
-        "gradings": {mat.label(): pres.piece_rank(g)
-                     for g, mat in enumerate(pres.matrices)},
+        "gradings": {lab: pres.piece_rank(g) for g, lab in enumerate(pres.labels)},
     }
     if pres.m == 1:
         payload["warning"] = ("m = 1 output is additive only; the ring "
                               "statement needs m > 1")
     lines = ["degree  rank"]
-    for d, r in pres.betti_table().items():
+    for d, r in betti:
         lines.append(f"{d:>6}  {r}")
     lines.append("poincare: " + _poincare_string(poincare))
     if "warning" in payload:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import product
+from itertools import accumulate, product
 
 from .orbit import (
     Graph,
@@ -52,7 +52,14 @@ class GradedBasisElement:
 
 
 class RingPresentation:
-    """Basis, degrees and structure constants; at m = 1 the basis and degrees only."""
+    """Basis, degrees and structure constants; at m = 1 the basis and degrees only.
+
+    The constructor builds the grading-level data: ``matrices`` with their
+    ``labels`` and ``degrees``, and ``offset``, where grading g owns basis
+    indices ``offset[g]``..``offset[g+1]`` (|nbc| times ``bcp_rank``).
+    ``assignments`` and ``basis`` are built on first read, so the Betti
+    table and Poincare polynomial never enumerate a basis vector.
+    """
 
     def __init__(self, graph: Graph, k: int, m: int, mode: str = "complex"):
         if k < 1 or m < 1:
@@ -73,15 +80,25 @@ class RingPresentation:
                         for partition in self.bond.labels if self.os.nbc[partition]
                         for mat in fiber_matrices(graph, partition, k, m)
                         if bcp_rank(mat))
+        self.degrees = [deg for deg, _, _ in graded]
+        self.labels = [lab for _, lab, _ in graded]
         self.matrices: list[PartialMatrix] = [mat for _, _, mat in graded]
-        self.assignments = [bcp_assignments(mat) for mat in self.matrices]
-        self.basis: list[GradedBasisElement] = []
-        self.offset = [0]
-        for g, (deg, lab, mat) in enumerate(graded):
-            for mono in self.os.nbc[mat.partition]:
-                for assignment in self.assignments[g]:
-                    self.basis.append(GradedBasisElement(g, lab, mono, assignment, deg))
-            self.offset.append(len(self.basis))
+        self.offset = list(accumulate((len(self.os.nbc[mat.partition]) * bcp_rank(mat)
+                                       for mat in self.matrices), initial=0))
+
+    # -- basis, built on first read -------------------------------------------
+
+    @cached_property
+    def assignments(self) -> list[list[tuple]]:
+        return [bcp_assignments(mat) for mat in self.matrices]
+
+    @cached_property
+    def basis(self) -> list[GradedBasisElement]:
+        return [GradedBasisElement(g, lab, mono, assignment, deg)
+                for g, (deg, lab, mat) in enumerate(zip(self.degrees, self.labels,
+                                                        self.matrices))
+                for mono in self.os.nbc[mat.partition]
+                for assignment in self.assignments[g]]
 
     # -- additive data --------------------------------------------------------
 
@@ -100,16 +117,13 @@ class RingPresentation:
         return self.offset[g + 1] - self.offset[g]
 
     def betti_table(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for g, mat in enumerate(self.matrices):
-            d = self.degree_of(mat)
-            out[d] = out.get(d, 0) + self.piece_rank(g)
-        return dict(sorted(out.items()))
+        return {d: r for d, r in enumerate(self.poincare_polynomial()) if r}
 
     def poincare_polynomial(self) -> list[int]:
-        table = self.betti_table()
-        top = max(table) if table else 0
-        return [table.get(d, 0) for d in range(top + 1)]
+        coeffs = [0] * (max(self.degrees, default=0) + 1)
+        for g, d in enumerate(self.degrees):
+            coeffs[d] += self.piece_rank(g)
+        return coeffs
 
     # -- products -------------------------------------------------------------
 
@@ -209,7 +223,8 @@ class RingPresentation:
             "m": self.m,
             "mode": self.mode,
             "basis": basis,
-            "gradings": {mat.label(): mat.to_json_dict() for mat in self.matrices},
+            "gradings": {lab: mat.to_json_dict()
+                         for lab, mat in zip(self.labels, self.matrices)},
             "poincare": self.poincare_polynomial(),
         }
         if self.m == 1:

@@ -147,6 +147,18 @@ def test_betti_m2_json_is_pinned(tmp_path, graph, k, mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_betti_builds_no_basis_vector(monkeypatch):
+    from orbitcoh import ring
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("betti built a basis vector")
+
+    monkeypatch.setattr(ring, "GradedBasisElement", refuse)
+    code, text, _ = run_cli(["betti", "--complete", "3", "--k", "2", "--m", "2"])
+    assert code == 0
+    assert text.startswith("degree  rank\n")
+
+
 def test_ring_m1_unsupported():
     code, _, _ = run_cli(["ring", "--complete", "2", "--k", "2", "--m", "1"])
     assert code == 3
@@ -322,3 +334,16 @@ def test_cli_json_determinism(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_package_runs_as_module():
+    """``python -m orbitcoh`` behaves as ``python -m orbitcoh.cli``."""
+    runs = []
+    for module in ("orbitcoh", "orbitcoh.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "betti", "--complete", "2",
+             "--k", "2", "--m", "2"],
+            capture_output=True, env=subprocess_env())
+        runs.append((proc.returncode, proc.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].startswith(b"degree  rank\n")

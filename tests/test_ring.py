@@ -56,6 +56,33 @@ def test_rank_formula_vs_piece_sizes():
         assert pres.piece_rank(g) == pres.rank_formula(mat)
 
 
+def test_additive_data_builds_no_basis():
+    pres = RingPresentation(Graph.path(3), 3, 2)
+    pres.betti_table()
+    pres.poincare_polynomial()
+    for g in range(len(pres.matrices)):
+        pres.piece_rank(g)
+    assert "basis" not in pres.__dict__
+    assert "assignments" not in pres.__dict__
+
+
+@pytest.mark.parametrize("graph,k,m", [
+    (Graph.complete(3), 2, 2),
+    (Graph.path(3), 3, 2),
+    (Graph.make(4, [(1, 2), (3, 4)]), 2, 2),
+    (Graph.complete(2), 2, 3),
+], ids=["K3-k2", "P3-k3", "2K2-k2", "K2-m3"])
+def test_offsets_match_lazy_basis(graph, k, m):
+    pres = RingPresentation(graph, k, m)
+    assert pres.offset[-1] == len(pres.basis)
+    for g, mat in enumerate(pres.matrices):
+        assert pres.piece_rank(g) == (len(pres.os.nbc[mat.partition])
+                                      * len(pres.assignments[g]))
+        assert all(e.grading == g and e.theta == pres.labels[g]
+                   and e.degree == pres.degrees[g]
+                   for e in pres.basis[pres.offset[g]:pres.offset[g + 1]])
+
+
 def test_unit_and_dependent_products():
     pres = RingPresentation(Graph.complete(2), 2, 2)
     unit = pres.unit_index()
