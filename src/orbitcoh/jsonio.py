@@ -86,9 +86,9 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     """{"ranks": [ints], "extensions": {"lo->hi": [[row-major ints]]}}.
 
     ``ranks`` parallels the poset's labels in sorted order (``poset.labels``),
-    not the order of the poset file; extensions are keyed by cover pairs
-    and default to zero maps.  Ranks must be nonnegative JSON integers and
-    matrix entries JSON integers.
+    not the order of the poset file; extensions are keyed by cover pairs,
+    and an omitted one is the zero map.  Ranks must be nonnegative JSON
+    integers and matrix entries JSON integers.
     """
     try:
         ranks = list(data["ranks"])
@@ -103,8 +103,6 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         raise BadInput("ranks list must parallel the poset elements")
     rank_of = dict(zip(poset.labels, ranks))
     maps = {}
-    seen = set()
-    covers = set(poset.covers)
     for key, rows in raw.items():
         if "->" not in key:
             raise BadInput(f"extension key {key!r} is not 'lo->hi'")
@@ -112,7 +110,7 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         if lo_lab not in poset.index or hi_lab not in poset.index:
             raise BadInput(f"extension key {key!r} names unknown elements")
         lo, hi = poset.index[lo_lab], poset.index[hi_lab]
-        if (lo, hi) not in covers:
+        if hi not in poset.upper[lo]:
             raise BadInput(f"extension key {key!r} is not a cover")
         try:
             entries = [list(row) for row in rows]
@@ -122,11 +120,6 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         except (TypeError, ValueError) as exc:
             raise BadInput(f"bad matrix at {key!r}: {exc}") from exc
         maps[(lo, hi)] = mat
-        seen.add((lo, hi))
-    for lo, hi in poset.covers:
-        if (lo, hi) not in seen:
-            maps[(lo, hi)] = IntMatrix(rank_of[poset.labels[hi]],
-                                       rank_of[poset.labels[lo]])
     try:
         return Copresheaf(poset, [rank_of[lab] for lab in poset.labels], maps)
     except ValueError as exc:

@@ -1,14 +1,15 @@
 """Presheaves and copresheaves of free abelian groups on a poset.
 
 Values are free with explicit ordered bases; maps are integer matrices
-stored on covers only, composed on demand along the Hasse diagram.
-Functoriality (path independence of composites) is validated at
-construction by propagating composites from every source element.
+given on covers only, and a cover without one carries the zero map.
+Composites are taken on demand along the Hasse diagram.  Functoriality
+(path independence of composites) is validated at construction by
+propagating composites from every source element of nonzero rank.
 """
 
 from __future__ import annotations
 
-from .intlinalg import IntMatrix
+from .intlinalg import IntMatrix, kron
 from .posets import GradedPoset, PosetMorphism
 
 
@@ -27,7 +28,9 @@ class Incompatible(Exception):
 class _SheafBase:
     """Shared storage for presheaves and copresheaves.
 
-    ``maps`` is keyed by cover pairs (lo, hi) of element indices.  For a
+    ``maps`` is keyed by cover pairs (lo, hi) of element indices and holds
+    only the maps the caller gave; a cover missing from it carries the
+    zero map (read every map through :meth:`cover_map`).  For a
     copresheaf the matrix is the extension G(lo) -> G(hi); for a
     presheaf it is the restriction F(hi) -> F(lo).
     """
@@ -38,17 +41,13 @@ class _SheafBase:
 
     def __init__(self, base: GradedPoset, ranks, maps, check: bool = True):
         self.base = base
-        if callable(ranks):
-            self.ranks = tuple(int(ranks(lab)) for lab in base.labels)
-        elif isinstance(ranks, dict):
-            self.ranks = tuple(int(ranks[lab]) for lab in base.labels)
-        else:
-            self.ranks = tuple(int(r) for r in ranks)
+        self.ranks = tuple(int(r) for r in ranks)
         if len(self.ranks) != base.n or any(r < 0 for r in self.ranks):
             raise ValueError("bad rank vector")
         self.maps = {}
-        for lo, hi in base.covers:
-            m = maps[(lo, hi)] if not callable(maps) else maps(lo, hi)
+        for (lo, hi), m in maps.items():
+            if not 0 <= lo < base.n or hi not in base.upper[lo]:
+                raise ValueError(f"map key {(lo, hi)} is not a cover")
             nrows, ncols = self._shape(lo, hi)
             if m.rows != nrows or m.cols != ncols:
                 raise ValueError(
@@ -69,9 +68,16 @@ class _SheafBase:
         src, dst = self._cover_source_target(lo, hi)
         return self.ranks[dst], self.ranks[src]
 
+    def cover_map(self, lo: int, hi: int) -> IntMatrix:
+        """The map on cover (lo, hi): the given one, or else zero."""
+        m = self.maps.get((lo, hi))
+        return m if m is not None else IntMatrix(*self._shape(lo, hi))
+
     def _check_functorial(self):
         base = self.base
         for x in range(base.n):
+            if not self.ranks[x]:
+                continue  # every composite out of a zero group is empty
             comp: dict[int, IntMatrix] = {x: IntMatrix.identity(self.ranks[x])}
             # walk upward from x in topological order
             for y in base.topo:
@@ -128,7 +134,7 @@ class Copresheaf(_SheafBase):
         return lo, hi
 
     def _step_matrix(self, lo, hi, acc):
-        return self.maps[(lo, hi)].mul(acc)
+        return self.cover_map(lo, hi).mul(acc)
 
 
 class Presheaf(_SheafBase):
@@ -141,14 +147,13 @@ class Presheaf(_SheafBase):
 
     def _step_matrix(self, lo, hi, acc):
         # acc: F(lo) -> F(target of walk); extend to F(hi) by precomposing
-        return acc.mul(self.maps[(lo, hi)])
+        return acc.mul(self.cover_map(lo, hi))
 
 
-def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str,
-                check_convex: bool = True):
+def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
     """Sheaf with constant value Z^rank on a convex subset, zero outside."""
     idx = {base.index[lab] for lab in subset}
-    if check_convex:
+    if len(idx) < base.n:  # the whole poset is convex
         for i in idx:
             for j in idx:
                 if base.leq(i, j):
@@ -159,32 +164,23 @@ def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str,
                                 f"{base.labels[z]} lies between two subset "
                                 f"elements but is missing")
     ranks = [rank if i in idx else 0 for i in range(base.n)]
-    maps = {}
-    for lo, hi in base.covers:
-        if lo in idx and hi in idx:
-            maps[(lo, hi)] = IntMatrix.identity(rank)
-        else:
-            if kind == "co":
-                maps[(lo, hi)] = IntMatrix(ranks[hi], ranks[lo])
-            else:
-                maps[(lo, hi)] = IntMatrix(ranks[lo], ranks[hi])
+    one = IntMatrix.identity(rank)
+    maps = {(lo, hi): one for lo in idx for hi in base.upper[lo] if hi in idx}
     cls = Copresheaf if kind == "co" else Presheaf
     return cls(base, ranks, maps, check=False)
 
 
 def constant_sheaf(base: GradedPoset, rank: int, kind: str):
-    return delta_sheaf(base, base.labels, rank, kind, check_convex=False)
+    return delta_sheaf(base, base.labels, rank, kind)
 
 
 def pullback(f: PosetMorphism, sheaf):
     """f^*S, the composition of S with f; value at x is S(f(x))."""
     base = f.source
     ranks = [sheaf.ranks[f.image[i]] for i in range(base.n)]
-    maps = {}
-    for lo, hi in base.covers:
-        maps[(lo, hi)] = sheaf.map_index(f.image[lo], f.image[hi])
-    cls = Copresheaf if sheaf.kind == "co" else Presheaf
-    return cls(base, ranks, maps, check=False)
+    maps = {(lo, hi): sheaf.map_index(f.image[lo], f.image[hi])
+            for lo, hi in base.covers}
+    return type(sheaf)(base, ranks, maps, check=False)
 
 
 def product_sheaf(s1, s2, prod_base: GradedPoset):
@@ -195,19 +191,13 @@ def product_sheaf(s1, s2, prod_base: GradedPoset):
     """
     if s1.kind != s2.kind:
         raise ValueError("mixed sheaf kinds")
-    p, q = s1.base, s2.base
-    ranks = {}
-    for a in p.labels:
-        for b in q.labels:
-            ranks[(a, b)] = s1.rank_of(a) * s2.rank_of(b)
-    from .intlinalg import kron
+    ranks = [s1.rank_of(a) * s2.rank_of(b) for a, b in prod_base.labels]
     maps = {}
     for lo, hi in prod_base.covers:
         (a1, b1) = prod_base.labels[lo]
         (a2, b2) = prod_base.labels[hi]
         maps[(lo, hi)] = kron(s1.map(a1, a2), s2.map(b1, b2))
-    cls = Copresheaf if s1.kind == "co" else Presheaf
-    return cls(prod_base, [ranks[lab] for lab in prod_base.labels], maps, check=False)
+    return type(s1)(prod_base, ranks, maps, check=False)
 
 
 class FHom:
@@ -225,7 +215,7 @@ class FHom:
         self.target = target
         self.components = {}
         for i in range(f.source.n):
-            m = components[i] if not callable(components) else components(i)
+            m = components[i]
             want_rows = target.ranks[f.image[i]]
             want_cols = source.ranks[i]
             if m.rows != want_rows or m.cols != want_cols:
@@ -246,11 +236,11 @@ def validate_fhom(k: FHom):
         a, b = f.image[lo], f.image[hi]
         if k.kind == "co":
             # t_hi . ext_source = ext_target . t_lo
-            left = k.components[hi].mul(k.source.maps[(lo, hi)])
+            left = k.components[hi].mul(k.source.cover_map(lo, hi))
             right = k.target.map_index(a, b).mul(k.components[lo])
         else:
             # k_lo . restr_source = restr_target . k_hi
-            left = k.components[lo].mul(k.source.maps[(lo, hi)])
+            left = k.components[lo].mul(k.source.cover_map(lo, hi))
             right = k.target.map_index(a, b).mul(k.components[hi])
         if left != right:
             raise Incompatible(

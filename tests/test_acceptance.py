@@ -183,7 +183,7 @@ def random_instances(rng, count):
             g = delta_sheaf(poset, [lab for lab in poset.labels
                                     if poset.leq(poset.index[x],
                                                  poset.index[lab])],
-                            1, "co", check_convex=False)
+                            1, "co")
         else:
             mins = [lab for i, lab in enumerate(poset.labels)
                     if poset.rank[i] == 0]

@@ -38,6 +38,8 @@ def test_delta_point():
     s = delta_sheaf(p, ["x1"], 1, "co")
     assert s.rank_of("x1") == 1
     assert s.rank_of("x0") == 0 and s.rank_of("x2") == 0
+    # both covers cross out of the support, so they carry the implicit zero
+    assert s.maps == {}
 
 
 def test_delta_whole_poset_is_constant():
@@ -61,6 +63,19 @@ def test_functoriality_checked():
     bad_maps[(p.index["l"], p.index["top"])] = IntMatrix(1, 1, [[2]])
     with pytest.raises(ValueError):
         Copresheaf(p, [1, 1, 1, 1], bad_maps)
+    # an omitted cover is zero: bot -> l -> top is 1, bot -> r -> top is 0
+    ones = {cover: IntMatrix.identity(1) for cover in p.covers}
+    del ones[(p.index["r"], p.index["top"])]
+    with pytest.raises(ValueError):
+        Copresheaf(p, [1, 1, 1, 1], ones)
+    # a path through a rank-0 middle element is zero as well, and the
+    # composites out of bot (rank 1) still have to agree
+    bot, r, top = p.index["bot"], p.index["r"], p.index["top"]
+    through_r = {(bot, r): IntMatrix.identity(1), (r, top): IntMatrix.identity(1)}
+    with pytest.raises(ValueError):
+        Copresheaf(p, [1, 0, 1, 1], through_r)
+    del through_r[(r, top)]
+    assert Copresheaf(p, [1, 0, 1, 1], through_r).map("bot", "top") == IntMatrix(1, 1)
 
 
 def test_composed_maps_along_chain():
@@ -73,6 +88,28 @@ def test_composed_maps_along_chain():
     assert g.map("x0", "x2") == IntMatrix(1, 1, [[6]])
     f = Presheaf(p, [1, 1, 1], maps)
     assert f.map("x0", "x2") == IntMatrix(1, 1, [[6]])
+    # across the omitted cover x1 -> x2 the composite is the zero map
+    x0, x1, x2 = (p.index[f"x{i}"] for i in range(3))
+    first = {(x0, x1): IntMatrix(2, 1, [[1], [-1]])}
+    g = Copresheaf(p, [1, 2, 3], first)
+    assert g.map_index(x1, x2) == IntMatrix(3, 2)
+    assert g.map_index(x0, x2) == IntMatrix(3, 1)
+    f = Presheaf(p, [2, 1, 3], first)
+    assert f.map_index(x0, x2) == IntMatrix(2, 3)
+
+
+def test_maps_only_on_covers():
+    p = chain_poset(2)
+    x0, x1, x2 = (p.index[f"x{i}"] for i in range(3))
+    one = IntMatrix.identity(1)
+    # x0 -> x2 is not a cover: its map would be dropped or contradict 1 . 1
+    with pytest.raises(ValueError):
+        Copresheaf(p, [1, 1, 1],
+                   {(x0, x1): one, (x1, x2): one, (x0, x2): IntMatrix(1, 1, [[5]])})
+    # a missing cover is the zero map, not an error
+    g = Copresheaf(p, [1, 1, 1], {(x0, x1): one})
+    assert g.cover_map(x1, x2) == IntMatrix(1, 1)
+    assert g.map("x0", "x2") == IntMatrix(1, 1)
 
 
 def test_pullback_identity_and_point():

@@ -73,6 +73,10 @@ def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k):
         cx.validate()
         for n in range(1, len(cx.ranks)):
             assert max(map(len, cx.boundary(n)), default=0) <= n + 1
+    # maps are stored only on covers inside the support, so none for these
+    # point deltas: every cover crossing out of a support is the implicit zero
+    for sheaf in (s for kc in built for s in (kc.g, kc.f)):
+        assert all(sheaf.ranks[lo] and sheaf.ranks[hi] for lo, hi in sheaf.maps)
 
 
 def test_braid_chain_has_one_chain_per_ordering():
