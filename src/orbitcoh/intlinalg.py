@@ -5,15 +5,17 @@ Homology of chain complexes of free abelian groups, all in Python ints
 basis element of its source, each the image {row: coefficient} of that
 element; ``IntMatrix`` is the dense matrix kept for sheaf maps, form
 blocks and Smith transforms.  One sparse elimination of the +-1 pivots
-(``UnitReduction``) gives the invariant factors, with the Smith form of
-its small core, and the integer kernel, lifted from the core's; the row
-Hermite form makes kernel bases canonical and answers membership,
-coordinates and exact solves.  No floating point anywhere.
+(``UnitReduction``), which keeps each row's cheapest pivot in a heap
+instead of rescanning the rows, gives the invariant factors, with the
+Smith form of its small core, and the integer kernel, lifted sparsely
+from the core's.  One sparse row Hermite reduction makes kernel bases
+canonical and answers membership, coordinates and exact solves; dense
+rows go in and come out only at its edges.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
-import bisect
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
@@ -257,53 +259,82 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
     """Eliminate +-1 pivots in place; return them as (column, value, row).
 
-    Pivots are chosen Markowitz-style to limit fill-in, and each row is
-    kept as it was when chosen: it holds no earlier pivot's column.  Only
-    row operations by +-1 pivots are used, so the invariant factors of
-    the input are 1^k (k pivots) followed by those of the core left.
+    Pivots are chosen Markowitz-style to limit fill-in: the +-1 entry of
+    least cost (len(row) - 1) * (len(column) - 1), ties going to the
+    earliest row in the order of ``rows`` and then to the earliest entry
+    in that row's order.  A heap indexes each row's best entry by (cost,
+    row position); after a pivot only the rows it changed and the rows
+    with a +-1 entry in a column whose count changed are rescored, and
+    an entry that no longer matches its row's best is skipped when
+    popped.  Each row is kept as it was when chosen: it holds no earlier
+    pivot's column.  Only row operations by +-1 pivots are used, so the
+    invariant factors of the input are 1^k (k pivots) followed by those
+    of the core left.
     """
     cols: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    pivots = []
-    while True:
-        piv = None
-        best = None
-        for i, row in rows.items():
-            li = len(row)
+    position = {i: p for p, i in enumerate(rows)}
+    best: dict[int, tuple[int, int]] = {}  # row -> (cost, column) of its best unit
+    heap: list[tuple[int, int, int]] = []  # (cost, row position, row)
+
+    def rescore(i):
+        row = rows.get(i)
+        found = None
+        if row:
+            li = len(row) - 1
             for j, x in row.items():
                 if x == 1 or x == -1:
-                    cost = (li - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best:
-                        piv, best = (i, j), cost
-                        if cost == 0:
+                    cost = li * (len(cols[j]) - 1)
+                    if found is None or cost < found[0]:
+                        found = (cost, j)
+                        if not cost:
                             break
-            if best == 0:
-                break
-        if piv is None:
-            return pivots
-        pi, pj = piv
+        if found is None:
+            best.pop(i, None)
+        elif best.get(i) != found:
+            best[i] = found
+            heapq.heappush(heap, (found[0], position[i], i))
+
+    for i in rows:
+        rescore(i)
+    pivots = []
+    while heap:
+        cost, _, pi = heapq.heappop(heap)
+        found = best.get(pi)
+        if found is None or found[0] != cost:
+            continue  # stale: the row was rescored or eliminated since
+        pj = found[1]
+        del best[pi]
         prow = rows.pop(pi)
         pval = prow[pj]
+        before = {j: len(cols[j]) for j in prow}
         for j in prow:
             cols[j].discard(pi)
-        for i in list(cols[pj]):
+        changed = list(cols[pj])
+        for i in changed:
             row = rows[i]
             q = row[pj] * pval  # pval in {1,-1}: exact multiplier
             for j, x in prow.items():
                 cur = row.get(j, 0) - q * x
                 if cur:
                     row[j] = cur
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    if j in row:
-                        del row[j]
-                        cols[j].discard(i)
+                    cols[j].add(i)
+                elif j in row:
+                    del row[j]
+                    cols[j].discard(i)
             if not row:
                 del rows[i]
         del cols[pj]
+        dirty = set(changed)
+        for j, n in before.items():
+            if j != pj and len(cols[j]) != n:
+                dirty.update(i for i in cols[j] if rows[i][j] in (1, -1))
+        for i in dirty:
+            rescore(i)
         pivots.append((pj, pval, prow))
+    return pivots
 
 
 class UnitReduction:
@@ -335,32 +366,45 @@ class UnitReduction:
 
     @cached_property
     def kernel(self) -> list[list[int]]:
-        """Hermite basis of ker A, lifted from the core's kernel.
+        """Hermite basis of ker A, lifted sparsely from the core's kernel.
 
-        The core's kernel lives on the nonpivot columns; each pivot row
-        fixes its pivot coordinate from later and nonpivot columns only,
-        so substituting in reverse pivot order lifts a basis to a basis.
+        The core's kernel lives on the nonpivot columns: the identity on
+        them when the core is empty, else that of a ``ColumnSolver`` of
+        the core.  Each pivot row fixes its pivot coordinate from later
+        and nonpivot columns only, so substituting in reverse pivot order
+        lifts a basis to a basis, kept as {column: value} until the
+        sparse Hermite reduction writes it out as dense rows.
         """
         pivot_cols = {pj for pj, _, _ in self.pivots}
         free = [j for j in range(self.cols) if j not in pivot_cols]
-        cpos = {j: p for p, j in enumerate(free)}
-        core_cols: list[dict[int, int]] = [{} for _ in free]
-        for p, i in enumerate(sorted(self.core)):
-            for j, x in self.core[i].items():
-                core_cols[cpos[j]][p] = x
-        core_kernel = ColumnSolver(core_cols, len(self.core)).kernel
-        # coordinate j of every lifted vector, as {vector index: value}
-        coord = {j: {v: y[p] for v, y in enumerate(core_kernel) if y[p]}
-                 for p, j in enumerate(free)}
+        if self.core:
+            cpos = {j: p for p, j in enumerate(free)}
+            core_cols: list[dict[int, int]] = [{} for _ in free]
+            for p, i in enumerate(sorted(self.core)):
+                for j, x in self.core[i].items():
+                    core_cols[cpos[j]][p] = x
+            core_kernel = ColumnSolver(core_cols, len(self.core)).kernel
+            # coordinate j of every lifted vector, as {vector index: value}
+            coord = {j: {v: y[p] for v, y in enumerate(core_kernel) if y[p]}
+                     for p, j in enumerate(free)}
+            count = len(core_kernel)
+        else:
+            coord = {j: {p: 1} for p, j in enumerate(free)}
+            count = len(free)
         for pj, pval, prow in reversed(self.pivots):
             acc: dict[int, int] = {}
             for j, c in prow.items():  # coord has no pj yet: it is skipped
                 for v, y in coord.get(j, {}).items():
                     acc[v] = acc.get(v, 0) - pval * c * y
             coord[pj] = {v: y for v, y in acc.items() if y}
-        lifted = [[coord[j].get(v, 0) for j in range(self.cols)]
-                  for v in range(len(core_kernel))]
-        return row_hermite(lifted, self.cols)
+        lifted: list[dict[int, int]] = [{} for _ in range(count)]
+        for j, col in coord.items():
+            for v, y in col.items():
+                lifted[v][j] = y
+        del coord
+        rows = _hermite(lifted)
+        del lifted  # the rows are among its dicts: each is freed once copied
+        return _dense_rows(rows, self.cols)
 
 
 def elementary_divisors(cols: list[dict[int, int]]) -> list[int]:
@@ -388,57 +432,107 @@ def rank_mod2(cols: list[dict[int, int]]) -> int:
     return rank
 
 
+def _axpy(v: dict[int, int], q: int, row: dict[int, int], todo=None):
+    """v += q * row in place, dropping zeros; columns new to v go on `todo`."""
+    for c, y in row.items():
+        x = v.get(c)
+        if x is None:
+            v[c] = q * y
+            if todo is not None:
+                heapq.heappush(todo, c)
+        else:
+            x += q * y
+            if x:
+                v[c] = x
+            else:
+                del v[c]
+
+
+def _combine(a: dict[int, int], p: int, b: dict[int, int], q: int) -> dict[int, int]:
+    """p * a + q * b as a new sparse vector without zeros."""
+    out = {c: p * x for c, x in a.items()} if p else {}
+    for c, y in b.items():
+        x = out.get(c, 0) + q * y
+        if x:
+            out[c] = x
+        else:
+            out.pop(c, None)
+    return out
+
+
+def _hermite(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Row Hermite form of the lattice spanned by sparse vectors {column: value}.
+
+    Each vector is reduced against the rows kept so far, leftmost
+    nonzero column first, with a heap of the columns it may be nonzero
+    in; a column whose row does not divide it is merged by the extended
+    gcd.  Returns the rows ordered by pivot, reduced above their pivots.
+    The vectors must hold no zero entries; they are used up as rows.
+    """
+    basis: dict[int, dict[int, int]] = {}  # pivot column -> row
+    for v in vectors:
+        todo = list(v)
+        heapq.heapify(todo)
+        while todo:
+            # every reduction clears v[j] and changes only later columns
+            j = heapq.heappop(todo)
+            b = v.get(j)
+            if not b:
+                continue
+            row = basis.get(j)
+            if row is None:
+                basis[j] = v if b > 0 else {c: -x for c, x in v.items()}
+                break
+            a = row[j]
+            if b % a == 0:
+                _axpy(v, -(b // a), row, todo)
+            else:
+                x, y, g = _xgcd(a, b)
+                basis[j] = _combine(row, x, v, y)
+                v = _combine(v, a // g, row, -(b // g))
+                for c in row:
+                    heapq.heappush(todo, c)
+    rows = [basis[j] for j in sorted(basis)]
+    # back-reduce entries above pivots, leftmost pivot first: each step
+    # changes only columns from its own pivot on, so it keeps the entries
+    # above earlier pivots reduced
+    for idx, prow in enumerate(rows):
+        j = min(prow)
+        p = prow[j]
+        for t in range(idx):
+            q = rows[t].get(j, 0) // p
+            if q:
+                _axpy(rows[t], -q, prow)
+    return rows
+
+
+def _dense_rows(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
+    """Dense copies of sparse rows, each sparse row dropped once copied."""
+    out = []
+    for t, row in enumerate(rows):
+        dense = [0] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+        rows[t] = None
+    return out
+
+
 def row_hermite(vectors, ncols: int) -> list[list[int]]:
     """Canonical basis (row Hermite form) of the lattice spanned by `vectors`.
 
     Rows are echelon with positive pivots, entries above each pivot
     reduced into [0, pivot).  Zero rows are dropped.  Two generating
-    sets span the same lattice iff their Hermite bases are equal.
+    sets span the same lattice iff their Hermite bases are equal.  The
+    dense rows are reduced as sparse vectors by ``_hermite``.
     """
-    basis: list[list[int]] = []  # kept sorted by pivot column
-    pivots: list[int] = []
+    sparse_vectors = []
     for vec in vectors:
         v = list(vec)
         if len(v) != ncols:
             raise ValueError("vector length mismatch")
-        j = 0
-        while True:
-            # every reduction clears v[j], so the next pivot lies further right
-            j = next((jj for jj in range(j, ncols) if v[jj]), None)
-            if j is None:
-                break
-            pos = bisect.bisect_left(pivots, j)
-            if pos < len(pivots) and pivots[pos] == j:
-                row = basis[pos]
-                aa, bb = row[j], v[j]
-                if bb % aa == 0:
-                    q = bb // aa
-                    for jj in range(j, ncols):
-                        v[jj] -= q * row[jj]
-                else:
-                    x, y, g = _xgcd(aa, bb)
-                    new_row = [x * a + y * b for a, b in zip(row, v)]
-                    coef_a, coef_b = aa // g, bb // g
-                    v = [coef_a * b - coef_b * a for a, b in zip(row, v)]
-                    basis[pos] = new_row
-            else:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                basis.insert(pos, v)
-                pivots.insert(pos, j)
-                break
-    # back-reduce entries above pivots, leftmost pivot first: each step
-    # changes only columns from its own pivot on, so it keeps the entries
-    # above earlier pivots reduced
-    for idx, j in enumerate(pivots):
-        prow = basis[idx]
-        p = prow[j]
-        for row in basis[:idx]:
-            q = row[j] // p
-            if q:
-                for jj in range(j, ncols):
-                    row[jj] -= q * prow[jj]
-    return basis
+        sparse_vectors.append({j: x for j, x in enumerate(v) if x})
+    return _dense_rows(_hermite(sparse_vectors), ncols)
 
 
 def hermite_coords(basis: list[list[int]], vec) -> list[int] | None:
@@ -516,16 +610,17 @@ class ColumnSolver:
         self.rows, self.cols = m, n
         extended = []
         for j, col in enumerate(cols):
-            row = [0] * (m + n)
-            for i, x in col.items():
-                row[i] = x
+            if any(not 0 <= i < m for i in col):
+                raise ValueError("column entry outside the matrix rows")
+            row = {i: x for i, x in col.items() if x}
             row[m + j] = 1
             extended.append(row)
-        hermite = row_hermite(extended, m + n)
-        split = sum(1 for row in hermite if any(row[:m]))
-        self.image = [row[:m] for row in hermite[:split]]
-        self.combos = [row[m:] for row in hermite[:split]]
-        self.kernel = [row[m:] for row in hermite[split:]]
+        hermite = _hermite(extended)
+        del extended
+        split = sum(1 for row in hermite if min(row) < m)
+        self.image = [[row.get(i, 0) for i in range(m)] for row in hermite[:split]]
+        self.combos = [[row.get(m + j, 0) for j in range(n)] for row in hermite[:split]]
+        self.kernel = [[row.get(m + j, 0) for j in range(n)] for row in hermite[split:]]
 
     def solve(self, b: dict[int, int]) -> list[int]:
         """The unique x with A·x = b, for a sparse column b."""

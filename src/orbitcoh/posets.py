@@ -110,13 +110,12 @@ class GradedPoset:
         return self.up[i] & self.down[j]
 
     def mask_elements(self, mask: int) -> list[int]:
+        """The indices of the set bits of `mask`, ascending, one step per set bit."""
         out = []
-        i = 0
         while mask:
-            if mask & 1:
-                out.append(i)
-            mask >>= 1
-            i += 1
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
         return out
 
     def minimum(self) -> int:

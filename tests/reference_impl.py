@@ -1,0 +1,132 @@
+"""Plain implementations that the indexed and sparse ones must match exactly.
+
+Each is the straightforward version of a routine the package now does
+faster: the unit-pivot eliminator that rescans every row for each pivot,
+the row Hermite form on dense rows, and the bit walk that shifts a mask
+once per position.  None imports from the package, so a test comparing
+against them checks the package's routine, not a copy of it.
+"""
+
+import bisect
+
+
+def scanning_unit_eliminate(rows: dict[int, dict[int, int]]):
+    """Eliminate +-1 pivots in place, rescanning every row for each pivot.
+
+    The pivot is the +-1 entry of least Markowitz cost
+    (len(row) - 1) * (len(column) - 1); ties go to the earliest row in
+    the order of ``rows``, then to the earliest entry in that row.
+    Returns the pivots as (column, value, row).
+    """
+    cols: dict[int, set[int]] = {}
+    for i, row in rows.items():
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    pivots = []
+    while True:
+        piv = None
+        best = None
+        for i, row in rows.items():
+            li = len(row)
+            for j, x in row.items():
+                if x == 1 or x == -1:
+                    cost = (li - 1) * (len(cols[j]) - 1)
+                    if best is None or cost < best:
+                        piv, best = (i, j), cost
+                        if cost == 0:
+                            break
+            if best == 0:
+                break
+        if piv is None:
+            return pivots
+        pi, pj = piv
+        prow = rows.pop(pi)
+        pval = prow[pj]
+        for j in prow:
+            cols[j].discard(pi)
+        for i in list(cols[pj]):
+            row = rows[i]
+            q = row[pj] * pval
+            for j, x in prow.items():
+                cur = row.get(j, 0) - q * x
+                if cur:
+                    row[j] = cur
+                    cols.setdefault(j, set()).add(i)
+                else:
+                    if j in row:
+                        del row[j]
+                        cols[j].discard(i)
+            if not row:
+                del rows[i]
+        del cols[pj]
+        pivots.append((pj, pval, prow))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    x, nx = 1, 0
+    y, ny = 0, 1
+    g, ng = a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def dense_row_hermite(vectors, ncols: int) -> list[list[int]]:
+    """Row Hermite form of the lattice spanned by dense `vectors`, on dense rows."""
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = list(vec)
+        if len(v) != ncols:
+            raise ValueError("vector length mismatch")
+        j = 0
+        while True:
+            j = next((jj for jj in range(j, ncols) if v[jj]), None)
+            if j is None:
+                break
+            pos = bisect.bisect_left(pivots, j)
+            if pos < len(pivots) and pivots[pos] == j:
+                row = basis[pos]
+                aa, bb = row[j], v[j]
+                if bb % aa == 0:
+                    q = bb // aa
+                    for jj in range(j, ncols):
+                        v[jj] -= q * row[jj]
+                else:
+                    x, y, g = _xgcd(aa, bb)
+                    new_row = [x * a + y * b for a, b in zip(row, v)]
+                    coef_a, coef_b = aa // g, bb // g
+                    v = [coef_a * b - coef_b * a for a, b in zip(row, v)]
+                    basis[pos] = new_row
+            else:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                basis.insert(pos, v)
+                pivots.insert(pos, j)
+                break
+    for idx, j in enumerate(pivots):
+        prow = basis[idx]
+        p = prow[j]
+        for row in basis[:idx]:
+            q = row[j] // p
+            if q:
+                for jj in range(j, ncols):
+                    row[jj] -= q * prow[jj]
+    return basis
+
+
+def shifting_mask_elements(mask: int) -> list[int]:
+    """Positions of the set bits of `mask`, ascending, shifting once per position."""
+    out = []
+    i = 0
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return out

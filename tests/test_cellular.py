@@ -192,10 +192,13 @@ def test_cellular_chain_matches_oracle_constant():
      "21067c1814e1702396347950a270b85770748ef236bd8dea5b132b0493c223cf"),
     (Graph.path(3), 3,
      "e5fe93d32ee9cebc6eb06b7a326c0a2e57f37f73a5fafc4ab123a05637566354"),
-], ids=["P3", "K3", "K3-k3", "P3-k3"])
+    (Graph.path(3), 4,
+     "3aa60787e43570a8dbdcca7ef5c6d1aedf3ced13ab7088a85340a3aa663b8f1e"),
+], ids=["P3", "K3", "K3-k3", "P3-k3", "P3-k4"])
 def test_orbit_lattice_form_is_pinned(graph, k, digest):
-    # the form's JSON on L(G, k, 2) is fixed byte for byte; L(K3, 3, 2) is
-    # the benchmark's lattice, with a 198x300 top boundary
+    # the form's JSON on L(G, k, 2) is fixed byte for byte; L(K3, 3, 2) and
+    # L(P3, 4, 2) are the benchmark's lattices, the latter with a
+    # 498-column top boundary
     lkm = build_lkm(graph, k, 2)
     g = delta_sheaf(lkm.poset, [lkm.bottom_label()], 1, "co")
     form = construct_cellular_form(lkm.poset, g)

@@ -93,6 +93,9 @@ def test_solve_unique_examples():
         ColumnSolver([{0: 1, 1: 1}], 2).solve({0: 1, 1: 2})
     with pytest.raises(ValueError):
         ColumnSolver([{0: 1}], 1).solve({1: 1})
+    # a column entry past the last row would land in the unit part
+    with pytest.raises(ValueError):
+        ColumnSolver([{1: 1}], 1)
 
 
 def test_kernel_basis_examples():

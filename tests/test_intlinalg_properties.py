@@ -2,7 +2,10 @@
 
 Hypothesis draws small integer matrices; the references are the Smith
 normal form of this package (for kernels and column-lattice membership)
-and sympy's (for elementary divisors).  Runs are derandomized and keep
+and sympy's (for elementary divisors).  The indexed unit-pivot
+eliminator and the sparse Hermite form must also match the plain
+versions in ``reference_impl.py`` exactly: the same pivots in the same
+order, the same core and the same rows.  Runs are derandomized and keep
 no example database; the constants cache goes to the system temporary
 directory, as in ``test_orbit_properties.py``.
 """
@@ -22,6 +25,7 @@ from orbitcoh.intlinalg import (
     IntMatrix,
     NoIntegerSolution,
     UnitReduction,
+    _sparse_unit_eliminate,
     echelon_readoff,
     elementary_divisors,
     hermite_coords,
@@ -29,6 +33,7 @@ from orbitcoh.intlinalg import (
     row_hermite,
     smith_normal_form,
 )
+from reference_impl import dense_row_hermite, scanning_unit_eliminate
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
 
@@ -128,6 +133,65 @@ def test_sparse_kernel_and_divisors_match_smith_reference(a):
     trailing = [v.column(j) for j in range(rank, a.cols)]
     assert kernel_basis(columns(a)) == row_hermite(trailing, a.cols)
     assert elementary_divisors(columns(a)) == [d.data[i][i] for i in range(rank)]
+
+
+def rows_in_order(a: IntMatrix, order: list[int]) -> dict[int, dict[int, int]]:
+    """The nonzero rows of `a` as {row: {column: entry}}, keyed in `order`."""
+    rows = {i: {j: x for j, x in enumerate(a.data[i]) if x} for i in order}
+    return {i: row for i, row in rows.items() if row}
+
+
+def ordered(pivots, core):
+    # dict order included: the tie-break reads it, so both must agree on it
+    return ([(pj, pval, list(prow.items())) for pj, pval, prow in pivots],
+            [(i, list(row.items())) for i, row in core.items()])
+
+
+def eliminations_agree(a: IntMatrix, order: list[int]):
+    rows, ref_rows = rows_in_order(a, order), rows_in_order(a, order)
+    got = _sparse_unit_eliminate(rows)
+    assert ordered(got, rows) == ordered(scanning_unit_eliminate(ref_rows), ref_rows)
+
+
+@laws
+@given(incidence_like(), st.data())
+@example(PATH_INCIDENCE, None)
+@example(WITH_CORE, None)
+@example(IntMatrix(0, 0), None)
+@example(IntMatrix(3, 0), None)
+@example(IntMatrix(0, 4), None)
+def test_indexed_pivots_match_scanning_reference(a, data):
+    # the same pivots in the same order, and the same core, whatever the
+    # order of the rows the tie-break reads
+    order = list(range(a.rows))
+    if data is not None:
+        order = data.draw(st.permutations(order))
+    eliminations_agree(a, order)
+
+
+@laws
+@given(matrices(min_rows=0, max_rows=6, min_cols=0, max_cols=6))
+def test_indexed_pivots_match_scanning_reference_on_dense(a):
+    eliminations_agree(a, list(range(a.rows)))
+
+
+@laws
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                         max_size=6))))
+@example((0, []))
+@example((0, [[], []]))
+@example((3, []))
+@example((3, [[0, 0, 0]]))
+def test_sparse_row_hermite_matches_dense_reference(case):
+    ncols, gens = case
+    assert row_hermite(gens, ncols) == dense_row_hermite(gens, ncols)
+
+
+@laws
+@given(incidence_like())
+def test_sparse_row_hermite_matches_dense_reference_on_incidence(a):
+    assert row_hermite(a.data, a.cols) == dense_row_hermite(a.data, a.cols)
 
 
 def readoff(basis, vec):

@@ -1,7 +1,12 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from conftest import bottom, partition_lattice, top
 from orbitcoh.oracle import TorComplex
@@ -20,6 +25,19 @@ from orbitcoh.posets import (
     PosetMorphism,
 )
 from orbitcoh.sheaves import constant_sheaf
+from reference_impl import shifting_mask_elements
+
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.sets(st.integers(0, 320), max_size=40).map(lambda bits: sum(1 << b for b in bits)))
+@example(0)
+@example(1 << 200)
+@example((1 << 257) - 1)
+def test_mask_elements_matches_shifting_walk(mask):
+    # set bits one at a time, ascending, as the shift-per-position walk finds them
+    assert chain_poset(1).mask_elements(mask) == shifting_mask_elements(mask)
 
 
 def test_build_chain():
