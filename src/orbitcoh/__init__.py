@@ -14,7 +14,6 @@ from .intlinalg import (
     HomologySummary,
     IntMatrix,
     homology,
-    kernel_basis,
     smith_normal_form,
 )
 from .oracle import GMOracle, TorComplex

@@ -203,7 +203,7 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         for y in sorted(poset.lower[x]):
             if piece_ranks[y]:
                 diff[(y, x)] = IntMatrix(piece_ranks[y], len(ker), [
-                    [v[start + a] for v in ker] for a in range(piece_ranks[y])])
+                    [v.get(start + a, 0) for v in ker] for a in range(piece_ranks[y])])
             start += piece_ranks[y]
 
     return CellularForm(poset, g, piece_ranks, diff)

@@ -1,16 +1,19 @@
 """Exact linear algebra over the integers.
 
 Homology of chain complexes of free abelian groups, all in Python ints
-(arbitrary precision).  A boundary is a list of sparse columns, one per
-basis element of its source, each the image {row: coefficient} of that
-element; ``IntMatrix`` is the dense matrix kept for sheaf maps, form
-blocks and Smith transforms.  One sparse elimination of the +-1 pivots
+(arbitrary precision).  Every vector between the elimination of a
+boundary and the read-off of a class is one sparse form: a dict
+{index: value} that stores no zero entry, so the pivot of a Hermite row
+is its least key.  A boundary is a list of sparse columns {row:
+coefficient}, one per basis element of its source.  One sparse elimination of the +-1 pivots
 (``UnitReduction``), which keeps each row's cheapest pivot in a heap
 instead of rescanning the rows, gives the invariant factors, with the
-Smith form of its small core, and the integer kernel, lifted sparsely
-from the core's.  One sparse row Hermite reduction makes kernel bases
-canonical and answers membership, coordinates and exact solves; dense
-rows go in and come out only at its edges.  No floating point anywhere.
+Smith form of its small core, and the integer kernel, lifted from the
+core's.  One row Hermite reduction (``row_hermite``) makes kernel bases
+canonical and answers membership, coordinates and exact solves.  The
+only dense form is ``IntMatrix``, kept for sheaf maps, form blocks,
+Smith transforms and the solutions written into them.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -365,15 +368,14 @@ class UnitReduction:
         return ones + [dm.data[i][i] for i in range(min(dm.rows, dm.cols)) if dm.data[i][i]]
 
     @cached_property
-    def kernel(self) -> list[list[int]]:
-        """Hermite basis of ker A, lifted sparsely from the core's kernel.
+    def kernel(self) -> list[dict[int, int]]:
+        """Hermite basis of ker A as sparse rows, lifted from the core's kernel.
 
         The core's kernel lives on the nonpivot columns: the identity on
         them when the core is empty, else that of a ``ColumnSolver`` of
         the core.  Each pivot row fixes its pivot coordinate from later
         and nonpivot columns only, so substituting in reverse pivot order
-        lifts a basis to a basis, kept as {column: value} until the
-        sparse Hermite reduction writes it out as dense rows.
+        lifts a basis to a basis, which ``row_hermite`` makes canonical.
         """
         pivot_cols = {pj for pj, _, _ in self.pivots}
         free = [j for j in range(self.cols) if j not in pivot_cols]
@@ -384,27 +386,25 @@ class UnitReduction:
                 for j, x in self.core[i].items():
                     core_cols[cpos[j]][p] = x
             core_kernel = ColumnSolver(core_cols, len(self.core)).kernel
-            # coordinate j of every lifted vector, as {vector index: value}
-            coord = {j: {v: y[p] for v, y in enumerate(core_kernel) if y[p]}
-                     for p, j in enumerate(free)}
-            count = len(core_kernel)
         else:
-            coord = {j: {p: 1} for p, j in enumerate(free)}
-            count = len(free)
+            core_kernel = [{p: 1} for p in range(len(free))]
+        # coordinate j of every lifted vector, as {vector index: value}
+        coord: dict[int, dict[int, int]] = {j: {} for j in free}
+        for v, y in enumerate(core_kernel):
+            for p, x in y.items():
+                coord[free[p]][v] = x
         for pj, pval, prow in reversed(self.pivots):
             acc: dict[int, int] = {}
             for j, c in prow.items():  # coord has no pj yet: it is skipped
                 for v, y in coord.get(j, {}).items():
                     acc[v] = acc.get(v, 0) - pval * c * y
             coord[pj] = {v: y for v, y in acc.items() if y}
-        lifted: list[dict[int, int]] = [{} for _ in range(count)]
+        lifted: list[dict[int, int]] = [{} for _ in core_kernel]
         for j, col in coord.items():
             for v, y in col.items():
                 lifted[v][j] = y
         del coord
-        rows = _hermite(lifted)
-        del lifted  # the rows are among its dicts: each is freed once copied
-        return _dense_rows(rows, self.cols)
+        return row_hermite(lifted)
 
 
 def elementary_divisors(cols: list[dict[int, int]]) -> list[int]:
@@ -460,14 +460,18 @@ def _combine(a: dict[int, int], p: int, b: dict[int, int], q: int) -> dict[int, 
     return out
 
 
-def _hermite(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
-    """Row Hermite form of the lattice spanned by sparse vectors {column: value}.
+def row_hermite(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
+    """Canonical basis (row Hermite form) of the lattice spanned by sparse vectors.
 
-    Each vector is reduced against the rows kept so far, leftmost
-    nonzero column first, with a heap of the columns it may be nonzero
-    in; a column whose row does not divide it is merged by the extended
-    gcd.  Returns the rows ordered by pivot, reduced above their pivots.
-    The vectors must hold no zero entries; they are used up as rows.
+    Vectors and rows are {column: value} without zero entries, so a
+    row's pivot is its least column.  The rows come ordered by pivot,
+    each pivot positive and every entry above it reduced into
+    [0, pivot); zero vectors add nothing.  Two generating sets span the
+    same lattice iff their Hermite bases are equal.  Each vector is
+    reduced against the rows kept so far, leftmost nonzero column first,
+    with a heap of the columns it may be nonzero in; a column whose row
+    does not divide it is merged by the extended gcd.  The vectors are
+    used up: each may be changed in place and kept as a row.
     """
     basis: dict[int, dict[int, int]] = {}  # pivot column -> row
     for v in vectors:
@@ -506,66 +510,29 @@ def _hermite(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
     return rows
 
 
-def _dense_rows(rows: list[dict[int, int]], ncols: int) -> list[list[int]]:
-    """Dense copies of sparse rows, each sparse row dropped once copied."""
-    out = []
-    for t, row in enumerate(rows):
-        dense = [0] * ncols
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-        rows[t] = None
-    return out
+def hermite_coords(basis: list[dict[int, int]], vec: dict[int, int]) -> list[int] | None:
+    """Coordinates of sparse `vec` over a Hermite basis, or None outside its lattice.
 
-
-def row_hermite(vectors, ncols: int) -> list[list[int]]:
-    """Canonical basis (row Hermite form) of the lattice spanned by `vectors`.
-
-    Rows are echelon with positive pivots, entries above each pivot
-    reduced into [0, pivot).  Zero rows are dropped.  Two generating
-    sets span the same lattice iff their Hermite bases are equal.  The
-    dense rows are reduced as sparse vectors by ``_hermite``.
+    `basis` rows must have strictly increasing pivots, as those of
+    `row_hermite` do.  One pass down the rows: each pivot fixes its
+    coordinate and clears its column.  A row changes no column to the
+    left of its pivot, so an entry still left at the end is one that no
+    row can clear, and puts `vec` outside the lattice.
     """
-    sparse_vectors = []
-    for vec in vectors:
-        v = list(vec)
-        if len(v) != ncols:
-            raise ValueError("vector length mismatch")
-        sparse_vectors.append({j: x for j, x in enumerate(v) if x})
-    return _dense_rows(_hermite(sparse_vectors), ncols)
-
-
-def hermite_coords(basis: list[list[int]], vec) -> list[int] | None:
-    """Coordinates of `vec` over an echelon basis, or None outside its lattice.
-
-    `basis` rows must have strictly increasing first nonzero columns, as
-    those of `row_hermite` do.  One pass down the rows: each pivot fixes
-    its coordinate, and an entry of `vec` that no remaining row can clear
-    puts it outside the lattice.
-    """
-    v = list(vec)
-    n = len(v)
+    v = dict(vec)
     coords = []
-    j = 0
     for row in basis:
-        if len(row) != n:
-            raise ValueError("vector length mismatch")
-        while not row[j]:
-            if v[j]:
-                return None
-            j += 1
-        q, r = divmod(v[j], row[j])
+        j = min(row)
+        q, r = divmod(v.get(j, 0), row[j])
         if r:
             return None
         if q:
-            for jj in range(j, n):
-                v[jj] -= q * row[jj]
+            _axpy(v, -q, row)
         coords.append(q)
-        j += 1
-    return None if any(v[j:]) else coords
+    return None if v else coords
 
 
-def echelon_readoff(basis: list[list[int]]) -> tuple[int, dict[int, dict[int, int]]]:
+def echelon_readoff(basis: list[dict[int, int]]) -> tuple[int, dict[int, dict[int, int]]]:
     """Coordinates over a row Hermite basis, read off its pivot columns.
 
     Returns ``(d, cols)``: a vector v of the basis's lattice has
@@ -576,7 +543,7 @@ def echelon_readoff(basis: list[list[int]]) -> tuple[int, dict[int, dict[int, in
     v at the r-th pivot.  The map says nothing about membership: check
     that separately.
     """
-    pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+    pivots = [min(row) for row in basis]
     if all(row[p] == 1 for row, p in zip(basis, pivots)):
         return 1, {p: {r: 1} for r, p in enumerate(pivots)}
     # d times the inverse of the triangular block is its adjugate, so the
@@ -586,7 +553,7 @@ def echelon_readoff(basis: list[list[int]]) -> tuple[int, dict[int, dict[int, in
     for r, pr in enumerate(pivots):
         col: list[int] = []
         for s, p in enumerate(pivots):
-            acc = d * (s == r) - sum(basis[t][p] * col[t] for t in range(s))
+            acc = d * (s == r) - sum(basis[t].get(p, 0) * col[t] for t in range(s))
             col.append(acc // basis[s][p])
         cols[pr] = col
     g = gcd(d, *(x for col in cols.values() for x in col))
@@ -600,9 +567,10 @@ class ColumnSolver:
     A has ``rows`` rows.  Column j, extended by the unit vector e_j, is
     the row (A·e_j, e_j).  In the row Hermite form of these rows, the
     rows with a nonzero A-part are an echelon basis of the column
-    lattice, each followed by the combination of columns that gives it;
-    the rest have a zero A-part, and their unit parts are the Hermite
-    basis of ker A.
+    lattice (``image``), each with the combination of columns that
+    gives it (``combos``); the rest have a zero A-part, and their unit
+    parts are the Hermite basis of ker A (``kernel``).  All three are
+    sparse rows, the last two indexed by the columns of A.
     """
 
     def __init__(self, cols: list[dict[int, int]], rows: int):
@@ -615,32 +583,29 @@ class ColumnSolver:
             row = {i: x for i, x in col.items() if x}
             row[m + j] = 1
             extended.append(row)
-        hermite = _hermite(extended)
+        hermite = row_hermite(extended)
         del extended
         split = sum(1 for row in hermite if min(row) < m)
-        self.image = [[row.get(i, 0) for i in range(m)] for row in hermite[:split]]
-        self.combos = [[row.get(m + j, 0) for j in range(n)] for row in hermite[:split]]
-        self.kernel = [[row.get(m + j, 0) for j in range(n)] for row in hermite[split:]]
+        self.image = [{i: x for i, x in row.items() if i < m} for row in hermite[:split]]
+        self.combos = [{j - m: x for j, x in row.items() if j >= m}
+                       for row in hermite[:split]]
+        self.kernel = [{j - m: x for j, x in row.items()} for row in hermite[split:]]
 
     def solve(self, b: dict[int, int]) -> list[int]:
-        """The unique x with A·x = b, for a sparse column b."""
+        """The unique x with A·x = b, for a sparse column b, written out dense."""
         if any(not 0 <= i < self.rows for i in b):
             raise ValueError("rhs row out of range")
         if self.kernel:
             raise NonUnique("matrix has nontrivial kernel")
-        vec = [0] * self.rows
-        for i, x in b.items():
-            vec[i] = x
-        coords = hermite_coords(self.image, vec)
+        coords = hermite_coords(self.image, b)
         if coords is None:
             raise NoIntegerSolution("rhs outside the column lattice")
-        return [sum(q * combo[i] for q, combo in zip(coords, self.combos))
-                for i in range(self.cols)]
-
-
-def kernel_basis(cols: list[dict[int, int]]) -> list[list[int]]:
-    """Hermite basis of ker A for sparse columns A, lifted by one ``UnitReduction``."""
-    return UnitReduction(cols).kernel
+        x = [0] * self.cols
+        for q, combo in zip(coords, self.combos):
+            if q:
+                for j, c in combo.items():
+                    x[j] += q * c
+        return x
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:

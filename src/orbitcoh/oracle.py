@@ -157,22 +157,15 @@ class TorComplex:
 
     # -- vectors and formal chains ------------------------------------------
 
-    def vector(self, formal: dict, n: int) -> list[int]:
-        vec = [0] * self.rank(n)
+    def vector(self, formal: dict, n: int) -> dict[int, int]:
+        """A formal chain of degree n as a sparse vector {position: coefficient}."""
         pos = self.position[n] if n < len(self.position) else {}
-        for key, coeff in formal.items():
-            if coeff:
-                vec[pos[key]] += coeff
-        return vec
+        return {pos[key]: c for key, c in formal.items() if c}
 
-    def formal(self, vec: list[int], n: int) -> dict:
-        return {k: v for k, v in zip(self.keys[n], vec) if v}
-
-    def sparse(self, vec: list[int], n: int) -> dict[int, int]:
-        """A dense vector of degree n as {position: coefficient}."""
-        if len(vec) != self.rank(n):
-            raise ValueError("vector length mismatch")
-        return {p: c for p, c in enumerate(vec) if c}
+    def formal(self, vec: dict[int, int], n: int) -> dict:
+        """A sparse vector of degree n as a formal chain {key: coefficient}."""
+        keys = self.keys[n]
+        return {keys[p]: c for p, c in vec.items()}
 
     def check_cycles(self, n: int, vecs) -> None:
         """Raise NotCycle unless every sparse vector of degree n is closed.
@@ -216,7 +209,7 @@ class TorDegree:
         self._moduli = self.invariants + [0] * self.betti
 
     @cached_property
-    def kernel(self) -> list[list[int]]:
+    def kernel(self) -> list[dict[int, int]]:
         return self.complex.chain_complex().reduction(self.n).kernel
 
     @cached_property
@@ -283,22 +276,14 @@ class TorDegree:
                              for x, t in zip(acc, self._moduli)))
         return out
 
-    def free_generators(self) -> list[list[int]]:
-        """Cycle representatives of a basis of the free part."""
+    def free_generators(self) -> list[dict[int, int]]:
+        """Sparse cycle representatives of a basis of the free part."""
         z = len(self.kernel)
         if z == 0:
             return []
         uinv = unimodular_inverse(self._u)
-        gens = []
-        for j in range(len(self.invariants), z):
-            col = uinv.column(j)
-            vec = [0] * self.complex.rank(self.n)
-            for coeff, basis_vec in zip(col, self.kernel):
-                if coeff:
-                    for i, x in enumerate(basis_vec):
-                        vec[i] += coeff * x
-            gens.append(vec)
-        return gens
+        return [sparse_apply(self.kernel, {r: c for r, c in enumerate(uinv.column(j)) if c})
+                for j in range(len(self.invariants), z)]
 
 
 # -- induced maps ------------------------------------------------------------
@@ -344,8 +329,7 @@ def induced_homology_matrix(src: TorComplex, dst: TorComplex, k: FHom, t: FHom,
     push = induced_chain_map(src, dst, k, t)
     src_tor = src.tor(n)
     dst_tor = dst.tor(n)
-    images = [dst.sparse(dst.vector(push(src.formal(gen, n)), n), n)
-              for gen in src_tor.free_generators()]
+    images = [dst.vector(push(src.formal(gen, n)), n) for gen in src_tor.free_generators()]
     cols = [list(c) for c in dst_tor.class_coords(images)]
     return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
 
@@ -542,27 +526,22 @@ class GMOracle:
             products.append(row)
         return xy, n, products
 
-    def cup(self, x, nx: int, vx: list[int], y, ny: int, vy: list[int]):
+    def cup(self, x, nx: int, vx: dict[int, int], y, ny: int, vy: dict[int, int]):
         """Cup product of two Tor classes: the 1x1 view of ``cup_block``.
 
-        Inputs are dense cycle vectors in the complexes at x and y; the
-        result is (x v y, degree, dense cycle vector), the zero vector when
-        the codimension condition fails.  Both inputs and the image are
-        checked; a chain that is not closed raises NotCycle.
+        Inputs are sparse cycles {position: coefficient} in the complexes
+        at x and y; the result is (x v y, degree, sparse cycle), with the
+        cycle ``{}`` when the codimension condition fails.  Both inputs and
+        the image are checked; a chain that is not closed raises NotCycle.
         """
-        kx, ky = self.complex_at(x), self.complex_at(y)
-        sx, sy = kx.sparse(vx, nx), ky.sparse(vy, ny)
-        kx.check_cycles(nx, [sx])
-        ky.check_cycles(ny, [sy])
-        xy, n, products = self.cup_block(x, nx, [sx], y, ny, [sy])
-        target = self.complex_at(xy)
-        vec = [0] * target.rank(n)
-        if products is not None:
-            target.check_cycles(n, products[0])
-            for p, c in products[0][0].items():
-                vec[p] = c
-        return xy, n, vec
+        self.complex_at(x).check_cycles(nx, [vx])
+        self.complex_at(y).check_cycles(ny, [vy])
+        xy, n, products = self.cup_block(x, nx, [vx], y, ny, [vy])
+        if products is None:
+            return xy, n, {}
+        self.complex_at(xy).check_cycles(n, products[0])
+        return xy, n, products[0][0]
 
-    def class_coords(self, x, n: int, vec: list[int]) -> tuple[int, ...]:
-        kc = self.complex_at(x)
-        return kc.tor(n).class_coords([kc.sparse(vec, n)])[0]
+    def class_coords(self, x, n: int, vec: dict[int, int]) -> tuple[int, ...]:
+        """Canonical class coordinates of one sparse cycle at x in degree n."""
+        return self.complex_at(x).tor(n).class_coords([vec])[0]

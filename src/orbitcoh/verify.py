@@ -228,9 +228,7 @@ def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOrac
     for g, mat in enumerate(pres.matrices):
         x, deg = mat.label(), mat.r_b + mat.r_f
         kc = oracle.complex_at(x)
-        pos = kc.position[deg]
-        cycles = [{pos[key]: c for key, c in
-                   theta_cycle(pres, g, e.os_mono, e.bcp_index, restricted).items()}
+        cycles = [kc.vector(theta_cycle(pres, g, e.os_mono, e.bcp_index, restricted), deg)
                   for e in pres.basis[pres.offset[g]:pres.offset[g + 1]]]
         tor = kc.tor(deg)
         entries = tor.class_coords(cycles)

@@ -3,8 +3,9 @@
 Built directly from set partitions and refinement, with no imports from
 the package's lattice code, so cross-checks against it are meaningful.
 Also the environment for tests that run the CLI in a subprocess, a
-reference shuffle cross product of formal K-chains, and the sparse
-columns and vectors that the linear algebra takes.
+reference shuffle cross product of formal K-chains, and the conversions
+between dense matrices or vectors and the sparse columns, vectors and
+rows that the linear algebra takes and returns.
 """
 
 import os
@@ -97,3 +98,14 @@ def columns(m) -> list[dict]:
 def sparse(vec) -> dict:
     """A dense vector as {position: entry}."""
     return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(rows, ncols: int) -> list[list[int]]:
+    """Sparse rows {position: entry} written out as dense lists of length `ncols`."""
+    out = []
+    for row in rows:
+        vec = [0] * ncols
+        for i, x in row.items():
+            vec[i] = x
+        out.append(vec)
+    return out

@@ -2,8 +2,8 @@
 
 Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
-the row Hermite form on dense rows, and the bit walk that shifts a mask
-once per position.  None imports from the package, so a test comparing
+the row Hermite form and coordinates over it on dense rows, and the bit
+walk that shifts a mask once per position.  None imports from the package, so a test comparing
 against them checks the package's routine, not a copy of it.
 """
 
@@ -118,6 +118,34 @@ def dense_row_hermite(vectors, ncols: int) -> list[list[int]]:
                 for jj in range(j, ncols):
                     row[jj] -= q * prow[jj]
     return basis
+
+
+def dense_hermite_coords(basis: list[list[int]], vec) -> list[int] | None:
+    """Coordinates of dense `vec` over a dense echelon basis, or None outside its lattice.
+
+    One pass down the rows: each pivot fixes its coordinate, and an entry
+    of `vec` that no remaining row can clear puts it outside the lattice.
+    """
+    v = list(vec)
+    n = len(v)
+    coords = []
+    j = 0
+    for row in basis:
+        if len(row) != n:
+            raise ValueError("vector length mismatch")
+        while not row[j]:
+            if v[j]:
+                return None
+            j += 1
+        q, r = divmod(v[j], row[j])
+        if r:
+            return None
+        if q:
+            for jj in range(j, n):
+                v[jj] -= q * row[jj]
+        coords.append(q)
+        j += 1
+    return None if any(v[j:]) else coords
 
 
 def shifting_mask_elements(mask: int) -> list[int]:

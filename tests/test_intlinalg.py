@@ -1,8 +1,11 @@
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
-from conftest import columns, sparse
+from conftest import columns, sparse, subprocess_env
 from orbitcoh.intlinalg import (
     ChainComplex,
     ColumnSolver,
@@ -11,15 +14,16 @@ from orbitcoh.intlinalg import (
     InvalidComplex,
     NoIntegerSolution,
     NonUnique,
+    UnitReduction,
     elementary_divisors,
     hermite_coords,
     homology,
     homology_mod2,
-    kernel_basis,
     kron,
     rank_mod2,
     row_hermite,
     smith_normal_form,
+    sparse_apply,
     unimodular_inverse,
 )
 
@@ -98,11 +102,35 @@ def test_solve_unique_examples():
         ColumnSolver([{1: 1}], 1)
 
 
+SOLVE_UNDER_OPTIMIZE = """
+import json, sys
+from orbitcoh.intlinalg import ColumnSolver, NoIntegerSolution, NonUnique
+
+raised = []
+for cols, b, exc in [([{0: 2}], {0: 3}, NoIntegerSolution),
+                     ([{0: 1}, {0: 1}], {0: 2}, NonUnique)]:
+    try:
+        ColumnSolver(cols, 1).solve(b)
+    except exc:
+        raised.append(exc.__name__)
+print(json.dumps({"optimize": sys.flags.optimize, "raised": raised}))
+"""
+
+
+def test_solve_failures_fire_under_optimize():
+    # the solver's refusals must not be asserts, which python -O strips
+    proc = subprocess.run([sys.executable, "-O", "-c", SOLVE_UNDER_OPTIMIZE],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": 1, "raised": ["NoIntegerSolution", "NonUnique"]}
+
+
 def test_kernel_basis_examples():
-    assert kernel_basis([{0: 1}, {0: 1}]) == [[1, -1]]
-    assert kernel_basis([{0: 1}, {1: 1}]) == []
+    assert UnitReduction([{0: 1}, {0: 1}]).kernel == [{0: 1, 1: -1}]
+    assert UnitReduction([{0: 1}, {1: 1}]).kernel == []
     # gcd reduction: saturated kernel of [[2, 4]] is spanned by (2, -1)
-    assert kernel_basis([{0: 2}, {0: 4}]) == [[2, -1]]
+    assert UnitReduction([{0: 2}, {0: 4}]).kernel == [{0: 2, 1: -1}]
 
 
 def test_kernel_is_saturated():
@@ -110,14 +138,14 @@ def test_kernel_is_saturated():
     for _ in range(40):
         r, c = rng.randrange(1, 4), rng.randrange(1, 5)
         a = IntMatrix(r, c, [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)])
-        ker = kernel_basis(columns(a))
+        ker = UnitReduction(columns(a)).kernel
         for vec in ker:
-            assert all(x == 0 for x in a.apply(vec))
+            assert sparse_apply(columns(a), vec) == {}
         assert len(ker) == c - len(elementary_divisors(columns(a)))
         if ker:
             # saturation: every invariant factor of the basis is 1 (those of
             # the matrix with the basis as columns, its transpose's)
-            assert elementary_divisors([sparse(v) for v in ker]) == [1] * len(ker)
+            assert elementary_divisors(ker) == [1] * len(ker)
 
 
 def test_homology_point_and_shift():
@@ -171,24 +199,29 @@ def test_missing_boundary_is_empty_columns():
     assert c.boundary(1) == [{}, {}, {}]
     assert c.boundary(0) == [{}, {}] and c.boundary(2) == []
 
+def hermite(dense_rows):
+    """``row_hermite`` of dense rows, each given to it as a fresh sparse vector."""
+    return row_hermite([sparse(r) for r in dense_rows])
+
+
 def test_hermite_and_lattice_equality():
-    h = row_hermite([[2, 0], [0, 2], [1, 1]], 2)
-    assert h == [[1, 1], [0, 2]]
-    assert row_hermite([[2, 0], [1, 1]], 2) == row_hermite([[1, 1], [2, 0], [3, 1]], 2)
-    assert row_hermite([[2, 0]], 2) != row_hermite([[1, 0]], 2)
-    assert hermite_coords(h, [3, 1]) == [3, -1]
-    assert hermite_coords(h, [1, 0]) is None
-    with pytest.raises(ValueError):
-        hermite_coords(h, [1, 0, 0])
+    h = hermite([[2, 0], [0, 2], [1, 1]])
+    assert h == [{0: 1, 1: 1}, {1: 2}]
+    assert hermite([[2, 0], [1, 1]]) == hermite([[1, 1], [2, 0], [3, 1]])
+    assert hermite([[2, 0]]) != hermite([[1, 0]])
+    assert hermite_coords(h, {0: 3, 1: 1}) == [3, -1]
+    assert hermite_coords(h, {0: 1}) is None
+    # an entry left of the first pivot is outside the lattice too
+    assert hermite_coords([{1: 1}], {0: 1, 1: 1}) is None
     # every entry above a pivot lies in [0, pivot), even after later
     # pivots have been used for back-reduction
-    assert row_hermite([[3, 4, 2], [-4, 3, -1], [2, 2, -2]], 3) == [
-        [1, 0, 74], [0, 1, 45], [0, 0, 80]]
+    assert hermite([[3, 4, 2], [-4, 3, -1], [2, 2, -2]]) == [
+        {0: 1, 2: 74}, {1: 1, 2: 45}, {2: 80}]
     # the same lattice from another generating set gives the same basis
     gens = [[-4, 0, -2], [-3, -4, -4], [2, 2, -4]]
     reordered = [gens[2], gens[0], gens[1], [-7, -4, -6]]
-    assert row_hermite(gens, 3) == row_hermite(reordered, 3) == [
-        [1, 0, 38], [0, 2, 20], [0, 0, 50]]
+    assert hermite(gens) == hermite(reordered) == [
+        {0: 1, 2: 38}, {1: 2, 2: 20}, {2: 50}]
 
 
 def test_unimodular_inverse():

@@ -3,9 +3,12 @@
 Hypothesis draws small integer matrices; the references are the Smith
 normal form of this package (for kernels and column-lattice membership)
 and sympy's (for elementary divisors).  The indexed unit-pivot
-eliminator and the sparse Hermite form must also match the plain
-versions in ``reference_impl.py`` exactly: the same pivots in the same
-order, the same core and the same rows.  Runs are derandomized and keep
+eliminator, the sparse Hermite form and coordinates over it must also
+match the plain versions in ``reference_impl.py`` exactly: the same
+pivots in the same order, the same core, the same rows and the same
+coordinates.  Sparse rows are written out dense, by ``conftest.dense``,
+only to be compared with these references; on their own they must keep
+the conventions that reading a pivot as ``min(row)`` relies on.  Runs are derandomized and keep
 no example database; the constants cache goes to the system temporary
 directory, as in ``test_orbit_properties.py``.
 """
@@ -19,7 +22,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from conftest import columns, sparse
+from conftest import columns, dense, sparse
 from orbitcoh.intlinalg import (
     ColumnSolver,
     IntMatrix,
@@ -29,11 +32,11 @@ from orbitcoh.intlinalg import (
     echelon_readoff,
     elementary_divisors,
     hermite_coords,
-    kernel_basis,
     row_hermite,
     smith_normal_form,
+    sparse_apply,
 )
-from reference_impl import dense_row_hermite, scanning_unit_eliminate
+from reference_impl import dense_hermite_coords, dense_row_hermite, scanning_unit_eliminate
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
 
@@ -68,7 +71,8 @@ def in_column_lattice(a: IntMatrix, b: list[int]) -> bool:
 def test_kernel_basis_matches_smith_reference(a):
     _, d, v = smith_normal_form(a)
     trailing = [v.column(j) for j in range(snf_rank(d), a.cols)]
-    assert kernel_basis(columns(a)) == row_hermite(trailing, a.cols)
+    kernel = UnitReduction(columns(a)).kernel
+    assert dense(kernel, a.cols) == dense_row_hermite(trailing, a.cols)
 
 
 @laws
@@ -131,7 +135,8 @@ def test_sparse_kernel_and_divisors_match_smith_reference(a):
     _, d, v = smith_normal_form(a)
     rank = snf_rank(d)
     trailing = [v.column(j) for j in range(rank, a.cols)]
-    assert kernel_basis(columns(a)) == row_hermite(trailing, a.cols)
+    kernel = UnitReduction(columns(a)).kernel
+    assert dense(kernel, a.cols) == dense_row_hermite(trailing, a.cols)
     assert elementary_divisors(columns(a)) == [d.data[i][i] for i in range(rank)]
 
 
@@ -185,13 +190,74 @@ def test_indexed_pivots_match_scanning_reference_on_dense(a):
 @example((3, [[0, 0, 0]]))
 def test_sparse_row_hermite_matches_dense_reference(case):
     ncols, gens = case
-    assert row_hermite(gens, ncols) == dense_row_hermite(gens, ncols)
+    rows = row_hermite([sparse(g) for g in gens])
+    assert dense(rows, ncols) == dense_row_hermite(gens, ncols)
 
 
 @laws
 @given(incidence_like())
 def test_sparse_row_hermite_matches_dense_reference_on_incidence(a):
-    assert row_hermite(a.data, a.cols) == dense_row_hermite(a.data, a.cols)
+    rows = row_hermite([sparse(r) for r in a.data])
+    assert dense(rows, a.cols) == dense_row_hermite(a.data, a.cols)
+
+
+def assert_hermite_rows(rows):
+    """Sparse Hermite rows: no stored zero, and ``min(row)`` reads each pivot.
+
+    The pivots are positive and strictly increase, and every entry above
+    a pivot lies in [0, pivot).
+    """
+    assert all(row and 0 not in row.values() for row in rows)
+    pivots = [min(row) for row in rows]
+    assert all(row[p] > 0 for row, p in zip(rows, pivots))
+    assert all(p < q for p, q in zip(pivots, pivots[1:]))
+    for s, p in enumerate(pivots):
+        assert all(0 <= rows[t].get(p, 0) < rows[s][p] for t in range(s))
+
+
+def assert_sparse_hermite_and_kernel(a: IntMatrix):
+    assert_hermite_rows(row_hermite([sparse(r) for r in a.data]))
+    cols = columns(a)
+    kernel = UnitReduction(cols).kernel
+    assert_hermite_rows(kernel)
+    assert all(sparse_apply(cols, row) == {} for row in kernel)
+
+
+@laws
+@given(matrices(min_rows=0, max_rows=6, min_cols=0, max_cols=6))
+def test_sparse_hermite_rows_keep_their_conventions(a):
+    assert_sparse_hermite_and_kernel(a)
+
+
+@laws
+@given(incidence_like())
+@example(PATH_INCIDENCE)
+@example(WITH_CORE)
+def test_sparse_hermite_rows_keep_their_conventions_on_incidence(a):
+    assert_sparse_hermite_and_kernel(a)
+
+
+@laws
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                         max_size=5))), st.data())
+@example((3, [[2, 1, 0], [0, 3, 3]]), None)
+def test_sparse_hermite_coords_match_dense_reference(case, data):
+    # vectors of the lattice, and the same moved by a small step that most
+    # often leaves it: both routines must agree on coordinates or None
+    ncols, gens = case
+    rows = row_hermite([sparse(g) for g in gens])
+    basis = dense(rows, ncols)
+    if data is None:
+        coords, step = [1] * len(basis), [0, 1] + [0] * (ncols - 2)
+    else:
+        coords = data.draw(st.lists(st.integers(-5, 5), min_size=len(basis),
+                                    max_size=len(basis)))
+        step = data.draw(st.lists(st.integers(-1, 1), min_size=ncols, max_size=ncols))
+    vec = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(ncols)]
+    assert hermite_coords(rows, sparse(vec)) == dense_hermite_coords(basis, vec) == coords
+    moved = [x + e for x, e in zip(vec, step)]
+    assert hermite_coords(rows, sparse(moved)) == dense_hermite_coords(basis, moved)
 
 
 def readoff(basis, vec):
@@ -206,8 +272,8 @@ def readoff(basis, vec):
 
 def test_readoff_of_non_unit_pivots():
     # the saturated kernel of [1 -2] has Hermite basis (2, 1), pivot 2
-    assert echelon_readoff([[2, 1]]) == (2, {0: {0: 1}})
-    basis = [[2, 1, 3], [0, 3, 1]]
+    assert echelon_readoff([{0: 2, 1: 1}]) == (2, {0: {0: 1}})
+    basis = [{0: 2, 1: 1, 2: 3}, {1: 3, 2: 1}]
     d, cols = echelon_readoff(basis)
     assert d == 6 and set(cols) == {0, 1}
     assert readoff(basis, [2 * 5 + 0, 5 - 3 * 2, 15 - 2]) == [5, -2]
@@ -216,16 +282,16 @@ def test_readoff_of_non_unit_pivots():
 @laws
 @given(st.lists(st.lists(entries, min_size=5, max_size=5), max_size=4), st.data())
 def test_readoff_matches_hermite_coords(gens, data):
-    basis = row_hermite(gens, 5)
+    basis = row_hermite([sparse(g) for g in gens])
     coords = data.draw(st.lists(st.integers(-6, 6), min_size=len(basis),
                                 max_size=len(basis)))
-    vec = [sum(c * row[j] for c, row in zip(coords, basis)) for j in range(5)]
-    assert readoff(basis, vec) == hermite_coords(basis, vec) == coords
+    vec = [sum(c * row[j] for c, row in zip(coords, dense(basis, 5))) for j in range(5)]
+    assert readoff(basis, vec) == hermite_coords(basis, sparse(vec)) == coords
 
 
 def test_kernel_of_matrix_without_rows_is_identity():
-    assert kernel_basis([{}, {}, {}]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert UnitReduction([{}, {}, {}]).kernel == [{0: 1}, {1: 1}, {2: 1}]
 
 
 def test_kernel_of_matrix_without_columns_is_empty():
-    assert kernel_basis([]) == []
+    assert UnitReduction([]).kernel == []

@@ -10,6 +10,7 @@ from conftest import (
     columns,
     cross_formal,
     partition_lattice,
+    sparse,
     subprocess_env,
     top,
 )
@@ -209,15 +210,13 @@ def test_cross_leibniz():
     for deg1, deg2 in [(1, 1), (1, 2), (2, 1)]:
         if kc.rank(deg1) == 0 or kc.rank(deg2) == 0:
             continue
-        v1 = [rng.randrange(-2, 3) for _ in range(kc.rank(deg1))]
-        v2 = [rng.randrange(-2, 3) for _ in range(kc.rank(deg2))]
+        v1 = sparse([rng.randrange(-2, 3) for _ in range(kc.rank(deg1))])
+        v2 = sparse([rng.randrange(-2, 3) for _ in range(kc.rank(deg2))])
         x = kc.formal(v1, deg1)
         y = kc.formal(v2, deg2)
         n = deg1 + deg2
-        lhs = sparse_apply(kprod.boundary(n),
-                           kprod.sparse(kprod.vector(cross_formal(x, y, g, f), n), n))
-        dx, dy = ({kc.keys[d - 1][r]: c for r, c in
-                   sparse_apply(kc.boundary(d), kc.sparse(v, d)).items()}
+        lhs = sparse_apply(kprod.boundary(n), kprod.vector(cross_formal(x, y, g, f), n))
+        dx, dy = (kc.formal(sparse_apply(kc.boundary(d), v), d - 1)
                   for d, v in [(deg1, v1), (deg2, v2)])
         first = cross_formal(dx, y, g, f)
         second = cross_formal(x, dy, g, f)
@@ -225,7 +224,7 @@ def test_cross_leibniz():
         rhs: dict = dict(first)
         for key, c in second.items():
             rhs[key] = rhs.get(key, 0) + sign * c
-        assert lhs == kprod.sparse(kprod.vector(rhs, n - 1), n - 1)
+        assert lhs == kprod.vector(rhs, n - 1)
 
 
 def test_gm_point_in_c2():
@@ -269,12 +268,12 @@ def test_oracle_cup_zero_cases():
     a = ((1, 2), (3,))
     ka = orc.complex_at(a)
     za = ka.tor(1).free_generators()[0]
-    zero = [0] * len(za)
-    xy, n, v = orc.cup(a, 1, zero, a, 1, za)
-    assert all(x == 0 for x in v)
+    assert za and 0 not in za.values()
+    xy, n, v = orc.cup(a, 1, {}, a, 1, za)
+    assert v == {}
     # codimension condition fails for a with itself
     xy, n, v = orc.cup(a, 1, za, a, 1, za)
-    assert xy == a and all(x == 0 for x in v)
+    assert xy == a and v == {}
 
 
 def test_oracle_cup_not_cycle():
@@ -283,12 +282,11 @@ def test_oracle_cup_not_cycle():
     orc = braid_oracle(3)
     a, t = ((1, 2), (3,)), top(3)
     assert orc.complex_at(t).rank(2) == 3
-    bad = [1, 0, 0]
-    zero = [0] * orc.complex_at(a).rank(1)
+    bad = {0: 1}
     with pytest.raises(NotCycle):
-        orc.cup(t, 2, bad, a, 1, zero)
+        orc.cup(t, 2, bad, a, 1, {})
     with pytest.raises(NotCycle):
-        orc.cup(a, 1, zero, t, 2, bad)
+        orc.cup(a, 1, {}, t, 2, bad)
     with pytest.raises(NotCycle):
         orc.class_coords(t, 2, bad)
 
@@ -304,9 +302,8 @@ lat = build_poset(["0"] + atoms + ["1"],
                   [("0", x) for x in atoms] + [(x, "1") for x in atoms],
                   {"0": 0, "a": 1, "b": 1, "c": 1, "1": 2})
 orc = GMOracle(lat, {lab: lat.rank_of(lab) for lab in lat.labels})
-zero = [0] * orc.complex_at("a").rank(1)
 try:
-    orc.cup("1", 2, [1, 0, 0], "a", 1, zero)
+    orc.cup("1", 2, {0: 1}, "a", 1, {})
     raised = False
 except NotCycle:
     raised = True

@@ -10,6 +10,7 @@ import pytest
 
 import orbitcoh.oracle
 import orbitcoh.verify
+from conftest import dense
 from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
 from orbitcoh.posets import join
@@ -38,7 +39,9 @@ def test_theta_cycles_are_pinned():
 
 def test_oracle_cups_are_pinned():
     # GMOracle.cup on the basis cycles of every ordered basis pair of K2
-    # (k = 2), recorded before cup pushed its shuffles without a cross dict
+    # (k = 2), recorded before cup pushed its shuffles without a cross dict,
+    # when it returned dense vectors: each sparse product is written out
+    # dense over its target degree before hashing
     graph = Graph.complete(2)
     pres = RingPresentation(graph, 2, 2)
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
@@ -48,7 +51,11 @@ def test_oracle_cups_are_pinned():
         mat = pres.matrices[e.grading]
         deg = mat.r_b + mat.r_f
         cycles.append((e.theta, deg, oracle.complex_at(e.theta).vector(formal, deg)))
-    cups = [oracle.cup(*a, *b) for a in cycles for b in cycles]
+    cups = []
+    for a in cycles:
+        for b in cycles:
+            xy, n, vec = oracle.cup(*a, *b)
+            cups.append((xy, n, dense([vec], oracle.complex_at(xy).rank(n))[0]))
     assert _digest(cups) == (
         "9f9fe235d041687b668e18ed049cc1202f04ffef5c6591df281104c7241a7928")
 
