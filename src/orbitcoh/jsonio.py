@@ -20,10 +20,12 @@ def _is_int(value) -> bool:
 
 
 def load_json(path: str):
+    """The JSON value in a UTF-8 file; unreadable, undecodable or too deeply
+    nested input is ``BadInput``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise BadInput(f"cannot read JSON from {path}: {exc}") from exc
 
 

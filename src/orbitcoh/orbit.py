@@ -48,21 +48,6 @@ class Graph:
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
-    def connected_subset(self, vertices) -> bool:
-        verts = list(vertices)
-        if not verts:
-            return False
-        seen = {verts[0]}
-        stack = [verts[0]]
-        vset = set(verts)
-        while stack:
-            v = stack.pop()
-            for u in vset:
-                if u not in seen and self.adjacent(u, v):
-                    seen.add(u)
-                    stack.append(u)
-        return seen == vset
-
 
 # -- partitions and the bond lattice ------------------------------------------
 
@@ -84,7 +69,7 @@ def graph_partitions(graph: Graph):
     """Partitions of the vertex set into graph-connected blocks."""
     out = []
     for part in sorted(set(_set_partitions(range(1, graph.n + 1)))):
-        if all(len(b) == 1 or graph.connected_subset(b) for b in part):
+        if all(len(components(b, graph.adjacent)) == 1 for b in part):
             out.append(part)
     return out
 
@@ -127,27 +112,29 @@ def edge_atom_order(graph: Graph):
     return out
 
 
+def components(vertices, linked):
+    """Classes of ``vertices`` under the transitive closure of ``linked``.
+
+    Each class is a sorted tuple; the classes come in order of their least
+    vertex, so a partition comes out sorted.
+    """
+    rest = sorted(vertices)
+    out = []
+    while rest:
+        comp = [rest.pop(0)]
+        for u in comp:
+            near = [v for v in rest if linked(u, v)]
+            comp.extend(near)
+            rest = [v for v in rest if v not in near]
+        out.append(tuple(sorted(comp)))
+    return out
+
+
 def join_partitions(a, b):
     """Transitive-closure join of two partitions of the same set."""
-    parent: dict[int, int] = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for part in (a, b):
-        for block in part:
-            for v in block:
-                parent.setdefault(v, v)
-            root = find(block[0])
-            for v in block[1:]:
-                parent[find(v)] = root
-    groups: dict[int, list[int]] = {}
-    for v in parent:
-        groups.setdefault(find(v), []).append(v)
-    return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+    block_a = {v: block for block in a for v in block}
+    block_b = {v: block for block in b for v in block}
+    return tuple(components(block_a, lambda u, v: v in block_a[u] or v in block_b[u]))
 
 
 # -- coloring classes ----------------------------------------------------------
@@ -310,72 +297,46 @@ def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
     return a.leq_same_support(restrict_matrix(b, a.partition))
 
 
+def _glue(p, pieces, k: int):
+    """The class on block p that restricts to class c on q for each piece (q, c).
+
+    None when the pieces conflict.  The value 0 at p[0] spreads through
+    every piece that touches a valued vertex; the pieces must connect p.
+    """
+    val = {p[0]: 0}
+    while pieces or len(val) < len(p):
+        rest = []
+        for q, c in pieces:
+            i = next((i for i, v in enumerate(q) if v in val), None)
+            if i is None:
+                rest.append((q, c))
+                continue
+            shift = val[q[i]] - c[i]
+            for v, x in zip(q, c):
+                if val.setdefault(v, (x + shift) % k) != (x + shift) % k:
+                    return None
+        if len(rest) == len(pieces):
+            raise AssertionError("join block not connected")
+        pieces = rest
+    return tuple(val[v] for v in p)
+
+
 def join_theta(a: PartialMatrix, b: PartialMatrix) -> PartialMatrix:
-    """Join in the orbit lattice: propagate colorings by labeled union-find."""
+    """Join in the orbit lattice: each entry glues the classes inside its block."""
     if (a.n, a.k, a.m) != (b.n, b.k, b.m):
         raise ValueError("matrices live over different parameters")
-    k, m = a.k, a.m
     part = join_partitions(a.partition, b.partition)
-    sources = []
-    for src in (a, b):
-        for block, row in zip(src.rows(), src.entries):
-            sources.append((block, row))
+    sources = [(q, row) for src in (a, b) for q, row in zip(src.rows(), src.entries)]
     entries = []
     for p in part:
         if len(p) < 2:
             continue
-        row_out = []
-        for t in range(m):
-            pieces = [(q, row[t]) for q, row in sources if set(q) <= set(p)]
-            if any(vals is None for _, vals in pieces):
-                row_out.append(None)
-                continue
-            parent = {v: v for v in p}
-            offset = {v: 0 for v in p}  # value relative to the parent chain
-
-            def find(v):
-                path = []
-                while parent[v] != v:
-                    path.append(v)
-                    v = parent[v]
-                total = 0
-                for u in reversed(path):
-                    total = (total + offset[u]) % k
-                    offset[u] = total
-                    parent[u] = v
-                return v
-
-            consistent = True
-            for q, vals in pieces:
-                base = q[0]
-                for v, val in zip(q, vals):
-                    rv, rb = find(v), find(base)
-                    # want f(v) - f(base) = val
-                    dv = offset[v] if parent[v] != v else 0
-                    db = offset[base] if parent[base] != base else 0
-                    if rv == rb:
-                        if (dv - db) % k != val % k:
-                            consistent = False
-                            break
-                    else:
-                        # attach rv under rb: f(rv) = f(v) - dv
-                        parent[rv] = rb
-                        offset[rv] = (val + db - dv) % k
-                if not consistent:
-                    break
-            if not consistent:
-                row_out.append(None)
-                continue
-            root = find(p[0])
-            vals = []
-            for v in p:
-                find(v)
-                if find(v) != root:
-                    raise AssertionError("join block not connected")
-                vals.append(offset[v] if parent[v] != v else 0)
-            row_out.append(normalize_class(tuple(vals), k))
-        entries.append(tuple(row_out))
-    return PartialMatrix(a.n, k, m, part, tuple(entries))
+        inside = [(q, row) for q, row in sources if set(q) <= set(p)]
+        entries.append(tuple(
+            None if any(row[t] is None for _, row in inside)
+            else _glue(p, [(q, row[t]) for q, row in inside], a.k)
+            for t in range(a.m)))
+    return PartialMatrix(a.n, a.k, a.m, part, tuple(entries))
 
 
 # -- posets ---------------------------------------------------------------------
@@ -398,27 +359,15 @@ def fiber_matrices(graph: Graph, partition, k: int, m: int):
 
 def _covers_from_up(up: list[int]) -> list[tuple[int, int]]:
     """Cover pairs of a relation given as up-set bitmasks."""
-    n = len(up)
-    down = [0] * n
-    for i in range(n):
-        mask = up[i]
-        j = 0
-        while mask:
-            if mask & 1:
-                down[j] |= 1 << i
-            mask >>= 1
-            j += 1
+    down = [0] * len(up)
+    for i, mask in enumerate(up):
+        for j in GradedPoset.mask_elements(mask):
+            down[j] |= 1 << i
     out = []
-    for i in range(n):
-        mask = up[i] & ~(1 << i)
-        j = 0
-        while mask:
-            if mask & 1:
-                between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    out.append((i, j))
-            mask >>= 1
-            j += 1
+    for i, mask in enumerate(up):
+        for j in GradedPoset.mask_elements(mask & ~(1 << i)):
+            if not mask & down[j] & ~(1 << i) & ~(1 << j):
+                out.append((i, j))
     return out
 
 
@@ -511,36 +460,12 @@ def sigma_canonical(theta: PartialMatrix, graph: Graph) -> PartialMatrix:
                   if all(e is None for e in row)]
     if len(undef_rows) <= 1:
         return theta
-    w = sorted(v for b in undef_rows for v in b)
-    components = []
-    remaining = set(w)
-    while remaining:
-        v = min(remaining)
-        comp = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for x in remaining - comp:
-                if graph.adjacent(u, x):
-                    comp.add(x)
-                    stack.append(x)
-        components.append(tuple(sorted(comp)))
-        remaining -= comp
-    new_partition = [b for b in theta.partition
-                     if b not in undef_rows] + components
-    new_partition = tuple(sorted(tuple(sorted(b)) for b in new_partition))
-    entries = []
-    kept = {b: row for b, row in zip(theta.rows(), theta.entries)
-            if b not in undef_rows}
-    for b in new_partition:
-        if len(b) < 2:
-            continue
-        if b in kept:
-            entries.append(kept[b])
-        else:
-            entries.append((None,) * theta.m)
-    return PartialMatrix(theta.n, theta.k, theta.m, new_partition,
-                         tuple(entries))
+    kept = {b: row for b, row in zip(theta.rows(), theta.entries) if b not in undef_rows}
+    new_partition = [b for b in theta.partition if b not in undef_rows]
+    new_partition = tuple(sorted(
+        new_partition + components([v for b in undef_rows for v in b], graph.adjacent)))
+    entries = tuple(kept.get(b, (None,) * theta.m) for b in new_partition if len(b) >= 2)
+    return PartialMatrix(theta.n, theta.k, theta.m, new_partition, entries)
 
 
 class IntersectionLattice:
@@ -715,27 +640,16 @@ def bcp_form(fiber: FiberData):
     return CellularForm(poset, g, ranks, diff)
 
 
-def _completion(theta: PartialMatrix, picks) -> PartialMatrix:
-    """Theta with its undefined entries, in sorted order, set to picks (None: zero)."""
-    rest = iter(picks)
-    rows = []
-    for block, row in zip(theta.rows(), theta.entries):
-        rows.append(tuple(e if e is not None else next(rest) or zero_class(len(block))
-                          for e in row))
-    return PartialMatrix(theta.n, theta.k, theta.m, theta.partition, tuple(rows))
-
-
 def phi_product(a: PartialMatrix, b: PartialMatrix):
     """The form-morphism product of the BCp pieces at a and b, entry by entry.
 
     None on a dependent pair.  Otherwise (j, sign, factors): the join j,
     the sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and one
-    factor per undefined entry of j, in order.  Each entry of j has one
-    source entry e in Ud(a) ++ Ud(b), and the completion-wise join sends
-    class c at e to a class J_e(c) there, whatever the other entries
-    hold.  So one join of completions, with the i-th nonzero class at
-    every source entry (zero where there is none), gives J_e there for
-    all e at once.  A factor is (position of e, {c: coordinates of
+    factor per undefined entry (p, t) of j, in order.  That entry has
+    exactly one source entry e = (q, t) in Ud(a) ++ Ud(b), and the
+    completion-wise join sends class c at e to the class J_e(c) glued
+    from c and the defined classes at t inside p, whatever the other
+    entries hold.  A factor is (position of e, {c: coordinates of
     eta_{J_e(c)} - eta_{J_e(0)}}) over the nonzero classes c;
     ``phi_coords`` multiplies them out.
     """
@@ -743,28 +657,21 @@ def phi_product(a: PartialMatrix, b: PartialMatrix):
     if not _additive(a, b, j):
         return None
     sign, seq = _aligned_sign(a, b, j)
-    ud_a = a.undefined()
-    classes = [block_classes(len(block), a.k)[1:] for block, _ in ud_a + b.undefined()]
-
-    def lift(picks):
-        w = join_theta(_completion(a, picks[:len(ud_a)]), _completion(b, picks[len(ud_a):]))
-        if w.r_f:
-            raise NotIndependent("join of completions is not complete")
-        return w
-
-    base = lift([None] * len(classes))
-    lifts = [lift([cs[i] if i < len(cs) else None for cs in classes])
-             for i in range(max(map(len, classes), default=0))]
-    rows, target = j.rows(), j.undefined()
+    target = j.undefined()
+    sources = [(q, row) for src in (a, b) for q, row in zip(src.rows(), src.entries)]
     factors = [None] * len(seq)
-    for src, (cs, pos) in enumerate(zip(classes, seq)):
-        p, t = target[pos]
-        r, zero = rows.index(p), zero_class(len(p))
-        terms = {}
-        for c, w in zip(cs, lifts):
-            terms[c] = [(cls, s) for cls, s in ((w.entries[r][t], 1), (base.entries[r][t], -1))
-                        if cls != zero]
-        factors[pos] = (src, terms)
+    for src, ((q, t), pos) in enumerate(zip(a.undefined() + b.undefined(), seq)):
+        p = target[pos][0]
+        zero = zero_class(len(p))
+        defined = [(block, row[t]) for block, row in sources
+                   if row[t] is not None and set(block) <= set(p)]
+        classes = block_classes(len(q), a.k)  # the zero class first
+        glued = [_glue(p, defined + [(q, c)], a.k) for c in classes]
+        if None in glued:
+            raise NotIndependent("join of completions is not complete")
+        factors[pos] = (src, {c: [(cls, s) for cls, s in ((w, 1), (glued[0], -1))
+                                  if cls != zero]
+                              for c, w in zip(classes[1:], glued[1:])})
     return j, sign, factors
 
 

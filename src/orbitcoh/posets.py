@@ -43,10 +43,7 @@ class GradedPoset:
             raise ValueError("duplicate labels")
         self.n = len(self.labels)
         self.index = {lab: i for i, lab in enumerate(self.labels)}
-        if callable(rank):
-            self.rank = tuple(int(rank(lab)) for lab in self.labels)
-        else:
-            self.rank = tuple(int(rank[lab]) for lab in self.labels)
+        self.rank = tuple(int(rank[lab]) for lab in self.labels)
         if any(r < 0 for r in self.rank):
             raise ValueError("ranks must be nonnegative")
         cov = sorted({(self.index[lo], self.index[hi]) for lo, hi in covers})
@@ -109,7 +106,8 @@ class GradedPoset:
     def interval_mask(self, i: int, j: int) -> int:
         return self.up[i] & self.down[j]
 
-    def mask_elements(self, mask: int) -> list[int]:
+    @staticmethod
+    def mask_elements(mask: int) -> list[int]:
         """The indices of the set bits of `mask`, ascending, one step per set bit."""
         out = []
         while mask:
@@ -180,7 +178,7 @@ def build_poset(elements, covers, rank, strict: bool = True) -> GradedPoset:
     ``rank`` may be a mapping label -> int or a sequence parallel to
     ``elements``.
     """
-    if not isinstance(rank, dict) and not callable(rank):
+    if not isinstance(rank, dict):
         rank = dict(zip(elements, rank))
     return GradedPoset(elements, covers, rank, strict=strict)
 

@@ -309,6 +309,21 @@ def test_cellular_bad_json(tmp_path):
         assert err.startswith("error: "), name
 
 
+@pytest.mark.parametrize("raw", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
+def test_undecodable_json_exits_2(tmp_path, raw):
+    # a file that is not UTF-8, or nests deeper than the parser recurses, is
+    # malformed input (exit 2), whether it is a graph or a copresheaf
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    poset = tmp_path / "p.json"
+    poset.write_text(json.dumps(CHAIN_POSET))
+    for argv in (["betti", "--graph", str(bad), "--k", "2", "--m", "2"],
+                 ["cellular", "--poset", str(poset), "--copresheaf", str(bad)]):
+        code, text, err = run_cli(argv)
+        assert code == 2, argv[0]
+        assert text == "" and err.startswith("error: cannot read JSON"), argv[0]
+
+
 def test_cli_determinism_across_hash_seeds(tmp_path):
     """Byte-identical output under different PYTHONHASHSEED values."""
     outputs = []

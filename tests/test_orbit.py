@@ -166,8 +166,16 @@ def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
     assert data["bottom"] == p.labels[p.minimum()]
 
 
-def test_join_is_least_upper_bound_in_poset():
-    lkm = build_lkm(Graph.complete(2), 2, 2)
+@pytest.mark.parametrize("graph, k, m", [
+    (Graph.complete(2), 2, 2),
+    (Graph.complete(3), 3, 2),
+    (Graph.path(3), 3, 2),
+    (Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2, 1),
+], ids=["K2-k2-m2", "K3-k3-m2", "P3-k3-m2", "C4-k2-m1"])
+def test_join_is_least_upper_bound_in_poset(graph, k, m):
+    # the order-theoretic join of the built poset, on lattices whose joins
+    # glue three or more blocks, close a cycle, or meet conflicting classes
+    lkm = build_lkm(graph, k, m)
     p = lkm.poset
     p.require_join_semilattice()
     for la in p.labels:

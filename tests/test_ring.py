@@ -230,6 +230,10 @@ def _export_digest(pres) -> str:
      "1a35dc1d964aac989088ac37891a5681f77b57d8371c4acb2aa8beedfaa4289d"),
     (Graph.complete(2), 2, 3,
      "c3590bbc7cee26f356665491a786a402e96dfdf5cf67f88cff7d93aa3fb6c407"),
+    (Graph.complete(3), 3, 2,
+     "171ef23ba92394607002063c30f5ca7899181261140ba6c84244292a4417c849"),
+    (Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2, 2,
+     "2ebc14a32b86476f0c26b72450caac421d14cd47cfb6779352ec32676ec0d227"),
 ])
 def test_ring_json_is_pinned(graph, k, m, digest):
     # the full ring export (basis, gradings, products), recorded before the
