@@ -499,14 +499,28 @@ def row_hermite(vectors: list[dict[int, int]]) -> list[dict[int, int]]:
     rows = [basis[j] for j in sorted(basis)]
     # back-reduce entries above pivots, leftmost pivot first: each step
     # changes only columns from its own pivot on, so it keeps the entries
-    # above earlier pivots reduced
-    for idx, prow in enumerate(rows):
+    # above earlier pivots reduced.  holders[j] holds the rows with an
+    # entry at pivot column j that is not their own pivot, kept up to
+    # date for the pivots still to come as rows change.
+    holders: dict[int, set[int]] = {j: set() for j in basis}
+    for t, row in enumerate(rows):
+        for c in row:
+            if c in holders and row is not basis[c]:
+                holders[c].add(t)
+    for prow in rows:
         j = min(prow)
         p = prow[j]
-        for t in range(idx):
-            q = rows[t].get(j, 0) // p
+        for t in holders.pop(j):
+            row = rows[t]
+            q = row[j] // p
             if q:
-                _axpy(rows[t], -q, prow)
+                _axpy(row, -q, prow)
+                for c in prow:
+                    if c in holders:
+                        if c in row:
+                            holders[c].add(t)
+                        else:
+                            holders[c].discard(t)
     return rows
 
 

@@ -2,12 +2,15 @@
 
 Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
-the row Hermite form and coordinates over it on dense rows, and the bit
-walk that shifts a mask once per position.  None imports from the package, so a test comparing
-against them checks the package's routine, not a copy of it.
+the row Hermite form and coordinates over it on dense rows, the bit
+walk that shifts a mask once per position, and the ring-axiom check
+that walks every triple (i, j, l) with i*j nonzero.  None imports from
+the package, so a test comparing against them checks the package's
+routine, not a copy of it.
 """
 
 import bisect
+from itertools import product
 
 
 def scanning_unit_eliminate(rows: dict[int, dict[int, int]]):
@@ -158,3 +161,59 @@ def shifting_mask_elements(mask: int) -> list[int]:
         mask >>= 1
         i += 1
     return out
+
+
+class AxiomViolation(Exception):
+    """The structure constants break a ring axiom."""
+
+
+def walking_ring_axioms(pres, join_theta):
+    """Ring axioms of a presentation, one triple (i, j, l) at a time.
+
+    Every nonzero pair (i, j) is joined and checked on its own, and
+    associativity compares (i*j)*l with i*(j*l) for every basis element
+    l, each side built from scratch.  ``join_theta`` joins two gradings;
+    the messages are those of ``check_ring_axioms``.
+    """
+    table = pres.products
+    n = len(pres.basis)
+    nonzero = [ij for ij, entry in table.items() if entry]
+    stats = {"pairs": n * n, "nonzero": len(nonzero), "triples": 0}
+
+    def cup(i, j):
+        return table.get((i, j), {})
+
+    unit = pres.unit_index()
+    for i in range(n):
+        if cup(unit, i) != {i: 1} or cup(i, unit) != {i: 1}:
+            raise AxiomViolation(f"the unit does not act as 1 on basis element {i}")
+    for i, j in nonzero:
+        ei, ej = pres.basis[i], pres.basis[j]
+        target = join_theta(pres.matrices[ei.grading], pres.matrices[ej.grading])
+        for idx in cup(i, j):
+            e = pres.basis[idx]
+            if e.degree != ei.degree + ej.degree or pres.matrices[e.grading] != target:
+                raise AxiomViolation(
+                    f"product {i}*{j} has term {idx} outside degree "
+                    f"{ei.degree + ej.degree} and grading {target.label()}")
+        sign = -1 if pres.mode != "real" and (ei.degree * ej.degree) % 2 else 1
+        if cup(i, j) != {idx: sign * c for idx, c in cup(j, i).items()}:
+            raise AxiomViolation(
+                f"products {i}*{j} and {j}*{i} are not graded commutative")
+    def times(terms, factor):
+        out: dict[int, int] = {}
+        for idx, c in terms.items():
+            for t, c2 in factor(idx).items():
+                out[t] = out.get(t, 0) + c * c2
+        if pres.mode == "real":
+            out = {t: c % 2 for t, c in out.items()}
+        return {t: c for t, c in out.items() if c}
+
+    for (i, j), l in product(nonzero, range(n)):
+        stats["triples"] += 1
+        left = times(cup(i, j), lambda idx: cup(idx, l))
+        right = times(cup(j, l), lambda idx: cup(i, idx))
+        if left != right:
+            raise AxiomViolation(
+                f"({i}*{j})*{l} differs from {i}*({j}*{l})")
+    return stats

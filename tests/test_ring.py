@@ -135,6 +135,24 @@ def test_axioms_catch_corrupted_products(edits, match):
         check_ring_axioms(pres)
 
 
+@pytest.mark.parametrize("edits", [
+    # e2*e3 = 0: (e1*e2)*e3 = e1e2e3 but e1*(e2*e3) = 0
+    {(2, 3): {}, (3, 2): {}},
+    # (e1e2)*e3 = 0: (e1*e2)*e3 = 0 but e1*(e2*e3) = e1e2e3
+    {(4, 3): {}, (3, 4): {}},
+], ids=["left-only", "right-only"])
+def test_axioms_catch_one_sided_triples(edits):
+    # both corruptions keep the grading and commutativity laws, and the
+    # first broken triple has one side zero: the walk must take l from
+    # the terms of either side
+    pres = RingPresentation(Graph.path(4), 1, 2)
+    assert pres.cup_basis(2, 3) == {6: 1} and pres.cup_basis(4, 3) == {7: 1}
+    pres.products.update(edits)
+    with pytest.raises(RingAxiomViolation,
+                       match=r"^\(1\*2\)\*3 differs from 1\*\(2\*3\)$"):
+        check_ring_axioms(pres)
+
+
 CORRUPT_UNIT = """
 import json, sys
 import orbitcoh.verify as verify
@@ -190,6 +208,21 @@ def test_real_presentation():
     stats = check_ring_axioms(pres)
     assert stats["pairs"] == 100
     assert stats["triples"] == 190
+
+
+def test_real_axioms_read_constants_mod_2():
+    # P4 is the smallest real case with nonzero products of three classes
+    # of positive degree.  Adding 2 to every constant of a product of two
+    # distinct classes other than the unit changes nothing mod 2, but
+    # leaves sides of associativity that differ over Z
+    pres = RingPresentation(Graph.path(4), 2, 2, "real")
+    want = check_ring_axioms(pres)
+    unit = pres.unit_index()
+    for (i, j), entry in list(pres.products.items()):
+        if unit not in (i, j) and i < j:
+            pres.products[i, j] = pres.products[j, i] = {
+                t: c + 2 for t, c in entry.items()}
+    assert check_ring_axioms(pres) == want
 
 
 def test_real_products_mod2():

@@ -11,6 +11,7 @@ import pytest
 import orbitcoh.oracle
 import orbitcoh.verify
 from conftest import dense
+from orbitcoh.cli import main
 from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
 from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
 from orbitcoh.posets import join
@@ -219,3 +220,14 @@ def test_theta_cycles_render_each_restriction_once(monkeypatch):
     monkeypatch.setattr(orbitcoh.verify, "restrict_matrix", counting)
     assert verify_full(Graph.path(3), 2, 2).ok
     assert len(rendered) == len(set(rendered)) == 137
+
+
+def test_larger_verify_json_is_pinned(tmp_path):
+    # verify on K3 (k = 3): 654 basis elements and 3,953 nonzero products,
+    # so the ring axioms cover 2,585,262 triples; recorded while the
+    # associativity walk still built both sides of every triple
+    out = tmp_path / "v.json"
+    assert main(["verify", "--complete", "3", "--k", "3", "--m", "2",
+                 "--oracle-limit", "200", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b531c8878ef72882aa43ea7493fd97d6a8b60660022a5f41ba4d90986d224f11")
