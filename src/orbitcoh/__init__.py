@@ -1,38 +1,43 @@
-"""Cellular methods on graded posets and cohomology of orbit configuration spaces."""
+"""Cellular methods on graded posets and cohomology of orbit configuration spaces.
 
-from .cellular import (
-    CellularForm,
-    NotCellular,
-    cellular_chain,
-    construct_cellular_form,
-    form_morphism,
-    product_form,
-    verify_cellular_form,
-)
-from .intlinalg import (
-    ChainComplex,
-    HomologySummary,
-    IntMatrix,
-    homology,
-    smith_normal_form,
-)
-from .oracle import GMOracle, TorComplex
-from .orbit import (
-    Graph,
-    PartialMatrix,
-    bond_lattice,
-    build_lkm,
-    independence,
-    join_theta,
-    perm_sign,
-    phi_product,
-)
-from .osalg import OSAlgebra, os_vs_cellular
-from .posets import GradedPoset, build_poset, join, moebius, product_poset
-from .ring import RingPresentation
-from .sheaves import Copresheaf, FHom, Presheaf, delta_sheaf, pullback, star_fhom
-from .verify import verify_full
+The public names are loaded on first use (a module ``__getattr__``), so
+``import orbitcoh`` or ``import orbitcoh.cli`` does not load every module.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "cellular": ["CellularForm", "NotCellular", "cellular_chain",
+                 "construct_cellular_form", "form_morphism", "product_form",
+                 "verify_cellular_form"],
+    "intlinalg": ["ChainComplex", "HomologySummary", "IntMatrix", "homology",
+                  "smith_normal_form"],
+    "oracle": ["GMOracle", "TorComplex"],
+    "orbit": ["Graph", "PartialMatrix", "bond_lattice", "build_lkm",
+              "independence", "join_theta", "perm_sign", "phi_product"],
+    "osalg": ["OSAlgebra", "os_vs_cellular"],
+    "posets": ["GradedPoset", "build_poset", "join", "moebius", "product_poset"],
+    "ring": ["RingPresentation"],
+    "sheaves": ["Copresheaf", "FHom", "Presheaf", "delta_sheaf", "pullback",
+                "star_fhom"],
+    "verify": ["verify_full"],
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,19 +3,23 @@
 Exit codes: 0 success, 1 verification or form failure, 2 malformed
 input, 3 unsupported parameters.  Identical inputs produce
 byte-identical output.
+
+Each command imports the modules it runs, so a child process loads only
+those: ``cellular`` loads neither the orbit lattice, the ring nor the
+oracle, and ``betti`` and ``ring`` load neither the oracle nor ``verify``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .cellular import CellularForm, construct_cellular_form
 from .jsonio import BadInput, dumps, load_json, parse_copresheaf, parse_graph, parse_poset
-from .oracle import OracleTooLarge
-from .orbit import Graph
-from .ring import RingPresentation, UnsupportedM
-from .verify import verify_full
+
+if TYPE_CHECKING:
+    from .orbit import Graph
+    from .ring import RingPresentation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -24,6 +28,8 @@ EXIT_UNSUPPORTED = 3
 
 
 def _graph_from_args(args) -> Graph:
+    from .orbit import Graph
+
     if args.complete is not None:
         if args.complete < 1:
             raise BadInput("--complete expects a positive integer")
@@ -67,6 +73,8 @@ def _poincare_string(coeffs: list[int]) -> str:
 
 
 def _presentation(args) -> RingPresentation:
+    from .ring import RingPresentation
+
     return RingPresentation(_graph_from_args(args), args.k, args.m, args.mode)
 
 
@@ -100,6 +108,8 @@ def cmd_betti(args) -> int:
 
 
 def cmd_ring(args) -> int:
+    from .ring import UnsupportedM
+
     _check_km(args)
     if args.m == 1:
         raise UnsupportedM("the ring presentation needs m > 1")
@@ -121,6 +131,8 @@ def cmd_ring(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import verify_full
+
     _check_km(args)
     if args.mode == "real":
         print("unsupported: verify has no real-mode oracle yet; "
@@ -144,6 +156,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cellular(args) -> int:
+    from .cellular import CellularForm, construct_cellular_form
+
     poset = parse_poset(load_json(args.poset))
     g = parse_copresheaf(load_json(args.copresheaf), poset)
     result = construct_cellular_form(poset, g)
@@ -220,12 +234,22 @@ def main(argv=None) -> int:
     except BadInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except UnsupportedM as exc:
+    except _unsupported() as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except OracleTooLarge as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
+
+
+def _unsupported() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 3.
+
+    ``main`` calls this in an ``except`` clause, which is evaluated only
+    when an exception reaches it, so a run that succeeds imports neither
+    ``ring`` nor ``oracle`` for it.
+    """
+    from .oracle import OracleTooLarge
+    from .ring import UnsupportedM
+
+    return UnsupportedM, OracleTooLarge
 
 
 if __name__ == "__main__":

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from .intlinalg import IntMatrix
-from .orbit import Graph
 from .posets import Cyclic, GradedPoset, NotGraded, build_poset
 from .sheaves import Copresheaf
+
+if TYPE_CHECKING:
+    from .orbit import Graph
 
 
 class BadInput(Exception):
@@ -21,11 +25,12 @@ def _is_int(value) -> bool:
 
 def load_json(path: str):
     """The JSON value in a UTF-8 file; unreadable, undecodable or too deeply
-    nested input is ``BadInput``."""
+    nested input is ``BadInput``, and so is an integer literal longer than
+    the interpreter converts (a plain ``ValueError`` from ``json.load``)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise BadInput(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -35,6 +40,8 @@ def parse_graph(data) -> Graph:
     ``n`` and every edge endpoint must be JSON integers, not booleans or
     floats; endpoints run from 1 to n.
     """
+    from .orbit import Graph
+
     if not isinstance(data, dict):
         raise BadInput("graph JSON must be an object")
     if "complete" in data:
@@ -129,5 +136,72 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
 
 
 def dumps(data) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, ASCII escapes, trailing newline.
+
+    The same text as ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``
+    for what the program writes: dicts with string keys, lists, tuples,
+    strings, ints, booleans and None.  Anything else, a float or a
+    non-string key included, raises ``TypeError``.
+    """
+    out: list[str] = []
+    _write(data, out, "\n")
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, out: list[str], nl: str):
+    """Append ``value`` to ``out``; ``nl`` is the newline and indent of its line.
+
+    Ints inside a container, most of every payload, are written in place
+    without a call.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        # one join for an int list, the leaves of every differential;
+        # ``type(x) is int`` leaves bools to print as true and false
+        if all(type(x) is int for x in value):
+            out.append(f"[{inner}{comma.join(map(int.__repr__, value))}{nl}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            if type(item) is int:
+                out.append(f"{sep}{item!r}")
+            else:
+                out.append(sep)
+                _write(item, out, inner)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        comma = "," + inner
+        sep = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            if type(item) is int:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {item!r}")
+            else:
+                out.append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write(item, out, inner)
+            sep = comma
+        out.append(nl + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

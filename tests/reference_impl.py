@@ -3,13 +3,15 @@
 Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
 the row Hermite form and coordinates over it on dense rows, the bit
-walk that shifts a mask once per position, and the ring-axiom check
-that walks every triple (i, j, l) with i*j nonzero.  None imports from
+walk that shifts a mask once per position, the ring-axiom check
+that walks every triple (i, j, l) with i*j nonzero, and the canonical
+JSON text from the standard library's pure-Python encoder.  None imports from
 the package, so a test comparing against them checks the package's
 routine, not a copy of it.
 """
 
 import bisect
+import json
 from itertools import product
 
 
@@ -217,3 +219,9 @@ def walking_ring_axioms(pres, join_theta):
             raise AxiomViolation(
                 f"({i}*{j})*{l} differs from {i}*({j}*{l})")
     return stats
+
+
+def library_dumps(data) -> str:
+    """Canonical JSON text as the standard library writes it: sorted keys,
+    two-space indent, ASCII escapes and a trailing newline."""
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"

@@ -164,6 +164,15 @@ def test_ring_m1_unsupported():
     assert code == 3
 
 
+def test_betti_real_m1_unsupported():
+    # raised inside RingPresentation, so it reaches main's exit-3 handler
+    code, text, err = run_cli(["betti", "--complete", "2", "--mode", "real",
+                               "--m", "1"])
+    assert code == 3
+    assert text == ""
+    assert err == "unsupported: the real statement also needs m > 1\n"
+
+
 def test_verify_real_unsupported():
     code, text, err = run_cli(["verify", "--complete", "2", "--m", "2",
                                "--mode", "real"])
@@ -322,6 +331,17 @@ def test_undecodable_json_exits_2(tmp_path, raw):
         code, text, err = run_cli(argv)
         assert code == 2, argv[0]
         assert text == "" and err.startswith("error: cannot read JSON"), argv[0]
+
+
+def test_huge_json_integer_exits_2(tmp_path):
+    # an integer literal past the interpreter's digit limit makes json.load
+    # raise a plain ValueError, which is malformed input too
+    g = tmp_path / "g.json"
+    g.write_text('{"n": ' + "9" * 5000 + ', "edges": []}')
+    code, text, err = run_cli(["betti", "--graph", str(g), "--k", "2", "--m", "2"])
+    assert code == 2
+    assert text == "" and err.startswith(f"error: cannot read JSON from {g}")
+    assert err.count("\n") == 1
 
 
 def test_cli_determinism_across_hash_seeds(tmp_path):

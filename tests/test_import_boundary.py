@@ -1,17 +1,24 @@
 """The package's public names, its imports, and the closed form never reaching the oracle.
 
-``orbitcoh/__init__.py`` imports every module, so importing ``orbit``
-loads ``oracle`` anyway; the boundary is checked statically instead, on
-the ``from .X import`` statements (at any depth) of each module's source.
-The same walk pins the empty runtime dependency list: every absolute
-import names a module of the standard library.
+The boundary is checked twice.  Statically, on the ``from .X import``
+statements (at any depth) of each module's source; the same walk pins
+the empty runtime dependency list: every absolute import names a module
+of the standard library.  At run time, in child processes: ``orbitcoh``
+loads its public names on first use and each CLI command imports only
+the modules it runs, so the modules a child has loaded show what its
+command reaches.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import orbitcoh
+from conftest import subprocess_env
 
 PACKAGE = Path(orbitcoh.__file__).parent
 
@@ -58,6 +65,45 @@ def test_closed_form_does_not_import_the_oracle():
     assert "oracle" in import_closure(["verify"], graph)
 
 
+def loaded_modules(code: str, *argv: str, cwd=None) -> set[str]:
+    """The ``orbitcoh`` submodules a child process has loaded after ``code``."""
+    probe = (f"import sys\n{code}\n"
+             "print(*sorted(m for m in sys.modules if m.startswith('orbitcoh.')))")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True,
+                          text=True, env=subprocess_env(), cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("orbitcoh.") for m in proc.stdout.splitlines()[-1].split()}
+
+
+CLOSED_FORM = ["--complete", "2", "--k", "2", "--m", "2"]
+RUN_CLI = "from orbitcoh.cli import main\nassert main(sys.argv[1:]) == 0"
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["betti", *CLOSED_FORM], {"oracle", "verify"}),
+    (["ring", *CLOSED_FORM], {"oracle", "verify"}),
+    (["cellular", "--poset", "p.json", "--copresheaf", "g.json"],
+     {"orbit", "ring", "osalg", "oracle", "verify"}),
+], ids=["betti", "ring", "cellular"])
+def test_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    (tmp_path / "p.json").write_text(json.dumps(
+        {"elements": ["a", "b"], "covers": [["a", "b"]], "rank": [0, 1]}))
+    (tmp_path / "g.json").write_text(json.dumps({"ranks": [1, 1],
+                                                 "extensions": {"a->b": [[1]]}}))
+    loaded = loaded_modules(RUN_CLI, *argv, cwd=tmp_path)
+    assert {"cli", "jsonio", "intlinalg"} <= loaded, sorted(loaded)
+    assert not loaded & unloaded, sorted(loaded)
+
+
+def test_runtime_closed_form_does_not_load_the_oracle():
+    loaded = loaded_modules("import orbitcoh.orbit, orbitcoh.ring")
+    assert {"orbit", "ring"} <= loaded
+    assert not loaded & {"oracle", "verify"}, sorted(loaded)
+    # the probe sees what it should: verify does load the oracle
+    loaded = loaded_modules(RUN_CLI, "verify", *CLOSED_FORM)
+    assert {"oracle", "verify"} <= loaded
+
+
 def test_runtime_imports_are_stdlib_only():
     imported = {p.name: absolute_imports(p) for p in PACKAGE.glob("*.py")}
     outside = {name: sorted(mods - sys.stdlib_module_names)
@@ -87,3 +133,11 @@ def test_public_names_are_pinned():
     # public name already builds
     assert sorted(orbitcoh.__all__) == PUBLIC
     assert len(PUBLIC) == 46
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from orbitcoh import *", namespace)
+    assert all(name in namespace for name in PUBLIC)
+    assert namespace["Graph"] is orbitcoh.orbit.Graph
+    assert namespace["verify"] is orbitcoh.verify
