@@ -439,9 +439,6 @@ class OrbitLattice:
     def matrix(self, label) -> PartialMatrix:
         return self.by_label[label]
 
-    def bottom_label(self) -> str:
-        return empty_matrix(self.graph, self.k, self.m).label()
-
 
 def build_lkm(graph: Graph, k: int, m: int) -> OrbitLattice:
     return OrbitLattice(graph, k, m)

@@ -6,9 +6,10 @@ lattice by ``oracle.shuffle_push``: the one-step chains (bottom -> atom)
 pushed along the bond-lattice join realize the nbc monomial, the
 one-step entry cycles pushed along concatenation realize the completion
 tensor, and the two are shuffled together and pushed through the
-restriction map (J, w) -> w|_J into the orbit lattice.  Rank
-comparisons, cup-product comparisons against cross-then-star, and the
-ring axioms all hang off these cycles.
+restriction map (J, w) -> w|_J into the orbit lattice.  The
+cup-product comparisons against cross-then-star hang off these cycles;
+the rank comparisons read the Goresky-MacPherson oracle over the
+intersection lattice alone.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .oracle import (
     DEFAULT_ORACLE_LIMIT,
     GMOracle,
     OracleTooLarge,
-    TorComplex,
     shuffle_push,
 )
 from .orbit import (
@@ -39,7 +39,6 @@ from .ring import (
     RingPresentation,
     check_ring_axioms,
 )
-from .sheaves import delta_sheaf
 
 
 def braid_chain(pres: RingPresentation, mono: tuple) -> dict:
@@ -139,13 +138,16 @@ def verify_full(graph: Graph, k: int, m: int,
                 axioms: bool = True) -> VerifyReport:
     """Compare the closed-form presentation with the brute-force oracle.
 
-    Checks, in order: the rank formula against brute-force Tor ranks
-    grading by grading (the closed form is torsion-free, so torsion in
-    an oracle Tor group fails that grading's line); cup products of
-    every basis pair against the cross-then-star oracle product (on by
-    default when sigma is bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
-    when the lattice exceeds the limit, before building it: each block
-    of size s >= 2 carries m entries of k^(s-1) classes or undefined.
+    Checks, in order: the rank formula against the Goresky-MacPherson
+    oracle over the intersection lattice, one Tor complex per element x,
+    whose ranks must equal the closed-form ranks summed over the
+    sigma-fiber of x (the closed form is torsion-free, so torsion in an
+    oracle Tor group fails that element's line); cup products of every
+    basis pair against the cross-then-star oracle product (on by default
+    when sigma is bijective and m > 1); and the ring axioms.  Raises
+    OracleTooLarge when the orbit lattice exceeds the limit, before
+    building it: each block of size s >= 2 carries m entries of k^(s-1)
+    classes or undefined.
     """
     report = VerifyReport(graph, k, m)
     size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
@@ -158,29 +160,18 @@ def verify_full(graph: Graph, k: int, m: int,
     bijective = len(inter.by_label) == lkm.poset.n
     if products is None:
         products = bijective and m > 1
-    bottom = lkm.bottom_label()
-    g0 = delta_sheaf(lkm.poset, [bottom], 1, "co")
+    if products and not bijective:
+        raise ValueError("product comparison needs sigma to be bijective")
+    oracle = GMOracle(inter.poset, inter.codim, limit=oracle_limit)
 
-    oracle = None
-    if products:
-        if not bijective:
-            raise ValueError("product comparison needs sigma to be bijective")
-        oracle = GMOracle(inter.poset, inter.codim, limit=oracle_limit)
-
-    # (a) rank formula vs brute-force Tor, grading by grading
+    # (a) rank formula vs the oracle, one intersection-lattice element at a time
     fibers: dict[str, list[str]] = {}
     for lab in lkm.poset.labels:
         fibers.setdefault(inter.sigma[lab], []).append(lab)
     for x in inter.poset.labels:
-        support = fibers[x]
-        if oracle is not None:
-            kc = oracle.complex_at(x)
-        else:
-            f = delta_sheaf(lkm.poset, support, 1, "pre")
-            kc = TorComplex(lkm.poset, g0, f, limit=oracle_limit)
-        h = kc.homology()
+        h = oracle.complex_at(x).homology()
         expected: dict[int, int] = {}
-        for lab in support:
+        for lab in fibers[x]:
             mat = lkm.matrix(lab)
             r = pres.rank_formula(mat)
             if r:

@@ -200,7 +200,7 @@ def test_orbit_lattice_form_is_pinned(graph, k, digest):
     # L(P3, 4, 2) are the benchmark's lattices, the latter with a
     # 498-column top boundary
     lkm = build_lkm(graph, k, 2)
-    g = delta_sheaf(lkm.poset, [lkm.bottom_label()], 1, "co")
+    g = delta_sheaf(lkm.poset, [lkm.poset.labels[lkm.poset.minimum()]], 1, "co")
     form = construct_cellular_form(lkm.poset, g)
     text = dumps(form.to_json_dict())
     assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -186,21 +186,34 @@ def test_verify_complete2():
     assert "PASS" in text and "FAIL" not in text
 
 
-@pytest.mark.parametrize("graph,k,digest", [
-    ({"complete": 2}, 2,
+_P4 = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}
+_C4 = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}
+
+
+@pytest.mark.parametrize("graph,k,m,digest", [
+    ({"complete": 2}, 2, 2,
      "7937cbe563db54d5d4beffcc3c3b363befcf588185bc7e35d76f867f73cbaf9f"),
-    ({"complete": 2}, 3,
+    ({"complete": 2}, 3, 2,
      "83df52158d2c9cc6697dfc460a0cd8e1a9699604ac167eec3712501d7fa54a9b"),
-    ({"complete": 2}, 4,
+    ({"complete": 2}, 4, 2,
      "062332e661953f3da309c86e660d100d0fd4f5bd54ddbc3eaa566777c0724e72"),
-    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2,
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2, 2,
      "32b725bee6ff57a3a4186c375ae6a6fe3aac0e18ed0cc49aff41fa26e2992253"),
-    ({"complete": 3}, 2,
+    ({"complete": 3}, 2, 2,
      "9e1157232f719aeb5ddefb1fa5d491053de2a4c5c856822a4e28870d66a8b8de"),
-], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2"])
-def test_verify_json_is_pinned(tmp_path, graph, k, digest):
-    # recorded while the products were still compared one basis pair at
-    # a time
+    (_P4, 2, 1,
+     "5aa9abfbf9814ed5eed809ef09a4b603fc549f715f8c87c87adb6dd260295b08"),
+    (_C4, 2, 1,
+     "03e8ae95b4a33e53f469895f0ffd948bbc6f0d6fe360d59b64ce8e17ddefc919"),
+    ({"complete": 4}, 2, 1,
+     "dd491ed96fbd22bce7c3ff229152b12f01074153b96359866626c93d4ead5cfc"),
+], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2", "P4-k2-m1", "C4-k2-m1",
+        "K4-k2-m1"])
+def test_verify_json_is_pinned(tmp_path, graph, k, m, digest):
+    # the m = 2 digests were recorded while the products were still
+    # compared one basis pair at a time; the m = 1 ones, on graphs where
+    # sigma merges orbit elements, while their ranks still came from Tor
+    # over the orbit lattice
     out = tmp_path / "v.json"
     if "complete" in graph:
         source = ["--complete", str(graph["complete"])]
@@ -208,7 +221,7 @@ def test_verify_json_is_pinned(tmp_path, graph, k, digest):
         g = tmp_path / "g.json"
         g.write_text(json.dumps(graph))
         source = ["--graph", str(g)]
-    code, _, _ = run_cli(["verify", *source, "--k", str(k), "--m", "2",
+    code, _, _ = run_cli(["verify", *source, "--k", str(k), "--m", str(m),
                           "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

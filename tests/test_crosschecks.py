@@ -40,7 +40,7 @@ def test_sigma_pullback_of_ambient_delta():
                         {lab: inter.sigma[lab] for lab in lkm.poset.labels})
     g = delta_sheaf(inter.poset, [inter.poset.labels[inter.poset.minimum()]], 1, "co")
     back = pullback(sig, g)
-    bottom = lkm.bottom_label()
+    bottom = lkm.poset.labels[lkm.poset.minimum()]
     for lab in lkm.poset.labels:
         want = 1 if lab == bottom else 0
         assert back.rank_of(lab) == want

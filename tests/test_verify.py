@@ -61,12 +61,16 @@ def test_oracle_cups_are_pinned():
         "9f9fe235d041687b668e18ed049cc1202f04ffef5c6591df281104c7241a7928")
 
 
-@pytest.mark.parametrize("graph, k", [(Graph.complete(2), 4), (Graph.path(3), 2)],
-                         ids=["K2-k4", "P3-k2"])
-def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k):
+@pytest.mark.parametrize("graph, k, m", [(Graph.complete(2), 4, 2), (Graph.path(3), 2, 2),
+                                         (Graph.path(4), 2, 1)],
+                         ids=["K2-k4", "P3-k2", "P4-k2-m1"])
+def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k, m):
     # verify builds its K-chain complexes unchecked: every one of them must
     # still be a complex, and a degree-n boundary column holds one entry
-    # per face of a chain of n + 1 elements (the sheaves have rank 1)
+    # per face of a chain of n + 1 elements (the sheaves have rank 1).
+    # Every complex is over the intersection lattice, one per element, also
+    # where sigma merges orbit elements: on P4 (k = 2, m = 1) the orbit
+    # lattice has 38 elements and the intersection lattice 37
     built = []
     honest = TorComplex.__init__
 
@@ -75,8 +79,14 @@ def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k):
         built.append(self)
 
     monkeypatch.setattr(TorComplex, "__init__", init)
-    assert verify_full(graph, k, 2).ok
-    assert len(built) == IntersectionLattice(build_lkm(graph, k, 2)).poset.n
+    assert verify_full(graph, k, m).ok
+    lkm = build_lkm(graph, k, m)
+    inter = IntersectionLattice(lkm)
+    assert all(kc.poset.labels == inter.poset.labels for kc in built)
+    points = [[x for x, r in zip(kc.poset.labels, kc.f.ranks) if r] for kc in built]
+    assert sorted(points) == sorted([x] for x in inter.poset.labels)
+    if m == 1:
+        assert (lkm.poset.n, inter.poset.n) == (38, 37)
     for cx in (kc.chain_complex() for kc in built):
         cx.validate()
         for n in range(1, len(cx.ranks)):
@@ -119,6 +129,18 @@ def test_size_guard_counts_the_lattice():
             verify_full(graph, k, m, oracle_limit=0)
         assert str(exc.value) == (
             f"orbit lattice has {build_lkm(graph, k, m).poset.n} elements, limit 0")
+
+
+def test_products_on_merging_sigma_are_refused(monkeypatch):
+    # sigma merges two orbit elements of L(P4, 2, 1), so basis cycles have
+    # no one Tor piece to land in; the request fails before any complex
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Tor complex was built")
+
+    monkeypatch.setattr(TorComplex, "__init__", refuse)
+    with pytest.raises(ValueError) as exc:
+        verify_full(Graph.path(4), 2, 1, products=True)
+    assert str(exc.value) == "product comparison needs sigma to be bijective"
 
 
 def _additive(inter, x, y) -> bool:
