@@ -16,7 +16,7 @@ over speed and refuses oversized posets.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .intlinalg import (
     ChainComplex,
@@ -45,7 +45,7 @@ DEFAULT_ORACLE_LIMIT = 100
 
 
 class TorComplex:
-    """K_*(P, G; F) with a deterministic basis keyed by label chains."""
+    """K_*(P, G; F) with a deterministic basis keyed by (index chain, gi, fi)."""
 
     def __init__(self, poset: GradedPoset, g: Copresheaf, f: Presheaf,
                  limit: int | None = DEFAULT_ORACLE_LIMIT):
@@ -57,17 +57,9 @@ class TorComplex:
         self.f = f
         self.chains: list[list[tuple[int, ...]]] = []
         self._enumerate_chains()
-        self.keys: list[list[tuple]] = []
-        self.position: list[dict] = []
-        for n, chs in enumerate(self.chains):
-            keys = []
-            for c in chs:
-                lab = tuple(poset.labels[i] for i in c)
-                for gi in range(g.ranks[c[0]]):
-                    for fi in range(f.ranks[c[-1]]):
-                        keys.append((lab, gi, fi))
-            self.keys.append(keys)
-            self.position.append({k: i for i, k in enumerate(keys)})
+        self.keys = [[(c, gi, fi) for c in chs for gi in range(g.ranks[c[0]])
+                      for fi in range(f.ranks[c[-1]])] for chs in self.chains]
+        self.position = [{key: i for i, key in enumerate(keys)} for keys in self.keys]
         self.ranks = [len(k) for k in self.keys]
         self._complex: ChainComplex | None = None
         self._tor: dict[int, TorDegree] = {}
@@ -120,23 +112,22 @@ class TorComplex:
         """
         pos_lo = self.position[n - 1]
         cols = []
-        for lab, gi, fi in self.keys[n]:
-            c = tuple(self.poset.index[x] for x in lab)
+        for c, gi, fi in self.keys[n]:
             col = {}
             # face 0: drop p_0, extend the copresheaf part
             ext = self.g.map_index(c[0], c[1])
             for gp in range(ext.rows):
                 if v := ext.data[gp][gi]:
-                    col[pos_lo[(lab[1:], gp, fi)]] = v
+                    col[pos_lo[(c[1:], gp, fi)]] = v
             # interior faces
             for i in range(1, n):
-                col[pos_lo[(lab[:i] + lab[i + 1:], gi, fi)]] = -1 if i % 2 else 1
+                col[pos_lo[(c[:i] + c[i + 1:], gi, fi)]] = -1 if i % 2 else 1
             # face n: drop p_n, restrict the presheaf part
             restr = self.f.map_index(c[-2], c[-1])
             sign = -1 if n % 2 else 1
             for fp in range(restr.rows):
                 if v := restr.data[fp][fi]:
-                    col[pos_lo[(lab[:-1], gi, fp)]] = sign * v
+                    col[pos_lo[(c[:-1], gi, fp)]] = sign * v
             cols.append(col)
         return cols
 
@@ -289,26 +280,26 @@ class TorDegree:
 # -- induced maps ------------------------------------------------------------
 
 
-def induced_chain_map(src: TorComplex, dst: TorComplex, k: FHom, t: FHom):
+def induced_chain_map(k: FHom, t: FHom):
     """The chain map (k, t)_# of Tor: kills chains with repeated images.
 
     ``k`` is the presheaf f-homomorphism, ``t`` the copresheaf one, both
     over the same poset morphism.  Returns a function mapping a formal
-    chain of ``src`` to a formal chain of ``dst``.
+    chain over its source to one over its target, each index sent to its
+    image.
     """
     if k.f.mapping != t.f.mapping:
         raise ValueError("presheaf and copresheaf parts live over different maps")
-    fmap = k.f.mapping
-    src_poset = src.poset
+    fimage = k.f.image
 
     def push(formal: dict) -> dict:
         out: dict = {}
-        for (lab, gi, fi), coeff in formal.items():
-            image = tuple(fmap[x] for x in lab)
+        for (c, gi, fi), coeff in formal.items():
+            image = tuple(fimage[i] for i in c)
             if len(set(image)) != len(image):
                 continue
-            tmat = t.components[src_poset.index[lab[0]]]
-            kmat = k.components[src_poset.index[lab[-1]]]
+            tmat = t.components[c[0]]
+            kmat = k.components[c[-1]]
             for gp in range(tmat.rows):
                 tv = tmat.data[gp][gi]
                 if not tv:
@@ -326,7 +317,7 @@ def induced_chain_map(src: TorComplex, dst: TorComplex, k: FHom, t: FHom):
 def induced_homology_matrix(src: TorComplex, dst: TorComplex, k: FHom, t: FHom,
                             n: int) -> IntMatrix:
     """Matrix of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
-    push = induced_chain_map(src, dst, k, t)
+    push = induced_chain_map(k, t)
     src_tor = src.tor(n)
     dst_tor = dst.tor(n)
     images = [dst.vector(push(src.formal(gen, n)), n) for gen in src_tor.free_generators()]
@@ -408,7 +399,8 @@ class GMOracle:
 
     ``codim`` maps element labels to complex codimension in complex
     mode, or to real codimension in real mode (coefficients Z/2).  The
-    minimum element is the ambient space.
+    minimum element is the ambient space.  The size limit is checked
+    here, once: every complex is over this one lattice.
     """
 
     def __init__(self, lattice: GradedPoset, codim: dict, mode: str = "complex",
@@ -421,18 +413,15 @@ class GMOracle:
         self.lattice = lattice
         self.codim = dict(codim)
         self.mode = mode
-        self.limit = limit
         self.ambient = lattice.labels[lattice.minimum()]
         self.delta_m = delta_sheaf(lattice, [self.ambient], 1, "co")
         self._complexes: dict = {}
         self._star_checked: set = set()
-        self._join = partial(join, lattice)
 
     def complex_at(self, x) -> TorComplex:
         if x not in self._complexes:
             f = delta_sheaf(self.lattice, [x], 1, "pre")
-            self._complexes[x] = TorComplex(self.lattice, self.delta_m, f,
-                                            limit=self.limit)
+            self._complexes[x] = TorComplex(self.lattice, self.delta_m, f, limit=None)
         return self._complexes[x]
 
     def cohomology(self):
@@ -490,7 +479,7 @@ class GMOracle:
         is then zero by definition and nothing is pushed.
 
         The star map is the identity on the rank-1 delta sheaves at ((M, M))
-        and ((x, y)), so each shuffle of two label chains goes straight to
+        and ((x, y)), so each shuffle of two index chains goes straight to
         its chain of joins, and degenerate images vanish.  The product is
         bilinear in chain coordinates: the union of the chains of xs and of
         ys is pushed through ``shuffle_tensor`` once, and the tensor is
@@ -504,13 +493,13 @@ class GMOracle:
         self._check_star_minimal(x, y, xy)
         kx, ky, target = self.complex_at(x), self.complex_at(y), self.complex_at(xy)
         pos = target.position[n] if n < len(target.position) else {}
-        x_chains = {kx.keys[nx][p][0]: p for vec in xs for p in vec}
-        y_chains = {ky.keys[ny][p][0]: p for vec in ys for p in vec}
+        us = {kx.keys[nx][p][0]: p for vec in xs for p in vec}
+        vs = {ky.keys[ny][p][0]: p for vec in ys for p in vec}
         # star[pu]: (pv, [(target position, coefficient)]) per chain pair
         star: dict[int, list] = {}
-        for (u, v), pushed in shuffle_tensor(x_chains, y_chains, self._join).items():
-            star.setdefault(x_chains[u], []).append(
-                (y_chains[v], [(pos[(image, 0, 0)], c) for image, c in pushed.items()]))
+        for (u, v), pushed in shuffle_tensor(us, vs, self.lattice.join_index).items():
+            star.setdefault(us[u], []).append(
+                (vs[v], [(pos[(image, 0, 0)], c) for image, c in pushed.items()]))
         products = []
         for xa in xs:
             row = []

@@ -6,7 +6,7 @@ lattice by ``oracle.shuffle_push``: the one-step chains (bottom -> atom)
 pushed along the bond-lattice join realize the nbc monomial, the
 one-step entry cycles pushed along concatenation realize the completion
 tensor, and the two are shuffled together and pushed through the
-restriction map (J, w) -> w|_J into the orbit lattice.  The
+restriction map (J, w) -> w|_J straight to intersection-lattice indices.  The
 cup-product comparisons against cross-then-star hang off these cycles;
 the rank comparisons read the Goresky-MacPherson oracle over the
 intersection lattice alone.
@@ -15,6 +15,7 @@ intersection lattice alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from math import factorial, prod
 
@@ -87,27 +88,25 @@ def fiber_chain(mat: PartialMatrix, assignment: tuple) -> dict:
     return {tuple(map(matrix, chain)): c for chain, c in state.items()}
 
 
-def theta_cycle(pres: RingPresentation, grading: int, mono: tuple,
-                assignment: tuple, restricted: dict | None = None) -> dict:
-    """Explicit Tor cycle over the orbit lattice for one basis element.
+def restriction_index(inter: IntersectionLattice):
+    """(bond label, fiber matrix) -> index of the restriction in ``inter.poset``.
 
-    The result is a formal chain keyed by (label chain, 0, 0) in
-    K(L_k^m, delta^bottom; delta_theta), of degree r_b + r_f.
-    ``restricted`` memoizes the label of ``restrict_matrix(fiber matrix,
-    bond label)``; share one dict across the calls of a run so that each
-    label is rendered once.
+    Sigma must be bijective.  Each restriction is computed once per lookup.
     """
-    if restricted is None:
-        restricted = {}
+    index = {mat: inter.poset.index[lab] for lab, mat in inter.by_label.items()}
+    return cache(lambda lab, fmat: index[restrict_matrix(fmat, lab)])
 
-    def restrict(lab, fmat):
-        key = (fmat, lab)
-        if key not in restricted:
-            restricted[key] = restrict_matrix(fmat, lab).label()
-        return restricted[key]
 
+def theta_cycle(pres: RingPresentation, grading: int, mono: tuple,
+                assignment: tuple, locate) -> dict:
+    """Explicit Tor cycle over the intersection lattice for one basis element.
+
+    The result is a formal chain keyed by (index chain, 0, 0) in
+    K(L, delta^bottom; delta_theta), of degree r_b + r_f; ``locate`` is a
+    ``restriction_index`` lookup, shared by the calls of a run.
+    """
     cycle = shuffle_push(braid_chain(pres, mono),
-                         fiber_chain(pres.matrices[grading], assignment), restrict)
+                         fiber_chain(pres.matrices[grading], assignment), locate)
     return {(chain, 0, 0): c for chain, c in cycle.items()}
 
 
@@ -183,11 +182,14 @@ def verify_full(graph: Graph, k: int, m: int,
         report.add(match, f"ranks at {x}: formula {expected} vs oracle {got}{torsion}")
         report.rank_checks += 1
         if not match and len(report.lines) > 400:
+            if left := inter.poset.n - report.rank_checks:
+                report.add(False, f"rank check stopped: {left} of "
+                                  f"{inter.poset.n} elements not checked")
             break
 
     # (b) cup products, one block of basis pairs per ordered lattice pair
     if products:
-        _check_products(report, pres, oracle)
+        _check_products(report, pres, oracle, restriction_index(inter))
 
     # (c) ring axioms
     if axioms and m > 1:
@@ -200,7 +202,7 @@ def verify_full(graph: Graph, k: int, m: int,
     return report
 
 
-def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOracle):
+def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOracle, locate):
     """Basis cycles against the Tor pieces, then every product against the oracle.
 
     A grading is one lattice element in one degree, so the basis cycles
@@ -212,14 +214,13 @@ def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOrac
     ``class_coords`` checks and reads them.  Mismatches are counted per
     basis pair.
     """
-    restricted: dict = {}
     blocks = []  # (element, Tor degree, sparse cycles), per grading
     coords = []  # class coordinates, per basis element
     coords_ok = True
     for g, mat in enumerate(pres.matrices):
         x, deg = mat.label(), mat.r_b + mat.r_f
         kc = oracle.complex_at(x)
-        cycles = [kc.vector(theta_cycle(pres, g, e.os_mono, e.bcp_index, restricted), deg)
+        cycles = [kc.vector(theta_cycle(pres, g, e.os_mono, e.bcp_index, locate), deg)
                   for e in pres.basis[pres.offset[g]:pres.offset[g + 1]]]
         tor = kc.tor(deg)
         entries = tor.class_coords(cycles)

@@ -76,14 +76,16 @@ def cross_formal(x: dict, y: dict, g2, f2) -> dict:
     """Shuffle cross product of formal K-chains over the product poset.
 
     ``g2`` and ``f2`` are the sheaves of the second factor, needed to
-    flatten tensor-basis indices row-major (first factor major).
+    flatten tensor-basis indices and element pairs row-major (first factor
+    major), as ``product_poset`` and ``product_sheaf`` order them.
     """
+    n2 = g2.base.n
     out: dict = {}
-    for (lab1, g1i, f1i), c1 in x.items():
-        for (lab2, g2i, f2i), c2 in y.items():
-            gflat = g1i * g2.rank_of(lab2[0]) + g2i
-            fflat = f1i * f2.rank_of(lab2[-1]) + f2i
-            pushed = shuffle_push({lab1: c1}, {lab2: c2}, lambda a, b: (a, b))
+    for (ch1, g1i, f1i), c1 in x.items():
+        for (ch2, g2i, f2i), c2 in y.items():
+            gflat = g1i * g2.ranks[ch2[0]] + g2i
+            fflat = f1i * f2.ranks[ch2[-1]] + f2i
+            pushed = shuffle_push({ch1: c1}, {ch2: c2}, lambda a, b: a * n2 + b)
             for chain, c in pushed.items():
                 key = (chain, gflat, fflat)
                 out[key] = out.get(key, 0) + c

@@ -188,32 +188,38 @@ def test_verify_complete2():
 
 _P4 = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]}
 _C4 = {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1]]}
+_CLAW = {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}
 
 
-@pytest.mark.parametrize("graph,k,m,digest", [
-    ({"complete": 2}, 2, 2,
+@pytest.mark.parametrize("graph,k,m,limit,digest", [
+    ({"complete": 2}, 2, 2, None,
      "7937cbe563db54d5d4beffcc3c3b363befcf588185bc7e35d76f867f73cbaf9f"),
-    ({"complete": 2}, 3, 2,
+    ({"complete": 2}, 3, 2, None,
      "83df52158d2c9cc6697dfc460a0cd8e1a9699604ac167eec3712501d7fa54a9b"),
-    ({"complete": 2}, 4, 2,
+    ({"complete": 2}, 4, 2, None,
      "062332e661953f3da309c86e660d100d0fd4f5bd54ddbc3eaa566777c0724e72"),
-    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2, 2,
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2, 2, None,
      "32b725bee6ff57a3a4186c375ae6a6fe3aac0e18ed0cc49aff41fa26e2992253"),
-    ({"complete": 3}, 2, 2,
+    ({"complete": 3}, 2, 2, None,
      "9e1157232f719aeb5ddefb1fa5d491053de2a4c5c856822a4e28870d66a8b8de"),
-    (_P4, 2, 1,
+    (_P4, 2, 1, None,
      "5aa9abfbf9814ed5eed809ef09a4b603fc549f715f8c87c87adb6dd260295b08"),
-    (_C4, 2, 1,
+    (_C4, 2, 1, None,
      "03e8ae95b4a33e53f469895f0ffd948bbc6f0d6fe360d59b64ce8e17ddefc919"),
-    ({"complete": 4}, 2, 1,
+    ({"complete": 4}, 2, 1, None,
      "dd491ed96fbd22bce7c3ff229152b12f01074153b96359866626c93d4ead5cfc"),
+    (_CLAW, 2, 2, 200,
+     "92a6d93116dd9f756a0184d9198ebd32755e171c89ee24ff2da42fae76a18641"),
 ], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2", "P4-k2-m1", "C4-k2-m1",
-        "K4-k2-m1"])
-def test_verify_json_is_pinned(tmp_path, graph, k, m, digest):
+        "K4-k2-m1", "claw-k2-m2"])
+def test_verify_json_is_pinned(tmp_path, graph, k, m, limit, digest):
     # the m = 2 digests were recorded while the products were still
     # compared one basis pair at a time; the m = 1 ones, on graphs where
     # sigma merges orbit elements, while their ranks still came from Tor
-    # over the orbit lattice
+    # over the orbit lattice.  The claw is the only 4-vertex graph on which
+    # sigma is bijective, so the only one whose 160,000 basis pairs of
+    # products are compared; its digest was recorded while the oracle still
+    # keyed its chains by label strings
     out = tmp_path / "v.json"
     if "complete" in graph:
         source = ["--complete", str(graph["complete"])]
@@ -221,10 +227,21 @@ def test_verify_json_is_pinned(tmp_path, graph, k, m, digest):
         g = tmp_path / "g.json"
         g.write_text(json.dumps(graph))
         source = ["--graph", str(g)]
+    if limit is not None:
+        source += ["--oracle-limit", str(limit)]
     code, _, _ = run_cli(["verify", *source, "--k", str(k), "--m", str(m),
                           "--out", str(out)])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_oracle_limit_default_is_the_oracles():
+    # cli writes the default out, since it loads the oracle only when a
+    # verify run fails; it must stay the oracle's own
+    from orbitcoh.cli import build_parser
+    from orbitcoh.oracle import DEFAULT_ORACLE_LIMIT
+    args = build_parser().parse_args(["verify", "--complete", "2"])
+    assert args.oracle_limit == DEFAULT_ORACLE_LIMIT
 
 
 def test_verify_oracle_limit():

@@ -21,7 +21,7 @@ from orbitcoh.orbit import (
     join_theta,
     sigma_canonical,
 )
-from orbitcoh.posets import GradedPoset, PosetMorphism, build_poset
+from orbitcoh.posets import GradedPoset, PosetMorphism, build_poset, chain_poset
 from orbitcoh.sheaves import (
     FHom,
     Incompatible,
@@ -95,15 +95,13 @@ def test_manual_star_at_nonextremal_is_incompatible():
 
 
 def test_cross_degree_zero():
-    x = {(("a",), 0, 0): 2}
-    y = {(("b",), 0, 0): 3}
-
-    class _Rk:
-        def rank_of(self, lab):
-            return 1
-
-    out = cross_formal(x, y, _Rk(), _Rk())
-    assert out == {((("a", "b"),), 0, 0): 6}
+    # element 1 of a 3-element first factor times element 2 of a 3-element
+    # second factor is element 1 * 3 + 2 of the product
+    x = {((1,), 0, 0): 2}
+    y = {((2,), 0, 0): 3}
+    rk = constant_sheaf(chain_poset(2), 1, "co")
+    out = cross_formal(x, y, rk, rk)
+    assert out == {((5,), 0, 0): 6}
 
 
 def test_oracle_cup_associative_braid():

@@ -56,13 +56,27 @@ def import_closure(roots, graph) -> set[str]:
     return seen
 
 
+def module_graph() -> dict[str, set[str]]:
+    """Each package module with the sibling modules it imports from."""
+    return {p.stem: package_imports(p) for p in PACKAGE.glob("*.py")}
+
+
 def test_closed_form_does_not_import_the_oracle():
-    graph = {p.stem: package_imports(p) for p in PACKAGE.glob("*.py")}
+    graph = module_graph()
     assert {"orbit", "ring", "oracle", "verify"} <= set(graph)
     closure = import_closure(["orbit", "ring"], graph)
     assert not closure & {"oracle", "verify"}, sorted(closure)
     # the check reads what it should: verify does reach the oracle
     assert "oracle" in import_closure(["verify"], graph)
+
+
+def test_oracle_does_not_import_the_closed_form():
+    # verify is the only bridge: the oracle knows posets and sheaves, not
+    # the orbit lattice, the ring or the cellular route it checks
+    graph = module_graph()
+    closure = import_closure(["oracle"], graph)
+    assert {"posets", "sheaves", "intlinalg"} <= closure
+    assert not closure & {"orbit", "ring", "osalg", "cellular", "verify"}, sorted(closure)
 
 
 def loaded_modules(code: str, *argv: str, cwd=None) -> set[str]:

@@ -32,6 +32,7 @@ from orbitcoh.oracle import (
     shuffles,
 )
 from orbitcoh.sheaves import (
+    Copresheaf,
     FHom,
     canonical_fhom,
     constant_sheaf,
@@ -113,6 +114,18 @@ def test_oracle_refuses_large_posets():
                    limit=5)
 
 
+def test_torsion_class_coords_reduce_mod_the_invariant():
+    # a < b with G = Z -> Z by 2 and F = delta_b: the one degree-1 chain
+    # (a < b) bounds twice the one degree-0 chain (b), so Tor_0 = Z/2 and
+    # a class coordinate is the chain's coefficient mod 2
+    p = build_poset(["a", "b"], [("a", "b")], {"a": 0, "b": 1})
+    g = Copresheaf(p, [1, 1], {(0, 1): IntMatrix(1, 1, [[2]])})
+    kc = TorComplex(p, g, delta_sheaf(p, ["b"], 1, "pre"))
+    tor = kc.tor(0)
+    assert (tor.betti, tor.torsion) == (0, (2,))
+    assert tor.class_coords([{0: 1}, {0: 2}, {0: 3}, {}]) == [(1,), (0,), (1,), (0,)]
+
+
 def test_induced_map_identity_and_zero():
     p3 = partition_lattice(3)
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
@@ -172,14 +185,17 @@ def test_induced_map_functorial_composites():
     src = TorComplex(dia, t1.source, k1.source)
     mid = TorComplex(ch, g_ch, f_ch)
     dst = TorComplex(pt, g_pt, f_pt)
-    step1 = induced_chain_map(src, mid, k1, t1)
-    step2 = induced_chain_map(mid, dst, k2, t2)
-    direct = induced_chain_map(src, dst, k12, t12)
+    step1 = induced_chain_map(k1, t1)
+    step2 = induced_chain_map(k2, t2)
+    direct = induced_chain_map(k12, t12)
     for n in range(len(src.ranks)):
         for j in range(src.rank(n)):
             unit = {src.keys[n][j]: 1}
             via = step2(step1(unit))
             assert via == direct(unit)
+            # each image is a basis key of the complex it lands in
+            mid.vector(step1(unit), n)
+            dst.vector(via, n)
 
 
 def test_shuffles_1_1():

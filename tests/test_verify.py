@@ -12,28 +12,35 @@ import orbitcoh.oracle
 import orbitcoh.verify
 from conftest import dense
 from orbitcoh.cli import main
+from orbitcoh.intlinalg import HomologySummary
 from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
-from orbitcoh.orbit import Graph, IntersectionLattice, build_lkm
+from orbitcoh.orbit import Graph, IntersectionLattice, PartialMatrix, build_lkm
 from orbitcoh.posets import join
 from orbitcoh.ring import RingPresentation
-from orbitcoh.verify import braid_chain, theta_cycle, verify_full
+from orbitcoh.verify import braid_chain, restriction_index, theta_cycle, verify_full
 
 
 def _digest(data) -> str:
     return hashlib.sha256(repr(data).encode()).hexdigest()
 
 
-def _cycles(pres):
-    return [theta_cycle(pres, e.grading, e.os_mono, e.bcp_index) for e in pres.basis]
+def _cycles(pres, inter):
+    locate = restriction_index(inter)
+    return [theta_cycle(pres, e.grading, e.os_mono, e.bcp_index, locate) for e in pres.basis]
 
 
 def test_theta_cycles_are_pinned():
     # sorted theta_cycle chains of every basis element of K2 (k = 3) and P3
-    # (k = 2), recorded before the chain builders shared one shuffle loop
+    # (k = 2), recorded before the chain builders shared one shuffle loop,
+    # when chains were keyed by labels: the index chains are mapped back
     chains = []
     for graph, k in [(Graph.complete(2), 3), (Graph.path(3), 2)]:
         pres = RingPresentation(graph, k, 2)
-        chains.append([sorted(c.items()) for c in _cycles(pres)])
+        inter = IntersectionLattice(build_lkm(graph, k, 2))
+        labels = inter.poset.labels
+        chains.append([sorted(((tuple(labels[i] for i in ch), gi, fi), c)
+                              for (ch, gi, fi), c in cycle.items())
+                       for cycle in _cycles(pres, inter)])
     assert _digest(chains) == (
         "5f99339c6770b379a9fd7f175e12a4aea0caec735e37a42336ea0c7f2dae43c1")
 
@@ -48,7 +55,7 @@ def test_oracle_cups_are_pinned():
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
     oracle = GMOracle(inter.poset, inter.codim)
     cycles = []
-    for e, formal in zip(pres.basis, _cycles(pres)):
+    for e, formal in zip(pres.basis, _cycles(pres, inter)):
         mat = pres.matrices[e.grading]
         deg = mat.r_b + mat.r_f
         cycles.append((e.theta, deg, oracle.complex_at(e.theta).vector(formal, deg)))
@@ -143,6 +150,22 @@ def test_products_on_merging_sigma_are_refused(monkeypatch):
     assert str(exc.value) == "product comparison needs sigma to be bijective"
 
 
+def test_truncated_rank_check_is_reported(monkeypatch):
+    # K2 (k = 20) has 442 intersection elements; with every oracle piece
+    # wrong, the rank check stops after 401 failing lines and says how many
+    # elements it left unchecked
+    class Wrong:
+        def homology(self):
+            return HomologySummary(((7, ()),))
+
+    monkeypatch.setattr(GMOracle, "complex_at", lambda self, x: Wrong())
+    report = verify_full(Graph.complete(2), 20, 2, oracle_limit=500,
+                         products=False, axioms=False)
+    assert not report.ok and report.rank_checks == 401
+    assert len(report.lines) == 402 and report.lines[-2].startswith("FAIL ranks at ")
+    assert report.lines[-1] == "FAIL rank check stopped: 41 of 442 elements not checked"
+
+
 def _additive(inter, x, y) -> bool:
     return inter.codim[x] + inter.codim[y] == inter.codim[join(inter.poset, x, y)]
 
@@ -230,18 +253,35 @@ def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
 
 
 def test_theta_cycles_render_each_restriction_once(monkeypatch):
-    # P3 (k = 2): the basis cycles ask for 5,873 restriction labels, of
-    # 137 distinct (fiber matrix, bond label) pairs
-    rendered = []
-    restrict = orbitcoh.verify.restrict_matrix
+    # P3 (k = 2): the basis cycles ask for 5,873 restrictions, of 137
+    # distinct (fiber matrix, bond label) pairs; each is computed once and
+    # goes straight to its lattice index, with no label rendered
+    rendered, labelled, building = [], [], []
+    restrict, label = orbitcoh.verify.restrict_matrix, PartialMatrix.label
+    theta = orbitcoh.verify.theta_cycle
 
     def counting(fmat, lab):
         rendered.append((fmat, lab))
         return restrict(fmat, lab)
 
+    def cycle(*args):
+        building.append(True)
+        try:
+            return theta(*args)
+        finally:
+            building.pop()
+
+    def counting_label(self):
+        if building:
+            labelled.append(self)
+        return label(self)
+
     monkeypatch.setattr(orbitcoh.verify, "restrict_matrix", counting)
+    monkeypatch.setattr(orbitcoh.verify, "theta_cycle", cycle)
+    monkeypatch.setattr(PartialMatrix, "label", counting_label)
     assert verify_full(Graph.path(3), 2, 2).ok
     assert len(rendered) == len(set(rendered)) == 137
+    assert not labelled
 
 
 def test_larger_verify_json_is_pinned(tmp_path):
