@@ -14,7 +14,7 @@ them uniquely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .intlinalg import (
     ChainComplex,
@@ -37,8 +37,7 @@ class PreconditionFailed(Exception):
     """The poset map increases rank somewhere, so no form morphism exists."""
 
 
-@dataclass(frozen=True)
-class NotCellular:
+class NotCellular(NamedTuple):
     """Verdict that (P, G) admits no cellular form, with the failing spot.
 
     ``step`` is one of 'surjectivity', 'kernel-sum', 'positive-homology',

@@ -5,8 +5,14 @@ input, 3 unsupported parameters.  Identical inputs produce
 byte-identical output.
 
 Each command imports the modules it runs, so a child process loads only
-those: ``cellular`` loads neither the orbit lattice, the ring nor the
-oracle, and ``betti`` and ``ring`` load neither the oracle nor ``verify``.
+those.  ``betti`` and ``ring`` load ``cli``, ``jsonio``, ``orbit``,
+``osalg``, ``posets`` and ``ring``; ``verify`` adds ``intlinalg``,
+``sheaves``, ``oracle`` and ``verify``, but not ``cellular``; ``cellular``
+loads ``cli``, ``jsonio``, ``intlinalg``, ``posets``, ``sheaves`` and
+``cellular``.  The value classes are ``typing.NamedTuple``s, so no
+command loads ``inspect`` or ``ast``.  Without a bytecode cache a child
+compiles every module it loads, which for small inputs costs more than
+the command's own work.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ point anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from typing import NamedTuple
 
 
 class NoIntegerSolution(Exception):
@@ -686,8 +686,7 @@ class ChainComplex:
                 raise InvalidComplex(f"boundary composite nonzero in degree {i}")
 
 
-@dataclass(frozen=True)
-class HomologySummary:
+class HomologySummary(NamedTuple):
     """Per-degree integral homology: free rank and invariant factors > 1."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...]

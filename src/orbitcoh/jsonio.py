@@ -6,12 +6,10 @@ import json
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
-from .intlinalg import IntMatrix
-from .posets import Cyclic, GradedPoset, NotGraded, build_poset
-from .sheaves import Copresheaf
-
 if TYPE_CHECKING:
     from .orbit import Graph
+    from .posets import GradedPoset
+    from .sheaves import Copresheaf
 
 
 class BadInput(Exception):
@@ -68,6 +66,8 @@ def parse_poset(data) -> GradedPoset:
     The three fields must be JSON arrays and every cover a pair; every
     cover must name listed elements, and every rank must be a JSON integer.
     """
+    from .posets import Cyclic, NotGraded, build_poset
+
     try:
         if not all(isinstance(data[key], list) for key in ("elements", "covers", "rank")):
             raise BadInput("elements, covers and rank must be arrays")
@@ -99,6 +99,9 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     and an omitted one is the zero map.  Ranks must be nonnegative JSON
     integers and matrix entries JSON integers.
     """
+    from .intlinalg import IntMatrix
+    from .sheaves import Copresheaf
+
     try:
         ranks = list(data["ranks"])
         raw = data.get("extensions", {})

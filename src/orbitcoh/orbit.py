@@ -9,9 +9,9 @@ the chromatic orbit configuration space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .posets import GradedPoset
 
@@ -20,8 +20,7 @@ class NotIndependent(Exception):
     """The two partial matrices fail rank additivity under join."""
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Simple graph on vertices 1..n with sorted edge pairs."""
 
     n: int
@@ -164,8 +163,7 @@ def restrict_class(block, values, sub, k: int):
 # -- partial matrices ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartialMatrix:
+class PartialMatrix(NamedTuple):
     """Z_k-coloring classes (or None) on blocks x coordinates.
 
     ``partition`` lists every block (including singletons), sorted;

@@ -3,22 +3,22 @@
 Independent of the cellular machinery: monomials are straightened with
 explicit circuit relations, so the structure constants obtained here
 serve as a cross-check oracle for the form-morphism route.
+
+``ring`` uses only the nbc basis and its products.  The cellular
+comparison (``nbc_form``, ``os_vs_cellular``) imports ``cellular``,
+``sheaves`` and ``intlinalg`` when it runs, so ``orbitcoh betti`` and
+``ring`` do not load them: a child without a bytecode cache compiles
+every module it loads.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .cellular import (
-    CellularForm,
-    construct_cellular_form,
-    form_morphism,
-    product_form,
-    verify_cellular_form,
-)
-from .intlinalg import IntMatrix, unimodular_inverse
-from .posets import GradedPoset, join_morphism
-from .sheaves import FHom, delta_sheaf, star_fhom
+if TYPE_CHECKING:
+    from .cellular import CellularForm
+    from .posets import GradedPoset
 
 
 class NotGeometric(Exception):
@@ -214,6 +214,10 @@ class OSAlgebra:
 
     def nbc_form(self) -> CellularForm:
         """The nbc presentation packaged as a cellular form of (L, delta^0 Z)."""
+        from .cellular import CellularForm
+        from .intlinalg import IntMatrix
+        from .sheaves import delta_sheaf
+
         lat = self.lattice
         g = delta_sheaf(lat, [lat.labels[self.bottom]], 1, "co")
         ranks = [self.piece_rank(lab) for lab in lat.labels]
@@ -262,6 +266,17 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
     the join/star form morphism, then checks every product against nbc
     straightening.  Raises Mismatch if anything disagrees.
     """
+    from .cellular import (
+        CellularForm,
+        construct_cellular_form,
+        form_morphism,
+        product_form,
+        verify_cellular_form,
+    )
+    from .intlinalg import IntMatrix, unimodular_inverse
+    from .posets import identity_morphism, join_morphism
+    from .sheaves import FHom, delta_sheaf, star_fhom
+
     alg = OSAlgebra(lattice, atom_order)
     lat = lattice
     g = delta_sheaf(lat, [lat.labels[alg.bottom]], 1, "co")
@@ -276,7 +291,6 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
         if built.rank_of(lab) != alg.piece_rank(lab):
             raise Mismatch(f"piece rank differs at {lab}")
 
-    from .posets import identity_morphism
     ident = identity_morphism(lat)
     t_id = FHom(ident, g, g,
                 {i: IntMatrix.identity(g.ranks[i]) for i in range(lat.n)})

@@ -15,9 +15,9 @@ carries the same pieces over Z/2 in compressed degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate, product
+from typing import NamedTuple
 
 from .orbit import (
     Graph,
@@ -40,8 +40,7 @@ class UnsupportedM(Exception):
     """Ring structure is only established for m > 1."""
 
 
-@dataclass(frozen=True)
-class GradedBasisElement:
+class GradedBasisElement(NamedTuple):
     """One basis vector: a grading, an nbc monomial, a completion tensor."""
 
     grading: int  # position in RingPresentation.matrices

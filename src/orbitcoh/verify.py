@@ -14,7 +14,6 @@ intersection lattice alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 from math import factorial, prod
@@ -110,18 +109,18 @@ def theta_cycle(pres: RingPresentation, grading: int, mono: tuple,
     return {(chain, 0, 0): c for chain, c in cycle.items()}
 
 
-@dataclass
 class VerifyReport:
     """Outcome of the oracle verification; printable line per check."""
 
-    graph: Graph
-    k: int
-    m: int
-    ok: bool = True
-    lines: list = field(default_factory=list)
-    rank_checks: int = 0
-    product_checks: int = 0
-    axiom_stats: dict = field(default_factory=dict)
+    def __init__(self, graph: Graph, k: int, m: int):
+        self.graph = graph
+        self.k = k
+        self.m = m
+        self.ok = True
+        self.lines = []
+        self.rank_checks = 0
+        self.product_checks = 0
+        self.axiom_stats = {}
 
     def add(self, ok: bool, text: str):
         self.ok = self.ok and ok
