@@ -713,9 +713,10 @@ class HomologySummary(NamedTuple):
 
 
 def homology(complex_: ChainComplex) -> HomologySummary:
-    """Integral homology from the divisors of each kept boundary reduction."""
+    """Integral homology from the divisors of each kept reduction of a nonempty boundary."""
     top = len(complex_.ranks)
-    divisors = {i: complex_.reduction(i).divisors for i in range(1, top + 1)}
+    divisors = {i: complex_.reduction(i).divisors for i in range(1, top)
+                if complex_.ranks[i] and complex_.ranks[i - 1]}
     groups = []
     for n in range(top):
         r_out = len(divisors.get(n, []))

@@ -210,14 +210,6 @@ class PartialMatrix(NamedTuple):
         body = f" {';'.join(rows)}" if rows else ""
         return f"[{part}]{body}"
 
-    def leq_same_support(self, other: "PartialMatrix") -> bool:
-        """Completion order within one fiber (same partition)."""
-        for row_s, row_o in zip(self.entries, other.entries):
-            for e_s, e_o in zip(row_s, row_o):
-                if e_o is not None and e_s != e_o:
-                    return False
-        return True
-
     def to_json_dict(self) -> dict:
         entries = {}
         for block, row in zip(self.rows(), self.entries):
@@ -292,7 +284,9 @@ def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
     """
     if not refines(a.partition, b.partition):
         return False
-    return a.leq_same_support(restrict_matrix(b, a.partition))
+    lift = restrict_matrix(b, a.partition)
+    return all(e_b is None or e_a == e_b for row_a, row_b in zip(a.entries, lift.entries)
+               for e_a, e_b in zip(row_a, row_b))
 
 
 def _glue(p, pieces, k: int):
@@ -341,18 +335,27 @@ def join_theta(a: PartialMatrix, b: PartialMatrix) -> PartialMatrix:
 
 
 def fiber_matrices(graph: Graph, partition, k: int, m: int):
-    """Every partial matrix over one partition, in deterministic order."""
+    """Every partial matrix over one partition, as (matrix, label, r_f, BCp rank).
+
+    Row-major order over the cells, each running through ``block_classes``
+    and then None.  Each row's m-tuples of choices are rendered once, with
+    their undefined count u and their rank factor (k^(|b|-1) - 1)^u.
+    """
     partition = tuple(sorted(tuple(sorted(b)) for b in partition))
-    rows = tuple(b for b in partition if len(b) >= 2)
-    cells = []
-    for b in rows:
-        for _ in range(m):
-            cells.append(tuple(block_classes(len(b), k)) + (None,))
-    out = []
-    for combo in product(*cells) if cells else [()]:
-        entries = tuple(tuple(combo[r * m:(r + 1) * m]) for r in range(len(rows)))
-        out.append(PartialMatrix(graph.n, k, m, partition, entries))
-    return out
+    items = [((), "[" + "|".join("-".join(map(str, b)) for b in partition) + "]", 0, 1)]
+    for b in (b for b in partition if len(b) >= 2):
+        cells = [(c, "?" if c is None else ".".join(map(str, c)))
+                 for c in block_classes(len(b), k) + (None,)]
+        name = (";" if items[0][0] else " ") + "-".join(map(str, b)) + "="
+        table = []
+        for row in product(cells, repeat=m):
+            v = sum(c is None for c, _ in row)
+            table.append((tuple(c for c, _ in row), name + ",".join(t for _, t in row),
+                          v, (k ** (len(b) - 1) - 1) ** v))
+        items = [(es + (e,), lab + text, u + v, r * f) for es, lab, u, r in items
+                 for e, text, v, f in table]
+    return [(PartialMatrix(graph.n, k, m, partition, es), lab, u, r)
+            for es, lab, u, r in items]
 
 
 def _covers_from_up(up: list[int]) -> list[tuple[int, int]]:
@@ -369,26 +372,23 @@ def _covers_from_up(up: list[int]) -> list[tuple[int, int]]:
     return out
 
 
-class FiberData:
+class FiberData(NamedTuple):
     """A fiber poset C_I^m with its label-to-matrix dictionary."""
 
-    def __init__(self, poset: GradedPoset, by_label: dict):
-        self.poset = poset
-        self.by_label = by_label
+    poset: GradedPoset
+    by_label: dict
 
 
 def fiber_poset(graph: Graph, partition, k: int, m: int) -> FiberData:
     """All partial matrices over one partition, ranked by undefined count."""
-    label_of = {mat: mat.label() for mat in fiber_matrices(graph, partition, k, m)}
-    covers = []
-    for mat, lab in label_of.items():
-        for block, t in mat.undefined():
-            for vals in block_classes(len(block), k):
-                covers.append((label_of[fill_entry(mat, block, t, vals)], lab))
-    by_label = {lab: mat for mat, lab in label_of.items()}
-    poset = GradedPoset(list(by_label), covers,
-                        {lab: by_label[lab].r_f for lab in by_label})
-    return FiberData(poset, by_label)
+    items = fiber_matrices(graph, partition, k, m)
+    label_of = {mat: lab for mat, lab, _, _ in items}
+    covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
+              for mat, lab in label_of.items() for block, t in mat.undefined()
+              for vals in block_classes(len(block), k)]
+    poset = GradedPoset(list(label_of.values()), covers,
+                        {lab: r_f for _, lab, r_f, _ in items})
+    return FiberData(poset, {lab: mat for mat, lab in label_of.items()})
 
 
 class OrbitLattice:

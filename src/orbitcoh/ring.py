@@ -53,9 +53,10 @@ class GradedBasisElement(NamedTuple):
 class RingPresentation:
     """Basis, degrees and structure constants; at m = 1 the basis and degrees only.
 
-    The constructor builds the grading-level data: ``matrices`` with their
-    ``labels`` and ``degrees``, and ``offset``, where grading g owns basis
-    indices ``offset[g]``..``offset[g+1]`` (|nbc| times ``bcp_rank``).
+    The constructor builds the grading-level data, one ``fiber_matrices``
+    call per partition: ``matrices`` with their ``labels`` and ``degrees``,
+    and ``offset``, where grading g owns basis indices
+    ``offset[g]``..``offset[g+1]`` (|nbc| times the carried BCp rank).
     ``assignments`` and ``basis`` are built on first read, so the Betti
     table and Poincare polynomial never enumerate a basis vector.
     """
@@ -75,15 +76,12 @@ class RingPresentation:
         self.mode = mode
         self.bond = bond_lattice(graph)
         self.os = OSAlgebra(self.bond, edge_atom_order(graph))
-        graded = sorted((self.degree_of(mat), mat.label(), mat)
-                        for partition in self.bond.labels if self.os.nbc[partition]
-                        for mat in fiber_matrices(graph, partition, k, m)
-                        if bcp_rank(mat))
-        self.degrees = [deg for deg, _, _ in graded]
-        self.labels = [lab for _, lab, _ in graded]
-        self.matrices: list[PartialMatrix] = [mat for _, _, mat in graded]
-        self.offset = list(accumulate((len(self.os.nbc[mat.partition]) * bcp_rank(mat)
-                                       for mat in self.matrices), initial=0))
+        graded = sorted(
+            (self.degree_of(graph.n - len(part), r_f), lab, len(nbc) * rank, mat)
+            for part, nbc in self.os.nbc.items() if nbc
+            for mat, lab, r_f, rank in fiber_matrices(graph, part, k, m) if rank)
+        self.degrees, self.labels, sizes, self.matrices = map(list, zip(*graded))
+        self.offset = list(accumulate(sizes, initial=0))
 
     # -- basis, built on first read -------------------------------------------
 
@@ -101,10 +99,10 @@ class RingPresentation:
 
     # -- additive data --------------------------------------------------------
 
-    def degree_of(self, mat: PartialMatrix) -> int:
+    def degree_of(self, r_b: int, r_f: int) -> int:
         if self.mode == "real":
-            return (self.m - 1) * mat.r_b
-        return (2 * self.m - 1) * mat.r_b + mat.r_f
+            return (self.m - 1) * r_b
+        return (2 * self.m - 1) * r_b + r_f
 
     def rank_formula(self, mat: PartialMatrix) -> int:
         """|mu(0, pi(theta))| times the product over undefined entries."""

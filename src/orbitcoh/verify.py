@@ -217,7 +217,7 @@ def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOrac
     coords = []  # class coordinates, per basis element
     coords_ok = True
     for g, mat in enumerate(pres.matrices):
-        x, deg = mat.label(), mat.r_b + mat.r_f
+        x, deg = pres.labels[g], mat.r_b + mat.r_f
         kc = oracle.complex_at(x)
         cycles = [kc.vector(theta_cycle(pres, g, e.os_mono, e.bcp_index, locate), deg)
                   for e in pres.basis[pres.offset[g]:pres.offset[g + 1]]]

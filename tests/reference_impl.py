@@ -4,7 +4,8 @@ Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
 the row Hermite form and coordinates over it on dense rows, the bit
 walk that shifts a mask once per position, the ring-axiom check
-that walks every triple (i, j, l) with i*j nonzero, and the canonical
+that walks every triple (i, j, l) with i*j nonzero, the fiber
+enumeration that takes one cell at a time, and the canonical
 JSON text from the standard library's pure-Python encoder.  None imports from
 the package, so a test comparing against them checks the package's
 routine, not a copy of it.
@@ -219,6 +220,25 @@ def walking_ring_axioms(pres, join_theta):
             raise AxiomViolation(
                 f"({i}*{j})*{l} differs from {i}*({j}*{l})")
     return stats
+
+
+def cellwise_fiber_matrices(graph, partition, k: int, m: int, PartialMatrix, block_classes):
+    """Every partial matrix over one partition, one cell of the product at a time.
+
+    The body of the package's fiber enumeration before it went row by
+    row; the matrix class and ``block_classes`` are passed in.
+    """
+    partition = tuple(sorted(tuple(sorted(b)) for b in partition))
+    rows = tuple(b for b in partition if len(b) >= 2)
+    cells = []
+    for b in rows:
+        for _ in range(m):
+            cells.append(tuple(block_classes(len(b), k)) + (None,))
+    out = []
+    for combo in product(*cells) if cells else [()]:
+        entries = tuple(tuple(combo[r * m:(r + 1) * m]) for r in range(len(rows)))
+        out.append(PartialMatrix(graph.n, k, m, partition, entries))
+    return out
 
 
 def library_dumps(data) -> str:

@@ -147,6 +147,27 @@ def test_betti_m2_json_is_pinned(tmp_path, graph, k, mode, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("graph,k,m,mode,digest", [
+    ({"complete": 3}, 1, 2, "complex",
+     "7b5b43325b4015c7c4ed82679aa393e0fd9634781b5c386f3963f9b250cd93fa"),
+    ({"n": 3, "edges": [[1, 2], [2, 3]]}, 2, 3, "complex",
+     "c9da7cabbf78eb6a6be1fd83639314ea44176fde0f6b2b22557f55cc72cbfa2e"),
+    ({"complete": 3}, 2, 3, "real",
+     "8eb069813204df6252869bfd6770bb3f40a566d8eecea9f777e73018310cd348"),
+    ({"n": 4, "edges": [[1, 2], [3, 4]]}, 3, 3, "complex",
+     "a5d4059892d7b97f10c038abf160e442f1489f4be031732e1077ed19831e2cfe"),
+], ids=["K3-k1-m2", "P3-k2-m3", "K3-k2-m3-real", "2K2-k3-m3"])
+def test_betti_json_is_pinned_beyond_m2(tmp_path, graph, k, m, mode, digest):
+    # k = 1 (every undefined entry has rank 0), m = 3 rows and the real
+    # degrees, recorded while each grading still rendered its own label
+    g, out = tmp_path / "g.json", tmp_path / "b.json"
+    g.write_text(json.dumps(graph))
+    code, _, _ = run_cli(["betti", "--graph", str(g), "--k", str(k), "--m", str(m),
+                          "--mode", mode, "--out", str(out)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_betti_builds_no_basis_vector(monkeypatch):
     from orbitcoh import ring
 
@@ -154,6 +175,19 @@ def test_betti_builds_no_basis_vector(monkeypatch):
         raise AssertionError("betti built a basis vector")
 
     monkeypatch.setattr(ring, "GradedBasisElement", refuse)
+    code, text, _ = run_cli(["betti", "--complete", "3", "--k", "2", "--m", "2"])
+    assert code == 0
+    assert text.startswith("degree  rank\n")
+
+
+def test_betti_renders_no_label_per_grading(monkeypatch):
+    # labels come from the per-fiber row tables of fiber_matrices
+    from orbitcoh.orbit import PartialMatrix
+
+    def refuse(self):
+        raise AssertionError("betti rendered a grading label on its own")
+
+    monkeypatch.setattr(PartialMatrix, "label", refuse)
     code, text, _ = run_cli(["betti", "--complete", "3", "--k", "2", "--m", "2"])
     assert code == 0
     assert text.startswith("degree  rank\n")

@@ -1,4 +1,5 @@
-"""Lattice laws of the orbit-lattice join, checked by hypothesis.
+"""Lattice laws of the orbit-lattice join, checked by hypothesis, and the
+row-table fiber enumeration against the cell-by-cell one.
 
 Matrices are drawn from the elements of L(K3, 2, 2) and L(P3, 3, 2).
 Runs are derandomized and keep no example database, so the suite stays
@@ -15,7 +16,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from orbitcoh.orbit import Graph, build_lkm, independence, join_theta
+from orbitcoh.orbit import (
+    Graph,
+    PartialMatrix,
+    bcp_rank,
+    block_classes,
+    build_lkm,
+    fiber_matrices,
+    graph_partitions,
+    independence,
+    join_theta,
+)
+from reference_impl import cellwise_fiber_matrices
 
 LATTICES = {
     "K3-k2-m2": build_lkm(Graph.complete(3), 2, 2),
@@ -64,3 +76,26 @@ def test_join_idempotent(name, data):
 def test_independence_symmetric(name, data):
     a, b = matrices(data, name, 2)
     assert independence(a, b) == independence(b, a)
+
+
+FIBER_GRAPHS = {
+    "K2": Graph.complete(2),
+    "P3": Graph.path(3),
+    "K3": Graph.complete(3),
+    "2K2": Graph.make(4, [(1, 2), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(FIBER_GRAPHS))
+def test_fiber_rows_match_cellwise_enumeration(name, k):
+    # k = 1 gives every undefined entry rank 0; P3 and K3 have a 3-vertex
+    # row, 2K2 two rows; the order must be the cell-by-cell product's
+    graph = FIBER_GRAPHS[name]
+    for m in (1, 2, 3):
+        for part in graph_partitions(graph):
+            items = fiber_matrices(graph, part, k, m)
+            want = cellwise_fiber_matrices(graph, part, k, m, PartialMatrix, block_classes)
+            assert [mat for mat, _, _, _ in items] == want
+            for mat, label, r_f, rank in items:
+                assert (label, r_f, rank) == (mat.label(), mat.r_f, bcp_rank(mat))
