@@ -1,8 +1,13 @@
 """Orlik-Solomon algebras of geometric lattices via the nbc basis.
 
-Independent of the cellular machinery: monomials are straightened with
-explicit circuit relations, so the structure constants obtained here
-serve as a cross-check oracle for the form-morphism route.
+Independent of the cellular machinery, so the structure constants
+obtained here serve as a cross-check oracle for the form-morphism route.
+One table carries the matroid: ``least[x]``, the first atom below each
+lattice element.  An independent monomial s_1 < ... < s_r is nbc exactly
+when every suffix join s_i v ... v s_r has s_i as its least atom
+(Bjorner, "The homology and shellability of matroids and geometric
+lattices", 7.4); a monomial failing that at some suffix is straightened
+with the one circuit of that suffix and its least atom.
 
 ``ring`` uses only the nbc basis and its products.  The cellular
 comparison (``nbc_form``, ``os_vs_cellular``) imports ``cellular``,
@@ -13,7 +18,6 @@ every module it loads.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -70,11 +74,15 @@ class OSAlgebra:
             if sorted(self.atoms) != [i for i in range(lattice.n)
                                       if lattice.rank[i] == 1]:
                 raise ValueError("atom_order must list every atom once")
-        self.atom_pos = {a: i for i, a in enumerate(self.atoms)}
-        self.circuits = self._circuits()
-        self.broken = sorted({c[1:] for c in self.circuits})
+        # least[x]: first atom position below x (None at the bottom)
+        self.least: list[int | None] = [None] * lattice.n
+        for p, a in enumerate(self.atoms):
+            self.least[a] = p
+        for x in lattice.topo:
+            if lattice.rank[x] > 1:
+                self.least[x] = min(self.least[y] for y in lattice.lower[x])
         self.nbc: dict[object, list[tuple[int, ...]]] = {}
-        self._nbc_index: dict[tuple[int, ...], tuple[object, int]] = {}
+        self.nbc_index: dict[tuple[int, ...], tuple[object, int]] = {}
         self._enumerate_nbc()
         self._straighten_cache: dict[tuple[int, ...], dict] = {}
 
@@ -112,43 +120,24 @@ class OSAlgebra:
     def _independent(self, subset) -> bool:
         return self.lattice.rank[self._join_of(subset)] == len(subset)
 
-    def _circuits(self) -> list[tuple[int, ...]]:
-        """Minimal dependent atom sets as increasing position tuples."""
-        out = []
-        found: list[set] = []
-        max_size = max(self.lattice.rank) + 1
-        for size in range(2, max_size + 1):
-            for comb in combinations(range(len(self.atoms)), size):
-                s = set(comb)
-                if any(f <= s for f in found):
-                    continue
-                if not self._independent(comb):
-                    out.append(comb)
-                    found.append(s)
-        return out
-
-    def _contains_broken(self, subset: tuple[int, ...]) -> bool:
-        s = set(subset)
-        return any(set(b) <= s for b in self.broken)
-
     def _enumerate_nbc(self):
-        lat = self.lattice
+        # grow leftward: prepending p < cur[0] keeps every suffix join, so
+        # only the new join y is checked (rank up by one, least atom p)
+        lat, least = self.lattice, self.least
         for x in lat.labels:
             self.nbc[x] = []
-        stack = [()]
+        stack = [((), self.bottom)]
         while stack:
-            cur = stack.pop()
-            x = lat.labels[self._join_of(cur)]
-            self.nbc[x].append(cur)
-            start = cur[-1] + 1 if cur else 0
-            for p in range(len(self.atoms) - 1, start - 1, -1):
-                cand = cur + (p,)
-                if self._independent(cand) and not self._contains_broken(cand):
-                    stack.append(cand)
+            cur, x = stack.pop()
+            self.nbc[lat.labels[x]].append(cur)
+            for p in range(cur[0] if cur else len(self.atoms)):
+                y = lat.join_index(x, self.atoms[p])
+                if lat.rank[y] == lat.rank[x] + 1 and least[y] == p:
+                    stack.append(((p,) + cur, y))
         for x in self.nbc:
             self.nbc[x].sort()
             for i, mono in enumerate(self.nbc[x]):
-                self._nbc_index[mono] = (x, i)
+                self.nbc_index[mono] = (x, i)
 
     def piece_rank(self, x) -> int:
         return len(self.nbc[x])
@@ -163,15 +152,23 @@ class OSAlgebra:
 
     def straighten(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
         """Rewrite an increasing independent monomial into the nbc basis."""
-        if mono in self._nbc_index:
+        if mono in self.nbc_index:
             return {mono: 1}
         cached = self._straighten_cache.get(mono)
         if cached is not None:
             return cached
-        s = set(mono)
-        broken = next(b for b in self.broken if set(b) <= s)
-        circuit = next(c for c in self.circuits if c[1:] == broken)
-        rest = tuple(a for a in mono if a not in set(broken))
+        lat, atoms, least = self.lattice, self.atoms, self.least
+        # the shortest suffix whose least atom a precedes its first atom
+        i, join = len(mono) - 1, atoms[mono[-1]]
+        while least[join] >= mono[i]:
+            i -= 1
+            join = lat.join_index(join, atoms[mono[i]])
+        a, suffix = least[join], mono[i:]
+        # the circuit of a in the suffix: a and each atom whose removal drops a
+        broken = tuple(s for s in suffix if not lat.leq(
+            atoms[a], self._join_of(t for t in suffix if t != s)))
+        circuit = (a,) + broken
+        rest = tuple(p for p in mono if p not in broken)
         _, unshuffle = _merge_sign(rest, broken)
         out: dict[tuple[int, ...], int] = {}
         # e_{C minus c_0} = sum_{l >= 2} (-1)^l e_{C minus c_l}
@@ -228,7 +225,7 @@ class OSAlgebra:
                 for pos in range(len(mono)):
                     sub = mono[:pos] + mono[pos + 1:]
                     sign = -1 if pos % 2 else 1
-                    y, row_nbc = self._nbc_index[sub]
+                    y, row_nbc = self.nbc_index[sub]
                     yi = lat.index[y]
                     block = diff.get((yi, xi))
                     if block is None:

@@ -138,6 +138,7 @@ class RingPresentation:
         if self.m == 1:
             raise UnsupportedM("the ring structure is proved only for m > 1")
         bond, nbc, offset = self.bond, self.os.nbc, self.offset
+        nbc_index = self.os.nbc_index
         grading_of = {mat: g for g, mat in enumerate(self.matrices)}
         over: dict[int, list[int]] = {}
         for g, mat in enumerate(self.matrices):
@@ -150,13 +151,12 @@ class RingPresentation:
                 pj = bond.join_index(pa, pb)
                 if bond.rank[pj] != bond.rank[pa] + bond.rank[pb]:
                     continue
-                target = nbc[bond.labels[pj]]
                 os_table = {}
                 for x, mono_a in enumerate(nbc[bond.labels[pa]]):
                     for y, mono_b in enumerate(nbc[bond.labels[pb]]):
                         prod = self.os.multiply_monomials(mono_a, mono_b)
                         if prod:
-                            os_table[x, y] = [(target.index(mono), c)
+                            os_table[x, y] = [(nbc_index[mono][1], c)
                                               for mono, c in prod.items()]
                 if not os_table:
                     continue

@@ -5,7 +5,8 @@ faster: the unit-pivot eliminator that rescans every row for each pivot,
 the row Hermite form and coordinates over it on dense rows, the bit
 walk that shifts a mask once per position, the ring-axiom check
 that walks every triple (i, j, l) with i*j nonzero, the fiber
-enumeration that takes one cell at a time, and the canonical
+enumeration that takes one cell at a time, the Orlik-Solomon nbc
+basis and straightening from an explicit circuit list, and the canonical
 JSON text from the standard library's pure-Python encoder.  None imports from
 the package, so a test comparing against them checks the package's
 routine, not a copy of it.
@@ -13,7 +14,7 @@ routine, not a copy of it.
 
 import bisect
 import json
-from itertools import product
+from itertools import combinations, product
 
 
 def scanning_unit_eliminate(rows: dict[int, dict[int, int]]):
@@ -245,3 +246,83 @@ def library_dumps(data) -> str:
     """Canonical JSON text as the standard library writes it: sorted keys,
     two-space indent, ASCII escapes and a trailing newline."""
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def _merge_sign(left: tuple, right: tuple):
+    """Sorted concatenation of two increasing tuples with its sign, or None."""
+    if set(left) & set(right):
+        return None
+    items = list(left + right)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    return tuple(items), sign
+
+
+class CircuitListOS:
+    """nbc basis and straightening of an OS algebra from its circuit list.
+
+    ``atoms`` lists the lattice indices of the atoms in the algebra's
+    order; monomials are increasing tuples of positions in it.  The
+    circuits are the minimal dependent atom subsets, found by testing
+    every subset up to size rank + 1; a broken circuit is a circuit
+    without its least atom, and the nbc monomials are the independent
+    ones containing no broken circuit.  ``nbc`` maps each lattice label
+    to its sorted nbc monomials.
+    """
+
+    def __init__(self, lattice, atoms):
+        self.lattice = lattice
+        self.atoms = tuple(atoms)
+        self.bottom = next(i for i in range(lattice.n) if lattice.rank[i] == 0)
+        self.circuits = []
+        for size in range(2, max(lattice.rank) + 2):
+            for comb in combinations(range(len(self.atoms)), size):
+                if (not any(set(c) <= set(comb) for c in self.circuits)
+                        and not self.independent(comb)):
+                    self.circuits.append(comb)
+        self.broken = sorted({c[1:] for c in self.circuits})
+        self.nbc = {x: [] for x in lattice.labels}
+        for size in range(max(lattice.rank) + 1):
+            for comb in combinations(range(len(self.atoms)), size):
+                if self.independent(comb) and not self._contains_broken(comb):
+                    self.nbc[lattice.labels[self.join_of(comb)]].append(comb)
+
+    def join_of(self, positions) -> int:
+        acc = self.bottom
+        for p in positions:
+            acc = self.lattice.join_index(acc, self.atoms[p])
+        return acc
+
+    def independent(self, subset) -> bool:
+        return self.lattice.rank[self.join_of(subset)] == len(subset)
+
+    def _contains_broken(self, subset) -> bool:
+        return any(set(b) <= set(subset) for b in self.broken)
+
+    def straighten(self, mono: tuple) -> dict:
+        """An increasing independent monomial in the nbc basis.
+
+        Rewrites the first broken circuit it contains with the relation
+        of the first circuit that breaks to it, and recurses.
+        """
+        if not self._contains_broken(mono):
+            return {mono: 1}
+        broken = next(b for b in self.broken if set(b) <= set(mono))
+        circuit = next(c for c in self.circuits if c[1:] == broken)
+        rest = tuple(a for a in mono if a not in broken)
+        _, unshuffle = _merge_sign(rest, broken)
+        out = {}
+        # e_{C minus c_0} = sum_{l >= 1} (-1)^(l+1) e_{C minus c_l}
+        for l in range(1, len(circuit)):
+            merged = _merge_sign(rest, circuit[:l] + circuit[l + 1:])
+            if merged is None or not self.independent(merged[0]):
+                continue
+            sign = (-1) ** (l + 1) * merged[1] * unshuffle
+            for k, v in self.straighten(merged[0]).items():
+                out[k] = out.get(k, 0) + sign * v
+        return {k: v for k, v in out.items() if v}

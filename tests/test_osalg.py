@@ -1,14 +1,18 @@
 import math
+import random
+from itertools import combinations
 
 import pytest
 
 from conftest import bottom, partition_lattice, top
+from orbitcoh.orbit import Graph, bond_lattice
 from orbitcoh.osalg import (
     NotGeometric,
     OSAlgebra,
     os_vs_cellular,
 )
 from orbitcoh.posets import build_poset, chain_poset
+from reference_impl import CircuitListOS
 
 
 def boolean_lattice_2():
@@ -63,7 +67,7 @@ def test_pi4_rank_vector():
 
 
 def test_total_dimension_factorial():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         assert OSAlgebra(partition_lattice(n)).total_rank() == math.factorial(n)
 
 
@@ -76,8 +80,56 @@ def test_piece_rank_is_moebius():
 
 
 def test_not_geometric():
-    with pytest.raises(NotGeometric):
-        OSAlgebra(chain_poset(2))
+    two_minima = build_poset(["p", "q", "t"], [("p", "t"), ("q", "t")],
+                             {"p": 0, "q": 0, "t": 1})
+    # a v c is the rank-3 top although a and c have rank 1
+    not_semimodular = build_poset(
+        ["0", "a", "b", "c", "d", "ab", "cd", "top"],
+        [("0", "a"), ("0", "b"), ("0", "c"), ("0", "d"), ("a", "ab"),
+         ("b", "ab"), ("c", "cd"), ("d", "cd"), ("ab", "top"), ("cd", "top")],
+        {"0": 0, "a": 1, "b": 1, "c": 1, "d": 1, "ab": 2, "cd": 2, "top": 3})
+    for lat, message in [(chain_poset(2), "not a join of atoms"),
+                         (two_minima, "no unique rank-0 element"),
+                         (not_semimodular, "semimodularity fails")]:
+        with pytest.raises(NotGeometric, match=message):
+            OSAlgebra(lat)
+
+
+REFERENCE_LATTICES = {
+    "Pi3": lambda: partition_lattice(3),
+    "Pi4": lambda: partition_lattice(4),
+    "Pi5": lambda: partition_lattice(5),
+    "P4": lambda: bond_lattice(Graph.path(4)),
+    "C4": lambda: bond_lattice(Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])),
+    "K4-e": lambda: bond_lattice(
+        Graph.make(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])),
+    "K5": lambda: bond_lattice(Graph.complete(5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_LATTICES))
+def test_nbc_and_straighten_match_circuit_reference(name):
+    """The least-atom nbc test and straightening agree with the circuit list.
+
+    Under the default atom order and two shuffled ones: the same nbc
+    monomials per lattice element, and the same expansion of every
+    independent increasing monomial.
+    """
+    lat = REFERENCE_LATTICES[name]()
+    atoms = [lab for lab in lat.labels if lat.rank_of(lab) == 1]
+    orders = [None]
+    for seed in (1, 2):
+        shuffled = list(atoms)
+        random.Random(seed).shuffle(shuffled)
+        orders.append(shuffled)
+    for order in orders:
+        alg = OSAlgebra(lat, order)
+        ref = CircuitListOS(lat, alg.atoms)
+        assert alg.nbc == ref.nbc
+        for size in range(max(lat.rank) + 1):
+            for mono in combinations(range(len(atoms)), size):
+                if ref.independent(mono):
+                    assert alg.straighten(mono) == ref.straighten(mono), mono
 
 
 def test_multiply_unit_and_square():
