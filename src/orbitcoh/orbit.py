@@ -10,7 +10,7 @@ the chromatic orbit configuration space.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .posets import GradedPoset
@@ -504,49 +504,15 @@ class IntersectionLattice:
 
 def independence(a: PartialMatrix, b: PartialMatrix) -> bool:
     """Additivity of both the base rank and the fiber rank under join."""
-    return _additive(a, b, join_theta(a, b))
-
-
-def _additive(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix) -> bool:
-    return a.r_b + b.r_b == j.r_b and a.r_f + b.r_f == j.r_f
-
-
-def _image_entry(entry, join_partition):
-    block, t = entry
-    for p in join_partition:
-        if set(block) <= set(p):
-            return (p, t)
-    raise ValueError("block lost in join")
+    return phi_product(a, b) is not None
 
 
 def perm_sign(a: PartialMatrix, b: PartialMatrix) -> int:
     """Sign of the permutation aligning Ud(a) ++ Ud(b) with Ud(a v b)."""
-    j = join_theta(a, b)
-    if not _additive(a, b, j):
+    pair = phi_product(a, b)
+    if pair is None:
         raise NotIndependent("sign defined only for independent pairs")
-    return _aligned_sign(a, b, j)[0]
-
-
-def _aligned_sign(a: PartialMatrix, b: PartialMatrix, j: PartialMatrix):
-    """The sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and the alignment.
-
-    The alignment lists, for each entry of Ud(a) ++ Ud(b), the position
-    of its image in Ud(j).
-    """
-    target = j.undefined()
-    pos = {e: i for i, e in enumerate(target)}
-    seq = []
-    for src in (a, b):
-        for e in src.undefined():
-            seq.append(pos[_image_entry(e, j.partition)])
-    if sorted(seq) != list(range(len(target))):
-        raise NotIndependent("undefined entries do not biject under join")
-    sign = 1
-    for i in range(len(seq)):
-        for jdx in range(i + 1, len(seq)):
-            if seq[i] > seq[jdx]:
-                sign = -sign
-    return sign, seq
+    return pair[1]
 
 
 # -- the fiber cellular form BCp -------------------------------------------------
@@ -635,39 +601,73 @@ def bcp_form(fiber: FiberData):
     return CellularForm(poset, g, ranks, diff)
 
 
+@lru_cache(maxsize=None)
+def _join_rows(pa, pb):
+    """The join of two partitions and, per join block p of size >= 2, the
+    (index, block) of each row of pa ++ pb inside p; None unless the bond
+    ranks add.  When they add, the blocks inside p form a tree (|p|
+    vertices link them into one component), so classes on them always glue.
+    """
+    part = join_partitions(pa, pb)
+    if partition_rank(part) != partition_rank(pa) + partition_rank(pb):
+        return None
+    rows = list(enumerate(q for q in pa + pb if len(q) >= 2))
+    return part, tuple((p, tuple((r, q) for r, q in rows if q[0] in p))
+                       for p in part if len(p) >= 2)
+
+
+@lru_cache(maxsize=None)
+def _coordinate(p, q, pieces, k: int):
+    """One coordinate of join block p, from the defined pieces there.
+
+    With q None, the glued class; with q the block of the one undefined
+    source entry, the factor map {c: terms of eta_{J(c)} - eta_{J(0)}}
+    over the nonzero classes c of q, where J(c) glues c with the pieces.
+    """
+    if q is None:
+        return _glue(p, pieces, k)
+    classes = block_classes(len(q), k)  # the zero class first
+    glued = [_glue(p, pieces + ((q, c),), k) for c in classes]
+    zero = zero_class(len(p))
+    return {c: [(cls, s) for cls, s in ((w, 1), (glued[0], -1)) if cls != zero]
+            for c, w in zip(classes[1:], glued[1:])}
+
+
 def phi_product(a: PartialMatrix, b: PartialMatrix):
     """The form-morphism product of the BCp pieces at a and b, entry by entry.
 
-    None on a dependent pair.  Otherwise (j, sign, factors): the join j,
-    the sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and one
-    factor per undefined entry (p, t) of j, in order.  That entry has
-    exactly one source entry e = (q, t) in Ud(a) ++ Ud(b), and the
-    completion-wise join sends class c at e to the class J_e(c) glued
-    from c and the defined classes at t inside p, whatever the other
-    entries hold.  A factor is (position of e, {c: coordinates of
-    eta_{J_e(c)} - eta_{J_e(0)}}) over the nonzero classes c;
-    ``phi_coords`` multiplies them out.
+    None on a dependent pair: the bond ranks do not add, or some (join
+    block p, coordinate t) holds two undefined source entries.  Otherwise
+    (j, sign, factors): the join j, the sign of the alignment of
+    Ud(a) ++ Ud(b) with Ud(j), read off the positions the undefined
+    entries take in Ud(j), and one factor per undefined entry (p, t) of j,
+    in order.  Its one source entry e = (q, t) has the completion-wise
+    join send class c at e to the class J_e(c) glued from c and the
+    defined classes at t inside p.  A factor is (position of e,
+    {c: coordinates of eta_{J_e(c)} - eta_{J_e(0)}}) over the nonzero
+    classes c; ``phi_coords`` multiplies them out.  Glued classes and
+    factor maps are memoized per coordinate, keyed by (p, q, the pieces).
     """
-    j = join_theta(a, b)
-    if not _additive(a, b, j):
+    split = _join_rows(a.partition, b.partition)
+    if split is None:
         return None
-    sign, seq = _aligned_sign(a, b, j)
-    target = j.undefined()
-    sources = [(q, row) for src in (a, b) for q, row in zip(src.rows(), src.entries)]
-    factors = [None] * len(seq)
-    for src, ((q, t), pos) in enumerate(zip(a.undefined() + b.undefined(), seq)):
-        p = target[pos][0]
-        zero = zero_class(len(p))
-        defined = [(block, row[t]) for block, row in sources
-                   if row[t] is not None and set(block) <= set(p)]
-        classes = block_classes(len(q), a.k)  # the zero class first
-        glued = [_glue(p, defined + [(q, c)], a.k) for c in classes]
-        if None in glued:
-            raise NotIndependent("join of completions is not complete")
-        factors[pos] = (src, {c: [(cls, s) for cls, s in ((w, 1), (glued[0], -1))
-                                  if cls != zero]
-                              for c, w in zip(classes[1:], glued[1:])})
-    return j, sign, factors
+    part, inside = split
+    rows, m = a.entries + b.entries, a.m
+    cells = [(p, t, srcs, [(r, q) for r, q in srcs if rows[r][t] is None])
+             for p, srcs in inside for t in range(m)]
+    if any(len(undef) > 1 for *_, undef in cells):
+        return None
+    before = list(accumulate((row.count(None) for row in rows), initial=0))
+    flat, factors = [], []
+    for p, t, srcs, undef in cells:
+        pieces = tuple((q, rows[r][t]) for r, q in srcs if rows[r][t] is not None)
+        for r, q in undef:
+            factors.append((before[r] + rows[r][:t].count(None),
+                            _coordinate(p, q, pieces, a.k)))
+        flat.append(None if undef else _coordinate(p, None, pieces, a.k))
+    sign = (-1) ** sum(x[0] > y[0] for i, x in enumerate(factors) for y in factors[i + 1:])
+    entries = tuple(tuple(flat[i:i + m]) for i in range(0, len(flat), m))
+    return PartialMatrix(a.n, a.k, m, part, entries), sign, factors
 
 
 def phi_coords(pair, alpha: tuple, beta: tuple) -> dict:

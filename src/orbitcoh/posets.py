@@ -8,6 +8,8 @@ interval tests are cheap.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 
 class Cyclic(Exception):
     """The cover relation contains a directed cycle."""
@@ -151,8 +153,19 @@ class GradedPoset:
             f"{self.labels[i]} and {self.labels[j]} have no least upper bound")
 
     def require_join_semilattice(self):
-        for i in range(self.n):
-            for j in range(i, self.n):
+        """Raise NotSemilattice unless every two elements have a join.
+
+        With a bottom adjoined, the poset must be a lattice.  A finite
+        bounded poset is one as soon as every two elements covering a
+        common element have a join (Björner, Edelman and Ziegler 1990,
+        Lemma 2.1).  So it suffices to join the pairs of upper covers of
+        each element and the pairs of minimal elements, and to check that
+        the maximal elements, which join to a maximum, are one.
+        """
+        minimal = [v for v in range(self.n) if not self.lower[v]]
+        maximal = [v for v in range(self.n) if not self.upper[v]]
+        for group in [maximal, minimal, *self.upper]:
+            for i, j in combinations(group, 2):
                 self.join_index(i, j)
 
     def mobius_index(self, x: int, y: int) -> int:

@@ -7,10 +7,13 @@ of (nbc monomial, completion assignment) rows, row-major, from
 ``offset[g]``.  Two gradings multiply to zero unless they are
 independent, and then every product of their pieces lands in their
 join: the OS product tensored with the completion product, times the
-Koszul sign.  The completion product works entry by entry, from maps
-found once per grading pair, so the product table is built one grading
-pair at a time and keeps nonzero entries only.  The real quotient
-carries the same pieces over Z/2 in compressed degrees.
+Koszul sign.  The completion product works entry by entry, so the
+product table is built one grading pair at a time and keeps nonzero
+entries only.  Independence is read from where the undefined entries
+fall in the join blocks, before any class is glued, and the glued
+classes and product maps are memoized per coordinate of a join block.
+The real quotient carries the same pieces over Z/2 in compressed
+degrees.
 """
 
 from __future__ import annotations
@@ -131,9 +134,11 @@ class RingPresentation:
         Partitions whose bond ranks do not add carry no independent
         grading pair.  Over every other pair of partitions the OS products
         of the two nbc pieces are taken once.  Each grading pair over it
-        calls ``phi_product`` once, which is None on a dependent pair;
-        ``phi_coords`` then gives the completion coordinates of every
-        assignment pair.
+        calls ``phi_product`` once.  That is None on a dependent pair,
+        found from the undefined positions alone: two undefined entries
+        at one (join block, coordinate).  Otherwise its factor maps come
+        from a memo keyed per coordinate, and ``phi_coords`` gives the
+        completion coordinates of every assignment pair.
         """
         if self.m == 1:
             raise UnsupportedM("the ring structure is proved only for m > 1")

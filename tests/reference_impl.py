@@ -3,13 +3,14 @@
 Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
 the row Hermite form and coordinates over it on dense rows, the bit
-walk that shifts a mask once per position, the ring-axiom check
-that walks every triple (i, j, l) with i*j nonzero, the fiber
-enumeration that takes one cell at a time, the Orlik-Solomon nbc
-basis and straightening from an explicit circuit list, and the canonical
-JSON text from the standard library's pure-Python encoder.  None imports from
-the package, so a test comparing against them checks the package's
-routine, not a copy of it.
+walk that shifts a mask once per position, the join-semilattice test
+that joins every pair, the ring-axiom check that walks every triple
+(i, j, l) with i*j nonzero, the BCp product read off the whole join of
+a pair, the fiber enumeration that takes one cell at a time, the
+Orlik-Solomon nbc basis and straightening from an explicit circuit
+list, and the canonical JSON text from the standard library's
+pure-Python encoder.  None imports from the package, so a test
+comparing against them checks the package's routine, not a copy of it.
 """
 
 import bisect
@@ -167,6 +168,18 @@ def shifting_mask_elements(mask: int) -> list[int]:
     return out
 
 
+def all_pairs_semilattice(up: list[int]) -> bool:
+    """Whether every pair of elements has a least upper bound, by definition.
+
+    ``up[i]`` is the bitmask of the elements at or above element i.
+    """
+    for i, j in combinations(range(len(up)), 2):
+        mask = up[i] & up[j]
+        if not any(mask >> z & 1 and up[z] & mask == mask for z in range(len(up))):
+            return False
+    return True
+
+
 class AxiomViolation(Exception):
     """The structure constants break a ring axiom."""
 
@@ -240,6 +253,82 @@ def cellwise_fiber_matrices(graph, partition, k: int, m: int, PartialMatrix, blo
         entries = tuple(tuple(combo[r * m:(r + 1) * m]) for r in range(len(rows)))
         out.append(PartialMatrix(graph.n, k, m, partition, entries))
     return out
+
+
+def _additive(a, b, j) -> bool:
+    return a.r_b + b.r_b == j.r_b and a.r_f + b.r_f == j.r_f
+
+
+def _image_entry(entry, join_partition):
+    block, t = entry
+    for p in join_partition:
+        if set(block) <= set(p):
+            return (p, t)
+    raise ValueError("block lost in join")
+
+
+def _aligned_sign(a, b, j):
+    """The sign of the alignment of Ud(a) ++ Ud(b) with Ud(j), and the alignment.
+
+    The alignment lists, for each entry of Ud(a) ++ Ud(b), the position
+    of its image in Ud(j).
+    """
+    target = j.undefined()
+    pos = {e: i for i, e in enumerate(target)}
+    seq = []
+    for src in (a, b):
+        for e in src.undefined():
+            seq.append(pos[_image_entry(e, j.partition)])
+    if sorted(seq) != list(range(len(target))):
+        raise ValueError("undefined entries do not biject under join")
+    sign = 1
+    for i in range(len(seq)):
+        for jdx in range(i + 1, len(seq)):
+            if seq[i] > seq[jdx]:
+                sign = -sign
+    return sign, seq
+
+
+def _defining_glue(p, pieces, k: int):
+    """The class on block p that restricts to class c on q for each piece
+    (q, c), found by trying every class on p; None when there is none."""
+    for rest in product(range(k), repeat=len(p) - 1):
+        w = dict(zip(p, (0,) + rest))
+        if all(tuple((w[v] - w[q[0]]) % k for v in q) == c for q, c in pieces):
+            return tuple(w[v] for v in p)
+    return None
+
+
+def joining_phi_product(a, b, join_theta):
+    """The BCp product of the pieces at a and b, read off the join of the pair.
+
+    The package's ``phi_product`` before it worked per join block: the
+    whole join ``join_theta(a, b)`` decides independence by rank
+    additivity, the alignment of the undefined entries gives the sign,
+    and each factor map glues, entry by entry, every class of the source
+    entry with the defined classes at that coordinate inside its block.
+    Returns None on a dependent pair, else (join, sign, factors).
+    """
+    j = join_theta(a, b)
+    if not _additive(a, b, j):
+        return None
+    sign, seq = _aligned_sign(a, b, j)
+    target = j.undefined()
+    sources = [(q, row) for src in (a, b) for q, row in zip(src.rows(), src.entries)]
+    factors = [None] * len(seq)
+    for src, ((q, t), pos) in enumerate(zip(a.undefined() + b.undefined(), seq)):
+        p = target[pos][0]
+        zero = (0,) * len(p)
+        defined = [(block, row[t]) for block, row in sources
+                   if row[t] is not None and set(block) <= set(p)]
+        classes = [(0,) + rest for rest in product(range(a.k), repeat=len(q) - 1)]
+        glued = [_defining_glue(p, defined + [(q, c)], a.k) for c in classes]
+        if None in glued:
+            raise ValueError("join of completions is not complete")
+        factors[pos] = (src, {c: [(cls, s) for cls, s in ((w, 1), (glued[0], -1))
+                                  if cls != zero]
+                              for c, w in zip(classes[1:], glued[1:])})
+    return j, sign, factors
 
 
 def library_dumps(data) -> str:

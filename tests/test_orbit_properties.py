@@ -1,7 +1,9 @@
-"""Lattice laws of the orbit-lattice join, checked by hypothesis, and the
-row-table fiber enumeration against the cell-by-cell one.
+"""Lattice laws of the orbit-lattice join and the per-join-block BCp
+product against the one read off the whole join, checked by hypothesis,
+and the row-table fiber enumeration against the cell-by-cell one.
 
-Matrices are drawn from the elements of L(K3, 2, 2) and L(P3, 3, 2).
+Matrices are drawn from the elements of L(K3, 2, 2), L(K3, 2, 3) and
+L(P3, 3, 2).
 Runs are derandomized and keep no example database, so the suite stays
 deterministic.  Hypothesis still caches the constants of the source
 files on disk, during collection; that cache goes to the system
@@ -26,11 +28,13 @@ from orbitcoh.orbit import (
     graph_partitions,
     independence,
     join_theta,
+    phi_product,
 )
-from reference_impl import cellwise_fiber_matrices
+from reference_impl import cellwise_fiber_matrices, joining_phi_product
 
 LATTICES = {
     "K3-k2-m2": build_lkm(Graph.complete(3), 2, 2),
+    "K3-k2-m3": build_lkm(Graph.complete(3), 2, 3),
     "P3-k3-m2": build_lkm(Graph.path(3), 3, 2),
 }
 
@@ -76,6 +80,23 @@ def test_join_idempotent(name, data):
 def test_independence_symmetric(name, data):
     a, b = matrices(data, name, 2)
     assert independence(a, b) == independence(b, a)
+
+
+@lattice
+@laws
+@given(data=st.data())
+def test_phi_product_matches_whole_join(name, data):
+    # ordered pairs, half of them over one partition, where the bond ranks
+    # add only on the discrete partition: the same (join, sign, factors)
+    # as the product read off the whole join, or None on both sides
+    (a,) = matrices(data, name, 1)
+    if data.draw(st.booleans()):
+        lkm = LATTICES[name]
+        b = data.draw(st.sampled_from([lkm.matrix(lab) for lab in lkm.poset.labels
+                                       if lkm.matrix(lab).partition == a.partition]))
+    else:
+        (b,) = matrices(data, name, 1)
+    assert phi_product(a, b) == joining_phi_product(a, b, join_theta)
 
 
 FIBER_GRAPHS = {

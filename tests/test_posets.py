@@ -1,6 +1,7 @@
 import math
 import random
 import tempfile
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,7 @@ from orbitcoh.posets import (
     PosetMorphism,
 )
 from orbitcoh.sheaves import constant_sheaf
-from reference_impl import shifting_mask_elements
+from reference_impl import all_pairs_semilattice, shifting_mask_elements
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
 
@@ -120,6 +121,32 @@ def test_not_semilattice():
                     {"a": 0, "b": 0, "c": 1, "d": 1})
     with pytest.raises(NotSemilattice):
         join(p, "a", "b")
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(data=st.data())
+def test_semilattice_check_matches_all_pairs(data):
+    # random posets on up to 9 elements, some with a bottom or a top
+    # adjoined (with both, only the upper covers of common elements can
+    # fail): the local check must reject exactly those with a pair that
+    # has no join
+    n = data.draw(st.integers(2, 7))
+    relation = data.draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    for low in (True, False):
+        if data.draw(st.booleans()):
+            relation |= {(n, i) if low else (i, n) for i in range(n)}
+            n += 1
+    rank = {i: 0 for i in range(n)}
+    order = build_poset(range(n), relation, rank, strict=False)
+    covers = [(i, j) for i, j in permutations(range(n), 2) if order.lt(i, j)
+              and not any(order.lt(i, z) and order.lt(z, j) for z in range(n))]
+    poset = build_poset(range(n), covers, rank, strict=False)
+    try:
+        poset.require_join_semilattice()
+        passed = True
+    except NotSemilattice:
+        passed = False
+    assert passed == all_pairs_semilattice(poset.up)
 
 
 def test_product_with_point():

@@ -267,10 +267,15 @@ def _export_digest(pres) -> str:
      "171ef23ba92394607002063c30f5ca7899181261140ba6c84244292a4417c849"),
     (Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2, 2,
      "2ebc14a32b86476f0c26b72450caac421d14cd47cfb6779352ec32676ec0d227"),
+    (Graph.complete(4), 2, 2,
+     "a9228ae1c10ab9f9608a6e403654ca57ca377bca454bd6dd3238a3662a7322b9"),
+    (Graph.path(4), 2, 2,
+     "90f31b5605a41dc1a7941dce90e6789d03bbd97b3f43882d11148c79445edd5d"),
 ])
 def test_ring_json_is_pinned(graph, k, m, digest):
     # the full ring export (basis, gradings, products), recorded before the
-    # product table was built per grading pair
+    # product table was built per grading pair; K4 and P4 (where sigma
+    # merges) recorded before it was built per join block
     assert _export_digest(RingPresentation(graph, k, m)) == digest
 
 
