@@ -358,20 +358,6 @@ def fiber_matrices(graph: Graph, partition, k: int, m: int):
             for es, lab, u, r in items]
 
 
-def _covers_from_up(up: list[int]) -> list[tuple[int, int]]:
-    """Cover pairs of a relation given as up-set bitmasks."""
-    down = [0] * len(up)
-    for i, mask in enumerate(up):
-        for j in GradedPoset.mask_elements(mask):
-            down[j] |= 1 << i
-    out = []
-    for i, mask in enumerate(up):
-        for j in GradedPoset.mask_elements(mask & ~(1 << i)):
-            if not mask & down[j] & ~(1 << i) & ~(1 << j):
-                out.append((i, j))
-    return out
-
-
 class FiberData(NamedTuple):
     """A fiber poset C_I^m with its label-to-matrix dictionary."""
 
@@ -476,6 +462,14 @@ class IntersectionLattice:
     For k = 1 no pair of arrangement members can be incompatible, so
     only fully defined matrices are genuine intersections; undefined
     entries are dropped from the lattice in that case.
+
+    The covers come from the orbit covers.  Sigma is also monotone, so
+    it is a closure operator, and every canonical b > a lies above
+    sigma(c) for some orbit cover c of a.  The covers of a are thus the
+    minimal elements of {sigma(c) : c covers a in the orbit lattice,
+    sigma(c) in the lattice}.  At k = 1 that membership loses nothing: a
+    fully defined b > a lies above the fully defined lift of a to a
+    bond cover of pi(a) below pi(b), which is its own canonical form.
     """
 
     def __init__(self, lattice: OrbitLattice):
@@ -490,13 +484,16 @@ class IntersectionLattice:
                 continue
             mats[can_lab] = can
         self.by_label = mats
-        labels = sorted(mats)
-        pos = [lattice.poset.index[lab] for lab in labels]
-        up = [sum(1 << j for j, q in enumerate(pos) if lattice.poset.up[p] >> q & 1)
-              for p in pos]
-        covers = [(labels[i], labels[j]) for i, j in _covers_from_up(up)]
-        self.codim = {lab: mats[lab].codim() for lab in labels}
-        self.poset = GradedPoset(labels, covers, self.codim, strict=False)
+        orbit = lattice.poset
+        image = [orbit.index[s] if s in mats else None
+                 for s in map(self.sigma.get, orbit.labels)]
+        covers = []
+        for lab in mats:
+            ups = {image[c] for c in orbit.upper[orbit.index[lab]]} - {None}
+            covers.extend((lab, orbit.labels[x]) for x in ups
+                          if not any(y != x and orbit.leq(y, x) for y in ups))
+        self.codim = {lab: mats[lab].codim() for lab in sorted(mats)}
+        self.poset = GradedPoset(mats, covers, self.codim, strict=False)
 
 
 # -- independence and the sign permutation ---------------------------------------

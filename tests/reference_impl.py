@@ -4,7 +4,8 @@ Each is the straightforward version of a routine the package now does
 faster: the unit-pivot eliminator that rescans every row for each pivot,
 the row Hermite form and coordinates over it on dense rows, the bit
 walk that shifts a mask once per position, the join-semilattice test
-that joins every pair, the ring-axiom check that walks every triple
+that joins every pair, the intersection-lattice covers from an all-pairs
+up-set scan, the ring-axiom check that walks every triple
 (i, j, l) with i*j nonzero, the BCp product read off the whole join of
 a pair, the fiber enumeration that takes one cell at a time, the
 Orlik-Solomon nbc basis and straightening from an explicit circuit
@@ -178,6 +179,24 @@ def all_pairs_semilattice(up: list[int]) -> bool:
         if not any(mask >> z & 1 and up[z] & mask == mask for z in range(len(up))):
             return False
     return True
+
+
+def all_pairs_covers(up: list[int], pos: list[int]) -> list[tuple[int, int]]:
+    """Covers of the order ``up`` restricted to the elements at ``pos``.
+
+    ``up[p]`` is the bitmask of the elements at or above element p.  Each
+    element of ``pos`` is tested against every other one to get the
+    restricted up-sets, and (i, j), indices into ``pos``, is a cover when
+    no restricted element lies strictly between.
+    """
+    sub = [sum(1 << j for j, q in enumerate(pos) if up[p] >> q & 1) for p in pos]
+    down = [0] * len(sub)
+    for i, mask in enumerate(sub):
+        for j in shifting_mask_elements(mask):
+            down[j] |= 1 << i
+    return [(i, j) for i, mask in enumerate(sub)
+            for j in shifting_mask_elements(mask & ~(1 << i))
+            if not mask & down[j] & ~(1 << i) & ~(1 << j)]
 
 
 class AxiomViolation(Exception):

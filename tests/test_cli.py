@@ -244,8 +244,10 @@ _CLAW = {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}
      "dd491ed96fbd22bce7c3ff229152b12f01074153b96359866626c93d4ead5cfc"),
     (_CLAW, 2, 2, 200,
      "92a6d93116dd9f756a0184d9198ebd32755e171c89ee24ff2da42fae76a18641"),
+    (_P4, 2, 2, 500,
+     "9c91c3aa1a1c6171c3a8c4a57c17b3ac4b38d81ea0f3f38c093a2b10efc34289"),
 ], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2", "P4-k2-m1", "C4-k2-m1",
-        "K4-k2-m1", "claw-k2-m2"])
+        "K4-k2-m1", "claw-k2-m2", "P4-k2-m2"])
 def test_verify_json_is_pinned(tmp_path, graph, k, m, limit, digest):
     # the m = 2 digests were recorded while the products were still
     # compared one basis pair at a time; the m = 1 ones, on graphs where
@@ -253,7 +255,9 @@ def test_verify_json_is_pinned(tmp_path, graph, k, m, limit, digest):
     # over the orbit lattice.  The claw is the only 4-vertex graph on which
     # sigma is bijective, so the only one whose 160,000 basis pairs of
     # products are compared; its digest was recorded while the oracle still
-    # keyed its chains by label strings
+    # keyed its chains by label strings.  P4 at m = 2 is a merging instance
+    # beyond m = 1; its digest was recorded while the intersection covers
+    # still came from an all-pairs up-set scan
     out = tmp_path / "v.json"
     if "complete" in graph:
         source = ["--complete", str(graph["complete"])]

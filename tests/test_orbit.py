@@ -33,7 +33,9 @@ from orbitcoh.orbit import (
     sigma_canonical,
     zero_class,
 )
+from orbitcoh.posets import GradedPoset
 from orbitcoh.ring import RingPresentation
+from reference_impl import all_pairs_covers
 
 
 def test_bond_lattice_complete_is_partition_lattice():
@@ -148,6 +150,55 @@ def test_intersection_order_is_sigma_of_join():
         mats = [il.by_label[lab] for lab in il.poset.labels]
         _assert_order_is(il.poset, lambda i, j: sigma_canonical(
             join_theta(mats[i], mats[j]), graph) == mats[j])
+
+
+_P4 = Graph.path(4)
+_C4 = Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+# sigma merges orbit elements on each of these at m = 2
+MERGING_CASES = [(_P4, 2, 2), (_C4, 2, 2), (Graph.complete(4), 2, 2), (_P4, 3, 2)]
+ORDER_IDS = ["K2-k2-m2", "K3-k1-m2", "K3-k2-m1", "K3-k3-m2", "2K2-k2-m2", "K4-k2-m1",
+             "C4-k2-m1"]
+MERGING_IDS = ["P4-k2-m2", "C4-k2-m2", "K4-k2-m2", "P4-k3-m2"]
+
+
+@pytest.mark.parametrize("graph, k, m", ORDER_CASES + MERGING_CASES,
+                         ids=ORDER_IDS + MERGING_IDS)
+def test_sigma_is_a_closure_operator(graph, k, m):
+    # extensive and idempotent on every element, monotone on every cover:
+    # the intersection covers are built from sigma of the orbit covers
+    lkm = build_lkm(graph, k, m)
+    sigma = IntersectionLattice(lkm).sigma
+    poset = lkm.poset
+    image = [poset.index[sigma[lab]] for lab in poset.labels]
+    for i, lab in enumerate(poset.labels):
+        assert poset.leq(i, image[i])
+        assert sigma[sigma[lab]] == sigma[lab]
+    for lo, hi in poset.covers:
+        assert poset.leq(image[lo], image[hi])
+
+
+@pytest.mark.parametrize("graph, k, m", MERGING_CASES + [
+    (Graph.make(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]), 2, 2),
+    (Graph.complete(3), 3, 3),
+    (Graph.complete(4), 1, 2),
+], ids=MERGING_IDS + ["C5-k2-m2", "K3-k3-m3", "K4-k1-m2"])
+def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
+    # the covers from sigma of the orbit covers are the covers of the
+    # orbit order restricted to the canonical forms, read off all pairs
+    lkm = build_lkm(graph, k, m)
+    il = IntersectionLattice(lkm)
+    sigma = {lab: sigma_canonical(mat, graph) for lab, mat in lkm.by_label.items()}
+    assert il.sigma == {lab: can.label() for lab, can in sigma.items()}
+    canon = {can.label(): can for can in sigma.values() if k > 1 or not can.r_f}
+    labels = sorted(canon)
+    pos = [lkm.poset.index[lab] for lab in labels]
+    covers = [(labels[i], labels[j]) for i, j in all_pairs_covers(lkm.poset.up, pos)]
+    expected = GradedPoset(labels, covers, {lab: canon[lab].codim() for lab in labels},
+                           strict=False)
+    assert il.poset.labels == expected.labels
+    assert il.poset.covers == expected.covers
+    assert il.poset.rank == expected.rank
+    assert il.codim == {lab: canon[lab].codim() for lab in labels}
 
 
 @pytest.mark.parametrize("name, graph, k, m", [
