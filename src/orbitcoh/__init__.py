@@ -9,19 +9,17 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "cellular": ["CellularForm", "NotCellular", "cellular_chain",
-                 "construct_cellular_form", "form_morphism", "product_form",
-                 "verify_cellular_form"],
+    "cellular": ["CellularForm", "NotCellular", "construct_cellular_form",
+                 "form_morphism", "product_form", "verify_cellular_form"],
     "intlinalg": ["ChainComplex", "HomologySummary", "IntMatrix", "homology",
                   "smith_normal_form"],
     "oracle": ["GMOracle", "TorComplex"],
-    "orbit": ["Graph", "PartialMatrix", "bond_lattice", "build_lkm",
-              "independence", "join_theta", "perm_sign", "phi_product"],
+    "orbit": ["Graph", "PartialMatrix", "bond_lattice", "build_lkm", "join_theta",
+              "phi_product"],
     "osalg": ["OSAlgebra", "os_vs_cellular"],
-    "posets": ["GradedPoset", "build_poset", "join", "moebius", "product_poset"],
+    "posets": ["GradedPoset", "build_poset", "join", "product_poset"],
     "ring": ["RingPresentation"],
-    "sheaves": ["Copresheaf", "FHom", "Presheaf", "delta_sheaf", "pullback",
-                "star_fhom"],
+    "sheaves": ["Copresheaf", "FHom", "Presheaf", "delta_sheaf", "star_fhom"],
     "verify": ["verify_full"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -26,7 +26,7 @@ from .intlinalg import (
     kron,
 )
 from .posets import GradedPoset, PosetMorphism, product_poset
-from .sheaves import Copresheaf, FHom, Presheaf, product_sheaf, validate_fhom
+from .sheaves import Copresheaf, FHom, product_sheaf, validate_fhom
 
 
 class FormViolation(Exception):
@@ -233,25 +233,6 @@ def verify_cellular_form(form: CellularForm):
             step, detail = _step(degree)
             raise FormViolation(f"{step} fails at {poset.labels[x]} ({detail})")
     return True
-
-
-def cellular_chain(form: CellularForm, f: Presheaf) -> ChainComplex:
-    """The cellular chain complex of the form with presheaf coefficients."""
-    poset = form.poset
-    if f.base is not poset:
-        raise ValueError("presheaf lives on a different poset")
-    top = max(poset.rank) if poset.n else 0
-    by_rank: dict[int, list[int]] = {}
-    for i in range(poset.n):
-        by_rank.setdefault(poset.rank[i], []).append(i)
-    sizes = [form.piece_ranks[i] * f.ranks[i] for i in range(poset.n)]
-    ranks = [sum(sizes[x] for x in by_rank.get(r, [])) for r in range(top + 1)]
-    blocks = {(y, x): kron(d, f.map_index(y, x))
-              for (y, x), d in form.diff.items() if sizes[y] and sizes[x]}
-    bounds = {r: _layout(by_rank.get(r - 1, []), sizes, by_rank.get(r, []), sizes,
-                         blocks)
-              for r in range(1, top + 1)}
-    return ChainComplex(ranks, bounds, check=True)
 
 
 class FormMorphism:

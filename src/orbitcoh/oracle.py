@@ -2,14 +2,14 @@
 
 The chain K_*(P, G; F) has degree-n basis (p_0 < ... < p_n, b (x) c)
 with b a basis vector of G(p_0) and c one of F(p_n); its homology is
-Tor^P_*(F, G).  On top of it sit induced maps of f-homomorphisms, the
-Goresky-MacPherson sum over an intersection lattice, and one
-shuffle-and-push primitive, ``shuffle_tensor``: the shuffle products of
-chain pairs mapped elementwise into a poset, kept apart per pair.
-``shuffle_push`` weights it by the coefficients of two formal chains;
-the ``verify`` module builds its basis cycles with it, and the cup
-product (cross-then-star) pushes the chains of two whole batches of
-cycles through it once.  Everything here exists to verify the
+Tor^P_*(F, G).  On top of it sit the Goresky-MacPherson sum over an
+intersection lattice and one shuffle-and-push primitive,
+``shuffle_tensor``: the shuffle products of chain pairs mapped
+elementwise into a poset, kept apart per pair.  ``shuffle_push``
+weights it by the coefficients of two formal chains; the ``verify``
+module builds its basis cycles with it, and the cup product
+(cross-then-star) pushes the chains of two whole batches of cycles
+through it once.  Everything here exists to verify the
 closed-form ring elsewhere in the package, so it favors transparency
 over speed and refuses oversized posets.
 """
@@ -27,10 +27,9 @@ from .intlinalg import (
     HomologySummary,
     smith_normal_form,
     sparse_apply,
-    unimodular_inverse,
 )
 from .posets import GradedPoset, join
-from .sheaves import Copresheaf, FHom, Presheaf, delta_sheaf
+from .sheaves import Copresheaf, Presheaf, delta_sheaf
 
 
 class OracleTooLarge(Exception):
@@ -266,63 +265,6 @@ class TorDegree:
             out.append(tuple(x // d % t if t else x // d
                              for x, t in zip(acc, self._moduli)))
         return out
-
-    def free_generators(self) -> list[dict[int, int]]:
-        """Sparse cycle representatives of a basis of the free part."""
-        z = len(self.kernel)
-        if z == 0:
-            return []
-        uinv = unimodular_inverse(self._u)
-        return [sparse_apply(self.kernel, {r: c for r, c in enumerate(uinv.column(j)) if c})
-                for j in range(len(self.invariants), z)]
-
-
-# -- induced maps ------------------------------------------------------------
-
-
-def induced_chain_map(k: FHom, t: FHom):
-    """The chain map (k, t)_# of Tor: kills chains with repeated images.
-
-    ``k`` is the presheaf f-homomorphism, ``t`` the copresheaf one, both
-    over the same poset morphism.  Returns a function mapping a formal
-    chain over its source to one over its target, each index sent to its
-    image.
-    """
-    if k.f.mapping != t.f.mapping:
-        raise ValueError("presheaf and copresheaf parts live over different maps")
-    fimage = k.f.image
-
-    def push(formal: dict) -> dict:
-        out: dict = {}
-        for (c, gi, fi), coeff in formal.items():
-            image = tuple(fimage[i] for i in c)
-            if len(set(image)) != len(image):
-                continue
-            tmat = t.components[c[0]]
-            kmat = k.components[c[-1]]
-            for gp in range(tmat.rows):
-                tv = tmat.data[gp][gi]
-                if not tv:
-                    continue
-                for fp in range(kmat.rows):
-                    kv = kmat.data[fp][fi]
-                    if kv:
-                        key = (image, gp, fp)
-                        out[key] = out.get(key, 0) + coeff * tv * kv
-        return {k2: v for k2, v in out.items() if v}
-
-    return push
-
-
-def induced_homology_matrix(src: TorComplex, dst: TorComplex, k: FHom, t: FHom,
-                            n: int) -> IntMatrix:
-    """Matrix of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
-    push = induced_chain_map(k, t)
-    src_tor = src.tor(n)
-    dst_tor = dst.tor(n)
-    images = [dst.vector(push(src.formal(gen, n)), n) for gen in src_tor.free_generators()]
-    cols = [list(c) for c in dst_tor.class_coords(images)]
-    return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
 
 
 # -- shuffles and cross products ---------------------------------------------

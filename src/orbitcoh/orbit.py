@@ -16,10 +16,6 @@ from typing import NamedTuple
 from .posets import GradedPoset
 
 
-class NotIndependent(Exception):
-    """The two partial matrices fail rank additivity under join."""
-
-
 class Graph(NamedTuple):
     """Simple graph on vertices 1..n with sorted edge pairs."""
 
@@ -225,22 +221,6 @@ def empty_matrix(graph: Graph, k: int, m: int) -> PartialMatrix:
     return PartialMatrix(graph.n, k, m, part, ())
 
 
-def make_matrix(graph: Graph, k: int, m: int, partition, entries) -> PartialMatrix:
-    partition = tuple(sorted(tuple(sorted(b)) for b in partition))
-    if sorted(v for b in partition for v in b) != list(range(1, graph.n + 1)):
-        raise ValueError("partition must cover the vertex set exactly once")
-    rows = tuple(b for b in partition if len(b) >= 2)
-    entries = tuple(tuple(row) for row in entries)
-    if len(entries) != len(rows) or any(len(r) != m for r in entries):
-        raise ValueError("entry grid does not match the partition rows")
-    for block, row in zip(rows, entries):
-        for e in row:
-            if e is not None:
-                if len(e) != len(block) or normalize_class(e, k) != tuple(e):
-                    raise ValueError(f"bad coloring {e} on block {block}")
-    return PartialMatrix(graph.n, k, m, partition, entries)
-
-
 def fill_entry(theta: PartialMatrix, block, t: int, values) -> PartialMatrix:
     rows = theta.rows()
     r = rows.index(block)
@@ -275,18 +255,6 @@ def restrict_matrix(theta: PartialMatrix, target_partition) -> PartialMatrix:
     return PartialMatrix(theta.n, k, theta.m,
                          tuple(sorted(tuple(sorted(b)) for b in target_partition)),
                          tuple(entries))
-
-
-def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
-    """The fibration order: a <= b iff pi(a) <= pi(b) and a <= b|_{pi(a)}.
-
-    The defining reference that ``OrbitLattice``'s cover build is tested against.
-    """
-    if not refines(a.partition, b.partition):
-        return False
-    lift = restrict_matrix(b, a.partition)
-    return all(e_b is None or e_a == e_b for row_a, row_b in zip(a.entries, lift.entries)
-               for e_a, e_b in zip(row_a, row_b))
 
 
 def _glue(p, pieces, k: int):
@@ -358,35 +326,17 @@ def fiber_matrices(graph: Graph, partition, k: int, m: int):
             for es, lab, u, r in items]
 
 
-class FiberData(NamedTuple):
-    """A fiber poset C_I^m with its label-to-matrix dictionary."""
-
-    poset: GradedPoset
-    by_label: dict
-
-
-def fiber_poset(graph: Graph, partition, k: int, m: int) -> FiberData:
-    """All partial matrices over one partition, ranked by undefined count."""
-    items = fiber_matrices(graph, partition, k, m)
-    label_of = {mat: lab for mat, lab, _, _ in items}
-    covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
-              for mat, lab in label_of.items() for block, t in mat.undefined()
-              for vals in block_classes(len(block), k)]
-    poset = GradedPoset(list(label_of.values()), covers,
-                        {lab: r_f for _, lab, r_f, _ in items})
-    return FiberData(poset, {lab: mat for mat, lab in label_of.items()})
-
-
 class OrbitLattice:
     """The total poset of fibers over the bond lattice, with its join.
 
-    The order is ``matrix_leq``; its covers come from the fibration onto
-    the bond lattice.  A cover inside a fiber fills one undefined entry
-    (``fiber_poset``).  Over a bond cover pi < pi(theta') the only
-    candidate is the cartesian lift restrict_matrix(theta', pi) < theta',
-    a cover unless the block B that pi splits has two vertices and
-    theta' leaves an entry of row B undefined: filling that entry gives
-    an element strictly between.
+    The order is the fibration order: a <= b iff pi(a) refines pi(b)
+    and a agrees with b|_{pi(a)} wherever that is defined.  Its covers
+    come from the fibration onto the bond lattice.  A cover inside a
+    fiber fills one undefined entry.  Over a bond cover pi < pi(theta')
+    the only candidate is the cartesian lift restrict_matrix(theta', pi)
+    < theta', a cover unless the block B that pi splits has two vertices
+    and theta' leaves an entry of row B undefined: filling that entry
+    gives an element strictly between.
 
     The stored rank is r_b + r_f, which is a genuine grading only when
     no block can split into two blocks of size >= 2 (n <= 3); the poset
@@ -401,14 +351,14 @@ class OrbitLattice:
         self.bond = bond_lattice(graph)
         self.by_label = {}
         fibers = {}
-        covers = []
         for part in self.bond.labels:
-            fiber = fiber_poset(graph, part, k, m)
-            fibers[part] = fiber.by_label.values()
-            self.by_label.update(fiber.by_label)
-            labels = fiber.poset.labels
-            covers.extend((labels[lo], labels[hi]) for lo, hi in fiber.poset.covers)
+            items = fiber_matrices(graph, part, k, m)
+            fibers[part] = [mat for mat, *_ in items]
+            self.by_label.update((lab, mat) for mat, lab, *_ in items)
         label_of = {mat: lab for lab, mat in self.by_label.items()}
+        covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
+                  for lab, mat in self.by_label.items() for block, t in mat.undefined()
+                  for vals in block_classes(len(block), k)]
         for lo, hi in self.bond.covers:
             part, top = self.bond.labels[lo], self.bond.labels[hi]
             split = next(b for b in top if b not in part)
@@ -419,9 +369,6 @@ class OrbitLattice:
                 covers.append((label_of[restrict_matrix(mat, part)], label_of[mat]))
         rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
         self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
-
-    def matrix(self, label) -> PartialMatrix:
-        return self.by_label[label]
 
 
 def build_lkm(graph: Graph, k: int, m: int) -> OrbitLattice:
@@ -465,11 +412,16 @@ class IntersectionLattice:
 
     The covers come from the orbit covers.  Sigma is also monotone, so
     it is a closure operator, and every canonical b > a lies above
-    sigma(c) for some orbit cover c of a.  The covers of a are thus the
-    minimal elements of {sigma(c) : c covers a in the orbit lattice,
-    sigma(c) in the lattice}.  At k = 1 that membership loses nothing: a
-    fully defined b > a lies above the fully defined lift of a to a
-    bond cover of pi(a) below pi(b), which is its own canonical form.
+    sigma(c) for some orbit cover c of a.  The images sigma(c) in the
+    lattice of two distinct orbit covers c of a are equal or
+    incomparable (a sketch, checked by the tests: an image other than c
+    merges a fully undefined row with a vertex or empties a row, and
+    every other cover below it has the same image).  So the covers of a
+    are exactly {sigma(c) : c covers a in the orbit lattice, sigma(c) in
+    the lattice}.  At k = 1 that
+    membership loses nothing: a fully defined b > a lies above the fully
+    defined lift of a to a bond cover of pi(a) below pi(b), which is its
+    own canonical form.
     """
 
     def __init__(self, lattice: OrbitLattice):
@@ -490,43 +442,18 @@ class IntersectionLattice:
         covers = []
         for lab in mats:
             ups = {image[c] for c in orbit.upper[orbit.index[lab]]} - {None}
-            covers.extend((lab, orbit.labels[x]) for x in ups
-                          if not any(y != x and orbit.leq(y, x) for y in ups))
+            covers.extend((lab, orbit.labels[x]) for x in ups)
         self.codim = {lab: mats[lab].codim() for lab in sorted(mats)}
         self.poset = GradedPoset(mats, covers, self.codim, strict=False)
-
-
-# -- independence and the sign permutation ---------------------------------------
-
-
-def independence(a: PartialMatrix, b: PartialMatrix) -> bool:
-    """Additivity of both the base rank and the fiber rank under join."""
-    return phi_product(a, b) is not None
-
-
-def perm_sign(a: PartialMatrix, b: PartialMatrix) -> int:
-    """Sign of the permutation aligning Ud(a) ++ Ud(b) with Ud(a v b)."""
-    pair = phi_product(a, b)
-    if pair is None:
-        raise NotIndependent("sign defined only for independent pairs")
-    return pair[1]
 
 
 # -- the fiber cellular form BCp -------------------------------------------------
 #
 # The BCp piece at theta is the tensor product, over the undefined entries
 # of theta, of the vanishing-sum group of each entry's block classes, with
-# basis eta_c - eta_zero for c away from the zero class.  An element is a
-# coordinate dict {assignment: coeff} over ``bcp_assignments(theta)``: the
-# assignment alpha stands for the tensor of (eta_{alpha_e} - eta_zero)
-# over the entries e, in sorted undefined order.
-
-
-def bcp_rank(theta: PartialMatrix) -> int:
-    out = 1
-    for block, _ in theta.undefined():
-        out *= theta.k ** (len(block) - 1) - 1
-    return out
+# basis eta_c - eta_zero for c away from the zero class.  A basis element
+# is an assignment alpha in ``bcp_assignments(theta)``: the tensor of
+# (eta_{alpha_e} - eta_zero) over the entries e, in sorted undefined order.
 
 
 def bcp_assignments(theta: PartialMatrix):
@@ -538,64 +465,6 @@ def bcp_assignments(theta: PartialMatrix):
         choices.append(tuple(c for c in block_classes(len(block), theta.k)
                              if c != zero))
     return list(product(*choices)) if ud else [()]
-
-
-def bcp_boundary(theta: PartialMatrix, coords: dict):
-    """Signed projections onto the one-step completions of theta.
-
-    Returns a list of (psi, sign, coordinates over psi) with the sign
-    (-1)^(position of the filled entry in the sorted undefined list).
-    Filling entry i with class v sends the basis tensor alpha to
-    +alpha without i when v = alpha_i, to -alpha without i when v is the
-    zero class, and to nothing otherwise.
-    """
-    out = []
-    for i, (block, t) in enumerate(theta.undefined()):
-        sign = -1 if i % 2 else 1
-        zero = zero_class(len(block))
-        for vals in block_classes(len(block), theta.k):
-            proj: dict[tuple, int] = {}
-            for alpha, c in coords.items():
-                if vals == zero or alpha[i] == vals:
-                    rest = alpha[:i] + alpha[i + 1:]
-                    proj[rest] = proj.get(rest, 0) + (-c if vals == zero else c)
-            proj = {key: v for key, v in proj.items() if v}
-            if proj:
-                out.append((fill_entry(theta, block, t, vals), sign, proj))
-    return out
-
-
-def bcp_form(fiber: FiberData):
-    """The explicit cellular form (sum of BCp pieces) on a fiber poset.
-
-    Pieces are the bcp bases; differential blocks hold the coordinates of
-    the signed projections of basis tensors one completion down.
-    """
-    from .cellular import CellularForm
-    from .intlinalg import IntMatrix
-    from .sheaves import constant_sheaf
-    poset = fiber.poset
-    g = constant_sheaf(poset, 1, "co")
-    ranks = []
-    position_of = {}
-    for lab in poset.labels:
-        assignments = bcp_assignments(fiber.by_label[lab])
-        position_of[lab] = {alpha: i for i, alpha in enumerate(assignments)}
-        ranks.append(len(assignments))
-    diff: dict[tuple[int, int], IntMatrix] = {}
-    for lab in poset.labels:
-        xi = poset.index[lab]
-        for alpha, col in position_of[lab].items():
-            for psi, sign, coords in bcp_boundary(fiber.by_label[lab], {alpha: 1}):
-                plab = psi.label()
-                yi = poset.index[plab]
-                block = diff.get((yi, xi))
-                if block is None:
-                    block = IntMatrix(ranks[yi], ranks[xi])
-                    diff[(yi, xi)] = block
-                for key, c in coords.items():
-                    block.data[position_of[plab][key]][col] += sign * c
-    return CellularForm(poset, g, ranks, diff)
 
 
 @lru_cache(maxsize=None)

@@ -142,12 +142,6 @@ class OSAlgebra:
     def piece_rank(self, x) -> int:
         return len(self.nbc[x])
 
-    def total_rank(self) -> int:
-        return sum(len(v) for v in self.nbc.values())
-
-    def monomial_labels(self, mono: tuple[int, ...]):
-        return tuple(self.lattice.labels[self.atoms[p]] for p in mono)
-
     # -- straightening ------------------------------------------------------
 
     def straighten(self, mono: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -197,15 +191,6 @@ class OSAlgebra:
         if not self._independent(mono):
             return {}
         return {k: sign * v for k, v in self.straighten(mono).items()}
-
-    def multiply(self, x: dict, y: dict) -> dict:
-        """Bilinear product of nbc-basis combinations."""
-        out: dict[tuple[int, ...], int] = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for k, v in self.multiply_monomials(a, b).items():
-                    out[k] = out.get(k, 0) + ca * cb * v
-        return {k: v for k, v in out.items() if v}
 
     # -- the nbc differential and cellular comparison ------------------------
 

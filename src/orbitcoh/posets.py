@@ -1,4 +1,4 @@
-"""Finite graded posets: construction, Möbius function, joins, products, chains.
+"""Finite graded posets: construction, joins, products and morphisms.
 
 Elements carry opaque sortable labels; internally everything is indexed
 by position in the sorted label list, and the order relation is
@@ -19,10 +19,6 @@ class NotGraded(Exception):
     """Some cover jumps rank by a value other than one."""
 
 
-class NotComparable(Exception):
-    """The two elements are not related in the poset."""
-
-
 class NotSemilattice(Exception):
     """Some pair of elements has no least upper bound."""
 
@@ -37,7 +33,7 @@ class GradedPoset:
     """
 
     __slots__ = ("labels", "index", "rank", "covers", "n", "up", "down",
-                 "upper", "lower", "graded", "topo", "_mobius", "_join")
+                 "upper", "lower", "graded", "topo", "_join")
 
     def __init__(self, labels, covers, rank, strict: bool = True):
         self.labels = tuple(sorted(labels))
@@ -79,7 +75,6 @@ class GradedPoset:
                 up[v] |= up[hi]
         self.up = up
         self.down = down
-        self._mobius: dict[tuple[int, int], int] = {}
         self._join: dict[tuple[int, int], int] = {}
 
     def _toposort(self) -> list[int]:
@@ -168,22 +163,6 @@ class GradedPoset:
             for i, j in combinations(group, 2):
                 self.join_index(i, j)
 
-    def mobius_index(self, x: int, y: int) -> int:
-        if not self.leq(x, y):
-            raise NotComparable(f"{self.labels[x]} is not below {self.labels[y]}")
-        key = (x, y)
-        cached = self._mobius.get(key)
-        if cached is not None:
-            return cached
-        if x == y:
-            val = 1
-        else:
-            val = -sum(self.mobius_index(x, z)
-                       for z in self.mask_elements(self.interval_mask(x, y))
-                       if z != y)
-        self._mobius[key] = val
-        return val
-
 
 def build_poset(elements, covers, rank, strict: bool = True) -> GradedPoset:
     """Validated poset from labels, cover pairs and a rank list or map.
@@ -194,11 +173,6 @@ def build_poset(elements, covers, rank, strict: bool = True) -> GradedPoset:
     if not isinstance(rank, dict):
         rank = dict(zip(elements, rank))
     return GradedPoset(elements, covers, rank, strict=strict)
-
-
-def moebius(poset: GradedPoset, x, y) -> int:
-    """Möbius function mu(x, y), by the recursive defining sum."""
-    return poset.mobius_index(poset.index[x], poset.index[y])
 
 
 def join(poset: GradedPoset, x, y):
@@ -218,13 +192,6 @@ def product_poset(p: GradedPoset, q: GradedPoset) -> GradedPoset:
         for a in p.labels:
             covers.append(((a, q.labels[lo]), (a, q.labels[hi])))
     return GradedPoset(labels, covers, rank, strict=p.graded and q.graded)
-
-
-def chain_poset(length: int) -> GradedPoset:
-    """The chain x0 < x1 < ... < x_length."""
-    labels = [f"x{i}" for i in range(length + 1)]
-    covers = [(labels[i], labels[i + 1]) for i in range(length)]
-    return GradedPoset(labels, covers, {lab: i for i, lab in enumerate(labels)})
 
 
 class PosetMorphism:

@@ -24,9 +24,7 @@ from typing import NamedTuple
 
 from .orbit import (
     Graph,
-    PartialMatrix,
     bcp_assignments,
-    bcp_rank,
     bond_lattice,
     edge_atom_order,
     empty_matrix,
@@ -36,7 +34,6 @@ from .orbit import (
     phi_product,
 )
 from .osalg import OSAlgebra
-from .posets import moebius
 
 
 class UnsupportedM(Exception):
@@ -107,17 +104,8 @@ class RingPresentation:
             return (self.m - 1) * r_b
         return (2 * self.m - 1) * r_b + r_f
 
-    def rank_formula(self, mat: PartialMatrix) -> int:
-        """|mu(0, pi(theta))| times the product over undefined entries."""
-        bot = self.bond.labels[self.bond.minimum()]
-        mu = moebius(self.bond, bot, mat.partition)
-        return abs(mu) * bcp_rank(mat)
-
     def piece_rank(self, g: int) -> int:
         return self.offset[g + 1] - self.offset[g]
-
-    def betti_table(self) -> dict[int, int]:
-        return {d: r for d, r in enumerate(self.poincare_polynomial()) if r}
 
     def poincare_polynomial(self) -> list[int]:
         coeffs = [0] * (max(self.degrees, default=0) + 1)

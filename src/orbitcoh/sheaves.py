@@ -170,19 +170,6 @@ def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
     return cls(base, ranks, maps, check=False)
 
 
-def constant_sheaf(base: GradedPoset, rank: int, kind: str):
-    return delta_sheaf(base, base.labels, rank, kind)
-
-
-def pullback(f: PosetMorphism, sheaf):
-    """f^*S, the composition of S with f; value at x is S(f(x))."""
-    base = f.source
-    ranks = [sheaf.ranks[f.image[i]] for i in range(base.n)]
-    maps = {(lo, hi): sheaf.map_index(f.image[lo], f.image[hi])
-            for lo, hi in base.covers}
-    return type(sheaf)(base, ranks, maps, check=False)
-
-
 def product_sheaf(s1, s2, prod_base: GradedPoset):
     """Cartesian product sheaf on a product poset; values are tensor products.
 
@@ -246,13 +233,6 @@ def validate_fhom(k: FHom):
             raise Incompatible(
                 f"square at cover {src_poset.labels[lo]} -> "
                 f"{src_poset.labels[hi]} does not commute")
-
-
-def canonical_fhom(f: PosetMorphism, sheaf) -> FHom:
-    """The identity-component f-homomorphism f^*S -> S."""
-    pulled = pullback(f, sheaf)
-    comps = {i: IntMatrix.identity(pulled.ranks[i]) for i in range(f.source.n)}
-    return FHom(f, pulled, sheaf, comps, check=False)
 
 
 def star_fhom(f: PosetMorphism, y, x, kind: str) -> FHom:

@@ -136,16 +136,18 @@ def verify_full(graph: Graph, k: int, m: int,
                 axioms: bool = True) -> VerifyReport:
     """Compare the closed-form presentation with the brute-force oracle.
 
-    Checks, in order: the rank formula against the Goresky-MacPherson
-    oracle over the intersection lattice, one Tor complex per element x,
-    whose ranks must equal the closed-form ranks summed over the
-    sigma-fiber of x (the closed form is torsion-free, so torsion in an
-    oracle Tor group fails that element's line); cup products of every
-    basis pair against the cross-then-star oracle product (on by default
-    when sigma is bijective and m > 1); and the ring axioms.  Raises
-    OracleTooLarge when the orbit lattice exceeds the limit, before
-    building it: each block of size s >= 2 carries m entries of k^(s-1)
-    classes or undefined.
+    Checks, in order: the closed-form ranks against the Goresky-MacPherson
+    oracle over the intersection lattice, one Tor complex per element x.
+    Its ranks must equal the ring's piece ranks (``piece_rank``) summed
+    over the sigma-fiber of x, each in Tor degree r_b + r_f; an orbit
+    element that is no grading of the ring counts 0.  The closed form is
+    torsion-free, so torsion in an oracle Tor group fails that element's
+    line.  Then cup products of every basis pair against the
+    cross-then-star oracle product (on by default when sigma is
+    bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
+    when the orbit lattice exceeds the limit, before building it: each
+    block of size s >= 2 carries m entries of k^(s-1) classes or
+    undefined.
     """
     report = VerifyReport(graph, k, m)
     size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
@@ -162,19 +164,20 @@ def verify_full(graph: Graph, k: int, m: int,
         raise ValueError("product comparison needs sigma to be bijective")
     oracle = GMOracle(inter.poset, inter.codim, limit=oracle_limit)
 
-    # (a) rank formula vs the oracle, one intersection-lattice element at a time
+    # (a) piece ranks vs the oracle, one intersection-lattice element at a time
     fibers: dict[str, list[str]] = {}
     for lab in lkm.poset.labels:
         fibers.setdefault(inter.sigma[lab], []).append(lab)
+    grading_of = {lab: g for g, lab in enumerate(pres.labels)}
     for x in inter.poset.labels:
         h = oracle.complex_at(x).homology()
         expected: dict[int, int] = {}
         for lab in fibers[x]:
-            mat = lkm.matrix(lab)
-            r = pres.rank_formula(mat)
-            if r:
+            g = grading_of.get(lab)
+            if g is not None:
+                mat = pres.matrices[g]
                 d = mat.r_b + mat.r_f
-                expected[d] = expected.get(d, 0) + r
+                expected[d] = expected.get(d, 0) + pres.piece_rank(g)
         got = {n: b for n, b in enumerate(h.betti_vector()) if b}
         match = got == expected and h.is_free()
         torsion = "" if h.is_free() else f", oracle torsion in {h}"

@@ -6,14 +6,35 @@ Also the environment for tests that run the CLI in a subprocess, a
 reference shuffle cross product of formal K-chains, and the conversions
 between dense matrices or vectors and the sparse columns, vectors and
 rows that the linear algebra takes and returns.
+
+The rest are test constructors and references built on the package,
+which the program itself never needs: chains and constant sheaves,
+pullbacks and canonical f-homomorphisms, cellular chains of a form,
+free generators and induced maps of Tor, validated partial matrices and
+their defining order, and the explicit BCp cellular form of one fiber.
 """
 
 import os
 from pathlib import Path
+from typing import NamedTuple
 
 import orbitcoh
+from orbitcoh.cellular import CellularForm, _layout
+from orbitcoh.intlinalg import ChainComplex, IntMatrix, kron, sparse_apply, unimodular_inverse
 from orbitcoh.oracle import shuffle_push
+from orbitcoh.orbit import (
+    PartialMatrix,
+    bcp_assignments,
+    block_classes,
+    fiber_matrices,
+    fill_entry,
+    normalize_class,
+    restrict_matrix,
+    zero_class,
+)
 from orbitcoh.posets import GradedPoset
+from orbitcoh.sheaves import FHom, delta_sheaf
+from reference_impl import induced_chain_map
 
 
 def subprocess_env(**extra):
@@ -111,3 +132,182 @@ def dense(rows, ncols: int) -> list[list[int]]:
             vec[i] = x
         out.append(vec)
     return out
+
+
+# -- posets and sheaves ---------------------------------------------------------
+
+
+def chain_poset(length: int) -> GradedPoset:
+    """The chain x0 < x1 < ... < x_length."""
+    labels = [f"x{i}" for i in range(length + 1)]
+    covers = [(labels[i], labels[i + 1]) for i in range(length)]
+    return GradedPoset(labels, covers, {lab: i for i, lab in enumerate(labels)})
+
+
+def constant_sheaf(base: GradedPoset, rank: int, kind: str):
+    return delta_sheaf(base, base.labels, rank, kind)
+
+
+def pullback(f, sheaf):
+    """f^*S, the composition of S with f; value at x is S(f(x))."""
+    base = f.source
+    ranks = [sheaf.ranks[f.image[i]] for i in range(base.n)]
+    maps = {(lo, hi): sheaf.map_index(f.image[lo], f.image[hi])
+            for lo, hi in base.covers}
+    return type(sheaf)(base, ranks, maps, check=False)
+
+
+def canonical_fhom(f, sheaf) -> FHom:
+    """The identity-component f-homomorphism f^*S -> S."""
+    pulled = pullback(f, sheaf)
+    comps = {i: IntMatrix.identity(pulled.ranks[i]) for i in range(f.source.n)}
+    return FHom(f, pulled, sheaf, comps, check=False)
+
+
+def cellular_chain(form: CellularForm, f) -> ChainComplex:
+    """The cellular chain complex of the form with presheaf coefficients."""
+    poset = form.poset
+    if f.base is not poset:
+        raise ValueError("presheaf lives on a different poset")
+    top = max(poset.rank) if poset.n else 0
+    by_rank: dict[int, list[int]] = {}
+    for i in range(poset.n):
+        by_rank.setdefault(poset.rank[i], []).append(i)
+    sizes = [form.piece_ranks[i] * f.ranks[i] for i in range(poset.n)]
+    ranks = [sum(sizes[x] for x in by_rank.get(r, [])) for r in range(top + 1)]
+    blocks = {(y, x): kron(d, f.map_index(y, x))
+              for (y, x), d in form.diff.items() if sizes[y] and sizes[x]}
+    bounds = {r: _layout(by_rank.get(r - 1, []), sizes, by_rank.get(r, []), sizes,
+                         blocks)
+              for r in range(1, top + 1)}
+    return ChainComplex(ranks, bounds, check=True)
+
+
+# -- Tor: free generators and induced maps ----------------------------------------
+
+
+def free_generators(tor) -> list[dict[int, int]]:
+    """Sparse cycle representatives of a basis of the free part of a TorDegree."""
+    z = len(tor.kernel)
+    if z == 0:
+        return []
+    uinv = unimodular_inverse(tor._u)
+    return [sparse_apply(tor.kernel, {r: c for r, c in enumerate(uinv.column(j)) if c})
+            for j in range(len(tor.invariants), z)]
+
+
+def induced_homology_matrix(src, dst, k: FHom, t: FHom, n: int) -> IntMatrix:
+    """Matrix of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
+    push = induced_chain_map(k, t)
+    dst_tor = dst.tor(n)
+    images = [dst.vector(push(src.formal(gen, n)), n)
+              for gen in free_generators(src.tor(n))]
+    cols = [list(c) for c in dst_tor.class_coords(images)]
+    return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
+
+
+# -- partial matrices and the fiber cellular form BCp ------------------------------
+
+
+def make_matrix(graph, k: int, m: int, partition, entries) -> PartialMatrix:
+    """A partial matrix from its blocks and entry grid, both checked."""
+    partition = tuple(sorted(tuple(sorted(b)) for b in partition))
+    if sorted(v for b in partition for v in b) != list(range(1, graph.n + 1)):
+        raise ValueError("partition must cover the vertex set exactly once")
+    rows = tuple(b for b in partition if len(b) >= 2)
+    entries = tuple(tuple(row) for row in entries)
+    if len(entries) != len(rows) or any(len(r) != m for r in entries):
+        raise ValueError("entry grid does not match the partition rows")
+    for block, row in zip(rows, entries):
+        for e in row:
+            if e is not None:
+                if len(e) != len(block) or normalize_class(e, k) != tuple(e):
+                    raise ValueError(f"bad coloring {e} on block {block}")
+    return PartialMatrix(graph.n, k, m, partition, entries)
+
+
+def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
+    """The fibration order: a <= b iff pi(a) <= pi(b) and a <= b|_{pi(a)}.
+
+    The defining reference that ``OrbitLattice``'s cover build is tested against.
+    """
+    if not refines(a.partition, b.partition):
+        return False
+    lift = restrict_matrix(b, a.partition)
+    return all(e_b is None or e_a == e_b for row_a, row_b in zip(a.entries, lift.entries)
+               for e_a, e_b in zip(row_a, row_b))
+
+
+class Fiber(NamedTuple):
+    """A fiber poset C_I^m with its label-to-matrix dictionary."""
+
+    poset: GradedPoset
+    by_label: dict
+
+
+def fiber_poset(graph, partition, k: int, m: int) -> Fiber:
+    """All partial matrices over one partition, ranked by undefined count."""
+    items = fiber_matrices(graph, partition, k, m)
+    label_of = {mat: lab for mat, lab, _, _ in items}
+    covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
+              for mat, lab in label_of.items() for block, t in mat.undefined()
+              for vals in block_classes(len(block), k)]
+    poset = GradedPoset(list(label_of.values()), covers,
+                        {lab: r_f for _, lab, r_f, _ in items})
+    return Fiber(poset, {lab: mat for mat, lab in label_of.items()})
+
+
+def bcp_boundary(theta: PartialMatrix, coords: dict):
+    """Signed projections onto the one-step completions of theta.
+
+    ``coords`` is a coordinate dict {assignment: coeff} over
+    ``bcp_assignments(theta)``.  Returns a list of (psi, sign,
+    coordinates over psi) with the sign (-1)^(position of the filled
+    entry in the sorted undefined list).  Filling entry i with class v
+    sends the basis tensor alpha to +alpha without i when v = alpha_i, to
+    -alpha without i when v is the zero class, and to nothing otherwise.
+    """
+    out = []
+    for i, (block, t) in enumerate(theta.undefined()):
+        sign = -1 if i % 2 else 1
+        zero = zero_class(len(block))
+        for vals in block_classes(len(block), theta.k):
+            proj: dict[tuple, int] = {}
+            for alpha, c in coords.items():
+                if vals == zero or alpha[i] == vals:
+                    rest = alpha[:i] + alpha[i + 1:]
+                    proj[rest] = proj.get(rest, 0) + (-c if vals == zero else c)
+            proj = {key: v for key, v in proj.items() if v}
+            if proj:
+                out.append((fill_entry(theta, block, t, vals), sign, proj))
+    return out
+
+
+def bcp_form(fiber: Fiber) -> CellularForm:
+    """The explicit cellular form (sum of BCp pieces) on a fiber poset.
+
+    Pieces are the bcp bases; differential blocks hold the coordinates of
+    the signed projections of basis tensors one completion down.
+    """
+    poset = fiber.poset
+    g = constant_sheaf(poset, 1, "co")
+    ranks = []
+    position_of = {}
+    for lab in poset.labels:
+        assignments = bcp_assignments(fiber.by_label[lab])
+        position_of[lab] = {alpha: i for i, alpha in enumerate(assignments)}
+        ranks.append(len(assignments))
+    diff: dict[tuple[int, int], IntMatrix] = {}
+    for lab in poset.labels:
+        xi = poset.index[lab]
+        for alpha, col in position_of[lab].items():
+            for psi, sign, coords in bcp_boundary(fiber.by_label[lab], {alpha: 1}):
+                plab = psi.label()
+                yi = poset.index[plab]
+                block = diff.get((yi, xi))
+                if block is None:
+                    block = IntMatrix(ranks[yi], ranks[xi])
+                    diff[(yi, xi)] = block
+                for key, c in coords.items():
+                    block.data[position_of[plab][key]][col] += sign * c
+    return CellularForm(poset, g, ranks, diff)

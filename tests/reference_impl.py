@@ -10,8 +10,12 @@ up-set scan, the ring-axiom check that walks every triple
 a pair, the fiber enumeration that takes one cell at a time, the
 Orlik-Solomon nbc basis and straightening from an explicit circuit
 list, and the canonical JSON text from the standard library's
-pure-Python encoder.  None imports from the package, so a test
-comparing against them checks the package's routine, not a copy of it.
+pure-Python encoder.  Beside them sit definitions that the program never
+needs, only its tests: the Möbius function by its recursive defining
+sum, the BCp rank as a product over undefined entries, and the chain
+map that a pair of f-homomorphisms induces on Tor chains.  None imports
+from the package, so a test comparing against them checks the package's
+routine, not a copy of it.
 """
 
 import bisect
@@ -434,3 +438,61 @@ class CircuitListOS:
             for k, v in self.straighten(merged[0]).items():
                 out[k] = out.get(k, 0) + sign * v
         return {k: v for k, v in out.items() if v}
+
+
+def moebius(poset, x, y) -> int:
+    """Möbius function mu(x, y) of a poset, by the recursive defining sum.
+
+    mu(x, x) = 1 and mu(x, y) = -sum of mu(x, z) over x <= z < y, the z
+    taken in the poset's topological order.  ValueError unless x <= y.
+    """
+    i, j = poset.index[x], poset.index[y]
+    if not poset.leq(i, j):
+        raise ValueError(f"{x} is not below {y}")
+    interval = [z for z in poset.topo if poset.leq(i, z) and poset.leq(z, j)]
+    mu = {}
+    for z in interval:
+        mu[z] = 1 if z == i else -sum(mu[w] for w in mu if poset.leq(w, z))
+    return mu[j]
+
+
+def bcp_rank(theta) -> int:
+    """Rank of the BCp piece at a partial matrix: k^(|b|-1) - 1 per undefined entry."""
+    out = 1
+    for block, _ in theta.undefined():
+        out *= theta.k ** (len(block) - 1) - 1
+    return out
+
+
+def induced_chain_map(k, t):
+    """The chain map (k, t)_# of Tor: kills chains with repeated images.
+
+    ``k`` is the presheaf f-homomorphism, ``t`` the copresheaf one, both
+    over the same poset morphism.  Returns a function mapping a formal
+    chain over its source to one over its target, each index sent to its
+    image.
+    """
+    if k.f.mapping != t.f.mapping:
+        raise ValueError("presheaf and copresheaf parts live over different maps")
+    fimage = k.f.image
+
+    def push(formal: dict) -> dict:
+        out: dict = {}
+        for (c, gi, fi), coeff in formal.items():
+            image = tuple(fimage[i] for i in c)
+            if len(set(image)) != len(image):
+                continue
+            tmat = t.components[c[0]]
+            kmat = k.components[c[-1]]
+            for gp in range(tmat.rows):
+                tv = tmat.data[gp][gi]
+                if not tv:
+                    continue
+                for fp in range(kmat.rows):
+                    kv = kmat.data[fp][fi]
+                    if kv:
+                        key = (image, gp, fp)
+                        out[key] = out.get(key, 0) + coeff * tv * kv
+        return {k2: v for k2, v in out.items() if v}
+
+    return push

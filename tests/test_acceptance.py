@@ -10,12 +10,8 @@ import subprocess
 import sys
 import time
 
-from conftest import subprocess_env
-from orbitcoh.cellular import (
-    CellularForm,
-    cellular_chain,
-    construct_cellular_form,
-)
+from conftest import cellular_chain, constant_sheaf, subprocess_env
+from orbitcoh.cellular import CellularForm, construct_cellular_form
 from orbitcoh.intlinalg import homology
 from orbitcoh.oracle import GMOracle, TorComplex
 from orbitcoh.orbit import (
@@ -26,9 +22,10 @@ from orbitcoh.orbit import (
     edge_atom_order,
 )
 from orbitcoh.osalg import OSAlgebra, os_vs_cellular
-from orbitcoh.posets import build_poset, moebius
+from orbitcoh.posets import build_poset
 from orbitcoh.ring import RingPresentation, check_ring_axioms
-from orbitcoh.sheaves import Copresheaf, constant_sheaf, delta_sheaf
+from orbitcoh.sheaves import Copresheaf, delta_sheaf
+from reference_impl import moebius
 from orbitcoh.verify import verify_full
 
 

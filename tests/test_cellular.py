@@ -2,13 +2,19 @@ import hashlib
 
 import pytest
 
-from conftest import bottom, partition_lattice, top
+from conftest import (
+    bottom,
+    cellular_chain,
+    chain_poset,
+    constant_sheaf,
+    partition_lattice,
+    top,
+)
 from orbitcoh.cellular import (
     CellularForm,
     FormViolation,
     NotCellular,
     PreconditionFailed,
-    cellular_chain,
     construct_cellular_form,
     form_morphism,
     product_form,
@@ -21,11 +27,11 @@ from orbitcoh.orbit import Graph, build_lkm
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,
-    chain_poset,
     identity_morphism,
     join_morphism,
 )
-from orbitcoh.sheaves import FHom, constant_sheaf, delta_sheaf
+from orbitcoh.sheaves import FHom, delta_sheaf
+from reference_impl import moebius
 
 
 def star_poset(num_atoms):
@@ -63,7 +69,7 @@ def test_partition_lattice_piece_ranks():
         form = construct_cellular_form(pn, g)
         assert isinstance(form, CellularForm)
         for lab in pn.labels:
-            mu = pn.mobius_index(pn.index[bottom(n)], pn.index[lab])
+            mu = moebius(pn, bottom(n), lab)
             assert form.rank_of(lab) == abs(mu)
         verify_cellular_form(form)
     p4 = partition_lattice(4)

@@ -4,32 +4,31 @@ import random
 
 import pytest
 
-from conftest import columns, cross_formal
+from conftest import (
+    bcp_form,
+    canonical_fhom,
+    chain_poset,
+    columns,
+    constant_sheaf,
+    cross_formal,
+    fiber_poset,
+    free_generators,
+    induced_homology_matrix,
+    pullback,
+)
 from orbitcoh.cellular import CellularForm, construct_cellular_form, verify_cellular_form
 from orbitcoh.intlinalg import HomologySummary, IntMatrix, elementary_divisors
-from orbitcoh.oracle import (
-    TorComplex,
-    induced_homology_matrix,
-)
+from orbitcoh.oracle import TorComplex
 from orbitcoh.orbit import (
     Graph,
-    bcp_form,
     IntersectionLattice,
     bond_lattice,
     build_lkm,
-    fiber_poset,
     join_theta,
     sigma_canonical,
 )
-from orbitcoh.posets import GradedPoset, PosetMorphism, build_poset, chain_poset
-from orbitcoh.sheaves import (
-    FHom,
-    Incompatible,
-    canonical_fhom,
-    constant_sheaf,
-    delta_sheaf,
-    pullback,
-)
+from orbitcoh.posets import GradedPoset, PosetMorphism, build_poset
+from orbitcoh.sheaves import FHom, Incompatible, delta_sheaf
 
 
 def test_sigma_pullback_of_ambient_delta():
@@ -113,7 +112,7 @@ def test_oracle_cup_associative_braid():
     atoms = [lab for lab in p4.labels if p4.rank_of(lab) == 1]
     gens = {}
     for a in atoms[:3]:
-        gens[a] = orc.complex_at(a).tor(1).free_generators()[0]
+        gens[a] = free_generators(orc.complex_at(a).tor(1))[0]
     a, b, c = atoms[:3]
     xy, n, ab = orc.cup(a, 1, gens[a], b, 1, gens[b])
     lhs = orc.cup(xy, n, ab, c, 1, gens[c])
@@ -164,8 +163,8 @@ def test_sigma_is_join_morphism():
     rng = random.Random(17)
     labs = lkm.poset.labels
     for _ in range(60):
-        a = lkm.matrix(rng.choice(labs))
-        b = lkm.matrix(rng.choice(labs))
+        a = lkm.by_label[rng.choice(labs)]
+        b = lkm.by_label[rng.choice(labs)]
         lhs = sigma_canonical(join_theta(a, b), lkm.graph)
         rhs = sigma_canonical(
             join_theta(sigma_canonical(a, lkm.graph),

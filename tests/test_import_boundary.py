@@ -1,5 +1,8 @@
 """The package's public names, its imports, and the closed form never reaching the oracle.
 
+A fence keeps test-only code out of the package: every definition in it
+has a caller there, bar a short list of planned production routes.
+
 The boundary is checked twice.  Statically, on the ``from .X import``
 statements (at any depth) of each module's source; the same walk pins
 the empty runtime dependency list: every absolute import names a module
@@ -13,6 +16,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -135,16 +139,51 @@ def test_runtime_imports_are_stdlib_only():
     assert {"heapq", "__future__"} <= imported["intlinalg.py"]
 
 
+def test_orbit_imports_only_posets():
+    # the closed-form lattice code loads no cellular, sheaf or matrix code,
+    # at module level or inside a function
+    orbit = PACKAGE / "orbit.py"
+    assert package_imports(orbit) == {"posets"}
+    assert "orbitcoh" not in absolute_imports(orbit)
+
+
+# Definitions with no caller in the package yet, each a planned production route.
+UNCALLED = {
+    "os_vs_cellular": "the paper's product route, for the ring at m = 1 (ROADMAP item 11)",
+    "check_commutes": "its form-morphism check, also for products on a resolution (item 20)",
+    "cohomology": "the assembled Goresky-MacPherson sum, for a real-mode verify (item 8)",
+}
+
+
+def name_uses(tree) -> Counter:
+    """How often each name occurs as an ``ast.Name`` or ``ast.Attribute`` in a tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    # a use inside the definition's own body (recursion) does not count,
+    # and special methods are called by the language, not by name
+    trees = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    uses = sum(map(name_uses, trees), Counter())
+    uncalled = {node.name for tree in trees for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and uses[node.name] <= name_uses(node)[node.name]}
+    assert uncalled == set(UNCALLED)
+
+
 PUBLIC = [
     "CellularForm", "ChainComplex", "Copresheaf", "FHom", "GMOracle",
     "GradedPoset", "Graph", "HomologySummary", "IntMatrix", "NotCellular",
     "OSAlgebra", "PartialMatrix", "Presheaf", "RingPresentation",
     "TorComplex", "bond_lattice", "build_lkm", "build_poset", "cellular",
-    "cellular_chain", "construct_cellular_form", "delta_sheaf",
-    "form_morphism", "homology", "independence", "intlinalg", "join",
-    "join_theta", "moebius", "oracle", "orbit",
-    "os_vs_cellular", "osalg", "perm_sign", "phi_product", "posets",
-    "product_form", "product_poset", "pullback", "ring", "sheaves",
+    "construct_cellular_form", "delta_sheaf",
+    "form_morphism", "homology", "intlinalg", "join",
+    "join_theta", "oracle", "orbit",
+    "os_vs_cellular", "osalg", "phi_product", "posets",
+    "product_form", "product_poset", "ring", "sheaves",
     "smith_normal_form", "star_fhom", "verify", "verify_cellular_form",
     "verify_full",
 ]
@@ -154,7 +193,7 @@ def test_public_names_are_pinned():
     # one name per object: no alias or wrapper re-exports what another
     # public name already builds
     assert sorted(orbitcoh.__all__) == PUBLIC
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 41
 
 
 def test_star_import_binds_every_public_name():

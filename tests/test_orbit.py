@@ -6,27 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from conftest import partition_lattice
+from conftest import (
+    bcp_boundary,
+    bcp_form,
+    fiber_poset,
+    make_matrix,
+    matrix_leq,
+    partition_lattice,
+)
 from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
     Graph,
-    NotIndependent,
     bcp_assignments,
-    bcp_boundary,
-    bcp_form,
-    bcp_rank,
     block_classes,
     IntersectionLattice,
     bond_lattice,
     build_lkm,
     empty_matrix,
-    fiber_poset,
     fill_entry,
-    independence,
     join_theta,
-    make_matrix,
-    matrix_leq,
-    perm_sign,
     phi_coords,
     phi_product,
     restrict_matrix,
@@ -35,7 +33,7 @@ from orbitcoh.orbit import (
 )
 from orbitcoh.posets import GradedPoset
 from orbitcoh.ring import RingPresentation
-from reference_impl import all_pairs_covers
+from reference_impl import all_pairs_covers, bcp_rank
 
 
 def test_bond_lattice_complete_is_partition_lattice():
@@ -139,7 +137,7 @@ def test_lkm_fibration_law():
     # with exactly its covers
     for graph, k, m in ORDER_CASES:
         lkm = build_lkm(graph, k, m)
-        mats = [lkm.matrix(lab) for lab in lkm.poset.labels]
+        mats = [lkm.by_label[lab] for lab in lkm.poset.labels]
         _assert_order_is(lkm.poset, lambda i, j: matrix_leq(mats[i], mats[j]))
 
 
@@ -175,6 +173,22 @@ def test_sigma_is_a_closure_operator(graph, k, m):
         assert sigma[sigma[lab]] == sigma[lab]
     for lo, hi in poset.covers:
         assert poset.leq(image[lo], image[hi])
+
+
+@pytest.mark.parametrize("graph, k, m", ORDER_CASES + MERGING_CASES,
+                         ids=ORDER_IDS + MERGING_IDS)
+def test_sigma_images_of_covers_are_an_antichain(graph, k, m):
+    # for each canonical a, the images in the lattice of a's distinct orbit
+    # upper covers are pairwise equal or incomparable, so every one of them
+    # is an intersection cover of a with no minimality test
+    lkm = build_lkm(graph, k, m)
+    il = IntersectionLattice(lkm)
+    poset = lkm.poset
+    for lab in il.by_label:
+        ups = {poset.index[il.sigma[poset.labels[c]]] for c in poset.upper[poset.index[lab]]}
+        ups = [x for x in ups if poset.labels[x] in il.by_label]
+        for x in ups:
+            assert not any(y != x and poset.leq(y, x) for y in ups)
 
 
 @pytest.mark.parametrize("graph, k, m", MERGING_CASES + [
@@ -231,7 +245,7 @@ def test_join_is_least_upper_bound_in_poset(graph, k, m):
     p.require_join_semilattice()
     for la in p.labels:
         for lb in p.labels:
-            got = join_theta(lkm.matrix(la), lkm.matrix(lb)).label()
+            got = join_theta(lkm.by_label[la], lkm.by_label[lb]).label()
             want = p.labels[p.join_index(p.index[la], p.index[lb])]
             assert got == want
 
@@ -245,8 +259,8 @@ def test_join_cover_stability():
     for _ in range(80):
         lo, hi = rng.choice(cover_pairs)
         psi = rng.choice(p.labels)
-        a = join_theta(lkm.matrix(lo), lkm.matrix(psi))
-        b = join_theta(lkm.matrix(hi), lkm.matrix(psi))
+        a = join_theta(lkm.by_label[lo], lkm.by_label[psi])
+        b = join_theta(lkm.by_label[hi], lkm.by_label[psi])
         if a == b:
             continue
         ia, ib = p.index[a.label()], p.index[b.label()]
@@ -262,9 +276,9 @@ def test_pi_preserves_join():
     from orbitcoh.orbit import join_partitions
     for _ in range(60):
         la, lb = rng.choice(labs), rng.choice(labs)
-        j = join_theta(lkm.matrix(la), lkm.matrix(lb))
-        assert j.partition == join_partitions(lkm.matrix(la).partition,
-                                              lkm.matrix(lb).partition)
+        j = join_theta(lkm.by_label[la], lkm.by_label[lb])
+        assert j.partition == join_partitions(lkm.by_label[la].partition,
+                                              lkm.by_label[lb].partition)
 
 
 def test_restriction_of_matrix():
@@ -298,7 +312,7 @@ def _sigma_fiber(graph, alpha):
     """The sigma-preimage of a canonical form, sorted by label."""
     lkm = build_lkm(graph, alpha.k, alpha.m)
     sigma = IntersectionLattice(lkm).sigma
-    return [lkm.matrix(lab) for lab in sorted(sigma) if sigma[lab] == alpha.label()]
+    return [lkm.by_label[lab] for lab in sorted(sigma) if sigma[lab] == alpha.label()]
 
 
 def test_fiber_of_four_element_row():
@@ -325,7 +339,7 @@ def test_codim_formula_random():
     rng = random.Random(11)
     for _ in range(40):
         lab = rng.choice(lkm.poset.labels)
-        mat = lkm.matrix(lab)
+        mat = lkm.by_label[lab]
         can = sigma_canonical(mat, lkm.graph)
         assert can.codim() == mat.r_f + 2 * mat.r_b
 
@@ -351,23 +365,21 @@ def test_independence_and_sign():
     # disjoint blocks, undefined entries in different columns (m = 2)
     theta = make_matrix(g4, 2, 2, [(3, 4), (1,), (2,)], [((0, 0), None)])
     psi = make_matrix(g4, 2, 2, [(1, 2), (3,), (4,)], [(None, (0, 1))])
-    assert independence(theta, psi)
+    assert phi_product(theta, psi) is not None
     # join has Ud sorted as (1-2, col1), (3-4, col0): one inversion
-    assert perm_sign(theta, psi) == -1
-    assert perm_sign(psi, theta) == 1
+    assert phi_product(theta, psi)[1] == -1
+    assert phi_product(psi, theta)[1] == 1
     both = make_matrix(g4, 2, 2, [(1, 2), (3,), (4,)], [((0, 0), (0, 1))])
     other = make_matrix(g4, 2, 2, [(3, 4), (1,), (2,)], [((0, 1), (0, 0))])
-    assert perm_sign(both, other) == 1
+    assert phi_product(both, other)[1] == 1
 
 
 def test_independence_failure():
     g3 = Graph.complete(3)
     a = make_matrix(g3, 2, 1, [(1, 2), (3,)], [((0, 0),)])
     b = make_matrix(g3, 2, 1, [(1, 2), (3,)], [((0, 1),)])
-    # same base atom: r_b not additive
-    assert not independence(a, b)
-    with pytest.raises(NotIndependent):
-        perm_sign(a, b)
+    # same base atom: r_b not additive, so no product and no sign
+    assert phi_product(a, b) is None
 
 
 def test_rf_subadditive_for_independent_bases():
@@ -375,8 +387,8 @@ def test_rf_subadditive_for_independent_bases():
     rng = random.Random(3)
     labs = lkm.poset.labels
     for _ in range(100):
-        a = lkm.matrix(rng.choice(labs))
-        b = lkm.matrix(rng.choice(labs))
+        a = lkm.by_label[rng.choice(labs)]
+        b = lkm.by_label[rng.choice(labs)]
         if a.r_b + b.r_b != join_theta(a, b).r_b:
             continue
         assert join_theta(a, b).r_f <= a.r_f + b.r_f
@@ -503,7 +515,7 @@ def test_phi_product_simple():
     assert pair[0] == join_theta(theta, psi)
     # (eta1 v psi) - (eta0 v psi): one basis tensor, with the alignment sign
     alpha = bcp_assignments(theta)[0]
-    assert phi_coords(pair, alpha, ()) == {alpha: perm_sign(theta, psi)}
+    assert phi_coords(pair, alpha, ()) == {alpha: pair[1]}
 
 
 def test_phi_product_dependent_zero():

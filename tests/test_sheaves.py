@@ -1,11 +1,18 @@
 import pytest
 
-from conftest import bottom, partition_lattice, top
+from conftest import (
+    bottom,
+    canonical_fhom,
+    chain_poset,
+    constant_sheaf,
+    partition_lattice,
+    pullback,
+    top,
+)
 from orbitcoh.intlinalg import IntMatrix
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,
-    chain_poset,
     identity_morphism,
     join_morphism,
     product_poset,
@@ -17,11 +24,8 @@ from orbitcoh.sheaves import (
     NotConvex,
     NotExtremal,
     Presheaf,
-    canonical_fhom,
-    constant_sheaf,
     delta_sheaf,
     product_sheaf,
-    pullback,
     star_fhom,
     validate_fhom,
 )

@@ -10,7 +10,8 @@ import pytest
 
 from orbitcoh.cellular import NotCellular
 from orbitcoh.intlinalg import HomologySummary
-from orbitcoh.orbit import Graph, empty_matrix, make_matrix
+from conftest import make_matrix
+from orbitcoh.orbit import Graph, empty_matrix
 from orbitcoh.ring import GradedBasisElement
 from orbitcoh.verify import VerifyReport
 
