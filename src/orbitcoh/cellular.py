@@ -165,7 +165,11 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     below x, built while the piece at x is still zero, must be exact in
     degrees 0..r-1; the piece at x is then the kernel of its map out of
     degree r, the lower covers, read from the one ``UnitReduction`` of
-    that boundary that gave homology its divisors.  Returns a
+    that boundary that gave homology its divisors.  Its elimination
+    takes the last column first, so a kernel with unit pivots and an
+    empty core comes out in Hermite form and ``row_hermite`` runs only
+    for a nonempty core; each (y, x) block is a zero matrix into which
+    the kernel's nonzero entries are scattered.  Returns a
     CellularForm, or a NotCellular verdict naming the first element (in
     rank then label order) where this breaks and the step of the lowest
     failing degree: 0 is the rank-0 surjectivity test, 1 the kernel-sum
@@ -198,12 +202,14 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
         # the new piece is the kernel of the top map, split over the lower covers
         ker = cx.reduction(r).kernel
         piece_ranks[x] = len(ker)
-        start = 0
+        stacked: list[list[int]] = []  # row i of the top map -> that row of its block
         for y in sorted(poset.lower[x]):
             if piece_ranks[y]:
-                diff[(y, x)] = IntMatrix(piece_ranks[y], len(ker), [
-                    [v.get(start + a, 0) for v in ker] for a in range(piece_ranks[y])])
-            start += piece_ranks[y]
+                block = diff[(y, x)] = IntMatrix(piece_ranks[y], len(ker))
+                stacked += block.data
+        for c, v in enumerate(ker):
+            for i, value in v.items():
+                stacked[i][c] = value
 
     return CellularForm(poset, g, piece_ranks, diff)
 

@@ -5,15 +5,17 @@ Homology of chain complexes of free abelian groups, all in Python ints
 boundary and the read-off of a class is one sparse form: a dict
 {index: value} that stores no zero entry, so the pivot of a Hermite row
 is its least key.  A boundary is a list of sparse columns {row:
-coefficient}, one per basis element of its source.  One sparse elimination of the +-1 pivots
-(``UnitReduction``), which keeps each row's cheapest pivot in a heap
-instead of rescanning the rows, gives the invariant factors, with the
-Smith form of its small core, and the integer kernel, lifted from the
-core's.  One row Hermite reduction (``row_hermite``) makes kernel bases
-canonical and answers membership, coordinates and exact solves.  The
-only dense form is ``IntMatrix``, kept for sheaf maps, form blocks,
-Smith transforms and the solutions written into them.  No floating
-point anywhere.
+coefficient}, one per basis element of its source.  One sparse
+elimination of the +-1 pivots (``UnitReduction``), taking the last
+column first and clearing each pivot column from every other row, gives
+the invariant factors, with the Smith form of its small core, and the
+integer kernel.  When the core is empty and every pivot row lies left
+of its pivot, the kernel is read off the pivot rows already in row
+Hermite form; otherwise it is lifted from the core's and made canonical
+by the one row Hermite reduction (``row_hermite``), which also answers
+membership, coordinates and exact solves.  The only dense form is
+``IntMatrix``, kept for sheaf maps, form blocks, Smith transforms and
+the solutions written into them.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -260,82 +262,47 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
-    """Eliminate +-1 pivots in place; return them as (column, value, row).
+    """Eliminate +-1 pivots in place, last column first; return them as (column, value, row).
 
-    Pivots are chosen Markowitz-style to limit fill-in: the +-1 entry of
-    least cost (len(row) - 1) * (len(column) - 1), ties going to the
-    earliest row in the order of ``rows`` and then to the earliest entry
-    in that row's order.  A heap indexes each row's best entry by (cost,
-    row position); after a pivot only the rows it changed and the rows
-    with a +-1 entry in a column whose count changed are rescored, and
-    an entry that no longer matches its row's best is skipped when
-    popped.  Each row is kept as it was when chosen: it holds no earlier
-    pivot's column.  Only row operations by +-1 pivots are used, so the
+    Column j, from the last to the first, is pivoted on a +-1 entry of a
+    row not yet used: the row with fewest entries, then the lowest row
+    index.  The pivot column is cleared from every other row, pivot rows
+    included, so each pivot row holds no pivot column but its own.  A
+    column whose unused entries are all non-units is left to the core:
+    ``rows`` keeps the unused rows that are not zero, which hold no
+    pivot column.  Only row operations by +-1 pivots are used, so the
     invariant factors of the input are 1^k (k pivots) followed by those
-    of the core left.
+    of the core.
     """
-    cols: dict[int, set[int]] = {}
+    holders: dict[int, set[int]] = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
-    position = {i: p for p, i in enumerate(rows)}
-    best: dict[int, tuple[int, int]] = {}  # row -> (cost, column) of its best unit
-    heap: list[tuple[int, int, int]] = []  # (cost, row position, row)
-
-    def rescore(i):
-        row = rows.get(i)
-        found = None
-        if row:
-            li = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = li * (len(cols[j]) - 1)
-                    if found is None or cost < found[0]:
-                        found = (cost, j)
-                        if not cost:
-                            break
-        if found is None:
-            best.pop(i, None)
-        elif best.get(i) != found:
-            best[i] = found
-            heapq.heappush(heap, (found[0], position[i], i))
-
-    for i in rows:
-        rescore(i)
+            holders.setdefault(j, set()).add(i)
+    live = dict(rows)  # the rows that are not zero: unused ones and pivot rows
     pivots = []
-    while heap:
-        cost, _, pi = heapq.heappop(heap)
-        found = best.get(pi)
-        if found is None or found[0] != cost:
-            continue  # stale: the row was rescored or eliminated since
-        pj = found[1]
-        del best[pi]
+    for pj in sorted(holders, reverse=True):
+        units = [i for i in holders[pj] if i in rows and rows[i][pj] in (1, -1)]
+        if not units:
+            continue
+        pi = min(units, key=lambda i: (len(rows[i]), i))
         prow = rows.pop(pi)
         pval = prow[pj]
-        before = {j: len(cols[j]) for j in prow}
-        for j in prow:
-            cols[j].discard(pi)
-        changed = list(cols[pj])
-        for i in changed:
-            row = rows[i]
-            q = row[pj] * pval  # pval in {1,-1}: exact multiplier
-            for j, x in prow.items():
+        rest = [(j, x) for j, x in prow.items() if j != pj]
+        for i in holders.pop(pj):
+            if i == pi:
+                continue
+            row = live[i]
+            q = row.pop(pj) * pval  # pval in {1,-1}: exact multiplier
+            for j, x in rest:
                 cur = row.get(j, 0) - q * x
                 if cur:
                     row[j] = cur
-                    cols[j].add(i)
+                    holders[j].add(i)
                 elif j in row:
                     del row[j]
-                    cols[j].discard(i)
+                    holders[j].discard(i)
             if not row:
-                del rows[i]
-        del cols[pj]
-        dirty = set(changed)
-        for j, n in before.items():
-            if j != pj and len(cols[j]) != n:
-                dirty.update(i for i in cols[j] if rows[i][j] in (1, -1))
-        for i in dirty:
-            rescore(i)
+                del rows[i], live[i]
         pivots.append((pj, pval, prow))
     return pivots
 
@@ -344,6 +311,11 @@ class UnitReduction:
     """One ``_sparse_unit_eliminate`` of the sparse columns of A.
 
     Keeps its pivots and core, and gives the divisors and kernel of A.
+    The elimination takes the last column first and clears each pivot
+    column from every row, so when the core is empty the kernel comes
+    out in row Hermite form: ``row_hermite`` runs only to make a kernel
+    lifted from a nonempty core canonical, or when a pivot row reaches
+    to the right of its pivot.
     """
 
     def __init__(self, cols: list[dict[int, int]]):
@@ -371,39 +343,43 @@ class UnitReduction:
     def kernel(self) -> list[dict[int, int]]:
         """Hermite basis of ker A as sparse rows, lifted from the core's kernel.
 
-        The core's kernel lives on the nonpivot columns: the identity on
-        them when the core is empty, else that of a ``ColumnSolver`` of
-        the core.  Each pivot row fixes its pivot coordinate from later
-        and nonpivot columns only, so substituting in reverse pivot order
-        lifts a basis to a basis, which ``row_hermite`` makes canonical.
+        The core's kernel lives on the free (nonpivot) columns: the
+        identity on them when the core is empty, else that of a
+        ``ColumnSolver`` of the core.  Each pivot row holds its pivot and
+        free columns only, so it fixes its pivot coordinate from the free
+        ones: the kernel vector of a free column f is e_f minus, at each
+        pivot column, its row's entry at f over the pivot.  With an empty
+        core and no pivot row reaching right of its pivot, those vectors
+        are already the Hermite basis, pivoted on the free columns with
+        zeros above; otherwise ``row_hermite`` makes the lifted basis
+        canonical.
         """
         pivot_cols = {pj for pj, _, _ in self.pivots}
         free = [j for j in range(self.cols) if j not in pivot_cols]
-        if self.core:
-            cpos = {j: p for p, j in enumerate(free)}
-            core_cols: list[dict[int, int]] = [{} for _ in free]
-            for p, i in enumerate(sorted(self.core)):
-                for j, x in self.core[i].items():
-                    core_cols[cpos[j]][p] = x
-            core_kernel = ColumnSolver(core_cols, len(self.core)).kernel
-        else:
-            core_kernel = [{p: 1} for p in range(len(free))]
-        # coordinate j of every lifted vector, as {vector index: value}
-        coord: dict[int, dict[int, int]] = {j: {} for j in free}
-        for v, y in enumerate(core_kernel):
-            for p, x in y.items():
-                coord[free[p]][v] = x
-        for pj, pval, prow in reversed(self.pivots):
-            acc: dict[int, int] = {}
-            for j, c in prow.items():  # coord has no pj yet: it is skipped
-                for v, y in coord.get(j, {}).items():
-                    acc[v] = acc.get(v, 0) - pval * c * y
-            coord[pj] = {v: y for v, y in acc.items() if y}
-        lifted: list[dict[int, int]] = [{} for _ in core_kernel]
-        for j, col in coord.items():
-            for v, y in col.items():
-                lifted[v][j] = y
-        del coord
+        through: dict[int, dict[int, int]] = {f: {} for f in free}  # f -> {pj: x_pj at e_f}
+        reaches_right = False
+        for pj, pval, prow in self.pivots:
+            for f, x in prow.items():
+                if f != pj:
+                    through[f][pj] = -pval * x
+                    if f > pj:
+                        reaches_right = True
+        if not self.core:
+            kernel = [{f: 1, **through[f]} for f in free]
+            return row_hermite(kernel) if reaches_right else kernel
+        cpos = {j: p for p, j in enumerate(free)}
+        core_cols: list[dict[int, int]] = [{} for _ in free]
+        for p, row in enumerate(self.core.values()):
+            for j, x in row.items():
+                core_cols[cpos[j]][p] = x
+        lifted = []
+        for y in ColumnSolver(core_cols, len(self.core)).kernel:
+            v: dict[int, int] = {}
+            for p, c in y.items():
+                v[free[p]] = c
+                for pj, x in through[free[p]].items():
+                    v[pj] = v.get(pj, 0) + c * x
+            lifted.append({j: x for j, x in v.items() if x})
         return row_hermite(lifted)
 
 

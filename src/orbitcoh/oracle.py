@@ -152,11 +152,6 @@ class TorComplex:
         pos = self.position[n] if n < len(self.position) else {}
         return {pos[key]: c for key, c in formal.items() if c}
 
-    def formal(self, vec: dict[int, int], n: int) -> dict:
-        """A sparse vector of degree n as a formal chain {key: coefficient}."""
-        keys = self.keys[n]
-        return {keys[p]: c for p, c in vec.items()}
-
     def check_cycles(self, n: int, vecs) -> None:
         """Raise NotCycle unless every sparse vector of degree n is closed.
 

@@ -36,10 +36,6 @@ class Graph(NamedTuple):
         return cls.make(n, [(i, j) for i in range(1, n + 1)
                             for j in range(i + 1, n + 1)])
 
-    @classmethod
-    def path(cls, n: int) -> "Graph":
-        return cls.make(n, [(i, i + 1) for i in range(1, n)])
-
     def adjacent(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 

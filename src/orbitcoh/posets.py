@@ -126,10 +126,6 @@ class GradedPoset:
     def rank_of(self, label) -> int:
         return self.rank[self.index[label]]
 
-    def below(self, label) -> list:
-        i = self.index[label]
-        return [self.labels[j] for j in self.mask_elements(self.down[i])]
-
     def join_index(self, i: int, j: int) -> int:
         if i > j:
             i, j = j, i

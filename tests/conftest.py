@@ -8,10 +8,11 @@ between dense matrices or vectors and the sparse columns, vectors and
 rows that the linear algebra takes and returns.
 
 The rest are test constructors and references built on the package,
-which the program itself never needs: chains and constant sheaves,
-pullbacks and canonical f-homomorphisms, cellular chains of a form,
-free generators and induced maps of Tor, validated partial matrices and
-their defining order, and the explicit BCp cellular form of one fiber.
+which the program itself never needs: chains, down-sets and constant
+sheaves, pullbacks and canonical f-homomorphisms, path graphs, cellular
+chains of a form, formal chains, free generators and induced maps of
+Tor, validated partial matrices and their defining order, and the
+explicit BCp cellular form of one fiber.
 """
 
 import os
@@ -23,6 +24,7 @@ from orbitcoh.cellular import CellularForm, _layout
 from orbitcoh.intlinalg import ChainComplex, IntMatrix, kron, sparse_apply, unimodular_inverse
 from orbitcoh.oracle import shuffle_push
 from orbitcoh.orbit import (
+    Graph,
     PartialMatrix,
     bcp_assignments,
     block_classes,
@@ -144,6 +146,11 @@ def chain_poset(length: int) -> GradedPoset:
     return GradedPoset(labels, covers, {lab: i for i, lab in enumerate(labels)})
 
 
+def below(poset: GradedPoset, label) -> list:
+    """The labels at or below ``label``, in index order."""
+    return [poset.labels[j] for j in poset.mask_elements(poset.down[poset.index[label]])]
+
+
 def constant_sheaf(base: GradedPoset, rank: int, kind: str):
     return delta_sheaf(base, base.labels, rank, kind)
 
@@ -183,7 +190,13 @@ def cellular_chain(form: CellularForm, f) -> ChainComplex:
     return ChainComplex(ranks, bounds, check=True)
 
 
-# -- Tor: free generators and induced maps ----------------------------------------
+# -- Tor: formal chains, free generators and induced maps -------------------------
+
+
+def formal(tor_complex, vec: dict[int, int], n: int) -> dict:
+    """A sparse vector of degree n of a TorComplex as a formal chain {key: coefficient}."""
+    keys = tor_complex.keys[n]
+    return {keys[p]: c for p, c in vec.items()}
 
 
 def free_generators(tor) -> list[dict[int, int]]:
@@ -200,13 +213,18 @@ def induced_homology_matrix(src, dst, k: FHom, t: FHom, n: int) -> IntMatrix:
     """Matrix of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
     push = induced_chain_map(k, t)
     dst_tor = dst.tor(n)
-    images = [dst.vector(push(src.formal(gen, n)), n)
+    images = [dst.vector(push(formal(src, gen, n)), n)
               for gen in free_generators(src.tor(n))]
     cols = [list(c) for c in dst_tor.class_coords(images)]
     return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
 
 
 # -- partial matrices and the fiber cellular form BCp ------------------------------
+
+
+def path_graph(n: int) -> Graph:
+    """The path 1 - 2 - ... - n."""
+    return Graph.make(n, [(i, i + 1) for i in range(1, n)])
 
 
 def make_matrix(graph, k: int, m: int, partition, entries) -> PartialMatrix:

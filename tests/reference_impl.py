@@ -1,20 +1,20 @@
 """Plain implementations that the indexed and sparse ones must match exactly.
 
 Each is the straightforward version of a routine the package now does
-faster: the unit-pivot eliminator that rescans every row for each pivot,
-the row Hermite form and coordinates over it on dense rows, the bit
-walk that shifts a mask once per position, the join-semilattice test
-that joins every pair, the intersection-lattice covers from an all-pairs
-up-set scan, the ring-axiom check that walks every triple
-(i, j, l) with i*j nonzero, the BCp product read off the whole join of
-a pair, the fiber enumeration that takes one cell at a time, the
-Orlik-Solomon nbc basis and straightening from an explicit circuit
-list, and the canonical JSON text from the standard library's
+faster: the last-column-first unit-pivot eliminator that rescans every
+row for each column, the row Hermite form and coordinates over it on
+dense rows, the bit walk that shifts a mask once per position, the
+join-semilattice test that joins every pair, the intersection-lattice
+covers from an all-pairs up-set scan, the ring-axiom check that walks
+every triple (i, j, l) with i*j nonzero, the BCp product read off the
+whole join of a pair, the fiber enumeration that takes one cell at a
+time, the Orlik-Solomon nbc basis and straightening from an explicit
+circuit list, and the canonical JSON text from the standard library's
 pure-Python encoder.  Beside them sit definitions that the program never
 needs, only its tests: the Möbius function by its recursive defining
-sum, the BCp rank as a product over undefined entries, and the chain
-map that a pair of f-homomorphisms induces on Tor chains.  None imports
-from the package, so a test comparing against them checks the package's
+sum, the BCp rank as a product over undefined entries, and the chain map
+that a pair of f-homomorphisms induces on Tor chains.  None imports from
+the package, so a test comparing against them checks the package's
 routine, not a copy of it.
 """
 
@@ -24,55 +24,39 @@ from itertools import combinations, product
 
 
 def scanning_unit_eliminate(rows: dict[int, dict[int, int]]):
-    """Eliminate +-1 pivots in place, rescanning every row for each pivot.
+    """Eliminate +-1 pivots in place, last column first, rescanning every row.
 
-    The pivot is the +-1 entry of least Markowitz cost
-    (len(row) - 1) * (len(column) - 1); ties go to the earliest row in
-    the order of ``rows``, then to the earliest entry in that row.
-    Returns the pivots as (column, value, row).
+    Column j, from the last to the first, is pivoted on a +-1 entry of a
+    row not yet used: the row with fewest entries, then the lowest row
+    index.  The column is then cleared from every other row, pivot rows
+    included; a column with no +-1 entry in an unused row is skipped.
+    ``rows`` is left holding the unused rows that are not zero.  Returns
+    the pivots as (column, value, row).
     """
-    cols: dict[int, set[int]] = {}
-    for i, row in rows.items():
-        for j in row:
-            cols.setdefault(j, set()).add(i)
+    used: dict[int, dict[int, int]] = {}
     pivots = []
-    while True:
-        piv = None
-        best = None
-        for i, row in rows.items():
-            li = len(row)
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = (li - 1) * (len(cols[j]) - 1)
-                    if best is None or cost < best:
-                        piv, best = (i, j), cost
-                        if cost == 0:
-                            break
-            if best == 0:
-                break
-        if piv is None:
-            return pivots
-        pi, pj = piv
+    for pj in sorted({j for row in rows.values() for j in row}, reverse=True):
+        units = [(len(row), i) for i, row in rows.items() if row.get(pj) in (1, -1)]
+        if not units:
+            continue
+        pi = min(units)[1]
         prow = rows.pop(pi)
         pval = prow[pj]
-        for j in prow:
-            cols[j].discard(pi)
-        for i in list(cols[pj]):
-            row = rows[i]
-            q = row[pj] * pval
-            for j, x in prow.items():
-                cur = row.get(j, 0) - q * x
-                if cur:
-                    row[j] = cur
-                    cols.setdefault(j, set()).add(i)
-                else:
-                    if j in row:
-                        del row[j]
-                        cols[j].discard(i)
-            if not row:
-                del rows[i]
-        del cols[pj]
+        for table in (rows, used):
+            for i, row in list(table.items()):
+                q = row.get(pj, 0) * pval
+                if q:
+                    for j, x in prow.items():
+                        cur = row.get(j, 0) - q * x
+                        if cur:
+                            row[j] = cur
+                        else:
+                            row.pop(j, None)
+                    if not row:
+                        del table[i]
+        used[pi] = prow
         pivots.append((pj, pval, prow))
+    return pivots
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 
-from conftest import cellular_chain, constant_sheaf, subprocess_env
+from conftest import below, cellular_chain, constant_sheaf, path_graph, subprocess_env
 from orbitcoh.cellular import CellularForm, construct_cellular_form
 from orbitcoh.intlinalg import homology
 from orbitcoh.oracle import GMOracle, TorComplex
@@ -34,7 +34,7 @@ def report(num, text):
 
 
 GRAPHS_C1 = [("K2", Graph.complete(2)), ("K3", Graph.complete(3)),
-             ("path3", Graph.path(3))]
+             ("path3", path_graph(3))]
 
 
 def test_criterion_1_rank_formula():
@@ -57,7 +57,7 @@ def test_criterion_1_rank_formula():
 def test_criterion_2_cup_products():
     """Closed-form products equal the cross-then-star oracle on every basis pair."""
     pairs = 0
-    for name, graph in [("K2", Graph.complete(2)), ("path3", Graph.path(3))]:
+    for name, graph in [("K2", Graph.complete(2)), ("path3", path_graph(3))]:
         rep = verify_full(graph, 2, 2, oracle_limit=200,
                           products=True, axioms=False)
         assert rep.ok, f"{name}:\n" + "\n".join(
@@ -160,7 +160,7 @@ def random_presheaf(rng, poset):
         x = poset.labels[rng.randrange(poset.n)]
         return delta_sheaf(poset, [x], 1, "pre")
     x = poset.labels[rng.randrange(poset.n)]
-    return delta_sheaf(poset, poset.below(x), rng.randrange(1, 3), "pre")
+    return delta_sheaf(poset, below(poset, x), rng.randrange(1, 3), "pre")
 
 
 def random_instances(rng, count):

@@ -3,11 +3,13 @@ import hashlib
 import pytest
 
 from conftest import (
+    below,
     bottom,
     cellular_chain,
     chain_poset,
     constant_sheaf,
     partition_lattice,
+    path_graph,
     top,
 )
 from orbitcoh.cellular import (
@@ -20,6 +22,7 @@ from orbitcoh.cellular import (
     product_form,
     verify_cellular_form,
 )
+from orbitcoh import intlinalg
 from orbitcoh.intlinalg import IntMatrix, homology
 from orbitcoh.jsonio import dumps
 from orbitcoh.oracle import TorComplex
@@ -171,7 +174,7 @@ def test_cellular_chain_jstar_matches_downset():
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
     form = construct_cellular_form(p3, g)
     for x in (((1, 2), (3,)), bottom(3), top(3)):
-        f = delta_sheaf(p3, p3.below(x), 1, "pre")
+        f = delta_sheaf(p3, below(p3, x), 1, "pre")
         h = homology(cellular_chain(form, f))
         assert h.betti(0) == g.rank_of(x)
         assert sum(h.betti_vector()) == g.rank_of(x) and h.is_free()
@@ -190,15 +193,15 @@ def test_cellular_chain_matches_oracle_constant():
 
 
 @pytest.mark.parametrize("graph, k, digest", [
-    (Graph.path(3), 2,
+    (path_graph(3), 2,
      "90c4f013b93d8c3e410881a25805c134a81b86cf413ecfbea4bef36afde7beae"),
     (Graph.complete(3), 2,
      "04edd893a82ee07cc4b644f30d773bdf26e8d779aa99c4aaf2bc232cc2009ee9"),
     (Graph.complete(3), 3,
      "21067c1814e1702396347950a270b85770748ef236bd8dea5b132b0493c223cf"),
-    (Graph.path(3), 3,
+    (path_graph(3), 3,
      "e5fe93d32ee9cebc6eb06b7a326c0a2e57f37f73a5fafc4ab123a05637566354"),
-    (Graph.path(3), 4,
+    (path_graph(3), 4,
      "3aa60787e43570a8dbdcca7ef5c6d1aedf3ced13ab7088a85340a3aa663b8f1e"),
 ], ids=["P3", "K3", "K3-k3", "P3-k3", "P3-k4"])
 def test_orbit_lattice_form_is_pinned(graph, k, digest):
@@ -212,6 +215,22 @@ def test_orbit_lattice_form_is_pinned(graph, k, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     verify_cellular_form(form)
 
+
+def test_orbit_lattice_form_needs_no_hermite_pass(monkeypatch):
+    # every kernel of L(K3, 3, 2) has unit pivots and an empty core, so
+    # the last-column-first elimination gives it in Hermite form and the
+    # form is built, unchanged, with row_hermite unusable
+    lkm = build_lkm(Graph.complete(3), 3, 2)
+    g = delta_sheaf(lkm.poset, [lkm.poset.labels[lkm.poset.minimum()]], 1, "co")
+    expected = construct_cellular_form(lkm.poset, g).to_json_dict()
+
+    def refuse(vectors):
+        raise AssertionError("row_hermite ran")
+
+    monkeypatch.setattr(intlinalg, "row_hermite", refuse)
+    form = construct_cellular_form(lkm.poset, g)
+    assert form.to_json_dict() == expected
+    verify_cellular_form(form)
 
 def test_form_morphism_identity():
     p3 = partition_lattice(3)

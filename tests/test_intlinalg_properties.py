@@ -111,6 +111,9 @@ def test_elementary_divisors_match_sympy(a):
 sparse_entries = st.sampled_from([0] * 12 + [1, -1] * 3 + [2, -2, 3, -3])
 PATH_INCIDENCE = IntMatrix(3, 4, [[1, 1, 0, 0], [0, -1, 1, 0], [0, 0, -1, 1]])
 WITH_CORE = IntMatrix(3, 4, [[1, 1, 0, 0], [2, 0, 2, 0], [0, 3, 0, 3]])
+# column 1 holds no unit, so row 0 is the pivot of column 0 and keeps its
+# 2 to the right of it: the core is empty, yet the read-off is not canonical
+RIGHT_OF_PIVOT = IntMatrix(1, 2, [[1, 2]])
 
 
 @st.composite
@@ -125,12 +128,34 @@ def incidence_like(draw):
 def test_examples_cover_both_lifts():
     assert not UnitReduction(columns(PATH_INCIDENCE)).core
     assert UnitReduction(columns(WITH_CORE)).core
+    right = UnitReduction(columns(RIGHT_OF_PIVOT))
+    assert not right.core and right.pivots == [(0, 1, {0: 1, 1: 2})]
+    assert right.kernel == [{0: 2, 1: -1}]
 
 
 @laws
 @given(incidence_like())
 @example(PATH_INCIDENCE)
 @example(WITH_CORE)
+@example(RIGHT_OF_PIVOT)
+def test_unit_kernel_matches_column_solver_and_divisors_match_sympy(a):
+    # ColumnSolver reaches the Hermite basis of the kernel by one row
+    # Hermite form of the columns extended by unit vectors, with no unit
+    # pivots; sympy's Smith form owes nothing to this package
+    cols = columns(a)
+    assert UnitReduction(cols).kernel == ColumnSolver(cols, a.rows).kernel
+    expected = []
+    if a.rows and a.cols:
+        d = sympy_snf(Matrix(a.data))
+        expected = [abs(d[i, i]) for i in range(min(a.rows, a.cols)) if d[i, i]]
+    assert UnitReduction(cols).divisors == expected
+
+
+@laws
+@given(incidence_like())
+@example(PATH_INCIDENCE)
+@example(WITH_CORE)
+@example(RIGHT_OF_PIVOT)
 def test_sparse_kernel_and_divisors_match_smith_reference(a):
     _, d, v = smith_normal_form(a)
     rank = snf_rank(d)
@@ -146,16 +171,12 @@ def rows_in_order(a: IntMatrix, order: list[int]) -> dict[int, dict[int, int]]:
     return {i: row for i, row in rows.items() if row}
 
 
-def ordered(pivots, core):
-    # dict order included: the tie-break reads it, so both must agree on it
-    return ([(pj, pval, list(prow.items())) for pj, pval, prow in pivots],
-            [(i, list(row.items())) for i, row in core.items()])
-
-
 def eliminations_agree(a: IntMatrix, order: list[int]):
+    # the rule reads row indices, not the order of the rows, so the rows
+    # and the core are compared as dicts
     rows, ref_rows = rows_in_order(a, order), rows_in_order(a, order)
     got = _sparse_unit_eliminate(rows)
-    assert ordered(got, rows) == ordered(scanning_unit_eliminate(ref_rows), ref_rows)
+    assert (got, rows) == (scanning_unit_eliminate(ref_rows), ref_rows)
 
 
 @laws
@@ -167,7 +188,7 @@ def eliminations_agree(a: IntMatrix, order: list[int]):
 @example(IntMatrix(0, 4), None)
 def test_indexed_pivots_match_scanning_reference(a, data):
     # the same pivots in the same order, and the same core, whatever the
-    # order of the rows the tie-break reads
+    # order in which the rows are given
     order = list(range(a.rows))
     if data is not None:
         order = data.draw(st.permutations(order))

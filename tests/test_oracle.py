@@ -6,12 +6,14 @@ import sys
 import pytest
 
 from conftest import (
+    below,
     bottom,
     canonical_fhom,
     chain_poset,
     columns,
     constant_sheaf,
     cross_formal,
+    formal,
     free_generators,
     induced_homology_matrix,
     partition_lattice,
@@ -98,7 +100,7 @@ def test_contractible_interval_invariant():
     for _ in range(8):
         y, x = rng.choice(labs), rng.choice(labs)
         g = delta_sheaf(p4, [y], 1, "co")
-        down = set(p4.below(x))
+        down = set(below(p4, x))
         f = delta_sheaf(p4, sorted(down), 1, "pre")
         h = TorComplex(p4, g, f).homology()
         if p4.leq(p4.index[y], p4.index[x]):
@@ -229,11 +231,11 @@ def test_cross_leibniz():
             continue
         v1 = sparse([rng.randrange(-2, 3) for _ in range(kc.rank(deg1))])
         v2 = sparse([rng.randrange(-2, 3) for _ in range(kc.rank(deg2))])
-        x = kc.formal(v1, deg1)
-        y = kc.formal(v2, deg2)
+        x = formal(kc, v1, deg1)
+        y = formal(kc, v2, deg2)
         n = deg1 + deg2
         lhs = sparse_apply(kprod.boundary(n), kprod.vector(cross_formal(x, y, g, f), n))
-        dx, dy = (kc.formal(sparse_apply(kc.boundary(d), v), d - 1)
+        dx, dy = (formal(kc, sparse_apply(kc.boundary(d), v), d - 1)
                   for d, v in [(deg1, v1), (deg2, v2)])
         first = cross_formal(dx, y, g, f)
         second = cross_formal(x, dy, g, f)

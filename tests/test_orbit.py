@@ -13,6 +13,7 @@ from conftest import (
     make_matrix,
     matrix_leq,
     partition_lattice,
+    path_graph,
 )
 from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
@@ -45,7 +46,7 @@ def test_bond_lattice_complete_is_partition_lattice():
 
 
 def test_bond_lattice_path():
-    bl = bond_lattice(Graph.path(3))
+    bl = bond_lattice(path_graph(3))
     assert bl.n == 4  # Pi_3 minus 13|2
     assert ((1, 3), (2,)) not in bl.labels
 
@@ -150,7 +151,7 @@ def test_intersection_order_is_sigma_of_join():
             join_theta(mats[i], mats[j]), graph) == mats[j])
 
 
-_P4 = Graph.path(4)
+_P4 = path_graph(4)
 _C4 = Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
 # sigma merges orbit elements on each of these at m = 2
 MERGING_CASES = [(_P4, 2, 2), (_C4, 2, 2), (Graph.complete(4), 2, 2), (_P4, 3, 2)]
@@ -217,7 +218,7 @@ def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
 
 @pytest.mark.parametrize("name, graph, k, m", [
     ("lkm-K3-k3-m2.json", Graph.complete(3), 3, 2),
-    ("lkm-P3-k4-m2.json", Graph.path(3), 4, 2),
+    ("lkm-P3-k4-m2.json", path_graph(3), 4, 2),
 ])
 def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
     # the benchmark's stored lattices are build_lkm(...).poset exactly
@@ -234,7 +235,7 @@ def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
 @pytest.mark.parametrize("graph, k, m", [
     (Graph.complete(2), 2, 2),
     (Graph.complete(3), 3, 2),
-    (Graph.path(3), 3, 2),
+    (path_graph(3), 3, 2),
     (Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)]), 2, 1),
 ], ids=["K2-k2-m2", "K3-k3-m2", "P3-k3-m2", "C4-k2-m1"])
 def test_join_is_least_upper_bound_in_poset(graph, k, m):
@@ -270,7 +271,7 @@ def test_join_cover_stability():
 
 
 def test_pi_preserves_join():
-    lkm = build_lkm(Graph.path(3), 2, 2)
+    lkm = build_lkm(path_graph(3), 2, 2)
     rng = random.Random(5)
     labs = lkm.poset.labels
     from orbitcoh.orbit import join_partitions
@@ -449,7 +450,7 @@ def _brute_product(a, b, alpha, beta):
     (Graph.complete(2), 4),
     (Graph.complete(3), 2),
     (Graph.make(4, [(1, 2), (3, 4)]), 2),
-    (Graph.path(3), 3),
+    (path_graph(3), 3),
 ], ids=["K2-k4", "K3-k2", "2K2-k2", "P3-k3"])
 def test_phi_product_matches_completion_joins(graph, k):
     # the entry-by-entry product against the definition, on every ordered
@@ -562,7 +563,7 @@ def test_phi_product_commutes_with_boundary():
      "bec4f07ef1085fb00ba1af1a850bfb9186881f7b563445d4f745e523f8ae1930"),
     (Graph.complete(2), 4, 2,
      "3da170231e83f060b3b67529c96d4b99f3158b98c5e04b61bf031b9d8eb92e75"),
-    (Graph.path(3), 3, 2,
+    (path_graph(3), 3, 2,
      "829aaea47f2633cd6d936278a8cc2b64fd7a2006ea5eee1daf34da491b080001"),
 ], ids=["K3-k2-m2", "K3-k3-m1", "K2-k4-m2", "P3-k3-m2"])
 def test_bcp_forms_are_pinned(graph, k, m, digest):

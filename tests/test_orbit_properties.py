@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from conftest import path_graph
 from orbitcoh.orbit import (
     Graph,
     PartialMatrix,
@@ -33,7 +34,7 @@ from reference_impl import bcp_rank, cellwise_fiber_matrices, joining_phi_produc
 LATTICES = {
     "K3-k2-m2": build_lkm(Graph.complete(3), 2, 2),
     "K3-k2-m3": build_lkm(Graph.complete(3), 2, 3),
-    "P3-k3-m2": build_lkm(Graph.path(3), 3, 2),
+    "P3-k3-m2": build_lkm(path_graph(3), 3, 2),
 }
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
@@ -99,7 +100,7 @@ def test_phi_product_matches_whole_join(name, data):
 
 FIBER_GRAPHS = {
     "K2": Graph.complete(2),
-    "P3": Graph.path(3),
+    "P3": path_graph(3),
     "K3": Graph.complete(3),
     "2K2": Graph.make(4, [(1, 2), (3, 4)]),
 }

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import bottom, chain_poset, partition_lattice, top
+from conftest import bottom, chain_poset, partition_lattice, path_graph, top
 from orbitcoh.orbit import Graph, bond_lattice
 from orbitcoh.osalg import (
     NotGeometric,
@@ -99,7 +99,7 @@ REFERENCE_LATTICES = {
     "Pi3": lambda: partition_lattice(3),
     "Pi4": lambda: partition_lattice(4),
     "Pi5": lambda: partition_lattice(5),
-    "P4": lambda: bond_lattice(Graph.path(4)),
+    "P4": lambda: bond_lattice(path_graph(4)),
     "C4": lambda: bond_lattice(Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])),
     "K4-e": lambda: bond_lattice(
         Graph.make(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])),

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import path_graph, subprocess_env
 from orbitcoh import jsonio
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
@@ -54,7 +54,7 @@ def test_degree_formula():
 def test_rank_formula_vs_piece_sizes():
     # |mu(0, pi)| times the BCp rank: the nbc monomials over pi number
     # |mu(0, pi)| (Orlik and Solomon, Invent. Math. 1980)
-    pres = RingPresentation(Graph.path(3), 3, 2)
+    pres = RingPresentation(path_graph(3), 3, 2)
     bot = pres.bond.labels[pres.bond.minimum()]
     for g, mat in enumerate(pres.matrices):
         mu = moebius(pres.bond, bot, mat.partition)
@@ -62,7 +62,7 @@ def test_rank_formula_vs_piece_sizes():
 
 
 def test_additive_data_builds_no_basis():
-    pres = RingPresentation(Graph.path(3), 3, 2)
+    pres = RingPresentation(path_graph(3), 3, 2)
     pres.poincare_polynomial()
     for g in range(len(pres.matrices)):
         pres.piece_rank(g)
@@ -72,7 +72,7 @@ def test_additive_data_builds_no_basis():
 
 @pytest.mark.parametrize("graph,k,m", [
     (Graph.complete(3), 2, 2),
-    (Graph.path(3), 3, 2),
+    (path_graph(3), 3, 2),
     (Graph.make(4, [(1, 2), (3, 4)]), 2, 2),
     (Graph.complete(2), 2, 3),
 ], ids=["K3-k2", "P3-k3", "2K2-k2", "K2-m3"])
@@ -101,7 +101,7 @@ def test_unit_and_dependent_products():
 
 
 def test_cup_lands_in_join_grading():
-    pres = RingPresentation(Graph.path(3), 2, 2)
+    pres = RingPresentation(path_graph(3), 2, 2)
     for i, ei in enumerate(pres.basis):
         for j, ej in enumerate(pres.basis):
             prod = pres.cup_basis(i, j)
@@ -132,7 +132,7 @@ def test_ring_axioms_k2():
 def test_axioms_catch_corrupted_products(edits, match):
     # P4 at k = 1 is the exterior algebra on its edges e1, e2, e3, with
     # basis 1, e1, e2, e3, e1e2, e1e3, e2e3, e1e2e3
-    pres = RingPresentation(Graph.path(4), 1, 2)
+    pres = RingPresentation(path_graph(4), 1, 2)
     assert pres.cup_basis(1, 2) == {4: 1} and pres.cup_basis(1, 4) == {}
     pres.products.update(edits)
     with pytest.raises(RingAxiomViolation, match=match):
@@ -149,7 +149,7 @@ def test_axioms_catch_one_sided_triples(edits):
     # both corruptions keep the grading and commutativity laws, and the
     # first broken triple has one side zero: the walk must take l from
     # the terms of either side
-    pres = RingPresentation(Graph.path(4), 1, 2)
+    pres = RingPresentation(path_graph(4), 1, 2)
     assert pres.cup_basis(2, 3) == {6: 1} and pres.cup_basis(4, 3) == {7: 1}
     pres.products.update(edits)
     with pytest.raises(RingAxiomViolation,
@@ -219,7 +219,7 @@ def test_real_axioms_read_constants_mod_2():
     # of positive degree.  Adding 2 to every constant of a product of two
     # distinct classes other than the unit changes nothing mod 2, but
     # leaves sides of associativity that differ over Z
-    pres = RingPresentation(Graph.path(4), 2, 2, "real")
+    pres = RingPresentation(path_graph(4), 2, 2, "real")
     want = check_ring_axioms(pres)
     unit = pres.unit_index()
     for (i, j), entry in list(pres.products.items()):
@@ -230,7 +230,7 @@ def test_real_axioms_read_constants_mod_2():
 
 
 def test_real_products_mod2():
-    pres = RingPresentation(Graph.path(3), 2, 2, "real")
+    pres = RingPresentation(path_graph(3), 2, 2, "real")
     for i in range(len(pres.basis)):
         for j in range(len(pres.basis)):
             for c in pres.cup_basis(i, j).values():
@@ -263,7 +263,7 @@ def _export_digest(pres) -> str:
      "eed6b70e73228af29e91511b91567425ae1c09766a7797f4eae2b2c6453ed705"),
     (Graph.make(4, [(1, 2), (3, 4)]), 2, 2,
      "8b55e59cc948dd43b5995f5ca1089a05d703de49978c00f3bc63dcd701a21da1"),
-    (Graph.path(3), 2, 2,
+    (path_graph(3), 2, 2,
      "1a35dc1d964aac989088ac37891a5681f77b57d8371c4acb2aa8beedfaa4289d"),
     (Graph.complete(2), 2, 3,
      "c3590bbc7cee26f356665491a786a402e96dfdf5cf67f88cff7d93aa3fb6c407"),
@@ -273,7 +273,7 @@ def _export_digest(pres) -> str:
      "2ebc14a32b86476f0c26b72450caac421d14cd47cfb6779352ec32676ec0d227"),
     (Graph.complete(4), 2, 2,
      "a9228ae1c10ab9f9608a6e403654ca57ca377bca454bd6dd3238a3662a7322b9"),
-    (Graph.path(4), 2, 2,
+    (path_graph(4), 2, 2,
      "90f31b5605a41dc1a7941dce90e6789d03bbd97b3f43882d11148c79445edd5d"),
 ])
 def test_ring_json_is_pinned(graph, k, m, digest):
@@ -284,5 +284,5 @@ def test_ring_json_is_pinned(graph, k, m, digest):
 
 
 def test_real_ring_json_is_pinned():
-    assert _export_digest(RingPresentation(Graph.path(3), 2, 2, "real")) == (
+    assert _export_digest(RingPresentation(path_graph(3), 2, 2, "real")) == (
         "869a1fe7d74d30e70f8999d10dac5528b8423bc4fb2f44ecbc37f98ef66f21da")

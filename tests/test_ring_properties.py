@@ -19,14 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from conftest import path_graph
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import RingAxiomViolation, RingPresentation, check_ring_axioms
 from reference_impl import AxiomViolation, walking_ring_axioms
 
 PRESENTATIONS = {
     "K2-k2-m2": RingPresentation(Graph.complete(2), 2, 2),
-    "P4-k1-m2": RingPresentation(Graph.path(4), 1, 2),
-    "P3-k2-m2": RingPresentation(Graph.path(3), 2, 2),
+    "P4-k1-m2": RingPresentation(path_graph(4), 1, 2),
+    "P3-k2-m2": RingPresentation(path_graph(3), 2, 2),
     "K2-real": RingPresentation(Graph.complete(2), 2, 2, "real"),
 }
 

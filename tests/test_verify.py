@@ -10,7 +10,7 @@ import pytest
 
 import orbitcoh.oracle
 import orbitcoh.verify
-from conftest import dense
+from conftest import dense, path_graph
 from orbitcoh.cli import main
 from orbitcoh.intlinalg import HomologySummary
 from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
@@ -34,7 +34,7 @@ def test_theta_cycles_are_pinned():
     # (k = 2), recorded before the chain builders shared one shuffle loop,
     # when chains were keyed by labels: the index chains are mapped back
     chains = []
-    for graph, k in [(Graph.complete(2), 3), (Graph.path(3), 2)]:
+    for graph, k in [(Graph.complete(2), 3), (path_graph(3), 2)]:
         pres = RingPresentation(graph, k, 2)
         inter = IntersectionLattice(build_lkm(graph, k, 2))
         labels = inter.poset.labels
@@ -68,8 +68,8 @@ def test_oracle_cups_are_pinned():
         "9f9fe235d041687b668e18ed049cc1202f04ffef5c6591df281104c7241a7928")
 
 
-@pytest.mark.parametrize("graph, k, m", [(Graph.complete(2), 4, 2), (Graph.path(3), 2, 2),
-                                         (Graph.path(4), 2, 1)],
+@pytest.mark.parametrize("graph, k, m", [(Graph.complete(2), 4, 2), (path_graph(3), 2, 2),
+                                         (path_graph(4), 2, 1)],
                          ids=["K2-k4", "P3-k2", "P4-k2-m1"])
 def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k, m):
     # verify builds its K-chain complexes unchecked: every one of them must
@@ -130,7 +130,7 @@ def test_oversized_lattice_is_refused_before_it_is_built(monkeypatch):
 
 
 def test_size_guard_counts_the_lattice():
-    for graph, k, m in [(Graph.complete(3), 2, 2), (Graph.path(3), 3, 1),
+    for graph, k, m in [(Graph.complete(3), 2, 2), (path_graph(3), 3, 1),
                         (Graph.make(4, [(1, 2), (3, 4)]), 2, 2)]:
         with pytest.raises(OracleTooLarge) as exc:
             verify_full(graph, k, m, oracle_limit=0)
@@ -146,7 +146,7 @@ def test_products_on_merging_sigma_are_refused(monkeypatch):
 
     monkeypatch.setattr(TorComplex, "__init__", refuse)
     with pytest.raises(ValueError) as exc:
-        verify_full(Graph.path(4), 2, 1, products=True)
+        verify_full(path_graph(4), 2, 1, products=True)
     assert str(exc.value) == "product comparison needs sigma to be bijective"
 
 
@@ -187,7 +187,7 @@ def _corrupt(monkeypatch, pair, entry):
 def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
     # one structure constant of a nonzero product of two positive-degree
     # classes, off by one; the ring axioms read the table, not cup_basis
-    graph = Graph.path(3)
+    graph = path_graph(3)
     pres = RingPresentation(graph, 2, 2)
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
     unit = pres.unit_index()
@@ -204,7 +204,7 @@ def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
 def test_corrupt_constant_in_zero_block_is_caught(monkeypatch):
     # the square of a class of positive codimension is zero by the
     # codimension condition alone; the closed form now claims otherwise
-    graph = Graph.path(3)
+    graph = path_graph(3)
     pres = RingPresentation(graph, 2, 2)
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
     i = next(i for i, e in enumerate(pres.basis) if e.degree)
@@ -219,7 +219,7 @@ def test_corrupt_constant_in_zero_block_is_caught(monkeypatch):
 def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
     # P3 (k = 2): 287 of the 44 x 44 lattice pairs have additive
     # codimensions; each is pushed once and read once, the rest not at all
-    graph = Graph.path(3)
+    graph = path_graph(3)
     inter = IntersectionLattice(build_lkm(graph, 2, 2))
     labels = inter.poset.labels
     additive = sum(_additive(inter, x, y) for x in labels for y in labels)
@@ -279,7 +279,7 @@ def test_theta_cycles_render_each_restriction_once(monkeypatch):
     monkeypatch.setattr(orbitcoh.verify, "restrict_matrix", counting)
     monkeypatch.setattr(orbitcoh.verify, "theta_cycle", cycle)
     monkeypatch.setattr(PartialMatrix, "label", counting_label)
-    assert verify_full(Graph.path(3), 2, 2).ok
+    assert verify_full(path_graph(3), 2, 2).ok
     assert len(rendered) == len(set(rendered)) == 137
     assert not labelled
 
