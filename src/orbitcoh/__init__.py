@@ -11,11 +11,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "cellular": ["CellularForm", "NotCellular", "construct_cellular_form",
                  "form_morphism", "product_form", "verify_cellular_form"],
-    "intlinalg": ["ChainComplex", "HomologySummary", "IntMatrix", "homology",
-                  "smith_normal_form"],
+    "intlinalg": ["ChainComplex", "HomologySummary", "homology", "smith_normal_form"],
     "oracle": ["GMOracle", "TorComplex"],
-    "orbit": ["Graph", "PartialMatrix", "bond_lattice", "build_lkm", "join_theta",
-              "phi_product"],
+    "orbit": ["Graph", "PartialMatrix", "bond_lattice", "join_theta", "phi_product"],
     "osalg": ["OSAlgebra", "os_vs_cellular"],
     "posets": ["GradedPoset", "build_poset", "join", "product_poset"],
     "ring": ["RingPresentation"],

@@ -19,11 +19,13 @@ from typing import NamedTuple
 from .intlinalg import (
     ChainComplex,
     ColumnSolver,
-    IntMatrix,
     InvalidComplex,
     elementary_divisors,
     homology,
+    identity,
     kron,
+    shape_error,
+    sparse_apply,
 )
 from .posets import GradedPoset, PosetMorphism, product_poset
 from .sheaves import Copresheaf, FHom, product_sheaf, validate_fhom
@@ -53,12 +55,46 @@ class NotCellular(NamedTuple):
         return False
 
 
-class CellularForm:
-    """P-graded free module with differential components on covers.
+def _cover_offsets(poset: GradedPoset, sizes, x: int) -> dict[int, int]:
+    """Where the piece at each lower cover of x starts in the pieces stacked below x.
 
-    ``piece_ranks[i]`` is the rank of the piece at element i;
-    ``diff[(y, x)]`` is the component of the differential from the piece
-    at x into the piece at the lower cover y.
+    The pieces are stacked in ascending index order of the covers, the
+    piece at y taking ``sizes[y]`` rows.
+    """
+    offsets = {}
+    total = 0
+    for y in sorted(poset.lower[x]):
+        offsets[y] = total
+        total += sizes[y]
+    return offsets
+
+
+def stack_blocks(poset: GradedPoset, sizes, x: int, blocks, ncols: int):
+    """One map into the pieces stacked below x, from its per-cover blocks.
+
+    ``blocks`` maps lower covers y of x to ``ncols`` sparse columns into
+    the piece at y; a cover without a block gets zero.  The result has
+    the layout of ``CellularForm.diff``.
+    """
+    offsets = _cover_offsets(poset, sizes, x)
+    out: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for y, cols in blocks.items():
+        off = offsets[y]
+        for col, part in zip(out, cols):
+            for r, v in part.items():
+                if v:
+                    col[off + r] = v
+    return out
+
+
+class CellularForm:
+    """P-graded free module with its differential, kept per element.
+
+    ``piece_ranks[i]`` is the rank of the piece at element i; ``diff[x]``
+    is the differential out of the piece at x, one sparse column per
+    basis element of that piece, over the pieces at the lower covers of
+    x stacked in ascending index order.  ``block(y, x)`` reads the
+    component into one lower cover y.
     """
 
     def __init__(self, poset: GradedPoset, copresheaf: Copresheaf,
@@ -66,82 +102,79 @@ class CellularForm:
         self.poset = poset
         self.copresheaf = copresheaf
         self.piece_ranks = tuple(piece_ranks)
-        self.diff = dict(diff)
-        for (y, x), m in self.diff.items():
-            if m.rows != self.piece_ranks[y] or m.cols != self.piece_ranks[x]:
-                raise ValueError("differential block has wrong shape")
+        self.diff = list(diff)
+        if len(self.diff) != poset.n:
+            raise ValueError("need one differential per element")
+        for x, cols in enumerate(self.diff):
+            below = sum(self.piece_ranks[y] for y in poset.lower[x])
+            err = shape_error(cols, below, self.piece_ranks[x])
+            if err:
+                raise ValueError(f"differential at {poset.labels[x]} has {err}")
 
     def rank_of(self, label) -> int:
         return self.piece_ranks[self.poset.index[label]]
 
-    def stacked_diff(self, x: int) -> list[dict[int, int]]:
-        """The differential of the piece at x into the sum of its covers, as columns."""
-        pr = self.piece_ranks
-        return _layout(sorted(self.poset.lower[x]), pr, [x], pr, self.diff)
+    def block(self, y: int, x: int) -> list[dict[int, int]]:
+        """The component from the piece at x into the piece at its lower cover y."""
+        lo = _cover_offsets(self.poset, self.piece_ranks, x)[y]
+        hi = lo + self.piece_ranks[y]
+        return [{r - lo: v for r, v in col.items() if lo <= r < hi} for col in self.diff[x]]
 
     def to_json_dict(self) -> dict:
-        poset = self.poset
+        """Piece ranks and, for each cover between nonzero pieces, its dense block."""
+        poset, pr = self.poset, self.piece_ranks
+        blocks = {}
+        for x, cols in enumerate(self.diff):
+            if not cols:
+                continue
+            offsets = _cover_offsets(poset, pr, x)
+            rows = [[0] * len(cols) for _ in range(sum(pr[y] for y in offsets))]
+            for j, col in enumerate(cols):
+                for i, v in col.items():
+                    rows[i][j] = v
+            for y, off in offsets.items():
+                if pr[y]:
+                    blocks[f"{poset.labels[y]}->{poset.labels[x]}"] = rows[off:off + pr[y]]
         return {
-            "piece_ranks": {str(poset.labels[i]): r
-                            for i, r in enumerate(self.piece_ranks)},
-            "differentials": {
-                f"{poset.labels[y]}->{poset.labels[x]}": m.data
-                for (y, x), m in sorted(self.diff.items())
-                if m.rows and m.cols
-            },
+            "piece_ranks": {str(poset.labels[i]): r for i, r in enumerate(pr)},
+            "differentials": blocks,
         }
 
 
 def _augmented_complex(poset: GradedPoset, g: Copresheaf, pr, diff, x: int) -> ChainComplex:
     """The pieces on the closed down-set of x, augmented by G(x).
 
-    ``pr`` and ``diff`` are the piece ranks and differential blocks, as in
+    ``pr`` and ``diff`` are the piece ranks and differentials, as in
     CellularForm.  Degree 0 is G(x) and degree i + 1 is the sum of the
     rank-i pieces below x; the first map is the rank-0 extension map into
-    G(x).  Whether the boundaries compose to zero is left to the caller.
+    G(x).  Each piece's columns are re-indexed from the stack of its
+    lower covers into the level below.  Whether the boundaries compose
+    to zero is left to the caller.
     """
     levels: list[list[int]] = [[] for _ in range(poset.rank[x] + 1)]
     for i in poset.mask_elements(poset.down[x]):
         levels[poset.rank[i]].append(i)
-    bounds = {i + 1: _layout(levels[i - 1], pr, levels[i], pr, diff)
-              for i in range(1, len(levels))}
-    bounds[1] = _rank0_map(poset, g, x)
+    bounds = {1: _rank0_map(poset, g, x)}
+    for i in range(1, len(levels)):
+        offset = {}
+        total = 0
+        for y in levels[i - 1]:
+            offset[y] = total
+            total += pr[y]
+        cols = bounds[i + 1] = []
+        for z in levels[i]:
+            rows: list[int] = []  # row of the stack below z -> row of the level
+            for y in _cover_offsets(poset, pr, z):
+                rows += range(offset[y], offset[y] + pr[y])
+            cols += [{rows[r]: v for r, v in col.items()} for col in diff[z]]
     ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
     return ChainComplex(ranks, bounds, check=False)
 
 
-def _layout(rows, row_sizes, cols, col_sizes, blocks) -> list[dict[int, int]]:
-    """The map from the sum of the pieces at ``cols`` to the sum at ``rows``, as columns.
-
-    Pieces are laid out in list order; the row piece at y has rank
-    ``row_sizes[y]`` and the column piece at x has rank ``col_sizes[x]``.
-    The (y, x) block is ``blocks[(y, x)]``, or zero where that is missing.
-    """
-    offset = {}
-    total = 0
-    for y in rows:
-        offset[y] = total
-        total += row_sizes[y]
-    out = []
-    for x in cols:
-        piece: list[dict[int, int]] = [{} for _ in range(col_sizes[x])]
-        for y in rows:
-            b = blocks.get((y, x))
-            if b is None:
-                continue
-            for a, brow in enumerate(b.data):
-                for j, v in enumerate(brow):
-                    if v:
-                        piece[j][offset[y] + a] = v
-        out += piece
-    return out
-
-
 def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> list[dict[int, int]]:
     """The extension maps of the rank-0 elements below x into x, side by side."""
-    zeros = [y for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0]
-    maps = {(x, y): g.map_index(y, x) for y in zeros if g.ranks[y]}
-    return _layout([x], g.ranks, zeros, g.ranks, maps)
+    return [col for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0
+            for col in g.map_index(y, x)]
 
 
 def _lowest_homology(groups):
@@ -168,8 +201,8 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     that boundary that gave homology its divisors.  Its elimination
     takes the last column first, so a kernel with unit pivots and an
     empty core comes out in Hermite form and ``row_hermite`` runs only
-    for a nonempty core; each (y, x) block is a zero matrix into which
-    the kernel's nonzero entries are scattered.  Returns a
+    for a nonempty core; its columns, over the lower covers stacked in
+    ascending index order, are the differential at x.  Returns a
     CellularForm, or a NotCellular verdict naming the first element (in
     rank then label order) where this breaks and the step of the lowest
     failing degree: 0 is the rank-0 surjectivity test, 1 the kernel-sum
@@ -188,28 +221,21 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
             return NotCellular(poset.labels[x], *_step(0))
 
     piece_ranks = [0] * poset.n
-    diff: dict[tuple[int, int], IntMatrix] = {}
+    diff: list[list[dict[int, int]]] = [[] for _ in range(poset.n)]
 
     for x in order:
         r = poset.rank[x]
         if r == 0:
             piece_ranks[x] = g.ranks[x]
+            diff[x] = [{} for _ in range(g.ranks[x])]
             continue
         cx = _augmented_complex(poset, g, piece_ranks, diff, x)
         degree = _lowest_homology(homology(cx).groups[:r])
         if degree is not None:
             return NotCellular(poset.labels[x], *_step(degree))
-        # the new piece is the kernel of the top map, split over the lower covers
-        ker = cx.reduction(r).kernel
-        piece_ranks[x] = len(ker)
-        stacked: list[list[int]] = []  # row i of the top map -> that row of its block
-        for y in sorted(poset.lower[x]):
-            if piece_ranks[y]:
-                block = diff[(y, x)] = IntMatrix(piece_ranks[y], len(ker))
-                stacked += block.data
-        for c, v in enumerate(ker):
-            for i, value in v.items():
-                stacked[i][c] = value
+        # the new piece is the kernel of the top map, out of the lower covers
+        diff[x] = cx.reduction(r).kernel
+        piece_ranks[x] = len(diff[x])
 
     return CellularForm(poset, g, piece_ranks, diff)
 
@@ -251,7 +277,7 @@ class FormMorphism:
         self.target = target
         self.components = components
 
-    def component(self, label) -> IntMatrix:
+    def component(self, label) -> list[dict[int, int]]:
         return self.components[self.f.source.index[label]]
 
     def check_commutes(self):
@@ -260,49 +286,32 @@ class FormMorphism:
         poset = f.source
         for x in range(poset.n):
             fx = f.image[x]
-            acc = _pushed_sum(f, self.components, src, x)
-            lhs: dict[int, IntMatrix] = {}
-            phi = self.components[x]
-            for yq in tgt.poset.lower[fx]:
-                block = tgt.diff.get((yq, fx))
-                if block is None:
-                    continue
-                lhs[yq] = block.mul(phi)
-            keys = set(acc) | set(lhs)
-            for z in keys:
-                a = acc.get(z)
-                b = lhs.get(z)
-                if a is None:
-                    if not b.is_zero():
-                        raise FormViolation(
-                            f"morphism fails to commute at {poset.labels[x]}")
-                elif b is None:
-                    if not a.is_zero():
-                        raise FormViolation(
-                            f"morphism fails to commute at {poset.labels[x]}")
-                elif a != b:
-                    raise FormViolation(
-                        f"morphism fails to commute at {poset.labels[x]}")
+            lhs = [sparse_apply(tgt.diff[fx], col) for col in self.components[x]]
+            if _pushed_rhs(f, self.components, src, tgt, x) != lhs:
+                raise FormViolation(f"morphism fails to commute at {poset.labels[x]}")
         return True
 
 
-def _pushed_sum(f: PosetMorphism, components, form: CellularForm,
-                x: int) -> dict[int, IntMatrix]:
-    """Sum of Phi_y . d(y, x) over the lower covers y of x, grouped by f(y)."""
-    pr = form.piece_ranks
-    groups: dict[int, list[int]] = {}
-    for y in sorted(form.poset.lower[x]):
-        if (y, x) in form.diff:
-            groups.setdefault(f.image[y], []).append(y)
-    out = {}
-    for z, ys in groups.items():
-        # row r of the stacked d(y, x) meets column r of the Phi_y side by side
-        phis = [components[y].column(a) for y in ys for a in range(pr[y])]
-        rows = components[ys[0]].rows
-        out[z] = IntMatrix.from_cols(
-            [[sum(v * phis[r][i] for r, v in col.items()) for i in range(rows)]
-             for col in _layout(ys, pr, [x], pr, form.diff)], rows)
-    return out
+def _pushed_rhs(f: PosetMorphism, components, source: CellularForm,
+                target: CellularForm, x: int):
+    """Phi . d at the piece at x, stacked over the lower covers of f(x), or None.
+
+    The sum of Phi_y . d(y, x) over the lower covers y of x lands in the
+    pieces at the f(y); it is None when one of those is not a lower cover
+    of f(x) yet gets a nonzero part.
+    """
+    fx = f.image[x]
+    ncols = source.piece_ranks[x]
+    sums: dict[int, list[dict[int, int]]] = {}
+    for y in source.poset.lower[x]:
+        acc = sums.setdefault(f.image[y], [{} for _ in range(ncols)])
+        for total, col in zip(acc, source.block(y, x)):
+            for i, w in sparse_apply(components[y], col).items():
+                total[i] = total.get(i, 0) + w
+    inside = {z: sums.pop(z) for z in target.poset.lower[fx] if z in sums}
+    if any(any(col.values()) for cols in sums.values() for col in cols):
+        return None
+    return stack_blocks(target.poset, target.piece_ranks, fx, inside, ncols)
 
 
 def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
@@ -324,7 +333,7 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
     validate_fhom(t)
 
     solvers: dict[int, ColumnSolver] = {}
-    components: dict[int, IntMatrix] = {}
+    components: dict[int, list[dict[int, int]]] = {}
     for x in sorted(range(poset.n), key=lambda i: (poset.rank[i], i)):
         fx = f.image[x]
         r, fr = poset.rank[x], tgt_poset.rank[fx]
@@ -332,27 +341,18 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
             components[x] = t.components[x]
             continue
         if fr < r:
-            components[x] = IntMatrix(target.piece_ranks[fx],
-                                      source.piece_ranks[x])
+            components[x] = [{} for _ in range(source.piece_ranks[x])]
             continue
         # rank-preserving piece: solve the commuting square column by column;
         # pieces at y that f moves below a lower cover of fx carry Phi = 0
-        pushed = _pushed_sum(f, components, source, x)
-        lower = sorted(tgt_poset.lower[fx])
-        rhs_cols = _layout(lower, target.piece_ranks, [x], source.piece_ranks,
-                           {(fy, x): m for fy, m in pushed.items()})
+        rhs_cols = _pushed_rhs(f, components, source, target, x)
+        if rhs_cols is None or (target.piece_ranks[fx] == 0 and any(rhs_cols)):
+            raise FormViolation(
+                f"no room for the image of the piece at {poset.labels[x]}")
         if fx not in solvers:
-            solvers[fx] = ColumnSolver(target.stacked_diff(fx),
-                                       sum(target.piece_ranks[y] for y in lower))
-        solver = solvers[fx]
-        if target.piece_ranks[fx] == 0:
-            if any(rhs_cols):
-                raise FormViolation(
-                    f"no room for the image of the piece at {poset.labels[x]}")
-            components[x] = IntMatrix(0, source.piece_ranks[x])
-            continue
-        components[x] = IntMatrix.from_cols([solver.solve(rhs) for rhs in rhs_cols],
-                                            target.piece_ranks[fx])
+            below = sum(target.piece_ranks[y] for y in tgt_poset.lower[fx])
+            solvers[fx] = ColumnSolver(target.diff[fx], below)
+        components[x] = [solvers[fx].solve(rhs) for rhs in rhs_cols]
     return FormMorphism(f, source, target, components)
 
 
@@ -361,28 +361,19 @@ def product_form(form_p: CellularForm, form_q: CellularForm) -> CellularForm:
     p, q = form_p.poset, form_q.poset
     prod = product_poset(p, q)
     g = product_sheaf(form_p.copresheaf, form_q.copresheaf, prod)
-    ranks = []
-    for lab in prod.labels:
-        a, b = lab
-        ranks.append(form_p.rank_of(a) * form_q.rank_of(b))
-    diff = {}
+    ranks = [form_p.rank_of(a) * form_q.rank_of(b) for a, b in prod.labels]
+    blocks: list[dict[int, list[dict[int, int]]]] = [{} for _ in range(prod.n)]
     for lo, hi in prod.covers:
         (a1, b1) = prod.labels[lo]
         (a2, b2) = prod.labels[hi]
+        rq = form_q.rank_of(b1)
         if a1 != a2:
-            block = form_p.diff.get((p.index[a1], p.index[a2]))
-            if block is None:
-                continue
-            mat = kron(block, IntMatrix.identity(form_q.rank_of(b1)))
+            mat = kron(form_p.block(p.index[a1], p.index[a2]), identity(rq), rq)
         else:
-            block = form_q.diff.get((q.index[b1], q.index[b2]))
-            if block is None:
-                continue
-            mat = kron(IntMatrix.identity(form_p.rank_of(a1)), block)
+            block = form_q.block(q.index[b1], q.index[b2])
+            mat = kron(identity(form_p.rank_of(a1)), block, rq)
             if p.rank_of(a1) % 2:
-                for row in mat.data:
-                    for j in range(mat.cols):
-                        row[j] = -row[j]
-        if mat.rows and mat.cols:
-            diff[(lo, hi)] = mat
+                mat = [{r: -v for r, v in col.items()} for col in mat]
+        blocks[hi][lo] = mat
+    diff = [stack_blocks(prod, ranks, x, blocks[x], ranks[x]) for x in range(prod.n)]
     return CellularForm(prod, g, ranks, diff)

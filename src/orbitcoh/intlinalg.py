@@ -13,9 +13,11 @@ integer kernel.  When the core is empty and every pivot row lies left
 of its pivot, the kernel is read off the pivot rows already in row
 Hermite form; otherwise it is lifted from the core's and made canonical
 by the one row Hermite reduction (``row_hermite``), which also answers
-membership, coordinates and exact solves.  The only dense form is
-``IntMatrix``, kept for sheaf maps, form blocks, Smith transforms and
-the solutions written into them.  No floating point anywhere.
+membership, coordinates and exact solves.  Every other matrix (sheaf
+maps, differentials of cellular forms, morphism components) is the same
+list of sparse columns, with its row count read from the ranks it maps
+between; only ``smith_normal_form`` works on dense row lists, on the
+small cores the unit pivots leave.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -38,73 +40,18 @@ class InvalidComplex(Exception):
     """Composite of consecutive boundary maps is nonzero."""
 
 
-class IntMatrix:
-    """Dense integer matrix stored as a list of row lists."""
+def identity(n: int) -> list[dict[int, int]]:
+    """The n x n identity as sparse columns."""
+    return [{i: 1} for i in range(n)]
 
-    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data=None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative dimension")
-        self.rows = rows
-        self.cols = cols
-        if data is None:
-            self.data = [[0] * cols for _ in range(rows)]
-        else:
-            if len(data) != rows or any(len(r) != cols for r in data):
-                raise ValueError("data does not match matrix shape")
-            self.data = [list(map(int, r)) for r in data]
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.data[i][i] = 1
-        return m
-
-    @classmethod
-    def from_cols(cls, cols, rows: int | None = None) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        if rows is None:
-            if not cols:
-                raise ValueError("rows required for a matrix with no columns")
-            rows = len(cols[0])
-        data = [[c[i] for c in cols] for i in range(rows)]
-        return cls(rows, len(cols), data)
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.data)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = IntMatrix(self.rows, other.cols)
-        odata = other.data
-        for i, arow in enumerate(self.data):
-            orow = out.data[i]
-            for k, a in enumerate(arow):
-                if a:
-                    brow = odata[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            orow[j] += a * b
-        return out
-
-    def apply(self, vec: list[int]) -> list[int]:
-        """Matrix-vector product A·v."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return [sum(a * v for a, v in zip(row, vec) if a and v) for row in self.data]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self) -> str:
-        return f"IntMatrix({self.rows}x{self.cols}, {self.data!r})"
+def shape_error(cols: list[dict[int, int]], rows: int, ncols: int) -> str | None:
+    """Why sparse columns are not a rows x ncols matrix, or None when they are."""
+    if len(cols) != ncols:
+        return f"{len(cols)} columns, not {ncols}"
+    if any(not 0 <= r < rows for col in cols for r in col):
+        return f"a row outside 0..{rows - 1}"
+    return None
 
 
 def sparse_apply(cols: list[dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
@@ -116,19 +63,14 @@ def sparse_apply(cols: list[dict[int, int]], vec: dict[int, int]) -> dict[int, i
     return {r: x for r, x in acc.items() if x}
 
 
-def kron(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Kronecker product; row-major pairing of bases (a-index major)."""
-    out = IntMatrix(a.rows * b.rows, a.cols * b.cols)
-    for i, arow in enumerate(a.data):
-        for j, x in enumerate(arow):
-            if x:
-                for p, brow in enumerate(b.data):
-                    orow = out.data[i * b.rows + p]
-                    off = j * b.cols
-                    for q, y in enumerate(brow):
-                        if y:
-                            orow[off + q] = x * y
-    return out
+def kron(a: list[dict[int, int]], b: list[dict[int, int]], b_rows: int):
+    """Kronecker product of sparse columns, b having ``b_rows`` rows.
+
+    Bases pair row-major, the a-index major: column j * len(b) + q holds
+    a[j][i] * b[q][p] at row i * b_rows + p.
+    """
+    return [{i * b_rows + p: x * y for i, x in acol.items() for p, y in bcol.items()}
+            for acol in a for bcol in b]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -145,13 +87,14 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return x, y, g
 
 
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, D, V) with U·A·V = D, U and V unimodular.
+def smith_normal_form(a: list[list[int]], n: int) -> tuple[list, list, list]:
+    """Return (U, D, V) with U·A·V = D, U and V unimodular, all as row lists.
 
-    D is diagonal with nonnegative entries satisfying d1 | d2 | ... .
+    A is given by its rows, each of ``n`` ints.  D is diagonal with
+    nonnegative entries satisfying d1 | d2 | ... .
     """
-    m, n = a.rows, a.cols
-    d = [row[:] for row in a.data]
+    m = len(a)
+    d = [list(row) for row in a]
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -250,15 +193,11 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             row_op(t, witness, -1)  # fold the offending row into row t
         t += 1
 
-    um = IntMatrix(m, m, u)
-    vm = IntMatrix(n, n, v)
-    dm = IntMatrix(m, n, d)
     for i in range(min(m, n)):
-        if dm.data[i][i] < 0:
-            for j in range(m):
-                um.data[i][j] = -um.data[i][j]
-            dm.data[i][i] = -dm.data[i][i]
-    return um, dm, vm
+        if d[i][i] < 0:
+            u[i] = [-x for x in u[i]]
+            d[i][i] = -d[i][i]
+    return u, d, v
 
 
 def _sparse_unit_eliminate(rows: dict[int, dict[int, int]]):
@@ -335,9 +274,9 @@ class UnitReduction:
         if not self.core:
             return ones
         cindex = sorted({j for row in self.core.values() for j in row})
-        _, dm, _ = smith_normal_form(IntMatrix(len(self.core), len(cindex), [
-            [self.core[i].get(j, 0) for j in cindex] for i in sorted(self.core)]))
-        return ones + [dm.data[i][i] for i in range(min(dm.rows, dm.cols)) if dm.data[i][i]]
+        _, d, _ = smith_normal_form([[row.get(j, 0) for j in cindex]
+                                     for row in self.core.values()], len(cindex))
+        return ones + [x for i, row in enumerate(d[:len(cindex)]) if (x := row[i])]
 
     @cached_property
     def kernel(self) -> list[dict[int, int]]:
@@ -581,8 +520,8 @@ class ColumnSolver:
                        for row in hermite[:split]]
         self.kernel = [{j - m: x for j, x in row.items()} for row in hermite[split:]]
 
-    def solve(self, b: dict[int, int]) -> list[int]:
-        """The unique x with A·x = b, for a sparse column b, written out dense."""
+    def solve(self, b: dict[int, int]) -> dict[int, int]:
+        """The unique x with A·x = b, both sparse, x without zero entries."""
         if any(not 0 <= i < self.rows for i in b):
             raise ValueError("rhs row out of range")
         if self.kernel:
@@ -590,22 +529,7 @@ class ColumnSolver:
         coords = hermite_coords(self.image, b)
         if coords is None:
             raise NoIntegerSolution("rhs outside the column lattice")
-        x = [0] * self.cols
-        for q, combo in zip(coords, self.combos):
-            if q:
-                for j, c in combo.items():
-                    x[j] += q * c
-        return x
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular square matrix (U·A·V = I gives A^-1 = V·U)."""
-    if a.rows != a.cols:
-        raise ValueError("not square")
-    u, d, v = smith_normal_form(a)
-    if any(d.data[i][i] != 1 for i in range(a.rows)):
-        raise ValueError("matrix is not unimodular")
-    return v.mul(u)
+        return sparse_apply(self.combos, {r: q for r, q in enumerate(coords) if q})
 
 
 class ChainComplex:
@@ -631,13 +555,9 @@ class ChainComplex:
         for i in range(1, top):
             if i not in self.boundaries:
                 self.boundaries[i] = [{} for _ in range(self.ranks[i])]
-            cols = self.boundaries[i]
-            if len(cols) != self.ranks[i]:
-                raise ValueError(f"boundary {i} has {len(cols)} columns, "
-                                 f"not {self.ranks[i]}")
-            lo = self.ranks[i - 1]
-            if any(not 0 <= r < lo for col in cols for r in col):
-                raise ValueError(f"boundary {i} has a row outside 0..{lo - 1}")
+            err = shape_error(self.boundaries[i], self.ranks[i - 1], self.ranks[i])
+            if err:
+                raise ValueError(f"boundary {i} has {err}")
         if check:
             self.validate()
 

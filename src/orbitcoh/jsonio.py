@@ -97,9 +97,9 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     ``ranks`` parallels the poset's labels in sorted order (``poset.labels``),
     not the order of the poset file; extensions are keyed by cover pairs,
     and an omitted one is the zero map.  Ranks must be nonnegative JSON
-    integers and matrix entries JSON integers.
+    integers; a matrix must be a list of rank(hi) rows of rank(lo) JSON
+    integers, and is kept as its sparse columns.
     """
-    from .intlinalg import IntMatrix
     from .sheaves import Copresheaf
 
     try:
@@ -124,14 +124,15 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         lo, hi = poset.index[lo_lab], poset.index[hi_lab]
         if hi not in poset.upper[lo]:
             raise BadInput(f"extension key {key!r} is not a cover")
-        try:
-            entries = [list(row) for row in rows]
-            if not all(_is_int(x) for row in entries for x in row):
-                raise BadInput(f"bad matrix at {key!r}: entries must be integers")
-            mat = IntMatrix(rank_of[hi_lab], rank_of[lo_lab], entries)
-        except (TypeError, ValueError) as exc:
-            raise BadInput(f"bad matrix at {key!r}: {exc}") from exc
-        maps[(lo, hi)] = mat
+        nrows, ncols = rank_of[hi_lab], rank_of[lo_lab]
+        if not (isinstance(rows, list) and len(rows) == nrows
+                and all(isinstance(row, list) and len(row) == ncols for row in rows)):
+            raise BadInput(f"bad matrix at {key!r}: expected {nrows}x{ncols} "
+                           "(a list of rows)")
+        if not all(_is_int(x) for row in rows for x in row):
+            raise BadInput(f"bad matrix at {key!r}: entries must be integers")
+        maps[(lo, hi)] = [{i: row[j] for i, row in enumerate(rows) if row[j]}
+                          for j in range(ncols)]
     try:
         return Copresheaf(poset, [rank_of[lab] for lab in poset.labels], maps)
     except ValueError as exc:

@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 
 from .intlinalg import (
     ChainComplex,
-    IntMatrix,
     echelon_readoff,
     homology,
     homology_mod2,
@@ -114,19 +113,15 @@ class TorComplex:
         for c, gi, fi in self.keys[n]:
             col = {}
             # face 0: drop p_0, extend the copresheaf part
-            ext = self.g.map_index(c[0], c[1])
-            for gp in range(ext.rows):
-                if v := ext.data[gp][gi]:
-                    col[pos_lo[(c[1:], gp, fi)]] = v
+            for gp, v in self.g.map_index(c[0], c[1])[gi].items():
+                col[pos_lo[(c[1:], gp, fi)]] = v
             # interior faces
             for i in range(1, n):
                 col[pos_lo[(c[:i] + c[i + 1:], gi, fi)]] = -1 if i % 2 else 1
             # face n: drop p_n, restrict the presheaf part
-            restr = self.f.map_index(c[-2], c[-1])
             sign = -1 if n % 2 else 1
-            for fp in range(restr.rows):
-                if v := restr.data[fp][fi]:
-                    col[pos_lo[(c[:-1], gi, fp)]] = sign * v
+            for fp, v in self.f.map_index(c[-2], c[-1])[fi].items():
+                col[pos_lo[(c[:-1], gi, fp)]] = sign * v
             cols.append(col)
         return cols
 
@@ -202,15 +197,14 @@ class TorDegree:
         return echelon_readoff(self.kernel)
 
     @cached_property
-    def _u(self) -> IntMatrix:
-        """Left transform of the Smith form of the image in kernel coordinates."""
-        z = len(self.kernel)
+    def _u(self) -> list[list[int]]:
+        """Left transform of the Smith form of the image in kernel coordinates, as rows."""
         images = [col for col in self.complex.chain_complex().boundary(self.n + 1) if col]
         self.complex.check_cycles(self.n, images)
-        y = IntMatrix.from_cols([self.kernel_coords(col) for col in images], z)
-        u, d, _ = smith_normal_form(y)
-        if [d.data[i][i] for i in range(min(d.rows, d.cols)) if d.data[i][i]] \
-                != self.invariants:
+        coords = [self.kernel_coords(col) for col in images]
+        y = [list(row) for row in zip(*coords)] if coords else [[] for _ in self.kernel]
+        u, d, _ = smith_normal_form(y, len(images))
+        if [x for i, row in enumerate(d[:len(images)]) if (x := row[i])] != self.invariants:
             raise AssertionError("Smith form of the image disagrees with the boundary")
         return u
 
@@ -220,7 +214,7 @@ class TorDegree:
         keep = [i for i, t in enumerate(self._moduli) if t != 1]
         if not keep:
             return {}
-        rows = self._u.data
+        rows = self._u
         out = {}
         for p, col in self._readoff[1].items():
             entries = [(i, x) for i in keep

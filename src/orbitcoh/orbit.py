@@ -367,10 +367,6 @@ class OrbitLattice:
         self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
 
 
-def build_lkm(graph: Graph, k: int, m: int) -> OrbitLattice:
-    return OrbitLattice(graph, k, m)
-
-
 # -- the comparison map sigma ----------------------------------------------------
 
 

@@ -196,32 +196,26 @@ class OSAlgebra:
 
     def nbc_form(self) -> CellularForm:
         """The nbc presentation packaged as a cellular form of (L, delta^0 Z)."""
-        from .cellular import CellularForm
-        from .intlinalg import IntMatrix
+        from .cellular import CellularForm, stack_blocks
         from .sheaves import delta_sheaf
 
         lat = self.lattice
         g = delta_sheaf(lat, [lat.labels[self.bottom]], 1, "co")
         ranks = [self.piece_rank(lab) for lab in lat.labels]
-        diff: dict[tuple[int, int], IntMatrix] = {}
-        for x in lat.labels:
-            xi = lat.index[x]
+        diff = []
+        for xi, x in enumerate(lat.labels):
+            blocks: dict[int, list[dict[int, int]]] = {}
             for col, mono in enumerate(self.nbc[x]):
                 for pos in range(len(mono)):
                     sub = mono[:pos] + mono[pos + 1:]
-                    sign = -1 if pos % 2 else 1
                     y, row_nbc = self.nbc_index[sub]
-                    yi = lat.index[y]
-                    block = diff.get((yi, xi))
-                    if block is None:
-                        block = IntMatrix(ranks[yi], ranks[xi])
-                        diff[(yi, xi)] = block
-                    block.data[row_nbc][col] += sign
-        # differentials of nbc monomials only hit lower covers
-        cover_set = set(lat.covers)
-        for key in diff:
-            if key not in cover_set:
+                    block = blocks.setdefault(lat.index[y], [{} for _ in self.nbc[x]])
+                    entry = block[col]
+                    entry[row_nbc] = entry.get(row_nbc, 0) + (-1 if pos % 2 else 1)
+            # differentials of nbc monomials only hit lower covers
+            if not set(blocks) <= set(lat.lower[xi]):
                 raise Mismatch("nbc differential escapes the cover relation")
+            diff.append(stack_blocks(lat, ranks, xi, blocks, ranks[xi]))
         return CellularForm(lat, g, ranks, diff)
 
 
@@ -255,7 +249,7 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
         product_form,
         verify_cellular_form,
     )
-    from .intlinalg import IntMatrix, unimodular_inverse
+    from .intlinalg import ColumnSolver, NoIntegerSolution, NonUnique, identity
     from .posets import identity_morphism, join_morphism
     from .sheaves import FHom, delta_sheaf, star_fhom
 
@@ -274,14 +268,20 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
             raise Mismatch(f"piece rank differs at {lab}")
 
     ident = identity_morphism(lat)
-    t_id = FHom(ident, g, g,
-                {i: IntMatrix.identity(g.ranks[i]) for i in range(lat.n)})
+    t_id = FHom(ident, g, g, {i: identity(g.ranks[i]) for i in range(lat.n)})
     compare = form_morphism(ident, t_id, built, nbcform)
+    inverse = {}
     for lab in lat.labels:
         comp = compare.component(lab)
-        if comp.rows != comp.cols:
+        if len(comp) != nbcform.rank_of(lab):
             raise Mismatch(f"comparison not square at {lab}")
-        unimodular_inverse(comp)  # raises if not invertible over Z
+        # the columns of the inverse solve comp . x = e_j; both raise
+        # unless comp is invertible over Z
+        solver = ColumnSolver(comp, len(comp))
+        try:
+            inverse[lab] = [solver.solve({j: 1}) for j in range(len(comp))]
+        except (NoIntegerSolution, NonUnique):
+            raise Mismatch(f"comparison not invertible over Z at {lab}") from None
 
     pairs = 0
     if check_products:
@@ -290,8 +290,6 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
         bot = lat.labels[alg.bottom]
         t_star = star_fhom(vee, bot, (bot, bot), "co")
         phi = form_morphism(vee, t_star, prod, built)
-        inverse = {lab: unimodular_inverse(compare.component(lab))
-                   for lab in lat.labels}
         for x in lat.labels:
             for y in lat.labels:
                 got = _cellular_products(alg, lat, compare, inverse, phi, x, y)
@@ -305,23 +303,21 @@ def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
 
 def _cellular_products(alg, lat, compare, inverse, phi, x, y):
     """Products of all nbc basis pairs in pieces x, y via the form route."""
+    from .intlinalg import sparse_apply
+
     xi, yi = lat.index[x], lat.index[y]
     nx, ny = alg.nbc[x], alg.nbc[y]
     if not nx or not ny:
         return []
     join_lab = lat.labels[lat.join_index(xi, yi)]
     phi_comp = phi.components[phi.f.source.index[(x, y)]]
+    back = compare.component(join_lab)
     out = []
-    for ia, a in enumerate(nx):
-        va = inverse[x].column(ia)
-        for ib, b in enumerate(ny):
-            vb = inverse[y].column(ib)
-            tensor = [ca * cb for ca in va for cb in vb]
-            image = phi_comp.apply(tensor)
-            back = compare.component(join_lab).apply(image)
-            expect = {}
-            for idx, coeff in enumerate(back):
-                if coeff:
-                    expect[alg.nbc[join_lab][idx]] = coeff
-            out.append(((a, b), expect))
+    for a, va in zip(nx, inverse[x]):
+        for b, vb in zip(ny, inverse[y]):
+            # the piece at (x, y) pairs its bases row-major, x major
+            tensor = {ra * len(ny) + rb: ca * cb
+                      for ra, ca in va.items() for rb, cb in vb.items()}
+            image = sparse_apply(back, sparse_apply(phi_comp, tensor))
+            out.append(((a, b), {alg.nbc[join_lab][idx]: c for idx, c in image.items()}))
     return out

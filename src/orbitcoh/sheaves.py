@@ -1,6 +1,7 @@
 """Presheaves and copresheaves of free abelian groups on a poset.
 
-Values are free with explicit ordered bases; maps are integer matrices
+Values are free with explicit ordered bases; maps are integer matrices,
+as sparse columns {row: value} (one per basis element of the source),
 given on covers only, and a cover without one carries the zero map.
 Composites are taken on demand along the Hasse diagram.  Functoriality
 (path independence of composites) is validated at construction by
@@ -9,7 +10,7 @@ propagating composites from every source element of nonzero rank.
 
 from __future__ import annotations
 
-from .intlinalg import IntMatrix, kron
+from .intlinalg import identity, kron, shape_error, sparse_apply
 from .posets import GradedPoset, PosetMorphism
 
 
@@ -32,7 +33,9 @@ class _SheafBase:
     only the maps the caller gave; a cover missing from it carries the
     zero map (read every map through :meth:`cover_map`).  For a
     copresheaf the matrix is the extension G(lo) -> G(hi); for a
-    presheaf it is the restriction F(hi) -> F(lo).
+    presheaf it is the restriction F(hi) -> F(lo).  Its rows must lie
+    below the rank of the target and its columns number the rank of the
+    source.
     """
 
     __slots__ = ("base", "ranks", "maps", "_composed")
@@ -48,13 +51,12 @@ class _SheafBase:
         for (lo, hi), m in maps.items():
             if not 0 <= lo < base.n or hi not in base.upper[lo]:
                 raise ValueError(f"map key {(lo, hi)} is not a cover")
-            nrows, ncols = self._shape(lo, hi)
-            if m.rows != nrows or m.cols != ncols:
+            err = shape_error(m, *self._shape(lo, hi))
+            if err:
                 raise ValueError(
-                    f"map on cover {base.labels[lo]} -> {base.labels[hi]} "
-                    f"has shape {m.rows}x{m.cols}, expected {nrows}x{ncols}")
+                    f"map on cover {base.labels[lo]} -> {base.labels[hi]} has {err}")
             self.maps[(lo, hi)] = m
-        self._composed: dict[tuple[int, int], IntMatrix] = {}
+        self._composed: dict[tuple[int, int], list[dict[int, int]]] = {}
         if check:
             self._check_functorial()
 
@@ -68,17 +70,17 @@ class _SheafBase:
         src, dst = self._cover_source_target(lo, hi)
         return self.ranks[dst], self.ranks[src]
 
-    def cover_map(self, lo: int, hi: int) -> IntMatrix:
+    def cover_map(self, lo: int, hi: int) -> list[dict[int, int]]:
         """The map on cover (lo, hi): the given one, or else zero."""
         m = self.maps.get((lo, hi))
-        return m if m is not None else IntMatrix(*self._shape(lo, hi))
+        return m if m is not None else [{} for _ in range(self._shape(lo, hi)[1])]
 
     def _check_functorial(self):
         base = self.base
         for x in range(base.n):
             if not self.ranks[x]:
                 continue  # every composite out of a zero group is empty
-            comp: dict[int, IntMatrix] = {x: IntMatrix.identity(self.ranks[x])}
+            comp = {x: identity(self.ranks[x])}
             # walk upward from x in topological order
             for y in base.topo:
                 if y == x or not base.leq(x, y):
@@ -96,15 +98,15 @@ class _SheafBase:
                         comp[y] = step
         # cache nothing here; composites are rebuilt lazily by map()
 
-    def _step_matrix(self, lo: int, hi: int, acc: IntMatrix) -> IntMatrix:
+    def _step_matrix(self, lo: int, hi: int, acc):
         raise NotImplementedError
 
-    def map(self, x, y) -> IntMatrix:
+    def map(self, x, y) -> list[dict[int, int]]:
         """Composed structure map for labels x <= y: G(x) -> G(y), or F(y) -> F(x)."""
         i, j = self.base.index[x], self.base.index[y]
         return self.map_index(i, j)
 
-    def map_index(self, i: int, j: int) -> IntMatrix:
+    def map_index(self, i: int, j: int) -> list[dict[int, int]]:
         if not self.base.leq(i, j):
             raise ValueError("elements are not comparable")
         key = (i, j)
@@ -112,7 +114,7 @@ class _SheafBase:
         if cached is not None:
             return cached
         if i == j:
-            out = IntMatrix.identity(self.ranks[i])
+            out = identity(self.ranks[i])
         else:
             # follow one saturated chain; legal by validated functoriality
             for lo in self.base.lower[j]:
@@ -134,7 +136,8 @@ class Copresheaf(_SheafBase):
         return lo, hi
 
     def _step_matrix(self, lo, hi, acc):
-        return self.cover_map(lo, hi).mul(acc)
+        ext = self.cover_map(lo, hi)
+        return [sparse_apply(ext, col) for col in acc]
 
 
 class Presheaf(_SheafBase):
@@ -147,7 +150,7 @@ class Presheaf(_SheafBase):
 
     def _step_matrix(self, lo, hi, acc):
         # acc: F(lo) -> F(target of walk); extend to F(hi) by precomposing
-        return acc.mul(self.cover_map(lo, hi))
+        return [sparse_apply(acc, col) for col in self.cover_map(lo, hi)]
 
 
 def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
@@ -164,7 +167,7 @@ def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
                                 f"{base.labels[z]} lies between two subset "
                                 f"elements but is missing")
     ranks = [rank if i in idx else 0 for i in range(base.n)]
-    one = IntMatrix.identity(rank)
+    one = identity(rank)
     maps = {(lo, hi): one for lo in idx for hi in base.upper[lo] if hi in idx}
     cls = Copresheaf if kind == "co" else Presheaf
     return cls(base, ranks, maps, check=False)
@@ -183,7 +186,8 @@ def product_sheaf(s1, s2, prod_base: GradedPoset):
     for lo, hi in prod_base.covers:
         (a1, b1) = prod_base.labels[lo]
         (a2, b2) = prod_base.labels[hi]
-        maps[(lo, hi)] = kron(s1.map(a1, a2), s2.map(b1, b2))
+        b_rows = s2.rank_of(b2 if s2.kind == "co" else b1)
+        maps[(lo, hi)] = kron(s1.map(a1, a2), s2.map(b1, b2), b_rows)
     return type(s1)(prod_base, ranks, maps, check=False)
 
 
@@ -203,15 +207,14 @@ class FHom:
         self.components = {}
         for i in range(f.source.n):
             m = components[i]
-            want_rows = target.ranks[f.image[i]]
-            want_cols = source.ranks[i]
-            if m.rows != want_rows or m.cols != want_cols:
-                raise ValueError(f"component at {f.source.labels[i]} has wrong shape")
+            err = shape_error(m, target.ranks[f.image[i]], source.ranks[i])
+            if err:
+                raise ValueError(f"component at {f.source.labels[i]} has {err}")
             self.components[i] = m
         if check:
             validate_fhom(self)
 
-    def component(self, label) -> IntMatrix:
+    def component(self, label) -> list[dict[int, int]]:
         return self.components[self.f.source.index[label]]
 
 
@@ -221,14 +224,13 @@ def validate_fhom(k: FHom):
     src_poset = f.source
     for lo, hi in src_poset.covers:
         a, b = f.image[lo], f.image[hi]
-        if k.kind == "co":
-            # t_hi . ext_source = ext_target . t_lo
-            left = k.components[hi].mul(k.source.cover_map(lo, hi))
-            right = k.target.map_index(a, b).mul(k.components[lo])
-        else:
-            # k_lo . restr_source = restr_target . k_hi
-            left = k.components[lo].mul(k.source.cover_map(lo, hi))
-            right = k.target.map_index(a, b).mul(k.components[hi])
+        # t_hi . ext_source = ext_target . t_lo, or for presheaves
+        # k_lo . restr_source = restr_target . k_hi
+        after, before = (hi, lo) if k.kind == "co" else (lo, hi)
+        comp = k.components[after]
+        left = [sparse_apply(comp, col) for col in k.source.cover_map(lo, hi)]
+        target_map = k.target.map_index(a, b)
+        right = [sparse_apply(target_map, col) for col in k.components[before]]
         if left != right:
             raise Incompatible(
                 f"square at cover {src_poset.labels[lo]} -> "
@@ -256,12 +258,5 @@ def star_fhom(f: PosetMorphism, y, x, kind: str) -> FHom:
         raise NotExtremal(f"{x} is not {which} in the fiber over {y}")
     src = delta_sheaf(src_poset, [x], 1, kind)
     dst = delta_sheaf(dst_poset, [y], 1, kind)
-    comps = {}
-    for i in range(src_poset.n):
-        rows = dst.ranks[f.image[i]]
-        cols = src.ranks[i]
-        m = IntMatrix(rows, cols)
-        if i == xi:
-            m.data[0][0] = 1
-        comps[i] = m
+    comps = {i: [{0: 1}] if i == xi else [] for i in range(src_poset.n)}
     return FHom(f, src, dst, comps, check=True)

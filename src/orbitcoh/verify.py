@@ -28,8 +28,8 @@ from .oracle import (
 from .orbit import (
     Graph,
     IntersectionLattice,
+    OrbitLattice,
     PartialMatrix,
-    build_lkm,
     graph_partitions,
     restrict_matrix,
     zero_class,
@@ -154,7 +154,7 @@ def verify_full(graph: Graph, k: int, m: int,
                for part in graph_partitions(graph))
     if oracle_limit is not None and size > oracle_limit:
         raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
-    lkm = build_lkm(graph, k, m)
+    lkm = OrbitLattice(graph, k, m)
     pres = RingPresentation(graph, k, m)
     inter = IntersectionLattice(lkm)
     bijective = len(inter.by_label) == lkm.poset.n

@@ -4,8 +4,8 @@ Built directly from set partitions and refinement, with no imports from
 the package's lattice code, so cross-checks against it are meaningful.
 Also the environment for tests that run the CLI in a subprocess, a
 reference shuffle cross product of formal K-chains, and the conversions
-between dense matrices or vectors and the sparse columns, vectors and
-rows that the linear algebra takes and returns.
+between dense matrices (``Dense``, a shape and row lists) or vectors and
+the sparse columns, vectors and rows that the package takes and returns.
 
 The rest are test constructors and references built on the package,
 which the program itself never needs: chains, down-sets and constant
@@ -20,8 +20,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 import orbitcoh
-from orbitcoh.cellular import CellularForm, _layout
-from orbitcoh.intlinalg import ChainComplex, IntMatrix, kron, sparse_apply, unimodular_inverse
+from orbitcoh.cellular import CellularForm, stack_blocks
+from orbitcoh.intlinalg import ChainComplex, ColumnSolver, identity, kron, sparse_apply
 from orbitcoh.oracle import shuffle_push
 from orbitcoh.orbit import (
     Graph,
@@ -115,9 +115,22 @@ def cross_formal(x: dict, y: dict, g2, f2) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-def columns(m) -> list[dict]:
-    """The sparse columns {row: entry} of a dense IntMatrix."""
+class Dense(NamedTuple):
+    """A dense integer matrix for references: its shape and its rows of ints."""
+
+    rows: int
+    cols: int
+    data: list
+
+
+def columns(m: Dense) -> list[dict]:
+    """The sparse columns {row: entry} of a dense matrix."""
     return [{i: row[j] for i, row in enumerate(m.data) if row[j]} for j in range(m.cols)]
+
+
+def dense_apply(m: Dense, vec: list[int]) -> list[int]:
+    """The dense product m·vec."""
+    return [sum(a * v for a, v in zip(row, vec)) for row in m.data]
 
 
 def sparse(vec) -> dict:
@@ -167,7 +180,7 @@ def pullback(f, sheaf):
 def canonical_fhom(f, sheaf) -> FHom:
     """The identity-component f-homomorphism f^*S -> S."""
     pulled = pullback(f, sheaf)
-    comps = {i: IntMatrix.identity(pulled.ranks[i]) for i in range(f.source.n)}
+    comps = {i: identity(pulled.ranks[i]) for i in range(f.source.n)}
     return FHom(f, pulled, sheaf, comps, check=False)
 
 
@@ -182,11 +195,19 @@ def cellular_chain(form: CellularForm, f) -> ChainComplex:
         by_rank.setdefault(poset.rank[i], []).append(i)
     sizes = [form.piece_ranks[i] * f.ranks[i] for i in range(poset.n)]
     ranks = [sum(sizes[x] for x in by_rank.get(r, [])) for r in range(top + 1)]
-    blocks = {(y, x): kron(d, f.map_index(y, x))
-              for (y, x), d in form.diff.items() if sizes[y] and sizes[x]}
-    bounds = {r: _layout(by_rank.get(r - 1, []), sizes, by_rank.get(r, []), sizes,
-                         blocks)
-              for r in range(1, top + 1)}
+    bounds = {}
+    for r in range(1, top + 1):
+        offset, total = {}, 0
+        for y in by_rank.get(r - 1, []):
+            offset[y], total = total, total + sizes[y]
+        cols = bounds[r] = []
+        for x in by_rank.get(r, []):
+            piece = [{} for _ in range(sizes[x])]
+            for y in poset.lower[x]:
+                block = kron(form.block(y, x), f.map_index(y, x), f.ranks[y])
+                for col, part in zip(piece, block):
+                    col.update((offset[y] + i, v) for i, v in part.items())
+            cols += piece
     return ChainComplex(ranks, bounds, check=True)
 
 
@@ -204,19 +225,18 @@ def free_generators(tor) -> list[dict[int, int]]:
     z = len(tor.kernel)
     if z == 0:
         return []
-    uinv = unimodular_inverse(tor._u)
-    return [sparse_apply(tor.kernel, {r: c for r, c in enumerate(uinv.column(j)) if c})
+    # column j of U^-1 solves U·x = e_j
+    u = ColumnSolver(columns(Dense(z, z, tor._u)), z)
+    return [sparse_apply(tor.kernel, u.solve({j: 1}))
             for j in range(len(tor.invariants), z)]
 
 
-def induced_homology_matrix(src, dst, k: FHom, t: FHom, n: int) -> IntMatrix:
-    """Matrix of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
+def induced_homology_matrix(src, dst, k: FHom, t: FHom, n: int) -> list[dict]:
+    """Sparse columns of Tor^f_n(k, t) on free-part generators (torsion-free use)."""
     push = induced_chain_map(k, t)
-    dst_tor = dst.tor(n)
     images = [dst.vector(push(formal(src, gen, n)), n)
               for gen in free_generators(src.tor(n))]
-    cols = [list(c) for c in dst_tor.class_coords(images)]
-    return IntMatrix.from_cols(cols, dst_tor.betti + len(dst_tor.invariants))
+    return [sparse(c) for c in dst.tor(n).class_coords(images)]
 
 
 # -- partial matrices and the fiber cellular form BCp ------------------------------
@@ -315,17 +335,16 @@ def bcp_form(fiber: Fiber) -> CellularForm:
         assignments = bcp_assignments(fiber.by_label[lab])
         position_of[lab] = {alpha: i for i, alpha in enumerate(assignments)}
         ranks.append(len(assignments))
-    diff: dict[tuple[int, int], IntMatrix] = {}
-    for lab in poset.labels:
-        xi = poset.index[lab]
+    diff = []
+    for xi, lab in enumerate(poset.labels):
+        blocks: dict[int, list[dict]] = {}
         for alpha, col in position_of[lab].items():
             for psi, sign, coords in bcp_boundary(fiber.by_label[lab], {alpha: 1}):
                 plab = psi.label()
-                yi = poset.index[plab]
-                block = diff.get((yi, xi))
-                if block is None:
-                    block = IntMatrix(ranks[yi], ranks[xi])
-                    diff[(yi, xi)] = block
+                block = blocks.setdefault(poset.index[plab], [{} for _ in range(ranks[xi])])
+                entries = block[col]
                 for key, c in coords.items():
-                    block.data[position_of[plab][key]][col] += sign * c
+                    row = position_of[plab][key]
+                    entries[row] = entries.get(row, 0) + sign * c
+        diff.append(stack_blocks(poset, ranks, xi, blocks, ranks[xi]))
     return CellularForm(poset, g, ranks, diff)

@@ -466,17 +466,10 @@ def induced_chain_map(k, t):
             image = tuple(fimage[i] for i in c)
             if len(set(image)) != len(image):
                 continue
-            tmat = t.components[c[0]]
-            kmat = k.components[c[-1]]
-            for gp in range(tmat.rows):
-                tv = tmat.data[gp][gi]
-                if not tv:
-                    continue
-                for fp in range(kmat.rows):
-                    kv = kmat.data[fp][fi]
-                    if kv:
-                        key = (image, gp, fp)
-                        out[key] = out.get(key, 0) + coeff * tv * kv
+            for gp, tv in t.components[c[0]][gi].items():
+                for fp, kv in k.components[c[-1]][fi].items():
+                    key = (image, gp, fp)
+                    out[key] = out.get(key, 0) + coeff * tv * kv
         return {k2: v for k2, v in out.items() if v}
 
     return push

@@ -10,15 +10,23 @@ import subprocess
 import sys
 import time
 
-from conftest import below, cellular_chain, constant_sheaf, path_graph, subprocess_env
+from conftest import (
+    Dense,
+    below,
+    cellular_chain,
+    columns,
+    constant_sheaf,
+    path_graph,
+    subprocess_env,
+)
 from orbitcoh.cellular import CellularForm, construct_cellular_form
 from orbitcoh.intlinalg import homology
 from orbitcoh.oracle import GMOracle, TorComplex
 from orbitcoh.orbit import (
     Graph,
     IntersectionLattice,
+    OrbitLattice,
     bond_lattice,
-    build_lkm,
     edge_atom_order,
 )
 from orbitcoh.osalg import OSAlgebra, os_vs_cellular
@@ -139,12 +147,11 @@ def rank_pullback_copresheaf(rng, poset, max_value_rank=2):
     """
     top = max(poset.rank)
     values = [rng.randrange(1, max_value_rank + 1) for _ in range(top + 1)]
-    from orbitcoh.intlinalg import IntMatrix
     steps = []
     for r in range(top):
-        steps.append(IntMatrix(values[r + 1], values[r],
-                               [[rng.randrange(-2, 3) for _ in range(values[r])]
-                                for _ in range(values[r + 1])]))
+        rows = [[rng.randrange(-2, 3) for _ in range(values[r])]
+                for _ in range(values[r + 1])]
+        steps.append(columns(Dense(values[r + 1], values[r], rows)))
     maps = {}
     for lo, hi in poset.covers:
         maps[(lo, hi)] = steps[poset.rank[lo]]
@@ -235,7 +242,7 @@ def test_criterion_7_real_case():
     """Gr Poincare 1 + 9t over Z/2 equals real-mode oracle dimensions."""
     pres = RingPresentation(Graph.complete(2), 2, 2, "real")
     assert pres.poincare_polynomial() == [1, 9]
-    il = IntersectionLattice(build_lkm(Graph.complete(2), 2, 2))
+    il = IntersectionLattice(OrbitLattice(Graph.complete(2), 2, 2))
     dims = GMOracle(il.poset, il.codim, mode="real").cohomology()
     top = max(dims)
     vec = [dims.get(d, 0) for d in range(top + 1)]

@@ -20,13 +20,14 @@ from orbitcoh.cellular import (
     construct_cellular_form,
     form_morphism,
     product_form,
+    stack_blocks,
     verify_cellular_form,
 )
 from orbitcoh import intlinalg
-from orbitcoh.intlinalg import IntMatrix, homology
+from orbitcoh.intlinalg import homology, identity, sparse_apply
 from orbitcoh.jsonio import dumps
 from orbitcoh.oracle import TorComplex
-from orbitcoh.orbit import Graph, build_lkm
+from orbitcoh.orbit import Graph, OrbitLattice
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,
@@ -126,15 +127,15 @@ def test_verify_rejects_perturbed_form():
     p3 = partition_lattice(3)
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
     form = construct_cellular_form(p3, g)
-    keys = sorted(k for k, m in form.diff.items() if m.rows and m.cols)
+    pr = form.piece_ranks
+    keys = sorted((y, x) for x in range(p3.n) for y in p3.lower[x] if pr[y] and pr[x])
     assert len(keys) == 6
-    for key in keys:
-        bad_diff = dict(form.diff)
-        m = bad_diff[key]
-        perturbed = IntMatrix(m.rows, m.cols, m.data)  # a copy of the block
-        perturbed.data[0][0] += 1
-        bad_diff[key] = perturbed
-        bad = CellularForm(p3, g, form.piece_ranks, bad_diff)
+    for y, x in keys:
+        blocks = {z: form.block(z, x) for z in p3.lower[x]}  # copies of the blocks
+        blocks[y][0][0] = blocks[y][0].get(0, 0) + 1  # entry (0, 0) of block (y, x)
+        bad_diff = list(form.diff)
+        bad_diff[x] = stack_blocks(p3, pr, x, blocks, pr[x])
+        bad = CellularForm(p3, g, pr, bad_diff)
         with pytest.raises(FormViolation):
             verify_cellular_form(bad)
 
@@ -145,11 +146,12 @@ def test_verify_rejects_wrong_rank0_piece():
                     {"a": 1, "b": 0, "c": 0})
     g = constant_sheaf(p, 1, "co")
     form = construct_cellular_form(p, g)
-    a, b = p.index["a"], p.index["b"]
+    a, b, c = p.index["a"], p.index["b"], p.index["c"]
     ranks = list(form.piece_ranks)
     ranks[b] = 2
-    diff = dict(form.diff)
-    diff[(b, a)] = IntMatrix(2, 1, [[1], [0]])
+    diff = list(form.diff)
+    diff[b] = [{}, {}]
+    diff[a] = stack_blocks(p, ranks, a, {b: [{0: 1}], c: form.block(c, a)}, ranks[a])
     bad = CellularForm(p, g, ranks, diff)
     with pytest.raises(FormViolation, match="rank-0 piece at b"):
         verify_cellular_form(bad)
@@ -208,7 +210,7 @@ def test_orbit_lattice_form_is_pinned(graph, k, digest):
     # the form's JSON on L(G, k, 2) is fixed byte for byte; L(K3, 3, 2) and
     # L(P3, 4, 2) are the benchmark's lattices, the latter with a
     # 498-column top boundary
-    lkm = build_lkm(graph, k, 2)
+    lkm = OrbitLattice(graph, k, 2)
     g = delta_sheaf(lkm.poset, [lkm.poset.labels[lkm.poset.minimum()]], 1, "co")
     form = construct_cellular_form(lkm.poset, g)
     text = dumps(form.to_json_dict())
@@ -220,7 +222,7 @@ def test_orbit_lattice_form_needs_no_hermite_pass(monkeypatch):
     # every kernel of L(K3, 3, 2) has unit pivots and an empty core, so
     # the last-column-first elimination gives it in Hermite form and the
     # form is built, unchanged, with row_hermite unusable
-    lkm = build_lkm(Graph.complete(3), 3, 2)
+    lkm = OrbitLattice(Graph.complete(3), 3, 2)
     g = delta_sheaf(lkm.poset, [lkm.poset.labels[lkm.poset.minimum()]], 1, "co")
     expected = construct_cellular_form(lkm.poset, g).to_json_dict()
 
@@ -232,15 +234,28 @@ def test_orbit_lattice_form_needs_no_hermite_pass(monkeypatch):
     assert form.to_json_dict() == expected
     verify_cellular_form(form)
 
+
+def test_form_differential_shape_is_checked():
+    # the piece at x1 has rank 1 over the rank-1 piece at x0: its
+    # differential is one column with rows in 0..0
+    p = chain_poset(1)
+    g = constant_sheaf(p, 1, "co")
+    assert CellularForm(p, g, [1, 1], [[{}], [{0: -1}]]).block(0, 1) == [{0: -1}]
+    with pytest.raises(ValueError, match="differential at x1 has 2 columns, not 1"):
+        CellularForm(p, g, [1, 1], [[{}], [{0: 1}, {}]])
+    with pytest.raises(ValueError, match="differential at x1 has a row outside 0..0"):
+        CellularForm(p, g, [1, 1], [[{}], [{1: 1}]])
+
+
 def test_form_morphism_identity():
     p3 = partition_lattice(3)
     g = delta_sheaf(p3, [bottom(3)], 1, "co")
     form = construct_cellular_form(p3, g)
     ident = identity_morphism(p3)
-    t = FHom(ident, g, g, {i: IntMatrix.identity(g.ranks[i]) for i in range(p3.n)})
+    t = FHom(ident, g, g, {i: identity(g.ranks[i]) for i in range(p3.n)})
     phi = form_morphism(ident, t, form, form)
     for lab in p3.labels:
-        assert phi.component(lab) == IntMatrix.identity(form.rank_of(lab))
+        assert phi.component(lab) == identity(form.rank_of(lab))
     phi.check_commutes()
 
 
@@ -252,7 +267,7 @@ def test_form_morphism_rank_increase_rejected():
     gq = constant_sheaf(q, 1, "co")
     fp = construct_cellular_form(p, g)
     fq = construct_cellular_form(q, gq)
-    t = FHom(up, g, gq, {i: IntMatrix.identity(1) for i in range(p.n)})
+    t = FHom(up, g, gq, {i: identity(1) for i in range(p.n)})
     with pytest.raises(PreconditionFailed):
         form_morphism(up, t, fp, fq)
 
@@ -286,12 +301,12 @@ def test_two_forms_mutually_inverse():
     a = construct_cellular_form(p3, g)
     b = construct_cellular_form(p3, g)
     ident = identity_morphism(p3)
-    t = FHom(ident, g, g, {i: IntMatrix.identity(g.ranks[i]) for i in range(p3.n)})
+    t = FHom(ident, g, g, {i: identity(g.ranks[i]) for i in range(p3.n)})
     phi = form_morphism(ident, t, a, b)
     psi = form_morphism(ident, t, b, a)
     for lab in p3.labels:
-        m = phi.component(lab).mul(psi.component(lab))
-        assert m == IntMatrix.identity(a.rank_of(lab))
+        m = [sparse_apply(phi.component(lab), col) for col in psi.component(lab)]
+        assert m == identity(a.rank_of(lab))
 
 
 def test_join_morphism_of_forms_commutes():

@@ -375,7 +375,15 @@ def test_cellular_bad_json(tmp_path):
         "bool-entry": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": [[True]]})),
         "elements-string": (dict(CHAIN_POSET, elements="ab"), CHAIN_COPRESHEAF),
         "cover-string": (dict(CHAIN_POSET, covers=["ab"]), CHAIN_COPRESHEAF),
+        # a matrix whose shape does not match the ranks it maps between
+        "ragged-rows": (CHAIN_POSET, {"ranks": [2, 2],
+                                      "extensions": {"a->b": [[1, 0], [1]]}}),
+        "wrong-row-count": (CHAIN_POSET,
+                            dict(CHAIN_COPRESHEAF, extensions={"a->b": [[1], [0]]})),
+        "bare-integer": (CHAIN_POSET, dict(CHAIN_COPRESHEAF, extensions={"a->b": 1})),
     }
+    bad_matrix = {"float-entry", "bool-entry", "ragged-rows", "wrong-row-count",
+                  "bare-integer"}
     for name, (poset, copresheaf) in cases.items():
         pf = tmp_path / f"{name}.poset.json"
         cf = tmp_path / f"{name}.copresheaf.json"
@@ -383,7 +391,8 @@ def test_cellular_bad_json(tmp_path):
             path.write_text(data if isinstance(data, str) else json.dumps(data))
         code, _, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf)])
         assert code == 2, name
-        assert err.startswith("error: "), name
+        assert err.startswith("error: bad matrix at 'a->b': " if name in bad_matrix
+                              else "error: "), name
 
 
 @pytest.mark.parametrize("raw", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])

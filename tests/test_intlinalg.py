@@ -5,12 +5,11 @@ import sys
 
 import pytest
 
-from conftest import columns, sparse, subprocess_env
+from conftest import Dense, columns, sparse, subprocess_env
 from orbitcoh.intlinalg import (
     ChainComplex,
     ColumnSolver,
     HomologySummary,
-    IntMatrix,
     InvalidComplex,
     NoIntegerSolution,
     NonUnique,
@@ -19,43 +18,47 @@ from orbitcoh.intlinalg import (
     hermite_coords,
     homology,
     homology_mod2,
+    identity,
     kron,
     rank_mod2,
     row_hermite,
     smith_normal_form,
     sparse_apply,
-    unimodular_inverse,
 )
 
 
-def det(m: IntMatrix) -> int:
+def det(rows: list[list[int]]) -> int:
     # cofactor expansion; only used on small unimodular factors in tests
-    n = m.rows
+    n = len(rows)
     if n == 0:
         return 1
     if n == 1:
-        return m.data[0][0]
+        return rows[0][0]
     total = 0
     for j in range(n):
-        x = m.data[0][j]
+        x = rows[0][j]
         if x:
-            minor = IntMatrix(
-                n - 1, n - 1,
-                [[m.data[i][k] for k in range(n) if k != j] for i in range(1, n)])
+            minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
             total += (-1) ** j * x * det(minor)
     return total
 
 
-def check_snf(a: IntMatrix):
-    u, d, v = smith_normal_form(a)
-    assert u.mul(a).mul(v) == d
+def mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """The product of two matrices given as row lists, b with at least one row."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def check_snf(a: Dense):
+    u, d, v = smith_normal_form(a.data, a.cols)
+    assert (len(u), len(d), len(v)) == (a.rows, a.rows, a.cols)
+    assert mul(mul(u, a.data), v) == d
     assert abs(det(u)) == 1
     assert abs(det(v)) == 1
-    diag = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-    for i in range(d.rows):
-        for j in range(d.cols):
+    diag = [d[i][i] for i in range(min(a.rows, a.cols))]
+    for i in range(a.rows):
+        for j in range(a.cols):
             if i != j:
-                assert d.data[i][j] == 0
+                assert d[i][j] == 0
     nz = [x for x in diag if x]
     assert all(x > 0 for x in nz)
     for x, y in zip(nz, nz[1:]):
@@ -66,13 +69,13 @@ def check_snf(a: IntMatrix):
 
 def test_snf_hand_example():
     # row/column elimination by hand gives diag(2, 4)
-    diag = check_snf(IntMatrix(2, 2, [[2, 4], [6, 8]]))
+    diag = check_snf(Dense(2, 2, [[2, 4], [6, 8]]))
     assert diag == [2, 4]
 
 
 def test_snf_identity_and_zero():
-    assert check_snf(IntMatrix.identity(3)) == [1, 1, 1]
-    assert check_snf(IntMatrix(2, 2)) == [0, 0]
+    assert check_snf(Dense(3, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == [1, 1, 1]
+    assert check_snf(Dense(2, 2, [[0, 0], [0, 0]])) == [0, 0]
 
 
 def test_snf_random_matrices():
@@ -80,15 +83,17 @@ def test_snf_random_matrices():
     for _ in range(60):
         r = rng.randrange(1, 5)
         c = rng.randrange(1, 5)
-        a = IntMatrix(r, c, [[rng.randrange(-8, 9) for _ in range(c)] for _ in range(r)])
+        a = Dense(r, c, [[rng.randrange(-8, 9) for _ in range(c)] for _ in range(r)])
         diag = check_snf(a)
         assert elementary_divisors(columns(a)) == [x for x in diag if x]
 
 
 def test_solve_unique_examples():
-    assert ColumnSolver([{0: 2}], 1).solve({0: 4}) == [2]
+    assert ColumnSolver([{0: 2}], 1).solve({0: 4}) == {0: 2}
     # 2x2 elimination: x + y = 2, x - y = 0
-    assert ColumnSolver([{0: 1, 1: 1}, {0: 1, 1: -1}], 2).solve({0: 2}) == [1, 1]
+    assert ColumnSolver([{0: 1, 1: 1}, {0: 1, 1: -1}], 2).solve({0: 2}) == {0: 1, 1: 1}
+    # the solution is sparse: a zero coordinate is left out
+    assert ColumnSolver([{0: 1}, {1: 1}], 2).solve({1: 3}) == {1: 3}
     with pytest.raises(NoIntegerSolution):
         ColumnSolver([{0: 2}], 1).solve({0: 3})
     with pytest.raises(NonUnique):
@@ -137,7 +142,7 @@ def test_kernel_is_saturated():
     rng = random.Random(11)
     for _ in range(40):
         r, c = rng.randrange(1, 4), rng.randrange(1, 5)
-        a = IntMatrix(r, c, [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)])
+        a = Dense(r, c, [[rng.randrange(-6, 7) for _ in range(c)] for _ in range(r)])
         ker = UnitReduction(columns(a)).kernel
         for vec in ker:
             assert sparse_apply(columns(a), vec) == {}
@@ -225,18 +230,24 @@ def test_hermite_and_lattice_equality():
 
 
 def test_unimodular_inverse():
-    m = IntMatrix(2, 2, [[2, 1], [1, 1]])
-    inv = unimodular_inverse(m)
-    assert m.mul(inv) == IntMatrix.identity(2)
+    # column j of the inverse solves m·x = e_j, as os_vs_cellular inverts
+    m = columns(Dense(2, 2, [[2, 1], [1, 1]]))
+    solver = ColumnSolver(m, 2)
+    inv = [solver.solve({j: 1}) for j in range(2)]
+    assert inv == [{0: 1, 1: -1}, {0: -1, 1: 2}]
+    assert [sparse_apply(m, col) for col in inv] == identity(2)
+    # a square matrix of determinant 2 has no integer inverse
+    with pytest.raises(NoIntegerSolution):
+        ColumnSolver(columns(Dense(2, 2, [[2, 0], [0, 1]])), 2).solve({0: 1})
 
 
 def test_kron_and_stack():
-    a = IntMatrix(1, 2, [[1, 2]])
-    b = IntMatrix(2, 1, [[3], [4]])
-    k = kron(a, b)
-    assert k.data == [[3, 6], [4, 8]]
-    # side by side: the columns of a, twice
-    assert IntMatrix.from_cols([a.column(j) for j in range(2)] * 2, 1).data == [[1, 2, 1, 2]]
+    a = columns(Dense(1, 2, [[1, 2]]))
+    b = columns(Dense(2, 1, [[3], [4]]))
+    assert kron(a, b, 2) == columns(Dense(2, 2, [[3, 6], [4, 8]]))
+    # against the identity: b twice down the diagonal, or a stretched out
+    assert kron(identity(2), b, 2) == [{0: 3, 1: 4}, {2: 3, 3: 4}]
+    assert kron(a, identity(2), 2) == columns(Dense(2, 4, [[1, 0, 2, 0], [0, 1, 0, 2]]))
 
 
 def test_rank_mod2():

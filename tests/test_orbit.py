@@ -21,8 +21,8 @@ from orbitcoh.orbit import (
     bcp_assignments,
     block_classes,
     IntersectionLattice,
+    OrbitLattice,
     bond_lattice,
-    build_lkm,
     empty_matrix,
     fill_entry,
     join_theta,
@@ -103,11 +103,11 @@ def test_join_conflict_gives_undefined():
 
 
 def test_lkm_sizes():
-    lkm = build_lkm(Graph.complete(2), 2, 2)
+    lkm = OrbitLattice(Graph.complete(2), 2, 2)
     assert lkm.poset.n == 10
-    lkm3 = build_lkm(Graph.complete(3), 2, 2)
+    lkm3 = OrbitLattice(Graph.complete(3), 2, 2)
     assert lkm3.poset.n == 1 + 3 * 9 + 25
-    lkm1 = build_lkm(Graph.complete(2), 1, 2)
+    lkm1 = OrbitLattice(Graph.complete(2), 1, 2)
     assert lkm1.poset.n == 1 + 4  # single class per entry: 2^(1*2) fiber
 
 
@@ -137,7 +137,7 @@ def test_lkm_fibration_law():
     # the order built from fiber covers and cartesian lifts is matrix_leq,
     # with exactly its covers
     for graph, k, m in ORDER_CASES:
-        lkm = build_lkm(graph, k, m)
+        lkm = OrbitLattice(graph, k, m)
         mats = [lkm.by_label[lab] for lab in lkm.poset.labels]
         _assert_order_is(lkm.poset, lambda i, j: matrix_leq(mats[i], mats[j]))
 
@@ -145,7 +145,7 @@ def test_lkm_fibration_law():
 def test_intersection_order_is_sigma_of_join():
     # a <= b iff sigma(a v b) = b, on the canonical forms
     for graph, k, m in ORDER_CASES:
-        il = IntersectionLattice(build_lkm(graph, k, m))
+        il = IntersectionLattice(OrbitLattice(graph, k, m))
         mats = [il.by_label[lab] for lab in il.poset.labels]
         _assert_order_is(il.poset, lambda i, j: sigma_canonical(
             join_theta(mats[i], mats[j]), graph) == mats[j])
@@ -165,7 +165,7 @@ MERGING_IDS = ["P4-k2-m2", "C4-k2-m2", "K4-k2-m2", "P4-k3-m2"]
 def test_sigma_is_a_closure_operator(graph, k, m):
     # extensive and idempotent on every element, monotone on every cover:
     # the intersection covers are built from sigma of the orbit covers
-    lkm = build_lkm(graph, k, m)
+    lkm = OrbitLattice(graph, k, m)
     sigma = IntersectionLattice(lkm).sigma
     poset = lkm.poset
     image = [poset.index[sigma[lab]] for lab in poset.labels]
@@ -182,7 +182,7 @@ def test_sigma_images_of_covers_are_an_antichain(graph, k, m):
     # for each canonical a, the images in the lattice of a's distinct orbit
     # upper covers are pairwise equal or incomparable, so every one of them
     # is an intersection cover of a with no minimality test
-    lkm = build_lkm(graph, k, m)
+    lkm = OrbitLattice(graph, k, m)
     il = IntersectionLattice(lkm)
     poset = lkm.poset
     for lab in il.by_label:
@@ -200,7 +200,7 @@ def test_sigma_images_of_covers_are_an_antichain(graph, k, m):
 def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
     # the covers from sigma of the orbit covers are the covers of the
     # orbit order restricted to the canonical forms, read off all pairs
-    lkm = build_lkm(graph, k, m)
+    lkm = OrbitLattice(graph, k, m)
     il = IntersectionLattice(lkm)
     sigma = {lab: sigma_canonical(mat, graph) for lab, mat in lkm.by_label.items()}
     assert il.sigma == {lab: can.label() for lab, can in sigma.items()}
@@ -221,11 +221,12 @@ def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
     ("lkm-P3-k4-m2.json", path_graph(3), 4, 2),
 ])
 def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
-    # the benchmark's stored lattices are build_lkm(...).poset exactly
+    # the benchmark's stored lattices are OrbitLattice(...).poset exactly; their
+    # source field names the alias they were recorded with
     data = json.loads((Path(__file__).resolve().parent.parent
                        / "perfbench" / "data" / name).read_text())
     assert data["source"] == f"orbitcoh.orbit.build_lkm({name.split('-')[1]}, k={k}, m={m}).poset"
-    p = build_lkm(graph, k, m).poset
+    p = OrbitLattice(graph, k, m).poset
     assert data["elements"] == list(p.labels)
     assert data["covers"] == [[p.labels[lo], p.labels[hi]] for lo, hi in p.covers]
     assert data["rank"] == list(p.rank)
@@ -241,7 +242,7 @@ def test_benchmark_lattices_are_build_lkm(name, graph, k, m):
 def test_join_is_least_upper_bound_in_poset(graph, k, m):
     # the order-theoretic join of the built poset, on lattices whose joins
     # glue three or more blocks, close a cycle, or meet conflicting classes
-    lkm = build_lkm(graph, k, m)
+    lkm = OrbitLattice(graph, k, m)
     p = lkm.poset
     p.require_join_semilattice()
     for la in p.labels:
@@ -253,7 +254,7 @@ def test_join_is_least_upper_bound_in_poset(graph, k, m):
 
 def test_join_cover_stability():
     # theta covered by nu forces theta v psi covered-or-equal by nu v psi
-    lkm = build_lkm(Graph.complete(3), 2, 1)
+    lkm = OrbitLattice(Graph.complete(3), 2, 1)
     p = lkm.poset
     rng = random.Random(23)
     cover_pairs = [(p.labels[lo], p.labels[hi]) for lo, hi in p.covers]
@@ -271,7 +272,7 @@ def test_join_cover_stability():
 
 
 def test_pi_preserves_join():
-    lkm = build_lkm(path_graph(3), 2, 2)
+    lkm = OrbitLattice(path_graph(3), 2, 2)
     rng = random.Random(5)
     labs = lkm.poset.labels
     from orbitcoh.orbit import join_partitions
@@ -311,7 +312,7 @@ def test_sigma_respects_disconnected_graph():
 
 def _sigma_fiber(graph, alpha):
     """The sigma-preimage of a canonical form, sorted by label."""
-    lkm = build_lkm(graph, alpha.k, alpha.m)
+    lkm = OrbitLattice(graph, alpha.k, alpha.m)
     sigma = IntersectionLattice(lkm).sigma
     return [lkm.by_label[lab] for lab in sorted(sigma) if sigma[lab] == alpha.label()]
 
@@ -336,7 +337,7 @@ def test_fiber_of_fully_defined_is_singleton():
 
 
 def test_codim_formula_random():
-    lkm = build_lkm(Graph.complete(3), 3, 2)
+    lkm = OrbitLattice(Graph.complete(3), 3, 2)
     rng = random.Random(11)
     for _ in range(40):
         lab = rng.choice(lkm.poset.labels)
@@ -346,16 +347,16 @@ def test_codim_formula_random():
 
 
 def test_intersection_lattice_small():
-    il = IntersectionLattice(build_lkm(Graph.complete(2), 2, 2))
+    il = IntersectionLattice(OrbitLattice(Graph.complete(2), 2, 2))
     assert il.poset.n == 10  # sigma is bijective for n = 2
     assert il.poset.labels[il.poset.minimum()] == empty_matrix(Graph.complete(2), 2, 2).label()
-    il1 = IntersectionLattice(build_lkm(Graph.complete(2), 1, 1))
+    il1 = IntersectionLattice(OrbitLattice(Graph.complete(2), 1, 1))
     assert il1.poset.n == 2
 
 
 def test_intersection_lattice_glues_k4():
-    il = IntersectionLattice(build_lkm(Graph.complete(4), 2, 1))
-    lkm = build_lkm(Graph.complete(4), 2, 1)
+    il = IntersectionLattice(OrbitLattice(Graph.complete(4), 2, 1))
+    lkm = OrbitLattice(Graph.complete(4), 2, 1)
     assert lkm.poset.n == 75
     # three pair-splits collapse onto the glued four-block element
     assert il.poset.n == 72
@@ -384,7 +385,7 @@ def test_independence_failure():
 
 
 def test_rf_subadditive_for_independent_bases():
-    lkm = build_lkm(Graph.complete(3), 2, 2)
+    lkm = OrbitLattice(Graph.complete(3), 2, 2)
     rng = random.Random(3)
     labs = lkm.poset.labels
     for _ in range(100):

@@ -21,9 +21,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 from conftest import path_graph
 from orbitcoh.orbit import (
     Graph,
+    OrbitLattice,
     PartialMatrix,
     block_classes,
-    build_lkm,
     fiber_matrices,
     graph_partitions,
     join_theta,
@@ -32,9 +32,9 @@ from orbitcoh.orbit import (
 from reference_impl import bcp_rank, cellwise_fiber_matrices, joining_phi_product
 
 LATTICES = {
-    "K3-k2-m2": build_lkm(Graph.complete(3), 2, 2),
-    "K3-k2-m3": build_lkm(Graph.complete(3), 2, 3),
-    "P3-k3-m2": build_lkm(path_graph(3), 3, 2),
+    "K3-k2-m2": OrbitLattice(Graph.complete(3), 2, 2),
+    "K3-k2-m3": OrbitLattice(Graph.complete(3), 2, 3),
+    "P3-k3-m2": OrbitLattice(path_graph(3), 3, 2),
 }
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")

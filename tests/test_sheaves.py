@@ -9,7 +9,7 @@ from conftest import (
     pullback,
     top,
 )
-from orbitcoh.intlinalg import IntMatrix
+from orbitcoh.intlinalg import identity
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,
@@ -50,7 +50,7 @@ def test_delta_whole_poset_is_constant():
     p = diamond()
     s = delta_sheaf(p, p.labels, 1, "co")
     for lo, hi in p.covers:
-        assert s.maps[(lo, hi)] == IntMatrix.identity(1)
+        assert s.maps[(lo, hi)] == identity(1)
 
 
 def test_delta_not_convex():
@@ -63,57 +63,57 @@ def test_functoriality_checked():
     p = diamond()
     bad_maps = {}
     for lo, hi in p.covers:
-        bad_maps[(lo, hi)] = IntMatrix(1, 1, [[1]])
-    bad_maps[(p.index["l"], p.index["top"])] = IntMatrix(1, 1, [[2]])
+        bad_maps[(lo, hi)] = [{0: 1}]
+    bad_maps[(p.index["l"], p.index["top"])] = [{0: 2}]
     with pytest.raises(ValueError):
         Copresheaf(p, [1, 1, 1, 1], bad_maps)
     # an omitted cover is zero: bot -> l -> top is 1, bot -> r -> top is 0
-    ones = {cover: IntMatrix.identity(1) for cover in p.covers}
+    ones = {cover: identity(1) for cover in p.covers}
     del ones[(p.index["r"], p.index["top"])]
     with pytest.raises(ValueError):
         Copresheaf(p, [1, 1, 1, 1], ones)
     # a path through a rank-0 middle element is zero as well, and the
     # composites out of bot (rank 1) still have to agree
     bot, r, top = p.index["bot"], p.index["r"], p.index["top"]
-    through_r = {(bot, r): IntMatrix.identity(1), (r, top): IntMatrix.identity(1)}
+    through_r = {(bot, r): identity(1), (r, top): identity(1)}
     with pytest.raises(ValueError):
         Copresheaf(p, [1, 0, 1, 1], through_r)
     del through_r[(r, top)]
-    assert Copresheaf(p, [1, 0, 1, 1], through_r).map("bot", "top") == IntMatrix(1, 1)
+    assert Copresheaf(p, [1, 0, 1, 1], through_r).map("bot", "top") == [{}]
 
 
 def test_composed_maps_along_chain():
     p = chain_poset(2)
     maps = {
-        (p.index["x0"], p.index["x1"]): IntMatrix(1, 1, [[2]]),
-        (p.index["x1"], p.index["x2"]): IntMatrix(1, 1, [[3]]),
+        (p.index["x0"], p.index["x1"]): [{0: 2}],
+        (p.index["x1"], p.index["x2"]): [{0: 3}],
     }
     g = Copresheaf(p, [1, 1, 1], maps)
-    assert g.map("x0", "x2") == IntMatrix(1, 1, [[6]])
+    assert g.map("x0", "x2") == [{0: 6}]
     f = Presheaf(p, [1, 1, 1], maps)
-    assert f.map("x0", "x2") == IntMatrix(1, 1, [[6]])
+    assert f.map("x0", "x2") == [{0: 6}]
     # across the omitted cover x1 -> x2 the composite is the zero map
     x0, x1, x2 = (p.index[f"x{i}"] for i in range(3))
-    first = {(x0, x1): IntMatrix(2, 1, [[1], [-1]])}
+    first = {(x0, x1): [{0: 1, 1: -1}]}
     g = Copresheaf(p, [1, 2, 3], first)
-    assert g.map_index(x1, x2) == IntMatrix(3, 2)
-    assert g.map_index(x0, x2) == IntMatrix(3, 1)
+    assert g.map_index(x1, x2) == [{}, {}]
+    assert g.map_index(x0, x2) == [{}]
     f = Presheaf(p, [2, 1, 3], first)
-    assert f.map_index(x0, x2) == IntMatrix(2, 3)
+    assert f.map_index(x0, x2) == [{}, {}, {}]
 
 
 def test_maps_only_on_covers():
     p = chain_poset(2)
     x0, x1, x2 = (p.index[f"x{i}"] for i in range(3))
-    one = IntMatrix.identity(1)
+    one = identity(1)
     # x0 -> x2 is not a cover: its map would be dropped or contradict 1 . 1
     with pytest.raises(ValueError):
         Copresheaf(p, [1, 1, 1],
-                   {(x0, x1): one, (x1, x2): one, (x0, x2): IntMatrix(1, 1, [[5]])})
+                   {(x0, x1): one, (x1, x2): one, (x0, x2): [{0: 5}]})
     # a missing cover is the zero map, not an error
     g = Copresheaf(p, [1, 1, 1], {(x0, x1): one})
-    assert g.cover_map(x1, x2) == IntMatrix(1, 1)
-    assert g.map("x0", "x2") == IntMatrix(1, 1)
+    assert g.cover_map(x1, x2) == [{}]
+    assert g.map("x0", "x2") == [{}]
 
 
 def test_pullback_identity_and_point():
@@ -145,7 +145,7 @@ def test_star_fhom_identity_case():
     p = chain_poset(1)
     ident = identity_morphism(p)
     s = star_fhom(ident, "x0", "x0", "pre")
-    assert s.component("x0").data == [[1]]
+    assert s.component("x0") == [{0: 1}]
 
 
 def test_star_fhom_copresheaf_maximal():
@@ -175,10 +175,10 @@ def test_zero_fhom_ok_and_mismatch_detected():
     p = diamond()
     s = constant_sheaf(p, 1, "co")
     ident = identity_morphism(p)
-    zero = FHom(ident, s, s, {i: IntMatrix(1, 1, [[0]]) for i in range(p.n)})
+    zero = FHom(ident, s, s, {i: [{}] for i in range(p.n)})
     validate_fhom(zero)
-    comps = {i: IntMatrix(1, 1, [[1]]) for i in range(p.n)}
-    comps[p.index["l"]] = IntMatrix(1, 1, [[5]])
+    comps = {i: [{0: 1}] for i in range(p.n)}
+    comps[p.index["l"]] = [{0: 5}]
     with pytest.raises(Incompatible):
         FHom(ident, s, s, comps)
 
@@ -198,10 +198,38 @@ def test_pullback_preserves_functoriality():
     rank_map = PosetMorphism(p3, chain,
                              {lab: f"x{p3.rank_of(lab)}" for lab in p3.labels})
     maps = {
-        (chain.index["x0"], chain.index["x1"]): IntMatrix(1, 1, [[2]]),
-        (chain.index["x1"], chain.index["x2"]): IntMatrix(1, 1, [[-3]]),
+        (chain.index["x0"], chain.index["x1"]): [{0: 2}],
+        (chain.index["x1"], chain.index["x2"]): [{0: -3}],
     }
     g = Copresheaf(chain, [1, 1, 1], maps)
     pulled = pullback(rank_map, g)
     # re-validating the pulled data runs the full functoriality check
     Copresheaf(p3, pulled.ranks, pulled.maps)
+
+
+def test_cover_map_shape_is_checked():
+    # a cover map G(x0) -> G(x1) of ranks 1 -> 2 is one column with rows 0..1
+    p = chain_poset(1)
+    cover = (p.index["x0"], p.index["x1"])
+    assert Copresheaf(p, [1, 2], {cover: [{1: 3}]}).map("x0", "x1") == [{1: 3}]
+    with pytest.raises(ValueError, match="x0 -> x1 has 2 columns, not 1"):
+        Copresheaf(p, [1, 2], {cover: [{0: 1}, {1: 1}]})
+    with pytest.raises(ValueError, match="x0 -> x1 has a row outside 0..1"):
+        Copresheaf(p, [1, 2], {cover: [{2: 1}]})
+    # a presheaf map goes down the cover: F(x1) -> F(x0), rows in 0..0
+    with pytest.raises(ValueError, match="x0 -> x1 has a row outside 0..0"):
+        Presheaf(p, [1, 2], {cover: [{0: 1}, {1: 1}]})
+
+
+def test_fhom_component_shape_is_checked():
+    # the component at each element maps S(x) to S(f(x)), here Z -> Z
+    p = diamond()
+    s = constant_sheaf(p, 1, "co")
+    ident = identity_morphism(p)
+    comps = {i: [{0: 1}] for i in range(p.n)}
+    FHom(ident, s, s, comps)
+    left = p.index["l"]
+    with pytest.raises(ValueError, match="component at l has 2 columns, not 1"):
+        FHom(ident, s, s, {**comps, left: [{0: 1}, {0: 1}]})
+    with pytest.raises(ValueError, match="component at l has a row outside 0..0"):
+        FHom(ident, s, s, {**comps, left: [{1: 1}]})
