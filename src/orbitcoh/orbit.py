@@ -1,4 +1,4 @@
-"""Bond lattices, Z_k-colorings, partial matrices, and the orbit lattice.
+"""Bond lattices, Z_k-colorings, partial matrices, and the orbit lattice's covers.
 
 A partial matrix assigns to each (block, coordinate) pair either a
 Z_k-coloring class of the block or an undefined marker; the disjoint
@@ -295,7 +295,7 @@ def join_theta(a: PartialMatrix, b: PartialMatrix) -> PartialMatrix:
     return PartialMatrix(a.n, a.k, a.m, part, tuple(entries))
 
 
-# -- posets ---------------------------------------------------------------------
+# -- fibers and orbit covers ----------------------------------------------------
 
 
 def fiber_matrices(graph: Graph, partition, k: int, m: int):
@@ -322,49 +322,32 @@ def fiber_matrices(graph: Graph, partition, k: int, m: int):
             for es, lab, u, r in items]
 
 
-class OrbitLattice:
-    """The total poset of fibers over the bond lattice, with its join.
+def orbit_covers(bond: GradedPoset, fibers: dict, k: int):
+    """Every cover (lo, hi) of the orbit lattice, as a pair of partial matrices.
 
-    The order is the fibration order: a <= b iff pi(a) refines pi(b)
-    and a agrees with b|_{pi(a)} wherever that is defined.  Its covers
-    come from the fibration onto the bond lattice.  A cover inside a
-    fiber fills one undefined entry.  Over a bond cover pi < pi(theta')
-    the only candidate is the cartesian lift restrict_matrix(theta', pi)
-    < theta', a cover unless the block B that pi splits has two vertices
-    and theta' leaves an entry of row B undefined: filling that entry
-    gives an element strictly between.
-
-    The stored rank is r_b + r_f, which is a genuine grading only when
-    no block can split into two blocks of size >= 2 (n <= 3); the poset
-    is built non-strictly and the flag ``poset.graded`` records whether
-    the grading is genuine.
+    ``fibers`` maps each bond-lattice label to the matrices of its fiber,
+    and each ``hi`` is one of those objects.  The order is the fibration
+    order: a <= b iff pi(a) refines pi(b) and a agrees with b|_{pi(a)}
+    wherever that is defined.  Its covers come from the fibration onto
+    the bond lattice.  A cover inside a fiber fills one undefined entry.
+    Over a bond cover pi < pi(theta') the only candidate is the cartesian
+    lift restrict_matrix(theta', pi) < theta', a cover unless the block B
+    that pi splits has two vertices and theta' leaves an entry of row B
+    undefined: filling that entry gives an element strictly between.
     """
-
-    def __init__(self, graph: Graph, k: int, m: int):
-        self.graph = graph
-        self.k = k
-        self.m = m
-        self.bond = bond_lattice(graph)
-        self.by_label = {}
-        fibers = {}
-        for part in self.bond.labels:
-            items = fiber_matrices(graph, part, k, m)
-            fibers[part] = [mat for mat, *_ in items]
-            self.by_label.update((lab, mat) for mat, lab, *_ in items)
-        label_of = {mat: lab for lab, mat in self.by_label.items()}
-        covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
-                  for lab, mat in self.by_label.items() for block, t in mat.undefined()
-                  for vals in block_classes(len(block), k)]
-        for lo, hi in self.bond.covers:
-            part, top = self.bond.labels[lo], self.bond.labels[hi]
-            split = next(b for b in top if b not in part)
-            row = [b for b in top if len(b) >= 2].index(split)
-            for mat in fibers[top]:
-                if len(split) == 2 and None in mat.entries[row]:
-                    continue
-                covers.append((label_of[restrict_matrix(mat, part)], label_of[mat]))
-        rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
-        self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
+    for mats in fibers.values():
+        for mat in mats:
+            for block, t in mat.undefined():
+                for vals in block_classes(len(block), k):
+                    yield fill_entry(mat, block, t, vals), mat
+    for lo, hi in bond.covers:
+        part, top = bond.labels[lo], bond.labels[hi]
+        split = next(b for b in top if b not in part)
+        row = [b for b in top if len(b) >= 2].index(split)
+        for mat in fibers[top]:
+            if len(split) == 2 and None in mat.entries[row]:
+                continue
+            yield restrict_matrix(mat, part), mat
 
 
 # -- the comparison map sigma ----------------------------------------------------
@@ -402,7 +385,7 @@ class IntersectionLattice:
     only fully defined matrices are genuine intersections; undefined
     entries are dropped from the lattice in that case.
 
-    The covers come from the orbit covers.  Sigma is also monotone, so
+    The covers come from ``orbit_covers``.  Sigma is also monotone, so
     it is a closure operator, and every canonical b > a lies above
     sigma(c) for some orbit cover c of a.  The images sigma(c) in the
     lattice of two distinct orbit covers c of a are equal or
@@ -416,25 +399,23 @@ class IntersectionLattice:
     own canonical form.
     """
 
-    def __init__(self, lattice: OrbitLattice):
-        self.k = lattice.k
+    def __init__(self, graph: Graph, k: int, m: int):
+        bond = bond_lattice(graph)
         self.sigma = {}
-        mats = {}
-        for lab, mat in lattice.by_label.items():
-            can = sigma_canonical(mat, lattice.graph)
-            can_lab = lab if can is mat else can.label()
-            self.sigma[lab] = can_lab
-            if self.k == 1 and can.r_f:
-                continue
-            mats[can_lab] = can
+        fibers, image, mats = {}, {}, {}
+        for part in bond.labels:
+            items = fiber_matrices(graph, part, k, m)
+            fibers[part] = [mat for mat, *_ in items]
+            for mat, lab, *_ in items:
+                can = sigma_canonical(mat, graph)
+                can_lab = lab if can is mat else can.label()
+                self.sigma[lab] = image[mat] = can_lab
+                if k == 1 and can.r_f:
+                    continue
+                mats[can_lab] = can
         self.by_label = mats
-        orbit = lattice.poset
-        image = [orbit.index[s] if s in mats else None
-                 for s in map(self.sigma.get, orbit.labels)]
-        covers = []
-        for lab in mats:
-            ups = {image[c] for c in orbit.upper[orbit.index[lab]]} - {None}
-            covers.extend((lab, orbit.labels[x]) for x in ups)
+        covers = {(image[lo], image[hi]) for lo, hi in orbit_covers(bond, fibers, k)
+                  if mats.get(image[lo]) == lo and image[hi] in mats}
         self.codim = {lab: mats[lab].codim() for lab in sorted(mats)}
         self.poset = GradedPoset(mats, covers, self.codim, strict=False)
 

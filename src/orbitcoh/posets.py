@@ -27,9 +27,9 @@ class GradedPoset:
     """Finite poset with a rank function, given by labels and cover pairs.
 
     With ``strict=True`` every cover must raise rank by exactly 1.  A few
-    posets in this package (the orbit lattice for n >= 4) carry a rank
-    that is only used as bookkeeping; they are built with
-    ``strict=False``.
+    posets in this package (the intersection lattice, which is not graded
+    where sigma merges) carry a rank that is only used as bookkeeping;
+    they are built with ``strict=False``.
     """
 
     __slots__ = ("labels", "index", "rank", "covers", "n", "up", "down",

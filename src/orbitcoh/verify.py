@@ -28,7 +28,6 @@ from .oracle import (
 from .orbit import (
     Graph,
     IntersectionLattice,
-    OrbitLattice,
     PartialMatrix,
     graph_partitions,
     restrict_matrix,
@@ -145,19 +144,18 @@ def verify_full(graph: Graph, k: int, m: int,
     line.  Then cup products of every basis pair against the
     cross-then-star oracle product (on by default when sigma is
     bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
-    when the orbit lattice exceeds the limit, before building it: each
-    block of size s >= 2 carries m entries of k^(s-1) classes or
-    undefined.
+    when the orbit lattice exceeds the limit, before building any
+    lattice: each block of size s >= 2 carries m entries of k^(s-1)
+    classes or undefined.
     """
     report = VerifyReport(graph, k, m)
     size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
                for part in graph_partitions(graph))
     if oracle_limit is not None and size > oracle_limit:
         raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
-    lkm = OrbitLattice(graph, k, m)
     pres = RingPresentation(graph, k, m)
-    inter = IntersectionLattice(lkm)
-    bijective = len(inter.by_label) == lkm.poset.n
+    inter = IntersectionLattice(graph, k, m)
+    bijective = len(inter.by_label) == len(inter.sigma)
     if products is None:
         products = bijective and m > 1
     if products and not bijective:
@@ -166,7 +164,7 @@ def verify_full(graph: Graph, k: int, m: int,
 
     # (a) piece ranks vs the oracle, one intersection-lattice element at a time
     fibers: dict[str, list[str]] = {}
-    for lab in lkm.poset.labels:
+    for lab in sorted(inter.sigma):
         fibers.setdefault(inter.sigma[lab], []).append(lab)
     grading_of = {lab: g for g, lab in enumerate(pres.labels)}
     for x in inter.poset.labels:

@@ -11,8 +11,9 @@ The rest are test constructors and references built on the package,
 which the program itself never needs: chains, down-sets and constant
 sheaves, pullbacks and canonical f-homomorphisms, path graphs, cellular
 chains of a form, formal chains, free generators and induced maps of
-Tor, validated partial matrices and their defining order, and the
-explicit BCp cellular form of one fiber.
+Tor, validated partial matrices and their defining order, the whole
+orbit lattice as a poset, and the explicit BCp cellular form of one
+fiber.
 """
 
 import os
@@ -28,9 +29,11 @@ from orbitcoh.orbit import (
     PartialMatrix,
     bcp_assignments,
     block_classes,
+    bond_lattice,
     fiber_matrices,
     fill_entry,
     normalize_class,
+    orbit_covers,
     restrict_matrix,
     zero_class,
 )
@@ -267,13 +270,33 @@ def make_matrix(graph, k: int, m: int, partition, entries) -> PartialMatrix:
 def matrix_leq(a: PartialMatrix, b: PartialMatrix) -> bool:
     """The fibration order: a <= b iff pi(a) <= pi(b) and a <= b|_{pi(a)}.
 
-    The defining reference that ``OrbitLattice``'s cover build is tested against.
+    The defining reference that ``orbit_covers`` is tested against.
     """
     if not refines(a.partition, b.partition):
         return False
     lift = restrict_matrix(b, a.partition)
     return all(e_b is None or e_a == e_b for row_a, row_b in zip(a.entries, lift.entries)
                for e_a, e_b in zip(row_a, row_b))
+
+
+class OrbitLattice:
+    """The whole orbit lattice as a poset on every partial matrix, from ``orbit_covers``.
+
+    The rank r_b + r_f is bookkeeping, graded only for n <= 3.
+    """
+
+    def __init__(self, graph, k: int, m: int):
+        self.graph = graph
+        bond = bond_lattice(graph)
+        fibers, self.by_label = {}, {}
+        for part in bond.labels:
+            items = fiber_matrices(graph, part, k, m)
+            fibers[part] = [mat for mat, *_ in items]
+            self.by_label.update((lab, mat) for mat, lab, *_ in items)
+        label_of = {mat: lab for lab, mat in self.by_label.items()}
+        covers = [(label_of[lo], label_of[hi]) for lo, hi in orbit_covers(bond, fibers, k)]
+        rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
+        self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
 
 
 class Fiber(NamedTuple):

@@ -25,7 +25,6 @@ from orbitcoh.oracle import GMOracle, TorComplex
 from orbitcoh.orbit import (
     Graph,
     IntersectionLattice,
-    OrbitLattice,
     bond_lattice,
     edge_atom_order,
 )
@@ -242,7 +241,7 @@ def test_criterion_7_real_case():
     """Gr Poincare 1 + 9t over Z/2 equals real-mode oracle dimensions."""
     pres = RingPresentation(Graph.complete(2), 2, 2, "real")
     assert pres.poincare_polynomial() == [1, 9]
-    il = IntersectionLattice(OrbitLattice(Graph.complete(2), 2, 2))
+    il = IntersectionLattice(Graph.complete(2), 2, 2)
     dims = GMOracle(il.poset, il.codim, mode="real").cohomology()
     top = max(dims)
     vec = [dims.get(d, 0) for d in range(top + 1)]

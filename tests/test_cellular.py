@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from conftest import (
+    OrbitLattice,
     below,
     bottom,
     cellular_chain,
@@ -27,7 +28,7 @@ from orbitcoh import intlinalg
 from orbitcoh.intlinalg import homology, identity, sparse_apply
 from orbitcoh.jsonio import dumps
 from orbitcoh.oracle import TorComplex
-from orbitcoh.orbit import Graph, OrbitLattice
+from orbitcoh.orbit import Graph
 from orbitcoh.posets import (
     PosetMorphism,
     build_poset,

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import (
+    OrbitLattice,
     bcp_form,
     canonical_fhom,
     chain_poset,
@@ -21,7 +22,6 @@ from orbitcoh.oracle import TorComplex
 from orbitcoh.orbit import (
     Graph,
     IntersectionLattice,
-    OrbitLattice,
     bond_lattice,
     join_theta,
     sigma_canonical,
@@ -33,7 +33,7 @@ from orbitcoh.sheaves import FHom, Incompatible, delta_sheaf
 def test_sigma_pullback_of_ambient_delta():
     # pulling delta^M back along sigma gives delta^bottom on the orbit lattice
     lkm = OrbitLattice(Graph.complete(3), 2, 1)
-    inter = IntersectionLattice(lkm)
+    inter = IntersectionLattice(Graph.complete(3), 2, 1)
     sig = PosetMorphism(lkm.poset, inter.poset,
                         {lab: inter.sigma[lab] for lab in lkm.poset.labels})
     g = delta_sheaf(inter.poset, [inter.poset.labels[inter.poset.minimum()]], 1, "co")
@@ -50,7 +50,7 @@ def test_sigma_induced_iso_noninjective():
     # glued element of K_4 whose fiber has four members
     graph = Graph.complete(4)
     lkm = OrbitLattice(graph, 2, 1)
-    inter = IntersectionLattice(lkm)
+    inter = IntersectionLattice(graph, 2, 1)
     assert lkm.poset.n == 75 and inter.poset.n == 72
     sig = PosetMorphism(lkm.poset, inter.poset,
                         {lab: inter.sigma[lab] for lab in lkm.poset.labels})
@@ -166,7 +166,7 @@ def test_sigma_is_join_morphism():
 
 
 def test_intersection_lattice_k1_is_bond_lattice():
-    il = IntersectionLattice(OrbitLattice(Graph.complete(3), 1, 1))
+    il = IntersectionLattice(Graph.complete(3), 1, 1)
     bl = bond_lattice(Graph.complete(3))
     assert il.poset.n == bl.n
     ranks = sorted(il.codim.values())

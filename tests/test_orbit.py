@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    OrbitLattice,
     bcp_boundary,
     bcp_form,
     fiber_poset,
@@ -21,7 +22,6 @@ from orbitcoh.orbit import (
     bcp_assignments,
     block_classes,
     IntersectionLattice,
-    OrbitLattice,
     bond_lattice,
     empty_matrix,
     fill_entry,
@@ -145,7 +145,7 @@ def test_lkm_fibration_law():
 def test_intersection_order_is_sigma_of_join():
     # a <= b iff sigma(a v b) = b, on the canonical forms
     for graph, k, m in ORDER_CASES:
-        il = IntersectionLattice(OrbitLattice(graph, k, m))
+        il = IntersectionLattice(graph, k, m)
         mats = [il.by_label[lab] for lab in il.poset.labels]
         _assert_order_is(il.poset, lambda i, j: sigma_canonical(
             join_theta(mats[i], mats[j]), graph) == mats[j])
@@ -166,7 +166,7 @@ def test_sigma_is_a_closure_operator(graph, k, m):
     # extensive and idempotent on every element, monotone on every cover:
     # the intersection covers are built from sigma of the orbit covers
     lkm = OrbitLattice(graph, k, m)
-    sigma = IntersectionLattice(lkm).sigma
+    sigma = IntersectionLattice(graph, k, m).sigma
     poset = lkm.poset
     image = [poset.index[sigma[lab]] for lab in poset.labels]
     for i, lab in enumerate(poset.labels):
@@ -183,7 +183,7 @@ def test_sigma_images_of_covers_are_an_antichain(graph, k, m):
     # upper covers are pairwise equal or incomparable, so every one of them
     # is an intersection cover of a with no minimality test
     lkm = OrbitLattice(graph, k, m)
-    il = IntersectionLattice(lkm)
+    il = IntersectionLattice(graph, k, m)
     poset = lkm.poset
     for lab in il.by_label:
         ups = {poset.index[il.sigma[poset.labels[c]]] for c in poset.upper[poset.index[lab]]}
@@ -201,7 +201,7 @@ def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
     # the covers from sigma of the orbit covers are the covers of the
     # orbit order restricted to the canonical forms, read off all pairs
     lkm = OrbitLattice(graph, k, m)
-    il = IntersectionLattice(lkm)
+    il = IntersectionLattice(graph, k, m)
     sigma = {lab: sigma_canonical(mat, graph) for lab, mat in lkm.by_label.items()}
     assert il.sigma == {lab: can.label() for lab, can in sigma.items()}
     canon = {can.label(): can for can in sigma.values() if k > 1 or not can.r_f}
@@ -313,7 +313,7 @@ def test_sigma_respects_disconnected_graph():
 def _sigma_fiber(graph, alpha):
     """The sigma-preimage of a canonical form, sorted by label."""
     lkm = OrbitLattice(graph, alpha.k, alpha.m)
-    sigma = IntersectionLattice(lkm).sigma
+    sigma = IntersectionLattice(graph, alpha.k, alpha.m).sigma
     return [lkm.by_label[lab] for lab in sorted(sigma) if sigma[lab] == alpha.label()]
 
 
@@ -347,15 +347,15 @@ def test_codim_formula_random():
 
 
 def test_intersection_lattice_small():
-    il = IntersectionLattice(OrbitLattice(Graph.complete(2), 2, 2))
+    il = IntersectionLattice(Graph.complete(2), 2, 2)
     assert il.poset.n == 10  # sigma is bijective for n = 2
     assert il.poset.labels[il.poset.minimum()] == empty_matrix(Graph.complete(2), 2, 2).label()
-    il1 = IntersectionLattice(OrbitLattice(Graph.complete(2), 1, 1))
+    il1 = IntersectionLattice(Graph.complete(2), 1, 1)
     assert il1.poset.n == 2
 
 
 def test_intersection_lattice_glues_k4():
-    il = IntersectionLattice(OrbitLattice(Graph.complete(4), 2, 1))
+    il = IntersectionLattice(Graph.complete(4), 2, 1)
     lkm = OrbitLattice(Graph.complete(4), 2, 1)
     assert lkm.poset.n == 75
     # three pair-splits collapse onto the glued four-block element

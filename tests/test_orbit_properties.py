@@ -18,10 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from conftest import path_graph
+from conftest import OrbitLattice, path_graph
 from orbitcoh.orbit import (
     Graph,
-    OrbitLattice,
     PartialMatrix,
     block_classes,
     fiber_matrices,

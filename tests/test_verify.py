@@ -10,12 +10,12 @@ import pytest
 
 import orbitcoh.oracle
 import orbitcoh.verify
-from conftest import dense, path_graph
+from conftest import OrbitLattice, dense, path_graph
 from orbitcoh.cli import main
 from orbitcoh.intlinalg import HomologySummary
 from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
-from orbitcoh.orbit import Graph, IntersectionLattice, OrbitLattice, PartialMatrix
-from orbitcoh.posets import join
+from orbitcoh.orbit import Graph, IntersectionLattice, PartialMatrix, bond_lattice
+from orbitcoh.posets import GradedPoset, join
 from orbitcoh.ring import RingPresentation
 from orbitcoh.verify import braid_chain, restriction_index, theta_cycle, verify_full
 
@@ -36,7 +36,7 @@ def test_theta_cycles_are_pinned():
     chains = []
     for graph, k in [(Graph.complete(2), 3), (path_graph(3), 2)]:
         pres = RingPresentation(graph, k, 2)
-        inter = IntersectionLattice(OrbitLattice(graph, k, 2))
+        inter = IntersectionLattice(graph, k, 2)
         labels = inter.poset.labels
         chains.append([sorted(((tuple(labels[i] for i in ch), gi, fi), c)
                               for (ch, gi, fi), c in cycle.items())
@@ -52,7 +52,7 @@ def test_oracle_cups_are_pinned():
     # dense over its target degree before hashing
     graph = Graph.complete(2)
     pres = RingPresentation(graph, 2, 2)
-    inter = IntersectionLattice(OrbitLattice(graph, 2, 2))
+    inter = IntersectionLattice(graph, 2, 2)
     oracle = GMOracle(inter.poset, inter.codim)
     cycles = []
     for e, formal in zip(pres.basis, _cycles(pres, inter)):
@@ -88,7 +88,7 @@ def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k, m):
     monkeypatch.setattr(TorComplex, "__init__", init)
     assert verify_full(graph, k, m).ok
     lkm = OrbitLattice(graph, k, m)
-    inter = IntersectionLattice(lkm)
+    inter = IntersectionLattice(graph, k, m)
     assert all(kc.poset.labels == inter.poset.labels for kc in built)
     points = [[x for x, r in zip(kc.poset.labels, kc.f.ranks) if r] for kc in built]
     assert sorted(points) == sorted([x] for x in inter.poset.labels)
@@ -119,14 +119,32 @@ def test_braid_chain_has_one_chain_per_ordering():
 
 def test_oversized_lattice_is_refused_before_it_is_built(monkeypatch):
     # L(K2, 30, 2) has 1 + 31^2 elements; the guard counts them without
-    # building the lattice
+    # building the intersection lattice or the ring
     def refuse(*args):
-        raise AssertionError("the orbit lattice was built")
+        raise AssertionError("a lattice was built")
 
-    monkeypatch.setattr(orbitcoh.verify, "OrbitLattice", refuse)
+    monkeypatch.setattr(orbitcoh.verify, "IntersectionLattice", refuse)
+    monkeypatch.setattr(orbitcoh.verify, "RingPresentation", refuse)
     with pytest.raises(OracleTooLarge) as exc:
         verify_full(Graph.complete(2), 30, 2)
     assert str(exc.value) == "orbit lattice has 962 elements, limit 100"
+
+
+def test_verify_builds_no_orbit_lattice_poset(monkeypatch):
+    # on P4 at m = 1 sigma merges the orbit lattice's 38 elements into 37:
+    # besides the bond lattices, only the intersection lattice is a poset
+    built = []
+    honest = GradedPoset.__init__
+
+    def init(self, *args, **kwargs):
+        honest(self, *args, **kwargs)
+        built.append(self.n)
+
+    monkeypatch.setattr(GradedPoset, "__init__", init)
+    graph = path_graph(4)
+    assert verify_full(graph, 2, 1).ok
+    bond = bond_lattice(graph).n
+    assert sorted(n for n in built if n != bond) == [37]
 
 
 def test_size_guard_counts_the_lattice():
@@ -189,7 +207,7 @@ def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
     # classes, off by one; the ring axioms read the table, not cup_basis
     graph = path_graph(3)
     pres = RingPresentation(graph, 2, 2)
-    inter = IntersectionLattice(OrbitLattice(graph, 2, 2))
+    inter = IntersectionLattice(graph, 2, 2)
     unit = pres.unit_index()
     (i, j), entry = next(((i, j), e) for (i, j), e in sorted(pres.products.items())
                          if unit not in (i, j))
@@ -206,7 +224,7 @@ def test_corrupt_constant_in_zero_block_is_caught(monkeypatch):
     # codimension condition alone; the closed form now claims otherwise
     graph = path_graph(3)
     pres = RingPresentation(graph, 2, 2)
-    inter = IntersectionLattice(OrbitLattice(graph, 2, 2))
+    inter = IntersectionLattice(graph, 2, 2)
     i = next(i for i, e in enumerate(pres.basis) if e.degree)
     theta = pres.basis[i].theta
     assert not _additive(inter, theta, theta) and not pres.cup_basis(i, i)
@@ -220,7 +238,7 @@ def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
     # P3 (k = 2): 287 of the 44 x 44 lattice pairs have additive
     # codimensions; each is pushed once and read once, the rest not at all
     graph = path_graph(3)
-    inter = IntersectionLattice(OrbitLattice(graph, 2, 2))
+    inter = IntersectionLattice(graph, 2, 2)
     labels = inter.poset.labels
     additive = sum(_additive(inter, x, y) for x in labels for y in labels)
     assert (additive, len(labels) ** 2) == (287, 1936)
