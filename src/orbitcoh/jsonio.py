@@ -148,16 +148,31 @@ def dumps(data) -> str:
     non-string key included, raises ``TypeError``.
     """
     out: list[str] = []
-    _write(data, out, "\n")
+    _write(data, out, "\n", _IntTexts())
     out.append("\n")
     return "".join(out)
 
 
-def _write(value, out: list[str], nl: str):
+# the exact type of an int that is not a bool or other subclass
+_INT = frozenset((int,))
+
+
+class _IntTexts(dict):
+    """The text of each int written so far in one document, which holds
+    few distinct values, so each repr is built once per ``dumps`` call.
+    Look up exact ints only: ``True == 1``, so a bool would read ``1``."""
+
+    def __missing__(self, x: int) -> str:
+        text = self[x] = int.__repr__(x)
+        return text
+
+
+def _write(value, out: list[str], nl: str, texts: _IntTexts):
     """Append ``value`` to ``out``; ``nl`` is the newline and indent of its line.
 
-    Ints inside a container, most of every payload, are written in place
-    without a call.
+    Exact ints inside a container, most of every payload, are written in
+    place without a call of ``_write``, their text read from ``texts``;
+    bools and other int subclasses take the general path.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -167,18 +182,18 @@ def _write(value, out: list[str], nl: str):
             return
         inner = nl + "  "
         comma = "," + inner
-        # one join for an int list, the leaves of every differential;
-        # ``type(x) is int`` leaves bools to print as true and false
-        if all(type(x) is int for x in value):
-            out.append(f"[{inner}{comma.join(map(int.__repr__, value))}{nl}]")
+        # one join for an int list, the leaves of every differential; the
+        # exact-type test runs in C and leaves bools to print as true and false
+        if _INT.issuperset(map(type, value)):
+            out.append(f"[{inner}{comma.join(map(texts.__getitem__, value))}{nl}]")
             return
         sep = "[" + inner
         for item in value:
             if type(item) is int:
-                out.append(f"{sep}{item!r}")
+                out.append(sep + texts[item])
             else:
                 out.append(sep)
-                _write(item, out, inner)
+                _write(item, out, inner, texts)
             sep = comma
         out.append(nl + "]")
     elif isinstance(value, dict):
@@ -193,10 +208,10 @@ def _write(value, out: list[str], nl: str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             item = value[key]
             if type(item) is int:
-                out.append(f"{sep}{encode_basestring_ascii(key)}: {item!r}")
+                out.append(f"{sep}{encode_basestring_ascii(key)}: {texts[item]}")
             else:
                 out.append(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write(item, out, inner)
+                _write(item, out, inner, texts)
             sep = comma
         out.append(nl + "}")
     elif value is None:

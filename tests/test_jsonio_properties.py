@@ -9,6 +9,7 @@ database; the constants cache goes to the system temporary directory,
 as in ``test_orbit_properties.py``.
 """
 
+import enum
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from orbitcoh import jsonio
 from orbitcoh.jsonio import dumps
 from reference_impl import library_dumps
 
@@ -53,6 +55,33 @@ payloads = st.recursive(st.one_of(scalars, int_lists), containers, max_leaves=40
 @given(payloads)
 def test_dumps_matches_the_library_encoder(data):
     assert dumps(data) == library_dumps(data)
+
+
+class Colour(enum.IntEnum):
+    RED = 1
+    BLUE = 257
+
+
+@pytest.mark.parametrize("data", [
+    [0, 1, -1, 256, -256, 257, -257, 2 ** 63, -10 ** 30, 0, 257, -10 ** 30, 1, 2 ** 63],
+    [1, True, 0, False],
+    {"a": [True, 1, False, 0], "b": 1, "c": True},
+    [Colour.RED, 1, Colour.BLUE, 257],
+    {"a": Colour.BLUE, "b": 257, "c": Colour.RED, "d": [Colour.RED]},
+    {"a": 7, "b": 7, "c": [7, 7], "d": {"e": 7, "f": -7}, "g": -7},
+], ids=["int-edges", "bools-among-ints", "bools-in-dict", "intenum-in-list",
+        "intenum-as-value", "repeated-dict-values"])
+def test_int_edge_cases_match_the_library_encoder(data):
+    assert dumps(data) == library_dumps(data)
+
+
+def test_int_texts_do_not_outlive_a_document():
+    big = [10 ** 40 + i for i in range(50)] * 3
+    first = {"a": big, "b": 10 ** 40, "c": [1, True, 1]}
+    second = {"a": [-(10 ** 40), 10 ** 40 + 1, 1], "b": True, "c": [0, False]}
+    assert dumps(first) == library_dumps(first)
+    assert dumps(second) == library_dumps(second)
+    assert not any(isinstance(v, jsonio._IntTexts) for v in vars(jsonio).values())
 
 
 @pytest.mark.parametrize("data", [1.5, [0, 2.0], {"a": [1, float("nan")]},
