@@ -52,11 +52,16 @@ def _check_km(args):
         raise BadInput("real mode forces k = 2")
 
 
-def _emit(args, payload: dict, text: str):
+def _emit(args, payload, text: str):
+    """Write ``payload()`` as JSON to ``--out``, or else ``text`` to stdout.
+
+    ``payload`` is called only when ``--out`` is given, so text output
+    never builds the JSON document.
+    """
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(dumps(payload))
+                fh.write(dumps(payload()))
         except OSError as exc:
             raise BadInput(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
@@ -89,26 +94,31 @@ def cmd_betti(args) -> int:
     pres = _presentation(args)
     poincare = pres.poincare_polynomial()
     betti = [[d, r] for d, r in enumerate(poincare) if r]
-    payload = {
-        "command": "betti",
-        "graph": {"n": pres.graph.n,
-                  "edges": sorted([list(e) for e in pres.graph.edges])},
-        "k": pres.k,
-        "m": pres.m,
-        "mode": pres.mode,
-        "betti": betti,
-        "poincare": poincare,
-        "gradings": {lab: pres.piece_rank(g) for g, lab in enumerate(pres.labels)},
-    }
-    if pres.m == 1:
-        payload["warning"] = ("m = 1 output is additive only; the ring "
-                              "statement needs m > 1")
+    warning = ("m = 1 output is additive only; the ring statement needs m > 1"
+               if pres.m == 1 else None)
+
+    def payload():
+        out = {
+            "command": "betti",
+            "graph": {"n": pres.graph.n,
+                      "edges": sorted([list(e) for e in pres.graph.edges])},
+            "k": pres.k,
+            "m": pres.m,
+            "mode": pres.mode,
+            "betti": betti,
+            "poincare": poincare,
+            "gradings": {lab: pres.piece_rank(g) for g, lab in enumerate(pres.labels)},
+        }
+        if warning:
+            out["warning"] = warning
+        return out
+
     lines = ["degree  rank"]
     for d, r in betti:
         lines.append(f"{d:>6}  {r}")
     lines.append("poincare: " + _poincare_string(poincare))
-    if "warning" in payload:
-        lines.append("warning: " + payload["warning"])
+    if warning:
+        lines.append("warning: " + warning)
     _emit(args, payload, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -120,14 +130,17 @@ def cmd_ring(args) -> int:
     if args.m == 1:
         raise UnsupportedM("the ring presentation needs m > 1")
     pres = _presentation(args)
-    payload = pres.to_json_dict()
-    payload["command"] = "ring"
-    nonzero = len(payload["products"])
+
+    def payload():
+        out = pres.to_json_dict()
+        out["command"] = "ring"
+        return out
+
     lines = [
         f"basis: {len(pres.basis)} elements over "
         f"{len(pres.matrices)} gradings ({pres.mode} mode)",
         "poincare: " + _poincare_string(pres.poincare_polynomial()),
-        f"nonzero basis products: {nonzero}",
+        f"nonzero basis products: {len(pres.products)}",
         "idx  degree  grading",
     ]
     for i, e in enumerate(pres.basis):
@@ -157,7 +170,7 @@ def cmd_verify(args) -> int:
         "rank_checks": report.rank_checks,
         "product_checks": report.product_checks,
     }
-    _emit(args, payload, str(report) + "\n")
+    _emit(args, lambda: payload, str(report) + "\n")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -173,7 +186,7 @@ def cmd_cellular(args) -> int:
         lines = ["cellular form exists", "element  rank  piece"]
         for i, lab in enumerate(poset.labels):
             lines.append(f"{lab}  {poset.rank[i]}  {result.piece_ranks[i]}")
-        _emit(args, payload, "\n".join(lines) + "\n")
+        _emit(args, lambda: payload, "\n".join(lines) + "\n")
         return EXIT_OK
     payload = {
         "command": "cellular",
@@ -184,7 +197,7 @@ def cmd_cellular(args) -> int:
     }
     text = (f"not cellular: {result.step} fails at {result.element}"
             f" ({result.detail})\n")
-    _emit(args, payload, text)
+    _emit(args, lambda: payload, text)
     return EXIT_FAIL
 
 

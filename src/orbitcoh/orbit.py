@@ -43,54 +43,35 @@ class Graph(NamedTuple):
 # -- partitions and the bond lattice ------------------------------------------
 
 
-def _set_partitions(items):
-    items = list(items)
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        yield tuple(sorted(((first,),) + sub))
-        for i, block in enumerate(sub):
-            merged = sub[:i] + (tuple(sorted(block + (first,))),) + sub[i + 1:]
-            yield tuple(sorted(merged))
-
-
-def graph_partitions(graph: Graph):
-    """Partitions of the vertex set into graph-connected blocks."""
-    out = []
-    for part in sorted(set(_set_partitions(range(1, graph.n + 1)))):
-        if all(len(components(b, graph.adjacent)) == 1 for b in part):
-            out.append(part)
-    return out
-
-
 def partition_rank(part) -> int:
     n = sum(len(b) for b in part)
     return n - len(part)
 
 
-def refines(p, q) -> bool:
-    lookup = {}
-    for block in q:
-        for v in block:
-            lookup[v] = block
-    return all(set(b) <= set(lookup[b[0]]) for b in p)
-
-
 def bond_lattice(graph: Graph) -> GradedPoset:
-    """Partitions induced by spanning subgraphs, ordered by refinement."""
-    parts = graph_partitions(graph)
-    covers = []
-    by_rank: dict[int, list] = {}
-    for p in parts:
-        by_rank.setdefault(partition_rank(p), []).append(p)
-    for r, level in by_rank.items():
-        for p in level:
-            for q in by_rank.get(r + 1, []):
-                if refines(p, q):
-                    covers.append((p, q))
-    return GradedPoset(parts, covers, {p: partition_rank(p) for p in parts})
+    """Partitions induced by spanning subgraphs, ordered by refinement.
+
+    Built up from the partition into singletons: merging the two blocks
+    at the ends of an edge is a cover, one rank up, and every partition
+    with connected blocks is reached that way.
+    """
+    bottom = tuple((v,) for v in range(1, graph.n + 1))
+    rank = {bottom: 0}
+    covers = set()
+    todo = [bottom]
+    for part in todo:
+        block_of = {v: block for block in part for v in block}
+        for i, j in graph.edges:
+            a, b = block_of[i], block_of[j]
+            if a == b:
+                continue
+            merged = [blk for blk in part if blk is not a and blk is not b]
+            up = tuple(sorted(merged + [tuple(sorted(a + b))]))
+            covers.add((part, up))
+            if up not in rank:
+                rank[up] = rank[part] + 1
+                todo.append(up)
+    return GradedPoset(rank, covers, rank)
 
 
 def edge_atom_order(graph: Graph):

@@ -29,7 +29,7 @@ from .orbit import (
     Graph,
     IntersectionLattice,
     PartialMatrix,
-    graph_partitions,
+    bond_lattice,
     restrict_matrix,
     zero_class,
 )
@@ -144,13 +144,13 @@ def verify_full(graph: Graph, k: int, m: int,
     line.  Then cup products of every basis pair against the
     cross-then-star oracle product (on by default when sigma is
     bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
-    when the orbit lattice exceeds the limit, before building any
-    lattice: each block of size s >= 2 carries m entries of k^(s-1)
-    classes or undefined.
+    when the orbit lattice exceeds the limit, after building only the
+    bond lattice: over each bond partition, each block of size s >= 2
+    carries m entries of k^(s-1) classes or undefined.
     """
     report = VerifyReport(graph, k, m)
     size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
-               for part in graph_partitions(graph))
+               for part in bond_lattice(graph).labels)
     if oracle_limit is not None and size > oracle_limit:
         raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
     pres = RingPresentation(graph, k, m)

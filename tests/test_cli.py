@@ -45,6 +45,15 @@ def test_betti_text_output():
     assert "poincare: 1 + 4*t^3 + 4*t^4 + t^5" in text
 
 
+def test_betti_many_isolated_vertices(tmp_path):
+    # the bond lattice of an edgeless graph is one partition, whatever n
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps({"n": 1200, "edges": []}))
+    code, text, err = run_cli(["betti", "--graph", str(g)])
+    assert (code, err) == (0, "")
+    assert text.endswith("poincare: 1\n")
+
+
 def test_betti_bad_k():
     code, _, err = run_cli(["betti", "--complete", "2", "--k", "0", "--m", "2"])
     assert code == 2

@@ -56,6 +56,13 @@ def test_bond_lattice_edgeless():
     assert bl.n == 1
 
 
+def test_bond_lattice_grows_with_the_edges():
+    # one edge on 30 vertices: 2 elements, not the Bell(30) partitions
+    bl = bond_lattice(Graph.make(30, [(1, 2)]))
+    assert bl.rank == (0, 1)
+    assert bond_lattice(Graph.complete(8)).n == 4140
+
+
 def test_block_classes_count():
     assert len(block_classes(2, 2)) == 2
     assert len(block_classes(3, 2)) == 4

@@ -1,5 +1,6 @@
 """Lattice laws of the orbit-lattice join and the per-join-block BCp
 product against the one read off the whole join, checked by hypothesis,
+the bond lattice's edge merges against a filter of all set partitions,
 and the row-table fiber enumeration against the cell-by-cell one.
 
 Matrices are drawn from the elements of L(K3, 2, 2), L(K3, 2, 3) and
@@ -18,13 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from conftest import OrbitLattice, path_graph
+from conftest import OrbitLattice, path_graph, refines, set_partitions
 from orbitcoh.orbit import (
     Graph,
     PartialMatrix,
     block_classes,
+    bond_lattice,
     fiber_matrices,
-    graph_partitions,
     join_theta,
     phi_product,
 )
@@ -112,9 +113,39 @@ def test_fiber_rows_match_cellwise_enumeration(name, k):
     # row, 2K2 two rows; the order must be the cell-by-cell product's
     graph = FIBER_GRAPHS[name]
     for m in (1, 2, 3):
-        for part in graph_partitions(graph):
+        for part in bond_lattice(graph).labels:
             items = fiber_matrices(graph, part, k, m)
             want = cellwise_fiber_matrices(graph, part, k, m, PartialMatrix, block_classes)
             assert [mat for mat, _, _, _ in items] == want
             for mat, label, r_f, rank in items:
                 assert (label, r_f, rank) == (mat.label(), mat.r_f, bcp_rank(mat))
+
+
+def connected(block, edges) -> bool:
+    seen = [block[0]]
+    for u in seen:
+        for v in block:
+            if v not in seen and (min(u, v), max(u, v)) in edges:
+                seen.append(v)
+    return len(seen) == len(block)
+
+
+@laws
+@given(data=st.data())
+def test_bond_lattice_matches_connected_set_partitions(data):
+    # the reference keeps the set partitions with graph-connected blocks
+    # and finds covers by refinement between adjacent ranks
+    n = data.draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    graph = Graph.make(n, [e for e in pairs if data.draw(st.booleans())])
+    parts = sorted(p for p in set_partitions(n)
+                   if all(connected(b, graph.edges) for b in p))
+    levels = {}
+    for p in parts:
+        levels.setdefault(n - len(p), []).append(p)
+    covers = sorted((lo, hi) for r, level in levels.items() for lo in level
+                    for hi in levels.get(r + 1, []) if refines(lo, hi))
+    bond = bond_lattice(graph)
+    assert bond.labels == tuple(parts)
+    assert bond.rank == tuple(n - len(p) for p in parts)
+    assert [(bond.labels[lo], bond.labels[hi]) for lo, hi in bond.covers] == covers

@@ -154,6 +154,10 @@ def test_size_guard_counts_the_lattice():
             verify_full(graph, k, m, oracle_limit=0)
         assert str(exc.value) == (
             f"orbit lattice has {OrbitLattice(graph, k, m).poset.n} elements, limit 0")
+    # P11 is too large for OrbitLattice; its 512 bond elements are summed
+    with pytest.raises(OracleTooLarge) as exc:
+        verify_full(path_graph(11), 2, 2)
+    assert str(exc.value) == "orbit lattice has 29424896 elements, limit 100"
 
 
 def test_products_on_merging_sigma_are_refused(monkeypatch):
