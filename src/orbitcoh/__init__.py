@@ -15,7 +15,7 @@ _EXPORTS = {
     "oracle": ["GMOracle", "TorComplex"],
     "orbit": ["Graph", "PartialMatrix", "bond_lattice", "join_theta", "phi_product"],
     "osalg": ["OSAlgebra", "os_vs_cellular"],
-    "posets": ["GradedPoset", "build_poset", "join", "product_poset"],
+    "posets": ["GradedPoset", "join", "product_poset"],
     "ring": ["RingPresentation"],
     "sheaves": ["Copresheaf", "FHom", "Presheaf", "delta_sheaf", "star_fhom"],
     "verify": ["verify_full"],

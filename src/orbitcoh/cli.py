@@ -208,12 +208,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "standard action, with brute-force verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_graph=True):
-        if needs_graph:
-            source = p.add_mutually_exclusive_group()
-            source.add_argument("--graph", help="graph JSON file")
-            source.add_argument("--complete", type=int,
-                                help="complete graph on N vertices")
+    def common(p):
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--graph", help="graph JSON file")
+        source.add_argument("--complete", type=int,
+                            help="complete graph on N vertices")
         p.add_argument("--k", type=int, default=2, help="order of each cyclic factor")
         p.add_argument("--m", type=int, default=2, help="number of coordinates")
         p.add_argument("--mode", choices=["complex", "real"], default="complex")

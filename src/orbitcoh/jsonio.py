@@ -66,7 +66,7 @@ def parse_poset(data) -> GradedPoset:
     The three fields must be JSON arrays and every cover a pair; every
     cover must name listed elements, and every rank must be a JSON integer.
     """
-    from .posets import Cyclic, NotGraded, build_poset
+    from .posets import Cyclic, GradedPoset, NotGraded
 
     try:
         if not all(isinstance(data[key], list) for key in ("elements", "covers", "rank")):
@@ -86,7 +86,7 @@ def parse_poset(data) -> GradedPoset:
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad poset JSON: {exc}") from exc
     try:
-        return build_poset(elements, covers, dict(zip(elements, ranks)))
+        return GradedPoset(elements, covers, dict(zip(elements, ranks)))
     except (Cyclic, NotGraded, ValueError) as exc:
         raise BadInput(f"invalid poset: {exc}") from exc
 

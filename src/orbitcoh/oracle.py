@@ -11,7 +11,8 @@ module builds its basis cycles with it, and the cup product
 (cross-then-star) pushes the chains of two whole batches of cycles
 through it once.  Everything here exists to verify the
 closed-form ring elsewhere in the package, so it favors transparency
-over speed and refuses oversized posets.
+over speed.  ``GMOracle`` refuses an oversized intersection lattice
+once, up front; a bare ``TorComplex`` takes any poset.
 """
 
 from __future__ import annotations
@@ -45,11 +46,7 @@ DEFAULT_ORACLE_LIMIT = 100
 class TorComplex:
     """K_*(P, G; F) with a deterministic basis keyed by (index chain, gi, fi)."""
 
-    def __init__(self, poset: GradedPoset, g: Copresheaf, f: Presheaf,
-                 limit: int | None = DEFAULT_ORACLE_LIMIT):
-        if limit is not None and poset.n > limit:
-            raise OracleTooLarge(
-                f"poset has {poset.n} elements, oracle limit is {limit}")
+    def __init__(self, poset: GradedPoset, g: Copresheaf, f: Presheaf):
         self.poset = poset
         self.g = g
         self.f = f
@@ -352,7 +349,7 @@ class GMOracle:
     def complex_at(self, x) -> TorComplex:
         if x not in self._complexes:
             f = delta_sheaf(self.lattice, [x], 1, "pre")
-            self._complexes[x] = TorComplex(self.lattice, self.delta_m, f, limit=None)
+            self._complexes[x] = TorComplex(self.lattice, self.delta_m, f)
         return self._complexes[x]
 
     def cohomology(self):
@@ -461,7 +458,3 @@ class GMOracle:
             return xy, n, {}
         self.complex_at(xy).check_cycles(n, products[0])
         return xy, n, products[0][0]
-
-    def class_coords(self, x, n: int, vec: dict[int, int]) -> tuple[int, ...]:
-        """Canonical class coordinates of one sparse cycle at x in degree n."""
-        return self.complex_at(x).tor(n).class_coords([vec])[0]

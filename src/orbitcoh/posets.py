@@ -160,17 +160,6 @@ class GradedPoset:
                 self.join_index(i, j)
 
 
-def build_poset(elements, covers, rank, strict: bool = True) -> GradedPoset:
-    """Validated poset from labels, cover pairs and a rank list or map.
-
-    ``rank`` may be a mapping label -> int or a sequence parallel to
-    ``elements``.
-    """
-    if not isinstance(rank, dict):
-        rank = dict(zip(elements, rank))
-    return GradedPoset(elements, covers, rank, strict=strict)
-
-
 def join(poset: GradedPoset, x, y):
     """Least upper bound of x and y."""
     return poset.labels[poset.join_index(poset.index[x], poset.index[y])]

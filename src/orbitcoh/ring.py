@@ -206,7 +206,7 @@ class RingPresentation:
                             for vals in e.bcp_index],
                 },
             })
-        out = {
+        return {
             "graph": {"n": self.graph.n,
                       "edges": sorted([list(e) for e in self.graph.edges])},
             "k": self.k,
@@ -216,14 +216,9 @@ class RingPresentation:
             "gradings": {lab: mat.to_json_dict()
                          for lab, mat in zip(self.labels, self.matrices)},
             "poincare": self.poincare_polynomial(),
+            "products": [[i, j, [[c, idx] for idx, c in sorted(entry.items())]]
+                         for (i, j), entry in sorted(self.products.items()) if entry],
         }
-        if self.m == 1:
-            out["additive_only"] = True
-        else:
-            out["products"] = [[i, j, [[c, idx] for idx, c in sorted(entry.items())]]
-                               for (i, j), entry in sorted(self.products.items())
-                               if entry]
-        return out
 
     def _atom_name(self, pos: int) -> str:
         atom = self.bond.labels[self.os.atoms[pos]]

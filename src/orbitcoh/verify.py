@@ -111,15 +111,11 @@ def theta_cycle(pres: RingPresentation, grading: int, mono: tuple,
 class VerifyReport:
     """Outcome of the oracle verification; printable line per check."""
 
-    def __init__(self, graph: Graph, k: int, m: int):
-        self.graph = graph
-        self.k = k
-        self.m = m
+    def __init__(self):
         self.ok = True
         self.lines = []
         self.rank_checks = 0
         self.product_checks = 0
-        self.axiom_stats = {}
 
     def add(self, ok: bool, text: str):
         self.ok = self.ok and ok
@@ -130,36 +126,29 @@ class VerifyReport:
 
 
 def verify_full(graph: Graph, k: int, m: int,
-                oracle_limit: int | None = DEFAULT_ORACLE_LIMIT,
-                products: bool | None = None,
-                axioms: bool = True) -> VerifyReport:
+                oracle_limit: int | None = DEFAULT_ORACLE_LIMIT) -> VerifyReport:
     """Compare the closed-form presentation with the brute-force oracle.
 
-    Checks, in order: the closed-form ranks against the Goresky-MacPherson
-    oracle over the intersection lattice, one Tor complex per element x.
-    Its ranks must equal the ring's piece ranks (``piece_rank``) summed
-    over the sigma-fiber of x, each in Tor degree r_b + r_f; an orbit
-    element that is no grading of the ring counts 0.  The closed form is
-    torsion-free, so torsion in an oracle Tor group fails that element's
-    line.  Then cup products of every basis pair against the
-    cross-then-star oracle product (on by default when sigma is
-    bijective and m > 1); and the ring axioms.  Raises OracleTooLarge
-    when the orbit lattice exceeds the limit, after building only the
-    bond lattice: over each bond partition, each block of size s >= 2
-    carries m entries of k^(s-1) classes or undefined.
+    Runs every check the input admits, in order.  First the closed-form
+    ranks against the Goresky-MacPherson oracle over the intersection
+    lattice, one Tor complex per element x.  Its ranks must equal the
+    ring's piece ranks (``piece_rank``) summed over the sigma-fiber of x,
+    each in Tor degree r_b + r_f; an orbit element that is no grading of
+    the ring counts 0.  The closed form is torsion-free, so torsion in an
+    oracle Tor group fails that element's line.  Then, when sigma is
+    bijective and m > 1, cup products of every basis pair against the
+    cross-then-star oracle product; and, when m > 1, the ring axioms.
+    Raises OracleTooLarge when the orbit lattice exceeds the limit, after
+    building only the bond lattice: over each bond partition, each block
+    of size s >= 2 carries m entries of k^(s-1) classes or undefined.
     """
-    report = VerifyReport(graph, k, m)
+    report = VerifyReport()
     size = sum(prod((k ** (len(b) - 1) + 1) ** m for b in part if len(b) >= 2)
                for part in bond_lattice(graph).labels)
     if oracle_limit is not None and size > oracle_limit:
         raise OracleTooLarge(f"orbit lattice has {size} elements, limit {oracle_limit}")
     pres = RingPresentation(graph, k, m)
     inter = IntersectionLattice(graph, k, m)
-    bijective = len(inter.by_label) == len(inter.sigma)
-    if products is None:
-        products = bijective and m > 1
-    if products and not bijective:
-        raise ValueError("product comparison needs sigma to be bijective")
     oracle = GMOracle(inter.poset, inter.codim, limit=oracle_limit)
 
     # (a) piece ranks vs the oracle, one intersection-lattice element at a time
@@ -188,15 +177,14 @@ def verify_full(graph: Graph, k: int, m: int,
             break
 
     # (b) cup products, one block of basis pairs per ordered lattice pair
-    if products:
+    if m > 1 and len(inter.by_label) == len(inter.sigma):
         _check_products(report, pres, oracle, restriction_index(inter))
 
     # (c) ring axioms
-    if axioms and m > 1:
+    if m > 1:
         try:
-            report.axiom_stats = check_ring_axioms(pres)
-            report.add(True, "ring axioms hold "
-                             f"({report.axiom_stats['pairs']} pairs)")
+            pairs = check_ring_axioms(pres)["pairs"]
+            report.add(True, f"ring axioms hold ({pairs} pairs)")
         except RingAxiomViolation as exc:
             report.add(False, f"ring axioms fail: {exc}")
     return report

@@ -8,12 +8,12 @@ between dense matrices (``Dense``, a shape and row lists) or vectors and
 the sparse columns, vectors and rows that the package takes and returns.
 
 The rest are test constructors and references built on the package,
-which the program itself never needs: chains, down-sets and constant
-sheaves, pullbacks and canonical f-homomorphisms, path graphs, cellular
-chains of a form, formal chains, free generators and induced maps of
-Tor, validated partial matrices and their defining order, the whole
-orbit lattice as a poset, and the explicit BCp cellular form of one
-fiber.
+which the program itself never needs: posets from rank lists, chains,
+down-sets and constant sheaves, pullbacks and canonical f-homomorphisms,
+path graphs, cellular chains of a form, formal chains, class
+coordinates, free generators and induced maps of Tor, validated partial
+matrices and their defining order, the whole orbit lattice as a poset,
+and the explicit BCp cellular form of one fiber.
 """
 
 import os
@@ -155,6 +155,13 @@ def dense(rows, ncols: int) -> list[list[int]]:
 # -- posets and sheaves ---------------------------------------------------------
 
 
+def build_poset(elements, covers, rank) -> GradedPoset:
+    """A poset from labels, cover pairs and a rank map or a rank list parallel to labels."""
+    if not isinstance(rank, dict):
+        rank = dict(zip(elements, rank))
+    return GradedPoset(elements, covers, rank)
+
+
 def chain_poset(length: int) -> GradedPoset:
     """The chain x0 < x1 < ... < x_length."""
     labels = [f"x{i}" for i in range(length + 1)]
@@ -221,6 +228,11 @@ def formal(tor_complex, vec: dict[int, int], n: int) -> dict:
     """A sparse vector of degree n of a TorComplex as a formal chain {key: coefficient}."""
     keys = tor_complex.keys[n]
     return {keys[p]: c for p, c in vec.items()}
+
+
+def class_coords(oracle, x, n: int, vec: dict[int, int]) -> tuple[int, ...]:
+    """Canonical class coordinates of one sparse cycle at x in degree n of a GMOracle."""
+    return oracle.complex_at(x).tor(n).class_coords([vec])[0]
 
 
 def free_generators(tor) -> list[dict[int, int]]:

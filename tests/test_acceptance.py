@@ -13,6 +13,7 @@ import time
 from conftest import (
     Dense,
     below,
+    build_poset,
     cellular_chain,
     columns,
     constant_sheaf,
@@ -29,7 +30,6 @@ from orbitcoh.orbit import (
     edge_atom_order,
 )
 from orbitcoh.osalg import OSAlgebra, os_vs_cellular
-from orbitcoh.posets import build_poset
 from orbitcoh.ring import RingPresentation, check_ring_axioms
 from orbitcoh.sheaves import Copresheaf, delta_sheaf
 from reference_impl import moebius
@@ -50,8 +50,7 @@ def test_criterion_1_rank_formula():
     checks = 0
     for name, graph in GRAPHS_C1:
         for k in (2, 3):
-            rep = verify_full(graph, k, 2, oracle_limit=200,
-                              products=False, axioms=False)
+            rep = verify_full(graph, k, 2, oracle_limit=200)
             assert rep.ok, f"{name} k={k}:\n" + "\n".join(
                 l for l in rep.lines if l.startswith("FAIL"))
             checks += rep.rank_checks
@@ -65,8 +64,7 @@ def test_criterion_2_cup_products():
     """Closed-form products equal the cross-then-star oracle on every basis pair."""
     pairs = 0
     for name, graph in [("K2", Graph.complete(2)), ("path3", path_graph(3))]:
-        rep = verify_full(graph, 2, 2, oracle_limit=200,
-                          products=True, axioms=False)
+        rep = verify_full(graph, 2, 2, oracle_limit=200)
         assert rep.ok, f"{name}:\n" + "\n".join(
             l for l in rep.lines if l.startswith("FAIL"))
         pairs += rep.product_checks
@@ -206,7 +204,7 @@ def test_criterion_5_randomized_equivalence():
         if isinstance(verdict, CellularForm):
             succeeded += 1
             h_cell = homology(cellular_chain(verdict, f))
-            h_k = TorComplex(poset, g, f, limit=None).homology()
+            h_k = TorComplex(poset, g, f).homology()
             top = max(len(h_cell.groups), len(h_k.groups))
             for n in range(top):
                 assert h_cell.betti(n) == h_k.betti(n), (poset.labels, n)
@@ -216,7 +214,7 @@ def test_criterion_5_randomized_equivalence():
             off_rank = False
             for i, lab in enumerate(poset.labels):
                 dx = delta_sheaf(poset, [lab], 1, "pre")
-                h = TorComplex(poset, g, dx, limit=None).homology()
+                h = TorComplex(poset, g, dx).homology()
                 for n, (b, tors) in enumerate(h.groups):
                     if (b or tors) and n != poset.rank[i]:
                         off_rank = True

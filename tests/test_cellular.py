@@ -6,6 +6,7 @@ from conftest import (
     OrbitLattice,
     below,
     bottom,
+    build_poset,
     cellular_chain,
     chain_poset,
     constant_sheaf,
@@ -31,7 +32,6 @@ from orbitcoh.oracle import TorComplex
 from orbitcoh.orbit import Graph
 from orbitcoh.posets import (
     PosetMorphism,
-    build_poset,
     identity_morphism,
     join_morphism,
 )

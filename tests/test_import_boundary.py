@@ -191,7 +191,7 @@ PUBLIC = [
     "CellularForm", "ChainComplex", "Copresheaf", "FHom", "GMOracle",
     "GradedPoset", "Graph", "HomologySummary", "NotCellular",
     "OSAlgebra", "PartialMatrix", "Presheaf", "RingPresentation",
-    "TorComplex", "bond_lattice", "build_poset", "cellular",
+    "TorComplex", "bond_lattice", "cellular",
     "construct_cellular_form", "delta_sheaf",
     "form_morphism", "homology", "intlinalg", "join",
     "join_theta", "oracle", "orbit",
@@ -206,7 +206,7 @@ def test_public_names_are_pinned():
     # one name per object: no alias or wrapper re-exports what another
     # public name already builds
     assert sorted(orbitcoh.__all__) == PUBLIC
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
 
 
 def test_star_import_binds_every_public_name():

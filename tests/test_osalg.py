@@ -4,14 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import bottom, chain_poset, partition_lattice, path_graph, top
+from conftest import bottom, build_poset, chain_poset, partition_lattice, path_graph, top
 from orbitcoh.orbit import Graph, bond_lattice
 from orbitcoh.osalg import (
     NotGeometric,
     OSAlgebra,
     os_vs_cellular,
 )
-from orbitcoh.posets import build_poset
 from reference_impl import CircuitListOS, moebius
 
 

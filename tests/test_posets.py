@@ -9,13 +9,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from conftest import bottom, chain_poset, constant_sheaf, partition_lattice, top
+from conftest import bottom, build_poset, chain_poset, constant_sheaf, partition_lattice, top
 from orbitcoh.oracle import TorComplex
 from orbitcoh.posets import (
     Cyclic,
+    GradedPoset,
     NotGraded,
     NotSemilattice,
-    build_poset,
     identity_morphism,
     join,
     join_morphism,
@@ -133,10 +133,10 @@ def test_semilattice_check_matches_all_pairs(data):
             relation |= {(n, i) if low else (i, n) for i in range(n)}
             n += 1
     rank = {i: 0 for i in range(n)}
-    order = build_poset(range(n), relation, rank, strict=False)
+    order = GradedPoset(range(n), relation, rank, strict=False)
     covers = [(i, j) for i, j in permutations(range(n), 2) if order.lt(i, j)
               and not any(order.lt(i, z) and order.lt(z, j) for z in range(n))]
-    poset = build_poset(range(n), covers, rank, strict=False)
+    poset = GradedPoset(range(n), covers, rank, strict=False)
     try:
         poset.require_join_semilattice()
         passed = True
@@ -183,7 +183,7 @@ def test_enumerate_chains():
     # chain of the poset
     def chains(poset, length):
         cx = TorComplex(poset, constant_sheaf(poset, 1, "co"),
-                        constant_sheaf(poset, 1, "pre"), limit=None)
+                        constant_sheaf(poset, 1, "pre"))
         level = cx.chains[length] if length < len(cx.chains) else []
         return [tuple(poset.labels[i] for i in chain) for chain in level]
 

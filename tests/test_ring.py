@@ -177,7 +177,7 @@ try:
 except RingAxiomViolation:
     raised = True
 verify.RingPresentation = corrupted
-report = verify.verify_full(Graph.complete(2), 2, 2, products=False)
+report = verify.verify_full(Graph.complete(2), 2, 2)
 print(json.dumps({"optimize": sys.flags.optimize, "raised": raised,
                   "ok": report.ok, "lines": report.lines}))
 """
@@ -197,7 +197,8 @@ def test_ring_axioms_fire_under_optimize():
 
 def test_m1_requires_additive_flag():
     pres = RingPresentation(Graph.complete(2), 2, 1)
-    assert pres.to_json_dict()["additive_only"] is True
+    with pytest.raises(UnsupportedM):
+        pres.to_json_dict()
     with pytest.raises(UnsupportedM):
         pres.cup_basis(0, 0)
     # complement of the two hyperplanes x1 = +-x2 in C^2

@@ -2,6 +2,7 @@ import pytest
 
 from conftest import (
     bottom,
+    build_poset,
     canonical_fhom,
     chain_poset,
     constant_sheaf,
@@ -12,7 +13,6 @@ from conftest import (
 from orbitcoh.intlinalg import identity
 from orbitcoh.posets import (
     PosetMorphism,
-    build_poset,
     identity_morphism,
     join_morphism,
     product_poset,

@@ -160,29 +160,16 @@ def test_size_guard_counts_the_lattice():
     assert str(exc.value) == "orbit lattice has 29424896 elements, limit 100"
 
 
-def test_products_on_merging_sigma_are_refused(monkeypatch):
-    # sigma merges two orbit elements of L(P4, 2, 1), so basis cycles have
-    # no one Tor piece to land in; the request fails before any complex
-    def refuse(*args, **kwargs):
-        raise AssertionError("a Tor complex was built")
-
-    monkeypatch.setattr(TorComplex, "__init__", refuse)
-    with pytest.raises(ValueError) as exc:
-        verify_full(path_graph(4), 2, 1, products=True)
-    assert str(exc.value) == "product comparison needs sigma to be bijective"
-
-
 def test_truncated_rank_check_is_reported(monkeypatch):
-    # K2 (k = 20) has 442 intersection elements; with every oracle piece
-    # wrong, the rank check stops after 401 failing lines and says how many
-    # elements it left unchecked
+    # K2 (k = 440, m = 1) has 442 intersection elements; with every oracle
+    # piece wrong, the rank check stops after 401 failing lines and says how
+    # many elements it left unchecked, and m = 1 runs no other check
     class Wrong:
         def homology(self):
             return HomologySummary(((7, ()),))
 
     monkeypatch.setattr(GMOracle, "complex_at", lambda self, x: Wrong())
-    report = verify_full(Graph.complete(2), 20, 2, oracle_limit=500,
-                         products=False, axioms=False)
+    report = verify_full(Graph.complete(2), 440, 1, oracle_limit=500)
     assert not report.ok and report.rank_checks == 401
     assert len(report.lines) == 402 and report.lines[-2].startswith("FAIL ranks at ")
     assert report.lines[-1] == "FAIL rank check stopped: 41 of 442 elements not checked"
