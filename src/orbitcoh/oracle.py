@@ -5,11 +5,12 @@ with b a basis vector of G(p_0) and c one of F(p_n); its homology is
 Tor^P_*(F, G).  On top of it sit the Goresky-MacPherson sum over an
 intersection lattice and one shuffle-and-push primitive,
 ``shuffle_tensor``: the shuffle products of chain pairs mapped
-elementwise into a poset, kept apart per pair.  ``shuffle_push``
-weights it by the coefficients of two formal chains; the ``verify``
-module builds its basis cycles with it, and the cup product
+elementwise into a poset, kept apart per pair.  ``shuffle_block``
+contracts it with the coefficients of two batches of formal chains,
+and ``shuffle_push`` is its one-by-one view; the ``verify`` module
+builds each grading's basis cycles in one block, and the cup product
 (cross-then-star) pushes the chains of two whole batches of cycles
-through it once.  Everything here exists to verify the
+through one block.  Everything here exists to verify the
 closed-form ring elsewhere in the package, so it favors transparency
 over speed.  ``GMOracle`` refuses an oversized intersection lattice
 once, up front; a bare ``TorComplex`` takes any poset.
@@ -18,6 +19,7 @@ once, up front; a bare ``TorComplex`` takes any poset.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 from .intlinalg import (
     ChainComplex,
@@ -64,10 +66,10 @@ class TorComplex:
 
     def _enumerate_chains(self):
         poset, g, f = self.poset, self.g, self.f
-        fmask = 0
+        reach = 0  # the elements below some point of the F-support
         for i in range(poset.n):
             if f.ranks[i]:
-                fmask |= 1 << i
+                reach |= poset.down[i]
         chains: list[list[tuple[int, ...]]] = []
 
         def record(chain):
@@ -80,12 +82,10 @@ class TorComplex:
             last = chain[-1]
             if f.ranks[last]:
                 record(chain)
-            higher = poset.up[last] & ~(1 << last)
-            for j in poset.mask_elements(higher):
-                if poset.up[j] & fmask:  # j can still reach the F-support
-                    chain.append(j)
-                    extend(chain)
-                    chain.pop()
+            for j in poset.mask_elements(poset.up[last] & reach & ~(1 << last)):
+                chain.append(j)
+                extend(chain)
+                chain.pop()
 
         for start in range(poset.n):
             if g.ranks[start]:
@@ -103,22 +103,27 @@ class TorComplex:
         """The map from degree n to degree n-1, as sparse columns (1 <= n < len(ranks)).
 
         Column j is the boundary of basis chain j.  Its faces are distinct
-        chains, so each face writes entries of its own.
+        chains, so each face writes entries of its own.  An end face whose
+        new end carries a zero sheaf value maps to zero and is skipped: on a
+        Goresky-MacPherson complex both end faces of every chain are.
         """
         pos_lo = self.position[n - 1]
+        g_ranks, f_ranks = self.g.ranks, self.f.ranks
+        sign = -1 if n % 2 else 1
         cols = []
         for c, gi, fi in self.keys[n]:
             col = {}
-            # face 0: drop p_0, extend the copresheaf part
-            for gp, v in self.g.map_index(c[0], c[1])[gi].items():
-                col[pos_lo[(c[1:], gp, fi)]] = v
+            # face 0: drop p_0, extend the copresheaf part (zero if G(p_1) = 0)
+            if g_ranks[c[1]]:
+                for gp, v in self.g.map_index(c[0], c[1])[gi].items():
+                    col[pos_lo[(c[1:], gp, fi)]] = v
             # interior faces
             for i in range(1, n):
                 col[pos_lo[(c[:i] + c[i + 1:], gi, fi)]] = -1 if i % 2 else 1
-            # face n: drop p_n, restrict the presheaf part
-            sign = -1 if n % 2 else 1
-            for fp, v in self.f.map_index(c[-2], c[-1])[fi].items():
-                col[pos_lo[(c[:-1], gi, fp)]] = sign * v
+            # face n: drop p_n, restrict the presheaf part (zero if F(p_n-1) = 0)
+            if f_ranks[c[-2]]:
+                for fp, v in self.f.map_index(c[-2], c[-1])[fi].items():
+                    col[pos_lo[(c[:-1], gi, fp)]] = sign * v
             cols.append(col)
         return cols
 
@@ -238,18 +243,21 @@ class TorDegree:
 
         One batched boundary product checks that every vector is closed
         (NotCycle otherwise); then the fixed sparse map reads each one.
+        The unit rows read 0, so without torsion and with denominator 1
+        the read is already canonical.
         """
         self.complex.check_cycles(self.n, vecs)
         cmap = self._map
         d = self._readoff[0] if cmap else 1
+        plain = d == 1 and not self.torsion
         out = []
         for vec in vecs:
             acc = [0] * len(self._moduli)
             for p, c in vec.items():
                 for i, x in cmap.get(p, ()):
                     acc[i] += c * x
-            out.append(tuple(x // d % t if t else x // d
-                             for x, t in zip(acc, self._moduli)))
+            out.append(tuple(acc) if plain else tuple(
+                x // d % t if t else x // d for x, t in zip(acc, self._moduli)))
         return out
 
 
@@ -283,40 +291,77 @@ def shuffles(p: int, q: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], .
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _path_getters(p: int, q: int) -> tuple:
+    """``shuffles(p, q)`` as getters of the path's cells from a row-major grid."""
+    return tuple((itemgetter(*(a * (q + 1) + b for a, b in path)), sign)
+                 for path, sign in shuffles(p, q))
+
+
 def shuffle_tensor(us, vs, pair) -> dict:
     """Shuffle products of chain pairs pushed forward along ``pair``, kept apart.
 
     For chains (tuples) u in ``us`` and v in ``vs``, each (p, q)-shuffle
     path contributes its sign at the chain ``pair(u[a], v[b])`` over the
     path's steps (a, b); images that repeat an element are degenerate and
-    dropped.  Returns {(u, v): {image: coefficient}}, without the pairs
-    whose push vanishes.
+    dropped.  ``pair`` is evaluated once per grid cell (a, b).  Returns
+    {(u, v): {image: coefficient}}, without the pairs whose push vanishes.
     """
     out: dict = {}
     for u in us:
         for v in vs:
+            grid = [pair(a, b) for a in u for b in v]
+            if len(grid) == 1:  # one path of one cell, which a getter returns bare
+                out[u, v] = {tuple(grid): 1}
+                continue
             pushed: dict = {}
-            for path, sign in shuffles(len(u) - 1, len(v) - 1):
-                image = tuple(pair(u[a], v[b]) for a, b in path)
+            for cells, sign in _path_getters(len(u) - 1, len(v) - 1):
+                image = cells(grid)
                 if len(set(image)) == len(image):
                     pushed[image] = pushed.get(image, 0) + sign
-            if pushed := {k: c for k, c in pushed.items() if c}:
+            if 0 in pushed.values():
+                pushed = {k: c for k, c in pushed.items() if c}
+            if pushed:
                 out[u, v] = pushed
     return out
 
 
-def shuffle_push(x: dict, y: dict, pair) -> dict:
-    """Shuffle product of two formal chains, pushed forward along ``pair``.
+def shuffle_block(xs: list[dict], ys: list[dict], pair, place=None,
+                  us: dict | None = None, vs: dict | None = None) -> list[list[dict]]:
+    """Shuffle products of two batches of formal chains, pushed along ``pair``.
 
-    ``x`` and ``y`` map chains (tuples) to coefficients; the product is
-    ``shuffle_tensor`` over their chains, weighted by x[u] * y[v].
+    ``xs`` and ``ys`` map keys to coefficients, and ``us`` and ``vs`` map
+    each chain (a tuple) of their side to its key; by default a chain is
+    its own key.  The chains of each side go through ``shuffle_tensor``
+    once, and the tensor is contracted with every pair's coefficients:
+    products[a][b] is xs[a] * ys[b], keyed by ``place(image)`` (by the
+    image itself when ``place`` is None), without zero entries.
     """
-    out: dict = {}
-    for (u, v), pushed in shuffle_tensor(x, y, pair).items():
-        cu = x[u] * y[v]
-        for image, c in pushed.items():
-            out[image] = out.get(image, 0) + c * cu
-    return {k: c for k, c in out.items() if c}
+    us = {u: u for x in xs for u in x} if us is None else us
+    vs = {v: v for y in ys for v in y} if vs is None else vs
+    star: dict = {}  # u key -> [(v key, [(image key, coefficient)])]
+    for (u, v), pushed in shuffle_tensor(us, vs, pair).items():
+        star.setdefault(us[u], []).append(
+            (vs[v], list(pushed.items()) if place is None
+             else [(place(image), c) for image, c in pushed.items()]))
+    products = []
+    for x in xs:
+        row = []
+        for y in ys:
+            acc: dict = {}
+            for u, cu in x.items():
+                for v, pushed in star.get(u, ()):
+                    if cv := y.get(v):
+                        for t, c in pushed:
+                            acc[t] = acc.get(t, 0) + c * cu * cv
+            row.append({t: c for t, c in acc.items() if c})
+        products.append(row)
+    return products
+
+
+def shuffle_push(x: dict, y: dict, pair) -> dict:
+    """Shuffle product of two formal chains, pushed forward along ``pair``."""
+    return shuffle_block([x], [y], pair)[0][0]
 
 
 # -- Goresky-MacPherson oracle ------------------------------------------------
@@ -344,7 +389,6 @@ class GMOracle:
         self.ambient = lattice.labels[lattice.minimum()]
         self.delta_m = delta_sheaf(lattice, [self.ambient], 1, "co")
         self._complexes: dict = {}
-        self._star_checked: set = set()
 
     def complex_at(self, x) -> TorComplex:
         if x not in self._complexes:
@@ -381,20 +425,18 @@ class GMOracle:
     # -- cup product ---------------------------------------------------------
 
     def _check_star_minimal(self, x, y, xy):
-        """(x, y) must be minimal in the join fiber; forced by codimensions."""
-        key = (x, y)
-        if key in self._star_checked:
-            return
+        """(x, y) must be minimal in the join fiber; forced by codimensions.
+
+        Only (a, y) and (x, b) are joined, for lower covers a of x and b of
+        y: a smaller pair with join x v y lies below one of them, whose
+        join the monotone join then squeezes to x v y.
+        """
         lat = self.lattice
-        xi, yi = lat.index[x], lat.index[y]
-        xyi = lat.index[xy]
-        for a in lat.mask_elements(lat.down[xi]):
-            for b in lat.mask_elements(lat.down[yi]):
-                if (a, b) != (xi, yi) and lat.join_index(a, b) == xyi:
-                    raise ValueError(
-                        "star homomorphism undefined: join fiber has a "
-                        f"smaller element below ({x}, {y})")
-        self._star_checked.add(key)
+        xi, yi, xyi = lat.index[x], lat.index[y], lat.index[xy]
+        if (any(lat.join_index(a, yi) == xyi for a in lat.lower[xi])
+                or any(lat.join_index(xi, b) == xyi for b in lat.lower[yi])):
+            raise ValueError("star homomorphism undefined: join fiber has a "
+                             f"smaller element below ({x}, {y})")
 
     def cup_block(self, x, nx: int, xs: list[dict], y, ny: int, ys: list[dict]):
         """Cross-then-star products of two batches of cycles, in one push.
@@ -409,10 +451,10 @@ class GMOracle:
         The star map is the identity on the rank-1 delta sheaves at ((M, M))
         and ((x, y)), so each shuffle of two index chains goes straight to
         its chain of joins, and degenerate images vanish.  The product is
-        bilinear in chain coordinates: the union of the chains of xs and of
-        ys is pushed through ``shuffle_tensor`` once, and the tensor is
-        contracted with each side's coefficients.  The images are not yet
-        checked; ``TorDegree.class_coords`` checks them as it reads them.
+        bilinear in chain coordinates, so one ``shuffle_block`` gives every
+        product, with each side's chains keyed by their positions.  The
+        images are not yet checked; ``TorDegree.class_coords`` checks them
+        as it reads them.
         """
         xy = join(self.lattice, x, y)
         n = nx + ny
@@ -423,25 +465,8 @@ class GMOracle:
         pos = target.position[n] if n < len(target.position) else {}
         us = {kx.keys[nx][p][0]: p for vec in xs for p in vec}
         vs = {ky.keys[ny][p][0]: p for vec in ys for p in vec}
-        # star[pu]: (pv, [(target position, coefficient)]) per chain pair
-        star: dict[int, list] = {}
-        for (u, v), pushed in shuffle_tensor(us, vs, self.lattice.join_index).items():
-            star.setdefault(us[u], []).append(
-                (vs[v], [(pos[(image, 0, 0)], c) for image, c in pushed.items()]))
-        products = []
-        for xa in xs:
-            row = []
-            for yb in ys:
-                acc: dict[int, int] = {}
-                for pu, cu in xa.items():
-                    for pv, pushed in star.get(pu, ()):
-                        cv = yb.get(pv)
-                        if cv:
-                            for t, c in pushed:
-                                acc[t] = acc.get(t, 0) + c * cu * cv
-                row.append({t: c for t, c in acc.items() if c})
-            products.append(row)
-        return xy, n, products
+        return xy, n, shuffle_block(xs, ys, self.lattice.join_index,
+                                    lambda image: pos[(image, 0, 0)], us, vs)
 
     def cup(self, x, nx: int, vx: dict[int, int], y, ny: int, vy: dict[int, int]):
         """Cup product of two Tor classes: the 1x1 view of ``cup_block``.

@@ -184,10 +184,6 @@ class RingPresentation:
                                       offset[gb] + y * len(vs) + t] = entry
         return table
 
-    def cup_basis(self, i: int, j: int) -> dict[int, int]:
-        """Structure constants for the product of two basis elements."""
-        return self.products.get((i, j), {})
-
     def unit_index(self) -> int:
         bottom = empty_matrix(self.graph, self.k, self.m)
         return self.offset[self.matrices.index(bottom)]

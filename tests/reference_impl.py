@@ -9,11 +9,14 @@ covers from an all-pairs up-set scan, the ring-axiom check that walks
 every triple (i, j, l) with i*j nonzero, the BCp product read off the
 whole join of a pair, the fiber enumeration that takes one cell at a
 time, the Orlik-Solomon nbc basis and straightening from an explicit
-circuit list, and the canonical JSON text from the standard library's
-pure-Python encoder.  Beside them sit definitions that the program never
-needs, only its tests: the Möbius function by its recursive defining
-sum, the BCp rank as a product over undefined entries, and the chain map
-that a pair of f-homomorphisms induces on Tor chains.  None imports from
+circuit list, the canonical JSON text from the standard library's
+pure-Python encoder, the star check that joins every pair below (x, y),
+the K-chain boundary that applies both end maps to every chain, and
+the fiber chain of a completion tensor folded in one entry at a time.
+Beside them sit definitions that the program never needs, only its
+tests: the Möbius function by its recursive defining sum, the BCp rank
+as a product over undefined entries, and the chain map that a pair of
+f-homomorphisms induces on Tor chains.  None imports from
 the package, so a test comparing against them checks the package's
 routine, not a copy of it.
 """
@@ -473,3 +476,66 @@ def induced_chain_map(k, t):
         return {k2: v for k2, v in out.items() if v}
 
     return push
+
+
+def all_pairs_star_defined(lattice, x: int, y: int) -> bool:
+    """Whether (x, y) is the only pair below itself that joins to x v y.
+
+    Joins every pair (a, b) with a <= x and b <= y.
+    """
+    xy = lattice.join_index(x, y)
+    return not any((a, b) != (x, y) and lattice.join_index(a, b) == xy
+                   for a in lattice.mask_elements(lattice.down[x])
+                   for b in lattice.mask_elements(lattice.down[y]))
+
+
+def both_ends_boundary(kc, n: int) -> list[dict[int, int]]:
+    """The boundary of a Tor K-chain complex from degree n, as sparse columns.
+
+    Every chain gets both end maps, the copresheaf's on dropping its first
+    element and the presheaf's on dropping its last, whatever the ranks at
+    the new ends; a rank-0 value contributes no entries.
+    """
+    lower = kc.position[n - 1]
+    cols = []
+    for c, gi, fi in kc.keys[n]:
+        col = {}
+        for gp, v in kc.g.map_index(c[0], c[1])[gi].items():
+            col[lower[(c[1:], gp, fi)]] = v
+        for i in range(1, n):
+            col[lower[(c[:i] + c[i + 1:], gi, fi)]] = (-1) ** i
+        for fp, v in kc.f.map_index(c[-2], c[-1])[fi].items():
+            col[lower[(c[:-1], gi, fp)]] = (-1) ** n * v
+        cols.append(col)
+    return cols
+
+
+def folding_fiber_chain(entries, assignment, zero) -> dict:
+    """The shuffle product of a completion tensor's entry cycles, one entry at a time.
+
+    ``entries`` are the rows of a partial matrix (None where undefined),
+    ``assignment`` the classes of its undefined entries in row-major
+    order, and ``zero(r)`` the zero class of row r.  A defined entry
+    extends every element of every chain.  An undefined entry is the
+    one-step chain (class -> None) minus (zero class -> None); shuffling
+    it into a chain of p steps puts its step after t of them, t = 0..p,
+    with sign (-1)^(p - t).  Keys are chains of row-major value tuples.
+    """
+    classes = iter(assignment)
+    state = {((),): 1}
+    for r, row in enumerate(entries):
+        for value in row:
+            out: dict = {}
+            if value is None:
+                for start, sign in ((next(classes), 1), (zero(r), -1)):
+                    for chain, c in state.items():
+                        p = len(chain) - 1
+                        for t in range(p + 1):
+                            new = (tuple(e + (start,) for e in chain[:t + 1])
+                                   + tuple(e + (None,) for e in chain[t:]))
+                            out[new] = out.get(new, 0) + c * sign * (-1) ** (p - t)
+            else:
+                for chain, c in state.items():
+                    out[tuple(e + (value,) for e in chain)] = c
+            state = {chain: c for chain, c in out.items() if c}
+    return state

@@ -246,27 +246,26 @@ _CLAW = {"n": 4, "edges": [[1, 2], [1, 3], [1, 4]]}
     ({"complete": 3}, 2, 2, None,
      "9e1157232f719aeb5ddefb1fa5d491053de2a4c5c856822a4e28870d66a8b8de"),
     (_P4, 2, 1, None,
-     "5aa9abfbf9814ed5eed809ef09a4b603fc549f715f8c87c87adb6dd260295b08"),
+     "4f741bed19437b0024672e1dbf7413e2c0fafdbfe29f04a241c29c52f9df865c"),
     (_C4, 2, 1, None,
-     "03e8ae95b4a33e53f469895f0ffd948bbc6f0d6fe360d59b64ce8e17ddefc919"),
+     "75951e91ad1b17cec0e19f53d777293b52aa45e7db82f62b7ecd2c899fec84d8"),
     ({"complete": 4}, 2, 1, None,
-     "dd491ed96fbd22bce7c3ff229152b12f01074153b96359866626c93d4ead5cfc"),
+     "e3d534a9bb2d7ef86d52e37038380bac088f62173f5227d9e80fa8cc6a6bffd9"),
     (_CLAW, 2, 2, 200,
      "92a6d93116dd9f756a0184d9198ebd32755e171c89ee24ff2da42fae76a18641"),
     (_P4, 2, 2, 500,
-     "9c91c3aa1a1c6171c3a8c4a57c17b3ac4b38d81ea0f3f38c093a2b10efc34289"),
+     "6dff4216fe49a360e0dd2b721ff8e4b3985fbc6ee534cd9de36ddae2c75c8be6"),
 ], ids=["K2-k2", "K2-k3", "K2-k4", "P3-k2", "K3-k2", "P4-k2-m1", "C4-k2-m1",
         "K4-k2-m1", "claw-k2-m2", "P4-k2-m2"])
 def test_verify_json_is_pinned(tmp_path, graph, k, m, limit, digest):
     # the m = 2 digests were recorded while the products were still
-    # compared one basis pair at a time; the m = 1 ones, on graphs where
-    # sigma merges orbit elements, while their ranks still came from Tor
-    # over the orbit lattice.  The claw is the only 4-vertex graph on which
-    # sigma is bijective, so the only one whose 160,000 basis pairs of
+    # compared one basis pair at a time.  The m = 1 ones are on graphs where
+    # sigma merges orbit elements, and end with the line saying that m = 1
+    # skips products and axioms.  The claw is the only 4-vertex graph on
+    # which sigma is bijective, so the only one whose 160,000 basis pairs of
     # products are compared; its digest was recorded while the oracle still
     # keyed its chains by label strings.  P4 at m = 2 is a merging instance
-    # beyond m = 1; its digest was recorded while the intersection covers
-    # still came from an all-pairs up-set scan
+    # beyond m = 1, whose products are skipped with a line saying so
     out = tmp_path / "v.json"
     if "complete" in graph:
         source = ["--complete", str(graph["complete"])]

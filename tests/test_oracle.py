@@ -2,6 +2,7 @@ import json
 import random
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -18,12 +19,14 @@ from conftest import (
     free_generators,
     induced_homology_matrix,
     partition_lattice,
+    path_graph,
     pullback,
     sparse,
     subprocess_env,
     top,
 )
 from orbitcoh.intlinalg import elementary_divisors, identity, shape_error, sparse_apply
+from orbitcoh.orbit import Graph, IntersectionLattice
 from orbitcoh.posets import (
     PosetMorphism,
     identity_morphism,
@@ -42,7 +45,7 @@ from orbitcoh.sheaves import (
     delta_sheaf,
     product_sheaf,
 )
-from reference_impl import induced_chain_map
+from reference_impl import all_pairs_star_defined, both_ends_boundary, induced_chain_map
 
 
 def point_poset():
@@ -364,3 +367,77 @@ def test_oracle_cup_graded_commutative():
     # 2*1 - ... ) -- for braid atoms the cohomology degree is 1, so classes
     # anticommute
     assert [x + y for x, y in zip(ca, cb)] == [0] * len(ca)
+
+
+@pytest.mark.parametrize("graph, k", [(path_graph(3), 2), (Graph.complete(2), 4),
+                                      (Graph.complete(3), 2)],
+                         ids=["P3-k2", "K2-k4", "K3-k2"])
+def test_star_check_agrees_with_the_all_pairs_scan(graph, k):
+    # joining (a, y) and (x, b) over the lower covers a of x and b of y
+    # gives the verdict of joining every pair below (x, y), on every
+    # ordered pair of the intersection lattice; both verdicts occur
+    inter = IntersectionLattice(graph, k, 2)
+    lat = inter.poset
+    oracle = GMOracle(lat, inter.codim, limit=None)
+    verdicts = set()
+    for x, y in product(range(lat.n), repeat=2):
+        labels = (lat.labels[x], lat.labels[y], lat.labels[lat.join_index(x, y)])
+        try:
+            oracle._check_star_minimal(*labels)
+            defined = True
+        except ValueError as exc:
+            assert str(exc).startswith("star homomorphism undefined")
+            defined = False
+        assert defined == all_pairs_star_defined(lat, x, y), labels
+        verdicts.add(defined)
+    assert verdicts == {True, False}
+
+
+STAR_UNDEFINED = """
+import json, sys
+from orbitcoh.oracle import GMOracle
+from orbitcoh.posets import GradedPoset
+
+# 0 < a < x and 0 < y, with a v y = x v y = T; codimensions 0, 1, 2, 1, 3
+codim = {"0": 0, "a": 1, "x": 2, "y": 1, "T": 3}
+lat = GradedPoset(codim, [("0", "a"), ("a", "x"), ("0", "y"), ("x", "T"), ("y", "T")],
+                  codim, strict=False)
+try:
+    GMOracle(lat, codim).cup_block("x", 0, [], "y", 0, [])
+    message = None
+except ValueError as exc:
+    message = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "message": message}))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_undefined_star_is_refused(flags):
+    # the codimensions of x and y add up to that of x v y, but (a, y) lies
+    # below (x, y) in the same join fiber: cup_block must refuse the pair,
+    # by an explicit raise that python -O keeps
+    proc = subprocess.run([sys.executable, *flags, "-c", STAR_UNDEFINED],
+                          capture_output=True, text=True, env=subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "optimize": len(flags),
+        "message": "star homomorphism undefined: join fiber has a smaller "
+                   "element below (x, y)"}
+
+
+def test_boundary_skips_only_zero_end_maps():
+    # the boundary skips an end map whose new end has sheaf rank 0; applying
+    # both end maps always gives the same columns in every degree.  On the
+    # Goresky-MacPherson complexes of P3 (k = 2) both end maps of every
+    # chain are skipped; on constant sheaves over Pi_4 none is
+    inter = IntersectionLattice(path_graph(3), 2, 2)
+    oracle = GMOracle(inter.poset, inter.codim)
+    gm = [oracle.complex_at(x) for x in inter.poset.labels]
+    p4 = partition_lattice(4)
+    constant = TorComplex(p4, constant_sheaf(p4, 2, "co"), constant_sheaf(p4, 1, "pre"))
+    for kc, skipped in [*((kc, True) for kc in gm), (constant, False)]:
+        for n in range(1, len(kc.ranks)):
+            assert kc.boundary(n) == both_ends_boundary(kc, n)
+            for c, _, _ in kc.keys[n]:
+                assert (kc.g.ranks[c[1]] == 0) == (kc.f.ranks[c[-2]] == 0) == skipped
+    assert len(constant.ranks) == 4 and all(constant.ranks)

@@ -17,7 +17,14 @@ from orbitcoh.oracle import GMOracle, OracleTooLarge, TorComplex, TorDegree
 from orbitcoh.orbit import Graph, IntersectionLattice, PartialMatrix, bond_lattice
 from orbitcoh.posets import GradedPoset, join
 from orbitcoh.ring import RingPresentation
-from orbitcoh.verify import braid_chain, restriction_index, theta_cycle, verify_full
+from orbitcoh.verify import (
+    braid_chain,
+    fiber_chain,
+    restriction_index,
+    theta_cycles,
+    verify_full,
+)
+from reference_impl import folding_fiber_chain
 
 
 def _digest(data) -> str:
@@ -25,12 +32,13 @@ def _digest(data) -> str:
 
 
 def _cycles(pres, inter):
-    locate = restriction_index(inter)
-    return [theta_cycle(pres, e.grading, e.os_mono, e.bcp_index, locate) for e in pres.basis]
+    locate, braids = restriction_index(inter), {}
+    return [cycle for g in range(len(pres.matrices))
+            for cycle in theta_cycles(pres, g, locate, braids)]
 
 
 def test_theta_cycles_are_pinned():
-    # sorted theta_cycle chains of every basis element of K2 (k = 3) and P3
+    # sorted theta_cycles chains of every basis element of K2 (k = 3) and P3
     # (k = 2), recorded before the chain builders shared one shuffle loop,
     # when chains were keyed by labels: the index chains are mapped back
     chains = []
@@ -104,6 +112,23 @@ def test_oracle_complexes_compose_to_zero(monkeypatch, graph, k, m):
         assert all(sheaf.ranks[lo] and sheaf.ranks[hi] for lo, hi in sheaf.maps)
 
 
+@pytest.mark.parametrize("graph, k", [(path_graph(3), 2), (Graph.complete(2), 4),
+                                      (Graph.complete(3), 3)],
+                         ids=["P3-k2", "K2-k4", "K3-k3"])
+def test_fiber_chain_is_the_entry_by_entry_fold(graph, k):
+    # the closed-form sum over starts and orders equals the shuffle folded
+    # in one entry at a time, for every completion tensor of the ring
+    pres = RingPresentation(graph, k, 2)
+    for g, mat in enumerate(pres.matrices):
+        for assignment in pres.assignments[g]:
+            got = {tuple(tuple(v for row in fm.entries for v in row) for fm in chain): c
+                   for chain, c in fiber_chain(mat, assignment).items()}
+            assert all(fm.partition == mat.partition
+                       for chain in fiber_chain(mat, assignment) for fm in chain)
+            assert got == folding_fiber_chain(
+                mat.entries, assignment, lambda r: (0,) * len(mat.rows()[r]))
+
+
 def test_braid_chain_has_one_chain_per_ordering():
     # r independent atoms give r! distinct partial-join chains, signed by
     # the permutation that orders them
@@ -163,7 +188,8 @@ def test_size_guard_counts_the_lattice():
 def test_truncated_rank_check_is_reported(monkeypatch):
     # K2 (k = 440, m = 1) has 442 intersection elements; with every oracle
     # piece wrong, the rank check stops after 401 failing lines and says how
-    # many elements it left unchecked, and m = 1 runs no other check
+    # many elements it left unchecked, and m = 1 runs no other check but
+    # says so
     class Wrong:
         def homology(self):
             return HomologySummary(((7, ()),))
@@ -171,8 +197,30 @@ def test_truncated_rank_check_is_reported(monkeypatch):
     monkeypatch.setattr(GMOracle, "complex_at", lambda self, x: Wrong())
     report = verify_full(Graph.complete(2), 440, 1, oracle_limit=500)
     assert not report.ok and report.rank_checks == 401
-    assert len(report.lines) == 402 and report.lines[-2].startswith("FAIL ranks at ")
-    assert report.lines[-1] == "FAIL rank check stopped: 41 of 442 elements not checked"
+    assert len(report.lines) == 403 and report.lines[-3].startswith("FAIL ranks at ")
+    assert report.lines[-2] == "FAIL rank check stopped: 41 of 442 elements not checked"
+    assert report.lines[-1] == "SKIP cup products and ring axioms: m = 1"
+
+
+@pytest.mark.parametrize("m, limit, skipped", [
+    (1, 100, "SKIP cup products and ring axioms: m = 1"),
+    (2, 500, "SKIP cup products: sigma merges 240 orbit elements into 239"),
+], ids=["m1", "m2"])
+def test_skipped_checks_say_why(m, limit, skipped):
+    # on P4 (k = 2) sigma merges orbit elements, so no products are compared;
+    # one line says why, after the rank lines, and leaves ok as it was
+    report = verify_full(path_graph(4), 2, m, oracle_limit=limit)
+    assert report.ok and report.product_checks == 0
+    assert [l for l in report.lines if l.startswith("SKIP")] == [skipped]
+    assert report.lines[report.rank_checks] == skipped
+    assert all(l.startswith("PASS ") for l in report.lines if l != skipped)
+
+
+def test_bijective_sigma_skips_nothing():
+    # K2 (k = 2): products and ring axioms both run, and no line is a SKIP
+    report = verify_full(Graph.complete(2), 2, 2)
+    assert report.ok and report.product_checks
+    assert not [l for l in report.lines if not l.startswith("PASS ")]
 
 
 def _additive(inter, x, y) -> bool:
@@ -184,45 +232,84 @@ def _product_line(report) -> tuple[bool, int]:
     return line.startswith("PASS "), int(line.rsplit("(", 1)[1].split()[0])
 
 
-def _corrupt(monkeypatch, pair, entry):
-    honest = RingPresentation.cup_basis
+def _corrupt(monkeypatch, entries):
+    # verify reads the closed form from the product table: the entries go
+    # there, so the ring axioms see them too
+    def corrupted(*args):
+        pres = RingPresentation(*args)
+        pres.products.update(entries)
+        return pres
 
-    def cup_basis(self, i, j):
-        return dict(entry) if (i, j) == pair else honest(self, i, j)
-
-    monkeypatch.setattr(RingPresentation, "cup_basis", cup_basis)
+    monkeypatch.setattr(orbitcoh.verify, "RingPresentation", corrupted)
 
 
-def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
-    # one structure constant of a nonzero product of two positive-degree
-    # classes, off by one; the ring axioms read the table, not cup_basis
-    graph = path_graph(3)
-    pres = RingPresentation(graph, 2, 2)
-    inter = IntersectionLattice(graph, 2, 2)
+def _additive_entry(pres, inter):
+    # a nonzero product of two positive-degree classes, one constant off by one
     unit = pres.unit_index()
     (i, j), entry = next(((i, j), e) for (i, j), e in sorted(pres.products.items())
                          if unit not in (i, j))
     assert _additive(inter, pres.basis[i].theta, pres.basis[j].theta)
     idx = min(entry)
-    _corrupt(monkeypatch, (i, j), {**entry, idx: entry[idx] + 1})
+    return (i, j), {**entry, idx: entry[idx] + 1}
+
+
+def _zero_entry(pres, inter):
+    # the square of a class of positive codimension is zero by the
+    # codimension condition alone; the closed form now claims otherwise
+    i = next(i for i, e in enumerate(pres.basis) if e.degree)
+    theta = pres.basis[i].theta
+    assert not _additive(inter, theta, theta) and (i, i) not in pres.products
+    return (i, i), {i: 1}
+
+
+def test_corrupt_constant_in_additive_block_is_caught(monkeypatch):
+    graph = path_graph(3)
+    pres = RingPresentation(graph, 2, 2)
+    inter = IntersectionLattice(graph, 2, 2)
+    _corrupt(monkeypatch, dict([_additive_entry(pres, inter)]))
     report = verify_full(graph, 2, 2)
     passed, mismatches = _product_line(report)
     assert report.ok is False and not passed and mismatches >= 1
 
 
 def test_corrupt_constant_in_zero_block_is_caught(monkeypatch):
-    # the square of a class of positive codimension is zero by the
-    # codimension condition alone; the closed form now claims otherwise
     graph = path_graph(3)
     pres = RingPresentation(graph, 2, 2)
     inter = IntersectionLattice(graph, 2, 2)
-    i = next(i for i, e in enumerate(pres.basis) if e.degree)
-    theta = pres.basis[i].theta
-    assert not _additive(inter, theta, theta) and not pres.cup_basis(i, i)
-    _corrupt(monkeypatch, (i, i), {i: 1})
+    _corrupt(monkeypatch, dict([_zero_entry(pres, inter)]))
     report = verify_full(graph, 2, 2)
     passed, mismatches = _product_line(report)
     assert report.ok is False and not passed and mismatches >= 1
+
+
+def test_two_corrupt_constants_are_two_mismatches(monkeypatch):
+    # one wrong constant in a zero block and one in an additive block: each
+    # is one mismatching basis pair, and every basis pair is still compared
+    graph = path_graph(3)
+    pres = RingPresentation(graph, 2, 2)
+    inter = IntersectionLattice(graph, 2, 2)
+    _corrupt(monkeypatch, dict([_zero_entry(pres, inter), _additive_entry(pres, inter)]))
+    report = verify_full(graph, 2, 2)
+    assert _product_line(report) == (False, 2)
+    assert report.product_checks == 68 * 68 and report.ok is False
+
+
+def test_missing_product_is_caught(monkeypatch):
+    # the closed form drops a nonzero product of an additive block: the
+    # oracle's product there is not zero, which is one mismatch
+    graph = path_graph(3)
+    pres = RingPresentation(graph, 2, 2)
+    inter = IntersectionLattice(graph, 2, 2)
+    (i, j), _ = _additive_entry(pres, inter)
+
+    def dropped(*args):
+        pres = RingPresentation(*args)
+        del pres.products[i, j]
+        return pres
+
+    monkeypatch.setattr(orbitcoh.verify, "RingPresentation", dropped)
+    report = verify_full(graph, 2, 2)
+    assert _product_line(report) == (False, 1)
 
 
 def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
@@ -237,7 +324,7 @@ def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
     tensor, class_coords = orbitcoh.oracle.shuffle_tensor, TorDegree.class_coords
 
     def counting_tensor(us, vs, pair):
-        caller = sys._getframe(1)
+        caller = sys._getframe(2)  # through shuffle_block
         if caller.f_code.co_name == "cup_block":
             pushed.append((caller.f_locals["x"], caller.f_locals["y"]))
         return tensor(us, vs, pair)
@@ -262,12 +349,12 @@ def test_oracle_works_only_on_codimension_additive_pairs(monkeypatch):
 
 
 def test_theta_cycles_render_each_restriction_once(monkeypatch):
-    # P3 (k = 2): the basis cycles ask for 5,873 restrictions, of 137
-    # distinct (fiber matrix, bond label) pairs; each is computed once and
-    # goes straight to its lattice index, with no label rendered
+    # P3 (k = 2): the basis cycles need the restrictions of 137 distinct
+    # (fiber matrix, bond label) pairs; each is computed once and goes
+    # straight to its lattice index, with no label rendered
     rendered, labelled, building = [], [], []
     restrict, label = orbitcoh.verify.restrict_matrix, PartialMatrix.label
-    theta = orbitcoh.verify.theta_cycle
+    theta = orbitcoh.verify.theta_cycles
 
     def counting(fmat, lab):
         rendered.append((fmat, lab))
@@ -286,7 +373,7 @@ def test_theta_cycles_render_each_restriction_once(monkeypatch):
         return label(self)
 
     monkeypatch.setattr(orbitcoh.verify, "restrict_matrix", counting)
-    monkeypatch.setattr(orbitcoh.verify, "theta_cycle", cycle)
+    monkeypatch.setattr(orbitcoh.verify, "theta_cycles", cycle)
     monkeypatch.setattr(PartialMatrix, "label", counting_label)
     assert verify_full(path_graph(3), 2, 2).ok
     assert len(rendered) == len(set(rendered)) == 137
