@@ -10,14 +10,16 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "cellular": ["CellularForm", "NotCellular", "construct_cellular_form",
-                 "form_morphism", "product_form", "verify_cellular_form"],
+                 "verify_cellular_form"],
     "intlinalg": ["ChainComplex", "HomologySummary", "homology", "smith_normal_form"],
+    "morphisms": ["FHom", "form_morphism", "os_vs_cellular", "product_form",
+                  "product_poset", "star_fhom"],
     "oracle": ["GMOracle", "TorComplex"],
     "orbit": ["Graph", "PartialMatrix", "bond_lattice", "join_theta", "phi_product"],
-    "osalg": ["OSAlgebra", "os_vs_cellular"],
-    "posets": ["GradedPoset", "join", "product_poset"],
+    "osalg": ["OSAlgebra"],
+    "posets": ["GradedPoset", "join"],
     "ring": ["RingPresentation"],
-    "sheaves": ["Copresheaf", "FHom", "Presheaf", "delta_sheaf", "star_fhom"],
+    "sheaves": ["Copresheaf", "Presheaf", "delta_sheaf"],
     "verify": ["verify_full"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Cellular forms on graded posets and their morphisms.
+"""Cellular forms on graded posets.
 
 A cellular form of a pair (P, G) is a P-graded free module with a
 rank-decreasing differential such that, below every element x, the
@@ -7,9 +7,8 @@ complex has G(x) in degree 0 and the rank-i pieces in degree i + 1; its
 first map sends each rank-0 value into G(x) by the extension map.  A
 form exists iff Tor(delta_x Z, G) is concentrated in degree rank(x) for
 every x, and it is unique.  The constructor below decides existence and
-builds the form in polynomial time, working up the ranks; morphisms of
-forms are produced by the inverse-differential recursion, which pins
-them uniquely.
+builds the form in polynomial time, working up the ranks.  Morphisms of
+forms and product forms are in ``orbitcoh.morphisms``.
 """
 
 from __future__ import annotations
@@ -18,25 +17,17 @@ from typing import NamedTuple
 
 from .intlinalg import (
     ChainComplex,
-    ColumnSolver,
     InvalidComplex,
     elementary_divisors,
     homology,
-    identity,
-    kron,
     shape_error,
-    sparse_apply,
 )
-from .posets import GradedPoset, PosetMorphism, product_poset
-from .sheaves import Copresheaf, FHom, product_sheaf, validate_fhom
+from .posets import GradedPoset
+from .sheaves import Copresheaf
 
 
 class FormViolation(Exception):
     """A claimed cellular form fails one of the defining conditions."""
-
-
-class PreconditionFailed(Exception):
-    """The poset map increases rank somewhere, so no form morphism exists."""
 
 
 class NotCellular(NamedTuple):
@@ -265,115 +256,3 @@ def verify_cellular_form(form: CellularForm):
             step, detail = _step(degree)
             raise FormViolation(f"{step} fails at {poset.labels[x]} ({detail})")
     return True
-
-
-class FormMorphism:
-    """The unique graded map between forms associated with (f, t)."""
-
-    def __init__(self, f: PosetMorphism, source: CellularForm,
-                 target: CellularForm, components: dict):
-        self.f = f
-        self.source = source
-        self.target = target
-        self.components = components
-
-    def component(self, label) -> list[dict[int, int]]:
-        return self.components[self.f.source.index[label]]
-
-    def check_commutes(self):
-        """Phi commutes with the differential on every piece (any rank drop)."""
-        src, tgt, f = self.source, self.target, self.f
-        poset = f.source
-        for x in range(poset.n):
-            fx = f.image[x]
-            lhs = [sparse_apply(tgt.diff[fx], col) for col in self.components[x]]
-            if _pushed_rhs(f, self.components, src, tgt, x) != lhs:
-                raise FormViolation(f"morphism fails to commute at {poset.labels[x]}")
-        return True
-
-
-def _pushed_rhs(f: PosetMorphism, components, source: CellularForm,
-                target: CellularForm, x: int):
-    """Phi . d at the piece at x, stacked over the lower covers of f(x), or None.
-
-    The sum of Phi_y . d(y, x) over the lower covers y of x lands in the
-    pieces at the f(y); it is None when one of those is not a lower cover
-    of f(x) yet gets a nonzero part.
-    """
-    fx = f.image[x]
-    ncols = source.piece_ranks[x]
-    sums: dict[int, list[dict[int, int]]] = {}
-    for y in source.poset.lower[x]:
-        acc = sums.setdefault(f.image[y], [{} for _ in range(ncols)])
-        for total, col in zip(acc, source.block(y, x)):
-            for i, w in sparse_apply(components[y], col).items():
-                total[i] = total.get(i, 0) + w
-    inside = {z: sums.pop(z) for z in target.poset.lower[fx] if z in sums}
-    if any(any(col.values()) for cols in sums.values() for col in cols):
-        return None
-    return stack_blocks(target.poset, target.piece_ranks, fx, inside, ncols)
-
-
-def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
-                  target: CellularForm) -> FormMorphism:
-    """Construct the unique morphism of cellular forms for (f, t).
-
-    ``f`` must not increase rank; ``t`` is an f-homomorphism between the
-    underlying copresheaves.  Components are built up the ranks by
-    solving Phi = d^-1 Phi d, which has a unique integer solution.
-    """
-    poset = f.source
-    tgt_poset = f.target
-    for x in range(poset.n):
-        if tgt_poset.rank[f.image[x]] > poset.rank[x]:
-            raise PreconditionFailed(
-                f"map increases rank at {poset.labels[x]}")
-    if t.kind != "co":
-        raise ValueError("t must be a copresheaf f-homomorphism")
-    validate_fhom(t)
-
-    solvers: dict[int, ColumnSolver] = {}
-    components: dict[int, list[dict[int, int]]] = {}
-    for x in sorted(range(poset.n), key=lambda i: (poset.rank[i], i)):
-        fx = f.image[x]
-        r, fr = poset.rank[x], tgt_poset.rank[fx]
-        if r == 0:
-            components[x] = t.components[x]
-            continue
-        if fr < r:
-            components[x] = [{} for _ in range(source.piece_ranks[x])]
-            continue
-        # rank-preserving piece: solve the commuting square column by column;
-        # pieces at y that f moves below a lower cover of fx carry Phi = 0
-        rhs_cols = _pushed_rhs(f, components, source, target, x)
-        if rhs_cols is None or (target.piece_ranks[fx] == 0 and any(rhs_cols)):
-            raise FormViolation(
-                f"no room for the image of the piece at {poset.labels[x]}")
-        if fx not in solvers:
-            below = sum(target.piece_ranks[y] for y in tgt_poset.lower[fx])
-            solvers[fx] = ColumnSolver(target.diff[fx], below)
-        components[x] = [solvers[fx].solve(rhs) for rhs in rhs_cols]
-    return FormMorphism(f, source, target, components)
-
-
-def product_form(form_p: CellularForm, form_q: CellularForm) -> CellularForm:
-    """Cellular form of the Cartesian product pair, with Koszul signs."""
-    p, q = form_p.poset, form_q.poset
-    prod = product_poset(p, q)
-    g = product_sheaf(form_p.copresheaf, form_q.copresheaf, prod)
-    ranks = [form_p.rank_of(a) * form_q.rank_of(b) for a, b in prod.labels]
-    blocks: list[dict[int, list[dict[int, int]]]] = [{} for _ in range(prod.n)]
-    for lo, hi in prod.covers:
-        (a1, b1) = prod.labels[lo]
-        (a2, b2) = prod.labels[hi]
-        rq = form_q.rank_of(b1)
-        if a1 != a2:
-            mat = kron(form_p.block(p.index[a1], p.index[a2]), identity(rq), rq)
-        else:
-            block = form_q.block(q.index[b1], q.index[b2])
-            mat = kron(identity(form_p.rank_of(a1)), block, rq)
-            if p.rank_of(a1) % 2:
-                mat = [{r: -v for r, v in col.items()} for col in mat]
-        blocks[hi][lo] = mat
-    diff = [stack_blocks(prod, ranks, x, blocks[x], ranks[x]) for x in range(prod.n)]
-    return CellularForm(prod, g, ranks, diff)

@@ -9,10 +9,11 @@ those.  ``betti`` and ``ring`` load ``cli``, ``jsonio``, ``orbit``,
 ``osalg``, ``posets`` and ``ring``; ``verify`` adds ``intlinalg``,
 ``sheaves``, ``oracle`` and ``verify``, but not ``cellular``; ``cellular``
 loads ``cli``, ``jsonio``, ``intlinalg``, ``posets``, ``sheaves`` and
-``cellular``.  The value classes are ``typing.NamedTuple``s, so no
-command loads ``inspect`` or ``ast``.  Without a bytecode cache a child
-compiles every module it loads, which for small inputs costs more than
-the command's own work.
+``cellular``.  No command loads ``morphisms``, the form-morphism product
+route.  The value classes are ``typing.NamedTuple``s, so no command
+loads ``inspect`` or ``ast``.  Without a bytecode cache a child compiles
+every module it loads, which for small inputs costs more than the
+command's own work.
 """
 
 from __future__ import annotations

@@ -9,11 +9,8 @@ when every suffix join s_i v ... v s_r has s_i as its least atom
 lattices", 7.4); a monomial failing that at some suffix is straightened
 with the one circuit of that suffix and its least atom.
 
-``ring`` uses only the nbc basis and its products.  The cellular
-comparison (``nbc_form``, ``os_vs_cellular``) imports ``cellular``,
-``sheaves`` and ``intlinalg`` when it runs, so ``orbitcoh betti`` and
-``ring`` do not load them: a child without a bytecode cache compiles
-every module it loads.
+The comparison with the cellular route, ``nbc_form`` and
+``os_vs_cellular``, lives in ``orbitcoh.morphisms``.
 """
 
 from __future__ import annotations
@@ -21,16 +18,11 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .cellular import CellularForm
     from .posets import GradedPoset
 
 
 class NotGeometric(Exception):
     """The lattice is not geometric (atomic and semimodular)."""
-
-
-class Mismatch(Exception):
-    """The nbc and cellular routes disagree; the implementation is wrong."""
 
 
 def _merge_sign(left: tuple, right: tuple):
@@ -191,133 +183,3 @@ class OSAlgebra:
         if not self._independent(mono):
             return {}
         return {k: sign * v for k, v in self.straighten(mono).items()}
-
-    # -- the nbc differential and cellular comparison ------------------------
-
-    def nbc_form(self) -> CellularForm:
-        """The nbc presentation packaged as a cellular form of (L, delta^0 Z)."""
-        from .cellular import CellularForm, stack_blocks
-        from .sheaves import delta_sheaf
-
-        lat = self.lattice
-        g = delta_sheaf(lat, [lat.labels[self.bottom]], 1, "co")
-        ranks = [self.piece_rank(lab) for lab in lat.labels]
-        diff = []
-        for xi, x in enumerate(lat.labels):
-            blocks: dict[int, list[dict[int, int]]] = {}
-            for col, mono in enumerate(self.nbc[x]):
-                for pos in range(len(mono)):
-                    sub = mono[:pos] + mono[pos + 1:]
-                    y, row_nbc = self.nbc_index[sub]
-                    block = blocks.setdefault(lat.index[y], [{} for _ in self.nbc[x]])
-                    entry = block[col]
-                    entry[row_nbc] = entry.get(row_nbc, 0) + (-1 if pos % 2 else 1)
-            # differentials of nbc monomials only hit lower covers
-            if not set(blocks) <= set(lat.lower[xi]):
-                raise Mismatch("nbc differential escapes the cover relation")
-            diff.append(stack_blocks(lat, ranks, xi, blocks, ranks[xi]))
-        return CellularForm(lat, g, ranks, diff)
-
-
-class ComparisonReport:
-    """Outcome of checking the cellular route against the nbc oracle."""
-
-    def __init__(self, lattice, rank_match, product_pairs, change_of_basis):
-        self.lattice = lattice
-        self.rank_match = rank_match
-        self.product_pairs = product_pairs
-        self.change_of_basis = change_of_basis
-
-    def __str__(self):
-        return (f"ranks match: {self.rank_match}; "
-                f"{self.product_pairs} product pairs verified")
-
-
-def os_vs_cellular(lattice: GradedPoset, check_products: bool = True,
-                   atom_order=None):
-    """Compare the constructed cellular form against the nbc presentation.
-
-    Builds the form of (L, delta^0 Z) by the generic algorithm, the
-    unique comparison isomorphism onto the nbc form, and (optionally)
-    the join/star form morphism, then checks every product against nbc
-    straightening.  Raises Mismatch if anything disagrees.
-    """
-    from .cellular import (
-        CellularForm,
-        construct_cellular_form,
-        form_morphism,
-        product_form,
-        verify_cellular_form,
-    )
-    from .intlinalg import ColumnSolver, NoIntegerSolution, NonUnique, identity
-    from .posets import identity_morphism, join_morphism
-    from .sheaves import FHom, delta_sheaf, star_fhom
-
-    alg = OSAlgebra(lattice, atom_order)
-    lat = lattice
-    g = delta_sheaf(lat, [lat.labels[alg.bottom]], 1, "co")
-    built = construct_cellular_form(lat, g)
-    if isinstance(built, CellularForm):
-        verify_cellular_form(built)
-    else:
-        raise Mismatch(f"construction failed: {built}")
-    nbcform = alg.nbc_form()
-    verify_cellular_form(nbcform)
-    for lab in lat.labels:
-        if built.rank_of(lab) != alg.piece_rank(lab):
-            raise Mismatch(f"piece rank differs at {lab}")
-
-    ident = identity_morphism(lat)
-    t_id = FHom(ident, g, g, {i: identity(g.ranks[i]) for i in range(lat.n)})
-    compare = form_morphism(ident, t_id, built, nbcform)
-    inverse = {}
-    for lab in lat.labels:
-        comp = compare.component(lab)
-        if len(comp) != nbcform.rank_of(lab):
-            raise Mismatch(f"comparison not square at {lab}")
-        # the columns of the inverse solve comp . x = e_j; both raise
-        # unless comp is invertible over Z
-        solver = ColumnSolver(comp, len(comp))
-        try:
-            inverse[lab] = [solver.solve({j: 1}) for j in range(len(comp))]
-        except (NoIntegerSolution, NonUnique):
-            raise Mismatch(f"comparison not invertible over Z at {lab}") from None
-
-    pairs = 0
-    if check_products:
-        prod = product_form(built, built)
-        vee = join_morphism(lat)
-        bot = lat.labels[alg.bottom]
-        t_star = star_fhom(vee, bot, (bot, bot), "co")
-        phi = form_morphism(vee, t_star, prod, built)
-        for x in lat.labels:
-            for y in lat.labels:
-                got = _cellular_products(alg, lat, compare, inverse, phi, x, y)
-                for (a, b), expect in got:
-                    if expect != alg.multiply_monomials(a, b):
-                        raise Mismatch(
-                            f"product {a} * {b} disagrees with nbc")
-                    pairs += 1
-    return ComparisonReport(lat, True, pairs, compare)
-
-
-def _cellular_products(alg, lat, compare, inverse, phi, x, y):
-    """Products of all nbc basis pairs in pieces x, y via the form route."""
-    from .intlinalg import sparse_apply
-
-    xi, yi = lat.index[x], lat.index[y]
-    nx, ny = alg.nbc[x], alg.nbc[y]
-    if not nx or not ny:
-        return []
-    join_lab = lat.labels[lat.join_index(xi, yi)]
-    phi_comp = phi.components[phi.f.source.index[(x, y)]]
-    back = compare.component(join_lab)
-    out = []
-    for a, va in zip(nx, inverse[x]):
-        for b, vb in zip(ny, inverse[y]):
-            # the piece at (x, y) pairs its bases row-major, x major
-            tensor = {ra * len(ny) + rb: ca * cb
-                      for ra, ca in va.items() for rb, cb in vb.items()}
-            image = sparse_apply(back, sparse_apply(phi_comp, tensor))
-            out.append(((a, b), {alg.nbc[join_lab][idx]: c for idx, c in image.items()}))
-    return out

@@ -1,9 +1,10 @@
-"""Finite graded posets: construction, joins, products and morphisms.
+"""Finite graded posets: construction and joins.
 
 Elements carry opaque sortable labels; internally everything is indexed
 by position in the sorted label list, and the order relation is
 materialized as one bitmask per element, so chain enumeration and
-interval tests are cheap.
+interval tests are cheap.  Product posets and poset morphisms are in
+``orbitcoh.morphisms``.
 """
 
 from __future__ import annotations
@@ -163,52 +164,3 @@ class GradedPoset:
 def join(poset: GradedPoset, x, y):
     """Least upper bound of x and y."""
     return poset.labels[poset.join_index(poset.index[x], poset.index[y])]
-
-
-def product_poset(p: GradedPoset, q: GradedPoset) -> GradedPoset:
-    """Componentwise order on pairs; rank adds."""
-    labels = [(a, b) for a in p.labels for b in q.labels]
-    rank = {(a, b): p.rank_of(a) + q.rank_of(b) for a, b in labels}
-    covers = []
-    for lo, hi in p.covers:
-        for b in q.labels:
-            covers.append(((p.labels[lo], b), (p.labels[hi], b)))
-    for lo, hi in q.covers:
-        for a in p.labels:
-            covers.append(((a, q.labels[lo]), (a, q.labels[hi])))
-    return GradedPoset(labels, covers, rank, strict=p.graded and q.graded)
-
-
-class PosetMorphism:
-    """Order-preserving map between posets, stored label to label."""
-
-    __slots__ = ("source", "target", "mapping", "image")
-
-    def __init__(self, source: GradedPoset, target: GradedPoset, mapping: dict):
-        self.source = source
-        self.target = target
-        self.mapping = dict(mapping)
-        if set(self.mapping) != set(source.labels):
-            raise ValueError("morphism must be defined on every element")
-        self.image = [target.index[self.mapping[lab]] for lab in source.labels]
-        for lo, hi in source.covers:
-            if not target.leq(self.image[lo], self.image[hi]):
-                raise ValueError(
-                    f"map does not preserve order on cover "
-                    f"{source.labels[lo]} -> {source.labels[hi]}")
-
-    def __call__(self, label):
-        return self.mapping[label]
-
-
-def identity_morphism(p: GradedPoset) -> PosetMorphism:
-    return PosetMorphism(p, p, {lab: lab for lab in p.labels})
-
-
-def join_morphism(p: GradedPoset) -> PosetMorphism:
-    """The join map P x P -> P as a poset morphism."""
-    p.require_join_semilattice()
-    prod = product_poset(p, p)
-    mapping = {(a, b): p.labels[p.join_index(p.index[a], p.index[b])]
-               for a in p.labels for b in p.labels}
-    return PosetMorphism(prod, p, mapping)

@@ -6,24 +6,17 @@ given on covers only, and a cover without one carries the zero map.
 Composites are taken on demand along the Hasse diagram.  Functoriality
 (path independence of composites) is validated at construction by
 propagating composites from every source element of nonzero rank.
+Product sheaves and f-homomorphisms are in ``orbitcoh.morphisms``.
 """
 
 from __future__ import annotations
 
-from .intlinalg import identity, kron, shape_error, sparse_apply
-from .posets import GradedPoset, PosetMorphism
+from .intlinalg import identity, shape_error, sparse_apply
+from .posets import GradedPoset
 
 
 class NotConvex(Exception):
     """The subset is not convex, so the delta sheaf is undefined."""
-
-
-class NotExtremal(Exception):
-    """The chosen element is not minimal/maximal in its fiber."""
-
-
-class Incompatible(Exception):
-    """An f-homomorphism square fails to commute."""
 
 
 class _SheafBase:
@@ -171,92 +164,3 @@ def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
     maps = {(lo, hi): one for lo in idx for hi in base.upper[lo] if hi in idx}
     cls = Copresheaf if kind == "co" else Presheaf
     return cls(base, ranks, maps, check=False)
-
-
-def product_sheaf(s1, s2, prod_base: GradedPoset):
-    """Cartesian product sheaf on a product poset; values are tensor products.
-
-    Basis pairing is row-major with the first factor major, matching
-    :func:`orbitcoh.intlinalg.kron`.
-    """
-    if s1.kind != s2.kind:
-        raise ValueError("mixed sheaf kinds")
-    ranks = [s1.rank_of(a) * s2.rank_of(b) for a, b in prod_base.labels]
-    maps = {}
-    for lo, hi in prod_base.covers:
-        (a1, b1) = prod_base.labels[lo]
-        (a2, b2) = prod_base.labels[hi]
-        b_rows = s2.rank_of(b2 if s2.kind == "co" else b1)
-        maps[(lo, hi)] = kron(s1.map(a1, a2), s2.map(b1, b2), b_rows)
-    return type(s1)(prod_base, ranks, maps, check=False)
-
-
-class FHom:
-    """Collection of maps F(x) -> E(f(x)) compatible with the structure maps."""
-
-    __slots__ = ("f", "source", "target", "components", "kind")
-
-    def __init__(self, f: PosetMorphism, source, target, components,
-                 check: bool = True):
-        if source.kind != target.kind:
-            raise ValueError("mixed sheaf kinds")
-        self.kind = source.kind
-        self.f = f
-        self.source = source
-        self.target = target
-        self.components = {}
-        for i in range(f.source.n):
-            m = components[i]
-            err = shape_error(m, target.ranks[f.image[i]], source.ranks[i])
-            if err:
-                raise ValueError(f"component at {f.source.labels[i]} has {err}")
-            self.components[i] = m
-        if check:
-            validate_fhom(self)
-
-    def component(self, label) -> list[dict[int, int]]:
-        return self.components[self.f.source.index[label]]
-
-
-def validate_fhom(k: FHom):
-    """Check every cover square commutes; raise Incompatible otherwise."""
-    f = k.f
-    src_poset = f.source
-    for lo, hi in src_poset.covers:
-        a, b = f.image[lo], f.image[hi]
-        # t_hi . ext_source = ext_target . t_lo, or for presheaves
-        # k_lo . restr_source = restr_target . k_hi
-        after, before = (hi, lo) if k.kind == "co" else (lo, hi)
-        comp = k.components[after]
-        left = [sparse_apply(comp, col) for col in k.source.cover_map(lo, hi)]
-        target_map = k.target.map_index(a, b)
-        right = [sparse_apply(target_map, col) for col in k.components[before]]
-        if left != right:
-            raise Incompatible(
-                f"square at cover {src_poset.labels[lo]} -> "
-                f"{src_poset.labels[hi]} does not commute")
-
-
-def star_fhom(f: PosetMorphism, y, x, kind: str) -> FHom:
-    """The special f-homomorphism on one-point delta sheaves.
-
-    For presheaves x must be minimal in the fiber f^-1(y); for
-    copresheaves x must be maximal there.  The component is the identity
-    at x and zero elsewhere.
-    """
-    src_poset, dst_poset = f.source, f.target
-    xi, yi = src_poset.index[x], dst_poset.index[y]
-    if f.image[xi] != yi:
-        raise NotExtremal(f"{x} does not map to {y}")
-    fiber = [i for i in range(src_poset.n) if f.image[i] == yi]
-    if kind == "pre":
-        extremal = all(not src_poset.lt(i, xi) for i in fiber)
-    else:
-        extremal = all(not src_poset.lt(xi, i) for i in fiber)
-    if not extremal:
-        which = "minimal" if kind == "pre" else "maximal"
-        raise NotExtremal(f"{x} is not {which} in the fiber over {y}")
-    src = delta_sheaf(src_poset, [x], 1, kind)
-    dst = delta_sheaf(dst_poset, [y], 1, kind)
-    comps = {i: [{0: 1}] if i == xi else [] for i in range(src_poset.n)}
-    return FHom(f, src, dst, comps, check=True)

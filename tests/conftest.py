@@ -23,6 +23,7 @@ from typing import NamedTuple
 import orbitcoh
 from orbitcoh.cellular import CellularForm, stack_blocks
 from orbitcoh.intlinalg import ChainComplex, ColumnSolver, identity, kron, sparse_apply
+from orbitcoh.morphisms import FHom
 from orbitcoh.oracle import shuffle_push
 from orbitcoh.orbit import (
     Graph,
@@ -38,7 +39,7 @@ from orbitcoh.orbit import (
     zero_class,
 )
 from orbitcoh.posets import GradedPoset
-from orbitcoh.sheaves import FHom, delta_sheaf
+from orbitcoh.sheaves import delta_sheaf
 from reference_impl import induced_chain_map
 
 

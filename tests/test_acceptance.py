@@ -22,6 +22,7 @@ from conftest import (
 )
 from orbitcoh.cellular import CellularForm, construct_cellular_form
 from orbitcoh.intlinalg import homology
+from orbitcoh.morphisms import os_vs_cellular
 from orbitcoh.oracle import GMOracle, TorComplex
 from orbitcoh.orbit import (
     Graph,
@@ -29,7 +30,7 @@ from orbitcoh.orbit import (
     bond_lattice,
     edge_atom_order,
 )
-from orbitcoh.osalg import OSAlgebra, os_vs_cellular
+from orbitcoh.osalg import OSAlgebra
 from orbitcoh.ring import RingPresentation, check_ring_axioms
 from orbitcoh.sheaves import Copresheaf, delta_sheaf
 from reference_impl import moebius

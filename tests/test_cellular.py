@@ -18,24 +18,25 @@ from orbitcoh.cellular import (
     CellularForm,
     FormViolation,
     NotCellular,
-    PreconditionFailed,
     construct_cellular_form,
-    form_morphism,
-    product_form,
     stack_blocks,
     verify_cellular_form,
 )
 from orbitcoh import intlinalg
 from orbitcoh.intlinalg import homology, identity, sparse_apply
 from orbitcoh.jsonio import dumps
-from orbitcoh.oracle import TorComplex
-from orbitcoh.orbit import Graph
-from orbitcoh.posets import (
+from orbitcoh.morphisms import (
+    FHom,
     PosetMorphism,
+    PreconditionFailed,
+    form_morphism,
     identity_morphism,
     join_morphism,
+    product_form,
 )
-from orbitcoh.sheaves import FHom, delta_sheaf
+from orbitcoh.oracle import TorComplex
+from orbitcoh.orbit import Graph
+from orbitcoh.sheaves import delta_sheaf
 from reference_impl import moebius
 
 
@@ -318,7 +319,7 @@ def test_join_morphism_of_forms_commutes():
     form = construct_cellular_form(p3, g)
     prod = product_form(form, form)
     vee = join_morphism(p3)
-    from orbitcoh.sheaves import star_fhom
+    from orbitcoh.morphisms import star_fhom
     t = star_fhom(vee, bottom(3), (bottom(3), bottom(3)), "co")
     phi = form_morphism(vee, t, prod, form)
     phi.check_commutes()

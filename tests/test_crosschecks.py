@@ -20,6 +20,7 @@ from conftest import (
 )
 from orbitcoh.cellular import CellularForm, construct_cellular_form, verify_cellular_form
 from orbitcoh.intlinalg import HomologySummary, elementary_divisors, shape_error
+from orbitcoh.morphisms import FHom, Incompatible, PosetMorphism
 from orbitcoh.oracle import TorComplex
 from orbitcoh.orbit import (
     Graph,
@@ -28,8 +29,8 @@ from orbitcoh.orbit import (
     join_theta,
     sigma_canonical,
 )
-from orbitcoh.posets import GradedPoset, PosetMorphism
-from orbitcoh.sheaves import FHom, Incompatible, delta_sheaf
+from orbitcoh.posets import GradedPoset
+from orbitcoh.sheaves import delta_sheaf
 
 
 def test_sigma_pullback_of_ambient_delta():

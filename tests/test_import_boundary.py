@@ -80,7 +80,23 @@ def test_oracle_does_not_import_the_closed_form():
     graph = module_graph()
     closure = import_closure(["oracle"], graph)
     assert {"posets", "sheaves", "intlinalg"} <= closure
-    assert not closure & {"orbit", "ring", "osalg", "cellular", "verify"}, sorted(closure)
+    assert not closure & {"orbit", "ring", "osalg", "cellular", "morphisms", "verify"}, \
+        sorted(closure)
+
+
+def test_closed_form_does_not_import_the_cellular_route():
+    # betti and ring compile only what the closed form runs: no import of
+    # orbit, osalg or ring, at any depth and under TYPE_CHECKING too,
+    # reaches the cellular code, the sheaves, the matrix code or the oracle
+    graph = module_graph()
+    closure = import_closure(["orbit", "osalg", "ring"], graph)
+    assert {"orbit", "osalg", "ring", "posets"} <= closure
+    excluded = {"cellular", "sheaves", "intlinalg", "morphisms", "oracle", "verify"}
+    assert not closure & excluded, sorted(closure)
+    # the product route compares against the nbc basis, not the oracle
+    route = import_closure(["morphisms"], graph)
+    assert {"cellular", "osalg", "sheaves"} <= route
+    assert not route & {"oracle", "verify"}, sorted(route)
 
 
 def loaded_modules(code: str, *argv: str, cwd=None) -> set[str]:
@@ -100,14 +116,15 @@ CLOSED_FORM_RUNS = {"orbit", "osalg", "posets", "ring"}
 
 @pytest.mark.parametrize("argv, runs, unloaded", [
     (["betti", *CLOSED_FORM], CLOSED_FORM_RUNS,
-     {"oracle", "verify", "intlinalg", "sheaves", "cellular"}),
+     {"oracle", "verify", "intlinalg", "sheaves", "cellular", "morphisms"}),
     (["ring", *CLOSED_FORM], CLOSED_FORM_RUNS,
-     {"oracle", "verify", "intlinalg", "sheaves", "cellular"}),
+     {"oracle", "verify", "intlinalg", "sheaves", "cellular", "morphisms"}),
     (["verify", *CLOSED_FORM],
-     CLOSED_FORM_RUNS | {"oracle", "verify", "intlinalg", "sheaves"}, {"cellular"}),
+     CLOSED_FORM_RUNS | {"oracle", "verify", "intlinalg", "sheaves"},
+     {"cellular", "morphisms"}),
     (["cellular", "--poset", "p.json", "--copresheaf", "g.json"],
      {"cellular", "intlinalg", "posets", "sheaves"},
-     {"orbit", "ring", "osalg", "oracle", "verify"}),
+     {"orbit", "ring", "osalg", "oracle", "verify", "morphisms"}),
 ], ids=["betti", "ring", "verify", "cellular"])
 def test_command_loads_only_what_it_runs(tmp_path, argv, runs, unloaded):
     (tmp_path / "p.json").write_text(json.dumps(
@@ -149,8 +166,9 @@ def test_orbit_imports_only_posets():
 
 # Definitions with no caller in the package yet, each a planned production route.
 UNCALLED = {
-    "os_vs_cellular": "the paper's product route, for the ring at m = 1 (ROADMAP item 11)",
-    "check_commutes": "its form-morphism check, also for products on a resolution (item 20)",
+    "os_vs_cellular": "the product route in morphisms, for the ring at m = 1 (ROADMAP item 11)",
+    "check_commutes": "its form-morphism check in morphisms, also for products on a "
+                      "resolution (item 20)",
     "cohomology": "the assembled Goresky-MacPherson sum, for a real-mode verify (item 8)",
     "cup": "GMOracle.cup, which perfbench/layers.py wraps for the oracle.cup_* counts",
 }
@@ -194,7 +212,7 @@ PUBLIC = [
     "TorComplex", "bond_lattice", "cellular",
     "construct_cellular_form", "delta_sheaf",
     "form_morphism", "homology", "intlinalg", "join",
-    "join_theta", "oracle", "orbit",
+    "join_theta", "morphisms", "oracle", "orbit",
     "os_vs_cellular", "osalg", "phi_product", "posets",
     "product_form", "product_poset", "ring", "sheaves",
     "smith_normal_form", "star_fhom", "verify", "verify_cellular_form",
@@ -206,7 +224,7 @@ def test_public_names_are_pinned():
     # one name per object: no alias or wrapper re-exports what another
     # public name already builds
     assert sorted(orbitcoh.__all__) == PUBLIC
-    assert len(PUBLIC) == 38
+    assert len(PUBLIC) == 39
 
 
 def test_star_import_binds_every_public_name():

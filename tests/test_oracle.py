@@ -26,12 +26,14 @@ from conftest import (
     top,
 )
 from orbitcoh.intlinalg import elementary_divisors, identity, shape_error, sparse_apply
-from orbitcoh.orbit import Graph, IntersectionLattice
-from orbitcoh.posets import (
+from orbitcoh.morphisms import (
+    FHom,
     PosetMorphism,
     identity_morphism,
     product_poset,
+    product_sheaf,
 )
+from orbitcoh.orbit import Graph, IntersectionLattice
 from orbitcoh.oracle import (
     GMOracle,
     NotCycle,
@@ -39,12 +41,7 @@ from orbitcoh.oracle import (
     TorComplex,
     shuffles,
 )
-from orbitcoh.sheaves import (
-    Copresheaf,
-    FHom,
-    delta_sheaf,
-    product_sheaf,
-)
+from orbitcoh.sheaves import Copresheaf, delta_sheaf
 from reference_impl import all_pairs_star_defined, both_ends_boundary, induced_chain_map
 
 

@@ -12,6 +12,7 @@ temporary directory instead of ``.hypothesis/`` in the working tree.
 """
 
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from conftest import OrbitLattice, path_graph, refines, set_partitions
+from conftest import OrbitLattice, path_graph, set_partitions
 from orbitcoh.orbit import (
     Graph,
     PartialMatrix,
@@ -130,21 +131,26 @@ def connected(block, edges) -> bool:
     return len(seen) == len(block)
 
 
+def merges(part):
+    """The partitions that merge two blocks of `part`, as sorted tuples of sorted tuples."""
+    for i, j in combinations(range(len(part)), 2):
+        rest = part[:i] + part[i + 1:j] + part[j + 1:]
+        yield tuple(sorted(rest + (tuple(sorted(part[i] + part[j])),)))
+
+
 @laws
 @given(data=st.data())
 def test_bond_lattice_matches_connected_set_partitions(data):
-    # the reference keeps the set partitions with graph-connected blocks
-    # and finds covers by refinement between adjacent ranks
+    # the reference keeps the set partitions with graph-connected blocks;
+    # a cover merges exactly two blocks, so each one is found by merging
+    # two blocks and looking the result up among the connected partitions
     n = data.draw(st.integers(1, 7))
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     graph = Graph.make(n, [e for e in pairs if data.draw(st.booleans())])
     parts = sorted(p for p in set_partitions(n)
                    if all(connected(b, graph.edges) for b in p))
-    levels = {}
-    for p in parts:
-        levels.setdefault(n - len(p), []).append(p)
-    covers = sorted((lo, hi) for r, level in levels.items() for lo in level
-                    for hi in levels.get(r + 1, []) if refines(lo, hi))
+    known = set(parts)
+    covers = sorted((lo, hi) for lo in parts for hi in merges(lo) if hi in known)
     bond = bond_lattice(graph)
     assert bond.labels == tuple(parts)
     assert bond.rank == tuple(n - len(p) for p in parts)

@@ -5,12 +5,9 @@ from itertools import combinations
 import pytest
 
 from conftest import bottom, build_poset, chain_poset, partition_lattice, path_graph, top
+from orbitcoh.morphisms import os_vs_cellular
 from orbitcoh.orbit import Graph, bond_lattice
-from orbitcoh.osalg import (
-    NotGeometric,
-    OSAlgebra,
-    os_vs_cellular,
-)
+from orbitcoh.osalg import NotGeometric, OSAlgebra
 from reference_impl import CircuitListOS, moebius
 
 

@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from conftest import bottom, build_poset, chain_poset, constant_sheaf, partition_lattice, top
+from orbitcoh.morphisms import (
+    PosetMorphism,
+    identity_morphism,
+    join_morphism,
+    product_poset,
+)
 from orbitcoh.oracle import TorComplex
 from orbitcoh.posets import (
     Cyclic,
     GradedPoset,
     NotGraded,
     NotSemilattice,
-    identity_morphism,
     join,
-    join_morphism,
-    product_poset,
-    PosetMorphism,
 )
 from reference_impl import all_pairs_semilattice, moebius, shifting_mask_elements
 

@@ -11,23 +11,23 @@ from conftest import (
     top,
 )
 from orbitcoh.intlinalg import identity
-from orbitcoh.posets import (
+from orbitcoh.morphisms import (
+    FHom,
+    Incompatible,
+    NotExtremal,
     PosetMorphism,
     identity_morphism,
     join_morphism,
     product_poset,
-)
-from orbitcoh.sheaves import (
-    Copresheaf,
-    FHom,
-    Incompatible,
-    NotConvex,
-    NotExtremal,
-    Presheaf,
-    delta_sheaf,
     product_sheaf,
     star_fhom,
     validate_fhom,
+)
+from orbitcoh.sheaves import (
+    Copresheaf,
+    NotConvex,
+    Presheaf,
+    delta_sheaf,
 )
 
 
