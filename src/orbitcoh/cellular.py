@@ -159,7 +159,7 @@ def _augmented_complex(poset: GradedPoset, g: Copresheaf, pr, diff, x: int) -> C
                 rows += range(offset[y], offset[y] + pr[y])
             cols += [{rows[r]: v for r, v in col.items()} for col in diff[z]]
     ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
-    return ChainComplex(ranks, bounds, check=False)
+    return ChainComplex(ranks, bounds)
 
 
 def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> list[dict[int, int]]:

@@ -538,13 +538,13 @@ class ChainComplex:
     `ranks[i]` is the rank in degree i; `boundaries[i]` maps degree i to
     degree i-1 (for 1 <= i < len(ranks)) as ranks[i] sparse columns
     {row: coefficient}, each row in 0..ranks[i-1]-1.  A missing boundary
-    is zero.  The composite of consecutive boundaries must vanish.
+    is zero.  The composite of consecutive boundaries must vanish; the
+    constructor checks the shapes, and ``validate`` checks the composites.
     """
 
     __slots__ = ("ranks", "boundaries", "_reductions")
 
-    def __init__(self, ranks: list[int], boundaries: dict[int, list[dict[int, int]]],
-                 check: bool = True):
+    def __init__(self, ranks: list[int], boundaries: dict[int, list[dict[int, int]]]):
         self.ranks = list(ranks)
         self.boundaries = dict(boundaries)
         self._reductions: dict[int, UnitReduction] = {}
@@ -558,8 +558,6 @@ class ChainComplex:
             err = shape_error(self.boundaries[i], self.ranks[i - 1], self.ranks[i])
             if err:
                 raise ValueError(f"boundary {i} has {err}")
-        if check:
-            self.validate()
 
     def boundary(self, i: int) -> list[dict[int, int]]:
         """Boundary i as sparse columns, empty outside 1 <= i < len(ranks)."""

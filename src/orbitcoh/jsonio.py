@@ -65,8 +65,9 @@ def parse_poset(data) -> GradedPoset:
 
     The three fields must be JSON arrays and every cover a pair; every
     cover must name listed elements, and every rank must be a JSON integer.
+    The poset must be graded; the first cover in index order that is not is named.
     """
-    from .posets import Cyclic, GradedPoset, NotGraded
+    from .posets import Cyclic, GradedPoset
 
     try:
         if not all(isinstance(data[key], list) for key in ("elements", "covers", "rank")):
@@ -86,9 +87,15 @@ def parse_poset(data) -> GradedPoset:
     except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"bad poset JSON: {exc}") from exc
     try:
-        return GradedPoset(elements, covers, dict(zip(elements, ranks)))
-    except (Cyclic, NotGraded, ValueError) as exc:
+        poset = GradedPoset(elements, covers, dict(zip(elements, ranks)))
+    except (Cyclic, ValueError) as exc:
         raise BadInput(f"invalid poset: {exc}") from exc
+    if not poset.graded:
+        lo, hi = next((lo, hi) for lo, hi in poset.covers
+                      if poset.rank[hi] != poset.rank[lo] + 1)
+        raise BadInput(f"invalid poset: cover {poset.labels[lo]} -> {poset.labels[hi]} "
+                       f"jumps rank {poset.rank[lo]} -> {poset.rank[hi]}")
+    return poset
 
 
 def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
@@ -98,7 +105,7 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     not the order of the poset file; extensions are keyed by cover pairs,
     and an omitted one is the zero map.  Ranks must be nonnegative JSON
     integers; a matrix must be a list of rank(hi) rows of rank(lo) JSON
-    integers, and is kept as its sparse columns.
+    integers, and is kept as its sparse columns.  It must be functorial.
     """
     from .sheaves import Copresheaf
 
@@ -134,9 +141,11 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
         maps[(lo, hi)] = [{i: row[j] for i, row in enumerate(rows) if row[j]}
                           for j in range(ncols)]
     try:
-        return Copresheaf(poset, [rank_of[lab] for lab in poset.labels], maps)
+        g = Copresheaf(poset, [rank_of[lab] for lab in poset.labels], maps)
+        g.check_functorial()
     except ValueError as exc:
         raise BadInput(f"invalid copresheaf: {exc}") from exc
+    return g
 
 
 def dumps(data) -> str:

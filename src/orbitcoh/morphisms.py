@@ -47,7 +47,7 @@ def product_poset(p: GradedPoset, q: GradedPoset) -> GradedPoset:
     for lo, hi in q.covers:
         for a in p.labels:
             covers.append(((a, q.labels[lo]), (a, q.labels[hi])))
-    return GradedPoset(labels, covers, rank, strict=p.graded and q.graded)
+    return GradedPoset(labels, covers, rank)
 
 
 class PosetMorphism:
@@ -111,16 +111,15 @@ def product_sheaf(s1, s2, prod_base: GradedPoset):
         (a2, b2) = prod_base.labels[hi]
         b_rows = s2.rank_of(b2 if s2.kind == "co" else b1)
         maps[(lo, hi)] = kron(s1.map(a1, a2), s2.map(b1, b2), b_rows)
-    return type(s1)(prod_base, ranks, maps, check=False)
+    return type(s1)(prod_base, ranks, maps)
 
 
 class FHom:
-    """Collection of maps F(x) -> E(f(x)) compatible with the structure maps."""
+    """Maps F(x) -> E(f(x)) compatible with the structure maps, checked when built."""
 
     __slots__ = ("f", "source", "target", "components", "kind")
 
-    def __init__(self, f: PosetMorphism, source, target, components,
-                 check: bool = True):
+    def __init__(self, f: PosetMorphism, source, target, components):
         if source.kind != target.kind:
             raise ValueError("mixed sheaf kinds")
         self.kind = source.kind
@@ -134,8 +133,7 @@ class FHom:
             if err:
                 raise ValueError(f"component at {f.source.labels[i]} has {err}")
             self.components[i] = m
-        if check:
-            validate_fhom(self)
+        validate_fhom(self)
 
     def component(self, label) -> list[dict[int, int]]:
         return self.components[self.f.source.index[label]]
@@ -182,7 +180,7 @@ def star_fhom(f: PosetMorphism, y, x, kind: str) -> FHom:
     src = delta_sheaf(src_poset, [x], 1, kind)
     dst = delta_sheaf(dst_poset, [y], 1, kind)
     comps = {i: [{0: 1}] if i == xi else [] for i in range(src_poset.n)}
-    return FHom(f, src, dst, comps, check=True)
+    return FHom(f, src, dst, comps)
 
 
 # -- form morphisms and product forms -----------------------------------------
@@ -255,7 +253,6 @@ def form_morphism(f: PosetMorphism, t: FHom, source: CellularForm,
                 f"map increases rank at {poset.labels[x]}")
     if t.kind != "co":
         raise ValueError("t must be a copresheaf f-homomorphism")
-    validate_fhom(t)
 
     solvers: dict[int, ColumnSolver] = {}
     components: dict[int, list[dict[int, int]]] = {}

@@ -6,14 +6,14 @@ Tor^P_*(F, G).  On top of it sit the Goresky-MacPherson sum over an
 intersection lattice and one shuffle-and-push primitive,
 ``shuffle_tensor``: the shuffle products of chain pairs mapped
 elementwise into a poset, kept apart per pair.  ``shuffle_block``
-contracts it with the coefficients of two batches of formal chains,
-and ``shuffle_push`` is its one-by-one view; the ``verify`` module
-builds each grading's basis cycles in one block, and the cup product
-(cross-then-star) pushes the chains of two whole batches of cycles
-through one block.  Everything here exists to verify the
-closed-form ring elsewhere in the package, so it favors transparency
-over speed.  ``GMOracle`` refuses an oversized intersection lattice
-once, up front; a bare ``TorComplex`` takes any poset.
+contracts it with the coefficients of two batches of formal chains;
+the ``verify`` module builds each grading's basis cycles in one block,
+and the cup product (cross-then-star) pushes the chains of two whole
+batches of cycles through one block.  Everything here exists to verify
+the closed-form ring elsewhere in the package, so it favors
+transparency over speed.  ``GMOracle`` refuses an oversized
+intersection lattice once, up front; a bare ``TorComplex`` takes any
+poset.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class TorComplex:
         """The complex with every boundary, assembled once and kept."""
         if self._complex is None:
             bounds = {n: self.boundary(n) for n in range(1, len(self.ranks))}
-            self._complex = ChainComplex(self.ranks or [0], bounds, check=False)
+            self._complex = ChainComplex(self.ranks or [0], bounds)
         return self._complex
 
     def homology(self) -> HomologySummary:
@@ -326,7 +326,7 @@ def shuffle_tensor(us, vs, pair) -> dict:
     return out
 
 
-def shuffle_block(xs: list[dict], ys: list[dict], pair, place=None,
+def shuffle_block(xs: list[dict], ys: list[dict], pair, place,
                   us: dict | None = None, vs: dict | None = None) -> list[list[dict]]:
     """Shuffle products of two batches of formal chains, pushed along ``pair``.
 
@@ -334,16 +334,15 @@ def shuffle_block(xs: list[dict], ys: list[dict], pair, place=None,
     each chain (a tuple) of their side to its key; by default a chain is
     its own key.  The chains of each side go through ``shuffle_tensor``
     once, and the tensor is contracted with every pair's coefficients:
-    products[a][b] is xs[a] * ys[b], keyed by ``place(image)`` (by the
-    image itself when ``place`` is None), without zero entries.
+    products[a][b] is xs[a] * ys[b], keyed by ``place(image)``, without
+    zero entries.
     """
     us = {u: u for x in xs for u in x} if us is None else us
     vs = {v: v for y in ys for v in y} if vs is None else vs
     star: dict = {}  # u key -> [(v key, [(image key, coefficient)])]
     for (u, v), pushed in shuffle_tensor(us, vs, pair).items():
         star.setdefault(us[u], []).append(
-            (vs[v], list(pushed.items()) if place is None
-             else [(place(image), c) for image, c in pushed.items()]))
+            (vs[v], [(place(image), c) for image, c in pushed.items()]))
     products = []
     for x in xs:
         row = []
@@ -357,11 +356,6 @@ def shuffle_block(xs: list[dict], ys: list[dict], pair, place=None,
             row.append({t: c for t, c in acc.items() if c})
         products.append(row)
     return products
-
-
-def shuffle_push(x: dict, y: dict, pair) -> dict:
-    """Shuffle product of two formal chains, pushed forward along ``pair``."""
-    return shuffle_block([x], [y], pair)[0][0]
 
 
 # -- Goresky-MacPherson oracle ------------------------------------------------

@@ -398,7 +398,7 @@ class IntersectionLattice:
         covers = {(image[lo], image[hi]) for lo, hi in orbit_covers(bond, fibers, k)
                   if mats.get(image[lo]) == lo and image[hi] in mats}
         self.codim = {lab: mats[lab].codim() for lab in sorted(mats)}
-        self.poset = GradedPoset(mats, covers, self.codim, strict=False)
+        self.poset = GradedPoset(mats, covers, self.codim)
 
 
 # -- the fiber cellular form BCp -------------------------------------------------

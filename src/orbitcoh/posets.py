@@ -16,10 +16,6 @@ class Cyclic(Exception):
     """The cover relation contains a directed cycle."""
 
 
-class NotGraded(Exception):
-    """Some cover jumps rank by a value other than one."""
-
-
 class NotSemilattice(Exception):
     """Some pair of elements has no least upper bound."""
 
@@ -27,16 +23,16 @@ class NotSemilattice(Exception):
 class GradedPoset:
     """Finite poset with a rank function, given by labels and cover pairs.
 
-    With ``strict=True`` every cover must raise rank by exactly 1.  A few
-    posets in this package (the intersection lattice, which is not graded
-    where sigma merges) carry a rank that is only used as bookkeeping;
-    they are built with ``strict=False``.
+    ``graded`` says whether every cover raises rank by exactly 1; a few
+    posets (the intersection lattice, which is not graded where sigma
+    merges) carry a rank that is only bookkeeping.  A caller that needs a
+    graded poset, as the poset parser and cellular forms do, reads it.
     """
 
     __slots__ = ("labels", "index", "rank", "covers", "n", "up", "down",
                  "upper", "lower", "graded", "topo", "_join")
 
-    def __init__(self, labels, covers, rank, strict: bool = True):
+    def __init__(self, labels, covers, rank):
         self.labels = tuple(sorted(labels))
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate labels")
@@ -59,12 +55,6 @@ class GradedPoset:
         order = self._toposort()
         self.topo = tuple(order)
         self.graded = all(self.rank[hi] == self.rank[lo] + 1 for lo, hi in self.covers)
-        if strict and not self.graded:
-            bad = next((lo, hi) for lo, hi in self.covers
-                       if self.rank[hi] != self.rank[lo] + 1)
-            raise NotGraded(
-                f"cover {self.labels[bad[0]]} -> {self.labels[bad[1]]} "
-                f"jumps rank {self.rank[bad[0]]} -> {self.rank[bad[1]]}")
 
         down = [1 << i for i in range(self.n)]
         for v in order:

@@ -4,8 +4,8 @@ Values are free with explicit ordered bases; maps are integer matrices,
 as sparse columns {row: value} (one per basis element of the source),
 given on covers only, and a cover without one carries the zero map.
 Composites are taken on demand along the Hasse diagram.  Functoriality
-(path independence of composites) is validated at construction by
-propagating composites from every source element of nonzero rank.
+(path independence of composites) is checked by ``check_functorial``,
+which propagates composites from every source element of nonzero rank.
 Product sheaves and f-homomorphisms are in ``orbitcoh.morphisms``.
 """
 
@@ -35,7 +35,7 @@ class _SheafBase:
 
     kind = "sheaf"
 
-    def __init__(self, base: GradedPoset, ranks, maps, check: bool = True):
+    def __init__(self, base: GradedPoset, ranks, maps):
         self.base = base
         self.ranks = tuple(int(r) for r in ranks)
         if len(self.ranks) != base.n or any(r < 0 for r in self.ranks):
@@ -50,8 +50,6 @@ class _SheafBase:
                     f"map on cover {base.labels[lo]} -> {base.labels[hi]} has {err}")
             self.maps[(lo, hi)] = m
         self._composed: dict[tuple[int, int], list[dict[int, int]]] = {}
-        if check:
-            self._check_functorial()
 
     def rank_of(self, label) -> int:
         return self.ranks[self.base.index[label]]
@@ -68,7 +66,8 @@ class _SheafBase:
         m = self.maps.get((lo, hi))
         return m if m is not None else [{} for _ in range(self._shape(lo, hi)[1])]
 
-    def _check_functorial(self):
+    def check_functorial(self):
+        """Raise ValueError unless composites along any two paths agree."""
         base = self.base
         for x in range(base.n):
             if not self.ranks[x]:
@@ -89,7 +88,6 @@ class _SheafBase:
                                 f"and {base.labels[y]}")
                     else:
                         comp[y] = step
-        # cache nothing here; composites are rebuilt lazily by map()
 
     def _step_matrix(self, lo: int, hi: int, acc):
         raise NotImplementedError
@@ -109,7 +107,7 @@ class _SheafBase:
         if i == j:
             out = identity(self.ranks[i])
         else:
-            # follow one saturated chain; legal by validated functoriality
+            # follow one saturated chain; legal by functoriality
             for lo in self.base.lower[j]:
                 if self.base.leq(i, lo):
                     out = self._step_matrix(lo, j, self.map_index(i, lo))
@@ -163,4 +161,4 @@ def delta_sheaf(base: GradedPoset, subset, rank: int, kind: str):
     one = identity(rank)
     maps = {(lo, hi): one for lo in idx for hi in base.upper[lo] if hi in idx}
     cls = Copresheaf if kind == "co" else Presheaf
-    return cls(base, ranks, maps, check=False)
+    return cls(base, ranks, maps)

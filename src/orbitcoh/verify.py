@@ -2,12 +2,12 @@
 
 Each ring basis element gets an explicit Tor cycle over the lattice.
 Every piece of it is a shuffle product of one-step chains: the one-step
-chains (bottom -> atom) pushed along the bond-lattice join by
-``oracle.shuffle_push`` realize the nbc monomial, the shuffle of the
-one-step entry cycles, written out in closed form, realizes the
-completion tensor, and one ``oracle.shuffle_block`` per grading
-shuffles the two together and pushes them through the restriction map
-(J, w) -> w|_J straight to intersection-lattice indices.  The
+chains (bottom -> atom) pushed along the bond-lattice join realize the
+nbc monomial, the shuffle of the one-step entry cycles realizes the
+completion tensor, both written out in closed form, and one
+``oracle.shuffle_block`` per grading shuffles the two together and
+pushes them through the restriction map (J, w) -> w|_J straight to
+intersection-lattice indices.  The
 cup-product comparisons against cross-then-star hang off these cycles;
 the rank comparisons read the Goresky-MacPherson oracle over the
 intersection lattice alone.
@@ -25,7 +25,6 @@ from .oracle import (
     GMOracle,
     OracleTooLarge,
     shuffle_block,
-    shuffle_push,
 )
 from .orbit import (
     Graph,
@@ -46,20 +45,26 @@ def braid_chain(pres: RingPresentation, mono: tuple) -> dict:
     """Alternating sum of partial-join chains realizing an nbc monomial.
 
     The shuffle product of the one-step chains (bottom -> atom), pushed
-    along the bond-lattice join.  Folding in the next atom at step t of a
-    chain through p earlier atoms has shuffle sign (-1)^(p - t), the sign
-    of moving it past the p - t atoms after it, so every ordering of the
-    atoms appears once, with its permutation sign.  Keys are chains of
-    bond-lattice labels starting at the bottom partition.
+    along the bond-lattice join: per order of the monomial's atoms, the
+    bottom and then the join of the first t atoms for each t, signed by
+    that order's permutation.  Degenerate chains drop out, so independent
+    atoms give r! distinct chains.  Keys are chains of bond-lattice
+    labels starting at the bottom partition.
     """
     bond = pres.bond
     bot = bond.minimum()
-    chains = {(bot,): 1}
-    for p in mono:
-        chains = shuffle_push(chains, {(bot, pres.os.atoms[p]): 1}, bond.join_index)
-    if len(chains) != factorial(len(mono)):
+    atoms = [pres.os.atoms[p] for p in mono]
+    chains = {}
+    for order in permutations(range(len(atoms))):
+        chain = [bot]
+        for i in order:
+            chain.append(bond.join_index(chain[-1], atoms[i]))
+        if len(set(chain)) == len(chain):
+            sign = (-1) ** sum(a > b for a, b in combinations(order, 2))
+            chains[tuple(bond.labels[z] for z in chain)] = sign
+    if len(chains) != factorial(len(atoms)):
         raise AssertionError("independent atoms gave a degenerate chain")
-    return {tuple(bond.labels[i] for i in c): v for c, v in chains.items()}
+    return chains
 
 
 def fiber_chain(mat: PartialMatrix, assignment: tuple) -> dict:
@@ -263,7 +268,7 @@ def _check_products(report: VerifyReport, pres: RingPresentation, oracle: GMOrac
             coords_ok = False
     report.add(coords_ok, "basis cycles generate each Tor piece")
 
-    grading = [e.grading for e in pres.basis]
+    grading = [g for g in range(len(pres.matrices)) for _ in range(pres.piece_rank(g))]
     known: dict = {}  # (grading, grading) -> {(i, j): nonzero constants}
     for (i, j), terms in pres.products.items():
         if terms:

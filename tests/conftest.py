@@ -24,7 +24,7 @@ import orbitcoh
 from orbitcoh.cellular import CellularForm, stack_blocks
 from orbitcoh.intlinalg import ChainComplex, ColumnSolver, identity, kron, sparse_apply
 from orbitcoh.morphisms import FHom
-from orbitcoh.oracle import shuffle_push
+from orbitcoh.oracle import shuffle_tensor
 from orbitcoh.orbit import (
     Graph,
     PartialMatrix,
@@ -112,10 +112,10 @@ def cross_formal(x: dict, y: dict, g2, f2) -> dict:
         for (ch2, g2i, f2i), c2 in y.items():
             gflat = g1i * g2.ranks[ch2[0]] + g2i
             fflat = f1i * f2.ranks[ch2[-1]] + f2i
-            pushed = shuffle_push({ch1: c1}, {ch2: c2}, lambda a, b: a * n2 + b)
-            for chain, c in pushed.items():
+            pushed = shuffle_tensor([ch1], [ch2], lambda a, b: a * n2 + b)
+            for chain, c in pushed.get((ch1, ch2), {}).items():
                 key = (chain, gflat, fflat)
-                out[key] = out.get(key, 0) + c
+                out[key] = out.get(key, 0) + c * c1 * c2
     return {k: v for k, v in out.items() if v}
 
 
@@ -185,14 +185,14 @@ def pullback(f, sheaf):
     ranks = [sheaf.ranks[f.image[i]] for i in range(base.n)]
     maps = {(lo, hi): sheaf.map_index(f.image[lo], f.image[hi])
             for lo, hi in base.covers}
-    return type(sheaf)(base, ranks, maps, check=False)
+    return type(sheaf)(base, ranks, maps)
 
 
 def canonical_fhom(f, sheaf) -> FHom:
     """The identity-component f-homomorphism f^*S -> S."""
     pulled = pullback(f, sheaf)
     comps = {i: identity(pulled.ranks[i]) for i in range(f.source.n)}
-    return FHom(f, pulled, sheaf, comps, check=False)
+    return FHom(f, pulled, sheaf, comps)
 
 
 def cellular_chain(form: CellularForm, f) -> ChainComplex:
@@ -219,7 +219,9 @@ def cellular_chain(form: CellularForm, f) -> ChainComplex:
                 for col, part in zip(piece, block):
                     col.update((offset[y] + i, v) for i, v in part.items())
             cols += piece
-    return ChainComplex(ranks, bounds, check=True)
+    complex_ = ChainComplex(ranks, bounds)
+    complex_.validate()
+    return complex_
 
 
 # -- Tor: formal chains, free generators and induced maps -------------------------
@@ -309,7 +311,7 @@ class OrbitLattice:
         label_of = {mat: lab for lab, mat in self.by_label.items()}
         covers = [(label_of[lo], label_of[hi]) for lo, hi in orbit_covers(bond, fibers, k)]
         rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
-        self.poset = GradedPoset(list(self.by_label), covers, rank, strict=False)
+        self.poset = GradedPoset(list(self.by_label), covers, rank)
 
 
 class Fiber(NamedTuple):

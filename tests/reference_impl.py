@@ -11,8 +11,9 @@ whole join of a pair, the fiber enumeration that takes one cell at a
 time, the Orlik-Solomon nbc basis and straightening from an explicit
 circuit list, the canonical JSON text from the standard library's
 pure-Python encoder, the star check that joins every pair below (x, y),
-the K-chain boundary that applies both end maps to every chain, and
-the fiber chain of a completion tensor folded in one entry at a time.
+the K-chain boundary that applies both end maps to every chain, the
+fiber chain of a completion tensor folded in one entry at a time, and
+the braid chain of an nbc monomial folded in one atom at a time.
 Beside them sit definitions that the program never needs, only its
 tests: the Möbius function by its recursive defining sum, the BCp rank
 as a product over undefined entries, and the chain map that a pair of
@@ -538,4 +539,26 @@ def folding_fiber_chain(entries, assignment, zero) -> dict:
                 for chain, c in state.items():
                     out[tuple(e + (value,) for e in chain)] = c
             state = {chain: c for chain, c in out.items() if c}
+    return state
+
+
+def folding_braid_chain(bottom, atoms, join) -> dict:
+    """The shuffle product of the one-step chains (bottom -> atom), one atom at a time.
+
+    ``join`` is the lattice join on elements.  Shuffling the next atom's
+    step into a chain of p steps puts it after t of them, t = 0..p, with
+    sign (-1)^(p - t): the chain keeps its first t + 1 elements and joins
+    the atom into the rest.  An image that repeats an element is
+    degenerate and dropped.  Keys are chains of elements.
+    """
+    state = {(bottom,): 1}
+    for atom in atoms:
+        out: dict = {}
+        for chain, c in state.items():
+            p = len(chain) - 1
+            for t in range(p + 1):
+                new = chain[:t + 1] + tuple(join(e, atom) for e in chain[t:])
+                if len(set(new)) == len(new):
+                    out[new] = out.get(new, 0) + c * (-1) ** (p - t)
+        state = {chain: c for chain, c in out.items() if c}
     return state

@@ -403,6 +403,33 @@ def test_cellular_bad_json(tmp_path):
                               else "error: "), name
 
 
+_DIAMOND = {"elements": ["0", "x", "y", "1"],
+            "covers": [["0", "x"], ["0", "y"], ["x", "1"], ["y", "1"]], "rank": [0, 1, 1, 2]}
+
+
+@pytest.mark.parametrize("poset, copresheaf, line", [
+    ({"elements": ["a", "b"], "covers": [["a", "b"]], "rank": [0, 2]}, {"ranks": [1, 1]},
+     "invalid poset: cover a -> b jumps rank 0 -> 2"),
+    ({"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"], ["a", "c"]],
+      "rank": [0, 1, 2]}, {"ranks": [1, 1, 1]},
+     "invalid poset: cover a -> c jumps rank 0 -> 2"),
+    ({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]], "rank": [0, 1]},
+     {"ranks": [1, 1]}, "invalid poset: cover relation contains a cycle"),
+    # ranks follow the sorted labels 0, 1, x, y
+    (_DIAMOND, {"ranks": [1, 1, 1, 1],
+                "extensions": {"0->x": [[1]], "0->y": [[1]], "x->1": [[1]], "y->1": [[-1]]}},
+     "invalid copresheaf: functoriality fails between 0 and 1"),
+], ids=["rank-jump", "skipping-cover", "cycle", "not-functorial"])
+def test_cellular_refused_input_line(tmp_path, poset, copresheaf, line):
+    # a poset that is not graded or has a cycle, and a copresheaf that is
+    # not functorial, exit 2 with one error line naming the fault
+    pf, cf = tmp_path / "p.json", tmp_path / "g.json"
+    pf.write_text(json.dumps(poset))
+    cf.write_text(json.dumps(copresheaf))
+    code, text, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf)])
+    assert (code, text, err) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("raw", [b"\xff", b"[" * 100_000], ids=["not-utf8", "too-deep"])
 def test_undecodable_json_exits_2(tmp_path, raw):
     # a file that is not UTF-8, or nests deeper than the parser recurses, is

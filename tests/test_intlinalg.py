@@ -181,7 +181,7 @@ def test_homology_torsion_rp2():
 
 def test_invalid_complex_rejected():
     with pytest.raises(InvalidComplex):
-        ChainComplex([1, 1, 1], {1: [{0: 1}], 2: [{0: 1}]})
+        ChainComplex([1, 1, 1], {1: [{0: 1}], 2: [{0: 1}]}).validate()
 
 
 def test_boundary_with_wrong_column_count_rejected():

@@ -398,7 +398,7 @@ from orbitcoh.posets import GradedPoset
 # 0 < a < x and 0 < y, with a v y = x v y = T; codimensions 0, 1, 2, 1, 3
 codim = {"0": 0, "a": 1, "x": 2, "y": 1, "T": 3}
 lat = GradedPoset(codim, [("0", "a"), ("a", "x"), ("0", "y"), ("x", "T"), ("y", "T")],
-                  codim, strict=False)
+                  codim)
 try:
     GMOracle(lat, codim).cup_block("x", 0, [], "y", 0, [])
     message = None

@@ -215,8 +215,7 @@ def test_intersection_lattice_matches_all_pairs_build(graph, k, m):
     labels = sorted(canon)
     pos = [lkm.poset.index[lab] for lab in labels]
     covers = [(labels[i], labels[j]) for i, j in all_pairs_covers(lkm.poset.up, pos)]
-    expected = GradedPoset(labels, covers, {lab: canon[lab].codim() for lab in labels},
-                           strict=False)
+    expected = GradedPoset(labels, covers, {lab: canon[lab].codim() for lab in labels})
     assert il.poset.labels == expected.labels
     assert il.poset.covers == expected.covers
     assert il.poset.rank == expected.rank

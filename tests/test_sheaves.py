@@ -66,20 +66,22 @@ def test_functoriality_checked():
         bad_maps[(lo, hi)] = [{0: 1}]
     bad_maps[(p.index["l"], p.index["top"])] = [{0: 2}]
     with pytest.raises(ValueError):
-        Copresheaf(p, [1, 1, 1, 1], bad_maps)
+        Copresheaf(p, [1, 1, 1, 1], bad_maps).check_functorial()
     # an omitted cover is zero: bot -> l -> top is 1, bot -> r -> top is 0
     ones = {cover: identity(1) for cover in p.covers}
     del ones[(p.index["r"], p.index["top"])]
     with pytest.raises(ValueError):
-        Copresheaf(p, [1, 1, 1, 1], ones)
+        Copresheaf(p, [1, 1, 1, 1], ones).check_functorial()
     # a path through a rank-0 middle element is zero as well, and the
     # composites out of bot (rank 1) still have to agree
     bot, r, top = p.index["bot"], p.index["r"], p.index["top"]
     through_r = {(bot, r): identity(1), (r, top): identity(1)}
     with pytest.raises(ValueError):
-        Copresheaf(p, [1, 0, 1, 1], through_r)
+        Copresheaf(p, [1, 0, 1, 1], through_r).check_functorial()
     del through_r[(r, top)]
-    assert Copresheaf(p, [1, 0, 1, 1], through_r).map("bot", "top") == [{}]
+    g = Copresheaf(p, [1, 0, 1, 1], through_r)
+    g.check_functorial()
+    assert g.map("bot", "top") == [{}]
 
 
 def test_composed_maps_along_chain():
@@ -203,8 +205,7 @@ def test_pullback_preserves_functoriality():
     }
     g = Copresheaf(chain, [1, 1, 1], maps)
     pulled = pullback(rank_map, g)
-    # re-validating the pulled data runs the full functoriality check
-    Copresheaf(p3, pulled.ranks, pulled.maps)
+    pulled.check_functorial()
 
 
 def test_cover_map_shape_is_checked():

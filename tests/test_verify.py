@@ -24,7 +24,7 @@ from orbitcoh.verify import (
     theta_cycles,
     verify_full,
 )
-from reference_impl import folding_fiber_chain
+from reference_impl import folding_braid_chain, folding_fiber_chain
 
 
 def _digest(data) -> str:
@@ -131,15 +131,24 @@ def test_fiber_chain_is_the_entry_by_entry_fold(graph, k):
 
 def test_braid_chain_has_one_chain_per_ordering():
     # r independent atoms give r! distinct partial-join chains, signed by
-    # the permutation that orders them
-    pres = RingPresentation(Graph.complete(4), 1, 2)
-    seen = set()
-    for e in pres.basis:
-        chains = braid_chain(pres, e.os_mono)
-        assert len(chains) == factorial(len(e.os_mono))
-        assert set(chains.values()) <= {1, -1}
-        seen.add(len(e.os_mono))
-    assert seen == {0, 1, 2, 3}
+    # the permutation that orders them: the shuffle folded in one atom at
+    # a time, on every nbc monomial of the bond lattices of K4, P4 and C4
+    for graph in [Graph.complete(4), path_graph(4),
+                  Graph.make(4, [(1, 2), (2, 3), (3, 4), (1, 4)])]:
+        pres = RingPresentation(graph, 1, 2)
+        bond = pres.bond
+        seen = set()
+        for monos in pres.os.nbc.values():
+            for mono in monos:
+                chains = braid_chain(pres, mono)
+                assert len(chains) == factorial(len(mono))
+                assert set(chains.values()) <= {1, -1}
+                folded = folding_braid_chain(
+                    bond.minimum(), [pres.os.atoms[p] for p in mono], bond.join_index)
+                assert chains == {tuple(bond.labels[i] for i in chain): c
+                                  for chain, c in folded.items()}
+                seen.add(len(mono))
+        assert seen == {0, 1, 2, 3}
 
 
 def test_oversized_lattice_is_refused_before_it_is_built(monkeypatch):
@@ -170,6 +179,18 @@ def test_verify_builds_no_orbit_lattice_poset(monkeypatch):
     assert verify_full(graph, 2, 1).ok
     bond = bond_lattice(graph).n
     assert sorted(n for n in built if n != bond) == [37]
+
+
+def test_verify_builds_no_ring_basis(monkeypatch):
+    # the product check reads each basis index's grading from the piece
+    # ranks, so verify builds no GradedBasisElement
+    def refuse(self):
+        raise AssertionError("the ring basis was built")
+
+    monkeypatch.setattr(RingPresentation, "basis", property(refuse))
+    report = verify_full(path_graph(3), 2, 2)
+    assert report.ok and report.product_checks
+    assert not any(line.startswith("SKIP") for line in report.lines)
 
 
 def test_size_guard_counts_the_lattice():
