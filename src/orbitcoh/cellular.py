@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .intlinalg import (
-    ChainComplex,
-    InvalidComplex,
-    elementary_divisors,
-    homology,
-    shape_error,
-)
+from .intlinalg import UnitReduction, elementary_divisors, shape_error, sparse_apply
 from .posets import GradedPoset
 from .sheaves import Copresheaf
 
@@ -54,7 +48,7 @@ def _cover_offsets(poset: GradedPoset, sizes, x: int) -> dict[int, int]:
     """
     offsets = {}
     total = 0
-    for y in sorted(poset.lower[x]):
+    for y in poset.lower[x]:
         offsets[y] = total
         total += sizes[y]
     return offsets
@@ -132,45 +126,10 @@ class CellularForm:
         }
 
 
-def _augmented_complex(poset: GradedPoset, g: Copresheaf, pr, diff, x: int) -> ChainComplex:
-    """The pieces on the closed down-set of x, augmented by G(x).
-
-    ``pr`` and ``diff`` are the piece ranks and differentials, as in
-    CellularForm.  Degree 0 is G(x) and degree i + 1 is the sum of the
-    rank-i pieces below x; the first map is the rank-0 extension map into
-    G(x).  Each piece's columns are re-indexed from the stack of its
-    lower covers into the level below.  Whether the boundaries compose
-    to zero is left to the caller.
-    """
-    levels: list[list[int]] = [[] for _ in range(poset.rank[x] + 1)]
-    for i in poset.mask_elements(poset.down[x]):
-        levels[poset.rank[i]].append(i)
-    bounds = {1: _rank0_map(poset, g, x)}
-    for i in range(1, len(levels)):
-        offset = {}
-        total = 0
-        for y in levels[i - 1]:
-            offset[y] = total
-            total += pr[y]
-        cols = bounds[i + 1] = []
-        for z in levels[i]:
-            rows: list[int] = []  # row of the stack below z -> row of the level
-            for y in _cover_offsets(poset, pr, z):
-                rows += range(offset[y], offset[y] + pr[y])
-            cols += [{rows[r]: v for r, v in col.items()} for col in diff[z]]
-    ranks = [g.ranks[x]] + [sum(pr[i] for i in level) for level in levels]
-    return ChainComplex(ranks, bounds)
-
-
 def _rank0_map(poset: GradedPoset, g: Copresheaf, x: int) -> list[dict[int, int]]:
     """The extension maps of the rank-0 elements below x into x, side by side."""
     return [col for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0
             for col in g.map_index(y, x)]
-
-
-def _lowest_homology(groups):
-    """The lowest degree with nonzero homology, or None if there is none."""
-    return next((i for i, (b, tors) in enumerate(groups) if b or tors), None)
 
 
 def _step(degree: int):
@@ -182,24 +141,65 @@ def _step(degree: int):
     return "positive-homology", f"homology below is nonzero in degree {degree - 1}"
 
 
+def _levels(poset: GradedPoset, x: int) -> list[list[int]]:
+    """The closed down-set of x by rank, each rank in ascending index order."""
+    levels: list[list[int]] = [[] for _ in range(poset.rank[x] + 1)]
+    for i in poset.mask_elements(poset.down[x]):
+        levels[poset.rank[i]].append(i)
+    return levels
+
+
+def _kept_columns(poset: GradedPoset, start, pr, x: int, cols) -> list[dict[int, int]]:
+    """The differential at x, its rows renumbered from the stack below x to the build numbering.
+
+    The build numbering gives the piece at y the basis indices from
+    ``start[y]`` on, the pieces taken in rank, then index order.
+    """
+    rows = [s for y in poset.lower[x] for s in range(start[y], start[y] + pr[y])]
+    return [{rows[i]: v for i, v in col.items()} for col in cols]
+
+
+def _lowest_homology(ranks, bounds, out_rank: int):
+    """The first position where a complex has homology, or None, with the last reduction made.
+
+    ``ranks[i]`` is the rank of the complex in its i-th degree from the
+    bottom one checked, ``bounds[i]`` the boundary into that degree from
+    the one above, and ``out_rank`` the rank of the boundary out of the
+    bottom degree.  The boundaries are reduced in turn, lowest first,
+    and none above the first degree with homology.
+    """
+    red = None
+    for i, (rank, cols) in enumerate(zip(ranks, bounds)):
+        red = UnitReduction(cols)
+        div = red.divisors
+        if rank != out_rank + len(div) or any(d != 1 for d in div):
+            return i, red
+        out_rank = len(div)
+    return None, red
+
+
 def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
     """Decide cellularity of (P, G) and build the form when it exists.
 
-    Works up the ranks.  At an element x of rank r, the augmented complex
-    below x, built while the piece at x is still zero, must be exact in
-    degrees 0..r-1; the piece at x is then the kernel of its map out of
-    degree r, the lower covers, read from the one ``UnitReduction`` of
-    that boundary that gave homology its divisors.  Its elimination
-    takes the last column first, so a kernel with unit pivots and an
-    empty core comes out in Hermite form and ``row_hermite`` runs only
-    for a nonempty core; its columns, over the lower covers stacked in
-    ascending index order, are the differential at x.  Returns a
-    CellularForm, or a NotCellular verdict naming the first element (in
-    rank then label order) where this breaks and the step of the lowest
-    failing degree: 0 is the rank-0 surjectivity test, 1 the kernel-sum
-    test (the rank-1 kernels generate the kernel of the rank-0 map), and
-    i + 1 positive homology in degree i.  Surjectivity is tested at every
-    element before any piece is built.
+    Works up the ranks, building the pieces in rank, then index order and
+    numbering their bases in that order.  Each differential is kept a
+    second time with its rows in that numbering, so every boundary of
+    the augmented complex below x is the kept columns of one rank of its
+    down-set, side by side.  At an element x of rank r, built while the
+    piece at x is still zero, that complex must be exact in degrees
+    0..r-1, read from one ``UnitReduction`` per boundary.  The piece at
+    x is then the kernel of the top one, the map out of degree r (the
+    lower covers, in ascending index order), and that kernel is the
+    differential at x.  Its elimination takes the last column first, so
+    a kernel with unit pivots and an empty core comes out in Hermite
+    form and ``row_hermite`` runs only for a nonempty core; the Hermite
+    basis is unique, so the row numbering does not change it.  Returns
+    a CellularForm, or a NotCellular verdict naming the first element
+    (in rank then label order) where this breaks and the step of the
+    lowest failing degree: 0 is the rank-0 surjectivity test, 1 the
+    kernel-sum test (the rank-1 kernels generate the kernel of the
+    rank-0 map), and i + 1 positive homology in degree i.  Surjectivity
+    is tested at every element before any piece is built.
     """
     if not poset.graded:
         raise ValueError("cellular forms need a genuinely graded poset")
@@ -213,20 +213,34 @@ def construct_cellular_form(poset: GradedPoset, g: Copresheaf):
 
     piece_ranks = [0] * poset.n
     diff: list[list[dict[int, int]]] = [[] for _ in range(poset.n)]
+    kept: list[list[dict[int, int]]] = [[] for _ in range(poset.n)]
+    start = [0] * poset.n
+    total = 0
 
     for x in order:
         r = poset.rank[x]
         if r == 0:
             piece_ranks[x] = g.ranks[x]
-            diff[x] = [{} for _ in range(g.ranks[x])]
-            continue
-        cx = _augmented_complex(poset, g, piece_ranks, diff, x)
-        degree = _lowest_homology(homology(cx).groups[:r])
-        if degree is not None:
-            return NotCellular(poset.labels[x], *_step(degree))
-        # the new piece is the kernel of the top map, out of the lower covers
-        diff[x] = cx.reduction(r).kernel
-        piece_ranks[x] = len(diff[x])
+            diff[x] = kept[x] = [{} for _ in range(g.ranks[x])]
+        else:
+            if r == 1:
+                top = UnitReduction(_rank0_map(poset, g, x))
+            else:
+                # degrees 1..r-1, the rank-0..r-2 pieces; the surjectivity
+                # test left degree 0 exact, so the map out of degree 1 has
+                # the rank of G(x)
+                levels = _levels(poset, x)[:r]
+                degree, top = _lowest_homology(
+                    [sum(piece_ranks[z] for z in level) for level in levels[:-1]],
+                    [[col for z in level for col in kept[z]] for level in levels[1:]],
+                    g.ranks[x])
+                if degree is not None:
+                    return NotCellular(poset.labels[x], *_step(degree + 1))
+            diff[x] = top.kernel
+            piece_ranks[x] = len(diff[x])
+            kept[x] = _kept_columns(poset, start, piece_ranks, x, diff[x])
+        start[x] = total
+        total += piece_ranks[x]
 
     return CellularForm(poset, g, piece_ranks, diff)
 
@@ -237,21 +251,33 @@ def verify_cellular_form(form: CellularForm):
     Tests the definition directly: for every element x, the augmented
     complex of its closed down-set (G(x) in degree 0, the rank-i pieces in
     degree i + 1, the piece at x on top) has boundaries that compose to
-    zero and is exact.  The lowest failing degree is named by its step as
-    in construct_cellular_form.
+    zero and is exact.  The boundaries are assembled from kept columns
+    as in construct_cellular_form.  The lowest failing degree is named
+    by its step as there.
     """
     poset, pr, g = form.poset, form.piece_ranks, form.copresheaf
     # first, so that the block layouts below agree with G's ranks
     for x in range(poset.n):
         if poset.rank[x] == 0 and pr[x] != g.ranks[x]:
             raise FormViolation(f"rank-0 piece at {poset.labels[x]}")
+    order = sorted(range(poset.n), key=lambda i: (poset.rank[i], i))
+    start = [0] * poset.n
+    total = 0
+    for x in order:
+        start[x] = total
+        total += pr[x]
+    kept = [_kept_columns(poset, start, pr, x, cols) for x, cols in enumerate(form.diff)]
+    flat = [col for x in order for col in kept[x]]  # the kept column of each basis index
     for x in range(poset.n):
-        cx = _augmented_complex(poset, g, pr, form.diff, x)
-        try:
-            cx.validate()
-        except InvalidComplex:
-            raise FormViolation(f"d o d nonzero below {poset.labels[x]}") from None
-        degree = _lowest_homology(homology(cx).groups)
+        levels = _levels(poset, x)
+        ext = {start[y] + j: col for y in levels[0] for j, col in enumerate(g.map_index(y, x))}
+        bounds = [list(ext.values())]
+        bounds += [[col for z in level for col in kept[z]] for level in levels[1:]]
+        if any(sparse_apply(flat if i else ext, col)
+               for i, cols in enumerate(bounds[1:]) for col in cols):
+            raise FormViolation(f"d o d nonzero below {poset.labels[x]}")
+        ranks = [g.ranks[x]] + [sum(pr[z] for z in level) for level in levels]
+        degree, _ = _lowest_homology(ranks, bounds + [[]], 0)
         if degree is not None:
             step, detail = _step(degree)
             raise FormViolation(f"{step} fails at {poset.labels[x]} ({detail})")

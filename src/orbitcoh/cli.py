@@ -26,7 +26,6 @@ from .jsonio import BadInput, dumps, load_json, parse_copresheaf, parse_graph, p
 
 if TYPE_CHECKING:
     from .orbit import Graph
-    from .ring import RingPresentation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,31 +83,36 @@ def _poincare_string(coeffs: list[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def _presentation(args) -> RingPresentation:
-    from .ring import RingPresentation
-
-    return RingPresentation(_graph_from_args(args), args.k, args.m, args.mode)
-
-
 def cmd_betti(args) -> int:
+    from .ring import graded_pieces
+
     _check_km(args)
-    pres = _presentation(args)
-    poincare = pres.poincare_polynomial()
+    graph = _graph_from_args(args)
+    _, pieces = graded_pieces(graph, args.k, args.m, args.mode)
+    # the text names no grading, so only --out keeps the labels
+    gradings: dict[str, int] | None = {} if args.out else None
+    poincare = [0]
+    for degree, lab, rank, _, _ in pieces:
+        if degree >= len(poincare):
+            poincare += [0] * (degree + 1 - len(poincare))
+        poincare[degree] += rank
+        if gradings is not None:
+            gradings[lab] = rank
     betti = [[d, r] for d, r in enumerate(poincare) if r]
     warning = ("m = 1 output is additive only; the ring statement needs m > 1"
-               if pres.m == 1 else None)
+               if args.m == 1 else None)
 
     def payload():
         out = {
             "command": "betti",
-            "graph": {"n": pres.graph.n,
-                      "edges": sorted([list(e) for e in pres.graph.edges])},
-            "k": pres.k,
-            "m": pres.m,
-            "mode": pres.mode,
+            "graph": {"n": graph.n,
+                      "edges": sorted([list(e) for e in graph.edges])},
+            "k": args.k,
+            "m": args.m,
+            "mode": args.mode,
             "betti": betti,
             "poincare": poincare,
-            "gradings": {lab: pres.piece_rank(g) for g, lab in enumerate(pres.labels)},
+            "gradings": gradings,
         }
         if warning:
             out["warning"] = warning
@@ -125,12 +129,12 @@ def cmd_betti(args) -> int:
 
 
 def cmd_ring(args) -> int:
-    from .ring import UnsupportedM
+    from .ring import RingPresentation, UnsupportedM
 
     _check_km(args)
     if args.m == 1:
         raise UnsupportedM("the ring presentation needs m > 1")
-    pres = _presentation(args)
+    pres = RingPresentation(_graph_from_args(args), args.k, args.m, args.mode)
 
     def payload():
         out = pres.to_json_dict()

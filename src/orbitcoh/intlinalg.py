@@ -36,10 +36,6 @@ class NonUnique(Exception):
     """A has a nontrivial kernel, so A·x = b cannot be solved uniquely."""
 
 
-class InvalidComplex(Exception):
-    """Composite of consecutive boundary maps is nonzero."""
-
-
 def identity(n: int) -> list[dict[int, int]]:
     """The n x n identity as sparse columns."""
     return [{i: 1} for i in range(n)]
@@ -539,7 +535,7 @@ class ChainComplex:
     degree i-1 (for 1 <= i < len(ranks)) as ranks[i] sparse columns
     {row: coefficient}, each row in 0..ranks[i-1]-1.  A missing boundary
     is zero.  The composite of consecutive boundaries must vanish; the
-    constructor checks the shapes, and ``validate`` checks the composites.
+    constructor checks the shapes only.
     """
 
     __slots__ = ("ranks", "boundaries", "_reductions")
@@ -571,13 +567,6 @@ class ChainComplex:
         if i not in self._reductions:
             self._reductions[i] = UnitReduction(self.boundary(i))
         return self._reductions[i]
-
-    def validate(self):
-        """Check del o del = 0, one sparse column at a time."""
-        for i in range(2, len(self.ranks)):
-            lo = self.boundaries[i - 1]
-            if any(sparse_apply(lo, col) for col in self.boundaries[i]):
-                raise InvalidComplex(f"boundary composite nonzero in degree {i}")
 
 
 class HomologySummary(NamedTuple):

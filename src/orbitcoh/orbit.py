@@ -279,14 +279,16 @@ def join_theta(a: PartialMatrix, b: PartialMatrix) -> PartialMatrix:
 # -- fibers and orbit covers ----------------------------------------------------
 
 
-def fiber_matrices(graph: Graph, partition, k: int, m: int):
-    """Every partial matrix over one partition, as (matrix, label, r_f, BCp rank).
+def fiber_matrices(partition, k: int, m: int):
+    """Every partial matrix over one partition, as (entries, label, r_f, BCp rank).
 
-    Row-major order over the cells, each running through ``block_classes``
-    and then None.  Each row's m-tuples of choices are rendered once, with
-    their undefined count u and their rank factor (k^(|b|-1) - 1)^u.
+    ``partition`` is sorted, with sorted blocks, as bond-lattice labels
+    are.  Yields in row-major order over the cells, each running through
+    ``block_classes`` and then None, and builds no ``PartialMatrix``: a
+    caller that needs one builds it from the entries.  Each row's
+    m-tuples of choices are rendered once, with their undefined count u
+    and their rank factor (k^(|b|-1) - 1)^u.
     """
-    partition = tuple(sorted(tuple(sorted(b)) for b in partition))
     items = [((), "[" + "|".join("-".join(map(str, b)) for b in partition) + "]", 0, 1)]
     for b in (b for b in partition if len(b) >= 2):
         cells = [(c, "?" if c is None else ".".join(map(str, c)))
@@ -299,8 +301,7 @@ def fiber_matrices(graph: Graph, partition, k: int, m: int):
                           v, (k ** (len(b) - 1) - 1) ** v))
         items = [(es + (e,), lab + text, u + v, r * f) for es, lab, u, r in items
                  for e, text, v, f in table]
-    return [(PartialMatrix(graph.n, k, m, partition, es), lab, u, r)
-            for es, lab, u, r in items]
+    yield from items
 
 
 def orbit_covers(bond: GradedPoset, fibers: dict, k: int):
@@ -385,9 +386,10 @@ class IntersectionLattice:
         self.sigma = {}
         fibers, image, mats = {}, {}, {}
         for part in bond.labels:
-            items = fiber_matrices(graph, part, k, m)
-            fibers[part] = [mat for mat, *_ in items]
-            for mat, lab, *_ in items:
+            fibers[part] = fiber = []
+            for entries, lab, *_ in fiber_matrices(part, k, m):
+                mat = PartialMatrix(graph.n, k, m, part, entries)
+                fiber.append(mat)
                 can = sigma_canonical(mat, graph)
                 can_lab = lab if can is mat else can.label()
                 self.sigma[lab] = image[mat] = can_lab

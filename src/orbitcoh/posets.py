@@ -27,6 +27,10 @@ class GradedPoset:
     posets (the intersection lattice, which is not graded where sigma
     merges) carry a rank that is only bookkeeping.  A caller that needs a
     graded poset, as the poset parser and cellular forms do, reads it.
+    ``lower[x]`` and ``upper[x]`` list the lower and upper covers of x in
+    ascending index order, whatever the order of the given covers: both
+    are filled from the sorted cover list.  Cellular forms stack the
+    pieces below x in this order.
     """
 
     __slots__ = ("labels", "index", "rank", "covers", "n", "up", "down",

@@ -24,6 +24,7 @@ from typing import NamedTuple
 
 from .orbit import (
     Graph,
+    PartialMatrix,
     bcp_assignments,
     bond_lattice,
     edge_atom_order,
@@ -50,37 +51,55 @@ class GradedBasisElement(NamedTuple):
     degree: int
 
 
+def graded_pieces(graph: Graph, k: int, m: int, mode: str = "complex"):
+    """The OS algebra of the graph, and an iterator over the gradings with a nonzero piece.
+
+    Refuses the parameters that the presentation does not cover before
+    anything is built.  The iterator goes one fiber at a time, in the
+    order of the OS algebra's partitions, and yields (degree, label,
+    piece rank, partition, entries), the piece rank being |nbc| times
+    the BCp rank; it builds no ``PartialMatrix``.  The degree is
+    (2m - 1) r_b + r_f, from the bond rank r_b and the undefined count
+    r_f; the real quotient compresses it to (m - 1) r_b.
+    """
+    if k < 1 or m < 1:
+        raise ValueError("k and m must be positive")
+    if mode not in ("complex", "real"):
+        raise ValueError("mode must be 'complex' or 'real'")
+    if mode == "real" and k != 2:
+        raise ValueError("the real case is the fixed-point case k = 2")
+    if mode == "real" and m == 1:
+        raise UnsupportedM("the real statement also needs m > 1")
+    os = OSAlgebra(bond_lattice(graph), edge_atom_order(graph))
+    w_b, w_f = (m - 1, 0) if mode == "real" else (2 * m - 1, 1)
+    pieces = ((w_b * (graph.n - len(part)) + w_f * r_f, lab, len(nbc) * rank, part, entries)
+              for part, nbc in os.nbc.items() if nbc
+              for entries, lab, r_f, rank in fiber_matrices(part, k, m) if rank)
+    return os, pieces
+
+
 class RingPresentation:
     """Basis, degrees and structure constants; at m = 1 the basis and degrees only.
 
-    The constructor builds the grading-level data, one ``fiber_matrices``
-    call per partition: ``matrices`` with their ``labels`` and ``degrees``,
-    and ``offset``, where grading g owns basis indices
-    ``offset[g]``..``offset[g+1]`` (|nbc| times the carried BCp rank).
-    ``assignments`` and ``basis`` are built on first read, so the Betti
-    table and Poincare polynomial never enumerate a basis vector.
+    The constructor sorts the gradings of ``graded_pieces`` by degree,
+    then label, and builds the grading-level data: ``matrices`` with
+    their ``labels`` and ``degrees``, and ``offset``, where grading g
+    owns basis indices ``offset[g]``..``offset[g+1]`` (|nbc| times the
+    carried BCp rank).  ``assignments`` and ``basis`` are built on first
+    read, so the Poincare polynomial never enumerates a basis vector.
     """
 
     def __init__(self, graph: Graph, k: int, m: int, mode: str = "complex"):
-        if k < 1 or m < 1:
-            raise ValueError("k and m must be positive")
-        if mode not in ("complex", "real"):
-            raise ValueError("mode must be 'complex' or 'real'")
-        if mode == "real" and k != 2:
-            raise ValueError("the real case is the fixed-point case k = 2")
-        if mode == "real" and m == 1:
-            raise UnsupportedM("the real statement also needs m > 1")
+        self.os, pieces = graded_pieces(graph, k, m, mode)
         self.graph = graph
         self.k = k
         self.m = m
         self.mode = mode
-        self.bond = bond_lattice(graph)
-        self.os = OSAlgebra(self.bond, edge_atom_order(graph))
-        graded = sorted(
-            (self.degree_of(graph.n - len(part), r_f), lab, len(nbc) * rank, mat)
-            for part, nbc in self.os.nbc.items() if nbc
-            for mat, lab, r_f, rank in fiber_matrices(graph, part, k, m) if rank)
-        self.degrees, self.labels, sizes, self.matrices = map(list, zip(*graded))
+        self.bond = self.os.lattice
+        # labels are distinct, so the sort never compares further
+        self.degrees, self.labels, sizes, parts, entries = map(list, zip(*sorted(pieces)))
+        self.matrices = [PartialMatrix(graph.n, k, m, part, es)
+                         for part, es in zip(parts, entries)]
         self.offset = list(accumulate(sizes, initial=0))
 
     # -- basis, built on first read -------------------------------------------
@@ -98,11 +117,6 @@ class RingPresentation:
                 for assignment in self.assignments[g]]
 
     # -- additive data --------------------------------------------------------
-
-    def degree_of(self, r_b: int, r_f: int) -> int:
-        if self.mode == "real":
-            return (self.m - 1) * r_b
-        return (2 * self.m - 1) * r_b + r_f
 
     def piece_rank(self, g: int) -> int:
         return self.offset[g + 1] - self.offset[g]

@@ -163,6 +163,18 @@ def build_poset(elements, covers, rank) -> GradedPoset:
     return GradedPoset(elements, covers, rank)
 
 
+# Two squares over the same two minima, a and b, each capped at rank 2,
+# and U over both caps: with the constant sheaf Z every element below U
+# passes, and the complex below U has homology in degree 1 (ranks parallel
+# the elements, as in a poset file).
+STACKED_SQUARES = {
+    "elements": ["a", "b", "c", "d", "e", "f", "T1", "T2", "U"],
+    "covers": [[lo, hi] for hi in "cdef" for lo in "ab"]
+    + [["c", "T1"], ["d", "T1"], ["e", "T2"], ["f", "T2"], ["T1", "U"], ["T2", "U"]],
+    "rank": [0, 0, 1, 1, 1, 1, 2, 2, 3],
+}
+
+
 def chain_poset(length: int) -> GradedPoset:
     """The chain x0 < x1 < ... < x_length."""
     labels = [f"x{i}" for i in range(length + 1)]
@@ -220,8 +232,16 @@ def cellular_chain(form: CellularForm, f) -> ChainComplex:
                     col.update((offset[y] + i, v) for i, v in part.items())
             cols += piece
     complex_ = ChainComplex(ranks, bounds)
-    complex_.validate()
+    check_composites(complex_)
     return complex_
+
+
+def check_composites(complex_: ChainComplex):
+    """Check del o del = 0, one sparse column at a time."""
+    for i in range(2, len(complex_.ranks)):
+        lo = complex_.boundary(i - 1)
+        for col in complex_.boundary(i):
+            assert not sparse_apply(lo, col), f"boundary composite nonzero in degree {i}"
 
 
 # -- Tor: formal chains, free generators and induced maps -------------------------
@@ -305,9 +325,11 @@ class OrbitLattice:
         bond = bond_lattice(graph)
         fibers, self.by_label = {}, {}
         for part in bond.labels:
-            items = fiber_matrices(graph, part, k, m)
-            fibers[part] = [mat for mat, *_ in items]
-            self.by_label.update((lab, mat) for mat, lab, *_ in items)
+            fiber = fibers[part] = []
+            for entries, lab, *_ in fiber_matrices(part, k, m):
+                mat = PartialMatrix(graph.n, k, m, part, entries)
+                fiber.append(mat)
+                self.by_label[lab] = mat
         label_of = {mat: lab for lab, mat in self.by_label.items()}
         covers = [(label_of[lo], label_of[hi]) for lo, hi in orbit_covers(bond, fibers, k)]
         rank = {lab: mat.r_b + mat.r_f for lab, mat in self.by_label.items()}
@@ -323,8 +345,9 @@ class Fiber(NamedTuple):
 
 def fiber_poset(graph, partition, k: int, m: int) -> Fiber:
     """All partial matrices over one partition, ranked by undefined count."""
-    items = fiber_matrices(graph, partition, k, m)
-    label_of = {mat: lab for mat, lab, _, _ in items}
+    items = list(fiber_matrices(partition, k, m))
+    label_of = {PartialMatrix(graph.n, k, m, partition, entries): lab
+                for entries, lab, _, _ in items}
     covers = [(label_of[fill_entry(mat, block, t, vals)], lab)
               for mat, lab in label_of.items() for block, t in mat.undefined()
               for vals in block_classes(len(block), k)]

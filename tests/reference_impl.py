@@ -12,14 +12,17 @@ time, the Orlik-Solomon nbc basis and straightening from an explicit
 circuit list, the canonical JSON text from the standard library's
 pure-Python encoder, the star check that joins every pair below (x, y),
 the K-chain boundary that applies both end maps to every chain, the
-fiber chain of a completion tensor folded in one entry at a time, and
-the braid chain of an nbc monomial folded in one atom at a time.
+fiber chain of a completion tensor folded in one entry at a time, the
+braid chain of an nbc monomial folded in one atom at a time, and the
+cellular-form construction that lays out the complex below each element
+afresh.
 Beside them sit definitions that the program never needs, only its
 tests: the Möbius function by its recursive defining sum, the BCp rank
 as a product over undefined entries, and the chain map that a pair of
-f-homomorphisms induces on Tor chains.  None imports from
-the package, so a test comparing against them checks the package's
-routine, not a copy of it.
+f-homomorphisms induces on Tor chains.  None imports from the package
+(one that needs a package class or routine takes it as an argument), so
+a test comparing against them checks the package's routine, not a copy
+of it.
 """
 
 import bisect
@@ -247,23 +250,19 @@ def walking_ring_axioms(pres, join_theta):
     return stats
 
 
-def cellwise_fiber_matrices(graph, partition, k: int, m: int, PartialMatrix, block_classes):
-    """Every partial matrix over one partition, one cell of the product at a time.
+def cellwise_fiber_matrices(partition, k: int, m: int, block_classes):
+    """The entries of every partial matrix over one partition, one cell of the product at a time.
 
     The body of the package's fiber enumeration before it went row by
-    row; the matrix class and ``block_classes`` are passed in.
+    row; ``block_classes`` is passed in.
     """
-    partition = tuple(sorted(tuple(sorted(b)) for b in partition))
     rows = tuple(b for b in partition if len(b) >= 2)
     cells = []
     for b in rows:
         for _ in range(m):
             cells.append(tuple(block_classes(len(b), k)) + (None,))
-    out = []
-    for combo in product(*cells) if cells else [()]:
-        entries = tuple(tuple(combo[r * m:(r + 1) * m]) for r in range(len(rows)))
-        out.append(PartialMatrix(graph.n, k, m, partition, entries))
-    return out
+    return [tuple(tuple(combo[r * m:(r + 1) * m]) for r in range(len(rows)))
+            for combo in (product(*cells) if cells else [()])]
 
 
 def _additive(a, b, j) -> bool:
@@ -562,3 +561,68 @@ def folding_braid_chain(bottom, atoms, join) -> dict:
                     out[new] = out.get(new, 0) + c * (-1) ** (p - t)
         state = {chain: c for chain, c in out.items() if c}
     return state
+
+
+def downset_cellular_form(poset, g, ChainComplex, homology, elementary_divisors):
+    """The cellular-form construction that lays out the complex below each element afresh.
+
+    The package's construction before it kept each differential in one
+    basis numbering.  Surjectivity of the rank-0 extension maps is tested
+    at every element first.  Then, in rank and index order, the pieces on
+    the closed down-set of each element x of rank r are re-indexed, rank
+    by rank, into a ``ChainComplex`` augmented by G(x), whose homology
+    must vanish in degrees 0..r-1; the new piece is the kernel of its
+    degree-r boundary, over the lower covers stacked in ascending index
+    order.  Returns (verdict, piece ranks, differentials): the verdict is
+    None, or (element label, step, detail) with the other two None.  The
+    complex class and the two routines are passed in.
+    """
+    def rank0_map(x):
+        return [col for y in poset.mask_elements(poset.down[x]) if poset.rank[y] == 0
+                for col in g.map_index(y, x)]
+
+    def failure(x, degree):
+        if degree == 0:
+            step = ("surjectivity", "rank-0 values do not surject onto the value here")
+        elif degree == 1:
+            step = ("kernel-sum", "rank-1 kernels do not generate the full kernel")
+        else:
+            step = ("positive-homology", f"homology below is nonzero in degree {degree - 1}")
+        return (poset.labels[x], *step), None, None
+
+    order = sorted(range(poset.n), key=lambda i: (poset.rank[i], i))
+    for x in order:
+        if poset.rank[x] and g.ranks[x]:
+            if elementary_divisors(rank0_map(x)) != [1] * g.ranks[x]:
+                return failure(x, 0)
+    pr = [0] * poset.n
+    diff = [[] for _ in range(poset.n)]
+    for x in order:
+        r = poset.rank[x]
+        if r == 0:
+            pr[x] = g.ranks[x]
+            diff[x] = [{} for _ in range(g.ranks[x])]
+            continue
+        levels = [[] for _ in range(r + 1)]
+        for i in poset.mask_elements(poset.down[x]):
+            levels[poset.rank[i]].append(i)
+        bounds = {1: rank0_map(x)}
+        for i in range(1, r + 1):
+            offset, total = {}, 0
+            for y in levels[i - 1]:
+                offset[y], total = total, total + pr[y]
+            cols = bounds[i + 1] = []
+            for z in levels[i]:
+                rows = []  # row of the stack below z -> row of the level
+                for y in sorted(poset.lower[z]):
+                    rows += range(offset[y], offset[y] + pr[y])
+                cols += [{rows[q]: v for q, v in col.items()} for col in diff[z]]
+        cx = ChainComplex([g.ranks[x]] + [sum(pr[i] for i in level) for level in levels],
+                          bounds)
+        groups = homology(cx).groups[:r]
+        degree = next((i for i, (b, tors) in enumerate(groups) if b or tors), None)
+        if degree is not None:
+            return failure(x, degree)
+        diff[x] = cx.reduction(r).kernel
+        pr[x] = len(diff[x])
+    return None, pr, diff

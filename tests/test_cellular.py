@@ -3,6 +3,7 @@ import hashlib
 import pytest
 
 from conftest import (
+    STACKED_SQUARES,
     OrbitLattice,
     below,
     bottom,
@@ -114,6 +115,16 @@ def test_disjoint_supports_not_cellular():
     f = delta_sheaf(p, ["T"], 1, "pre")
     h = TorComplex(p, g, f).homology()
     assert h.betti(1) == 1  # nonzero off rank 2: verdicts agree
+
+
+def test_positive_homology_verdict():
+    # every element below U passes; below U the two squares leave a cycle
+    # in degree 1 of the complex, past the kernel-sum step
+    p = build_poset(STACKED_SQUARES["elements"], STACKED_SQUARES["covers"],
+                    STACKED_SQUARES["rank"])
+    verdict = construct_cellular_form(p, constant_sheaf(p, 1, "co"))
+    assert verdict == NotCellular("U", "positive-homology",
+                                  "homology below is nonzero in degree 1")
 
 
 def test_surjectivity_failure():

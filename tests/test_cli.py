@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import subprocess_env
+from conftest import STACKED_SQUARES, subprocess_env
 from orbitcoh.cli import main
 
 
@@ -202,6 +202,57 @@ def test_betti_renders_no_label_per_grading(monkeypatch):
     assert text.startswith("degree  rank\n")
 
 
+BETTI_GRAPHS = {
+    "K2": {"n": 2, "edges": [[1, 2]]},
+    "K3": {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]},
+    "K4": {"n": 4, "edges": [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]},
+    "P3": {"n": 3, "edges": [[1, 2], [2, 3]]},
+    "P4": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+    "C4": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4], [1, 4]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BETTI_GRAPHS))
+def test_betti_table_matches_ring(tmp_path, name):
+    # the table betti sums from the grading generator against the sorted
+    # gradings of the ring, in every mode that each (k, m) allows
+    from orbitcoh.jsonio import parse_graph
+    from orbitcoh.ring import RingPresentation
+
+    g, out = tmp_path / "g.json", tmp_path / "b.json"
+    g.write_text(json.dumps(BETTI_GRAPHS[name]))
+    graph = parse_graph(BETTI_GRAPHS[name])
+    runs = [(k, m, "complex") for k in (1, 2, 3) for m in (1, 2, 3)]
+    runs += [(2, m, "real") for m in (2, 3)]
+    for k, m, mode in runs:
+        code, _, _ = run_cli(["betti", "--graph", str(g), "--k", str(k), "--m", str(m),
+                              "--mode", mode, "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        pres = RingPresentation(graph, k, m, mode)
+        assert data["gradings"] == {lab: pres.piece_rank(g)
+                                    for g, lab in enumerate(pres.labels)}
+        assert data["poincare"] == pres.poincare_polynomial()
+
+
+def test_betti_builds_no_matrix_and_no_ring(monkeypatch, tmp_path):
+    from orbitcoh import ring
+    from orbitcoh.orbit import PartialMatrix
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("betti built a partial matrix or a ring presentation")
+
+    monkeypatch.setattr(PartialMatrix, "__new__", refuse)
+    monkeypatch.setattr(ring, "RingPresentation", refuse)
+    with pytest.raises(AssertionError):
+        PartialMatrix(2, 2, 2, ((1,), (2,)), ())
+    out = tmp_path / "b.json"
+    code, text, _ = run_cli(["betti", "--complete", "4", "--k", "2", "--m", "2",
+                             "--out", str(out)])
+    assert (code, text) == (0, f"wrote {out}\n")
+    assert json.loads(out.read_text())["poincare"][0] == 1
+
+
 def test_ring_m1_unsupported():
     code, _, _ = run_cli(["ring", "--complete", "2", "--k", "2", "--m", "1"])
     assert code == 3
@@ -360,6 +411,17 @@ def test_cellular_failure_exit1(tmp_path):
                              "--copresheaf", str(cf)])
     assert code == 1
     assert "kernel-sum" in text and "T" in text
+
+
+def test_cellular_positive_homology_exit1(tmp_path):
+    pf, cf = tmp_path / "p.json", tmp_path / "g.json"
+    pf.write_text(json.dumps(STACKED_SQUARES))
+    ext = {f"{lo}->{hi}": [[1]] for lo, hi in STACKED_SQUARES["covers"]}
+    cf.write_text(json.dumps({"ranks": [1] * 9, "extensions": ext}))
+    code, text, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf)])
+    assert (code, err) == (1, "")
+    assert text == ("not cellular: positive-homology fails at U "
+                    "(homology below is nonzero in degree 1)\n")
 
 
 CHAIN_POSET = {"elements": ["a", "b"], "covers": [["a", "b"]], "rank": [0, 1]}

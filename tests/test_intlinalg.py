@@ -10,7 +10,6 @@ from orbitcoh.intlinalg import (
     ChainComplex,
     ColumnSolver,
     HomologySummary,
-    InvalidComplex,
     NoIntegerSolution,
     NonUnique,
     UnitReduction,
@@ -177,11 +176,6 @@ def test_homology_torsion_rp2():
     h = homology(c)
     assert h.groups == ((1, ()), (0, (2,)), (0, ()))
     assert homology_mod2(c) == [1, 1, 1]
-
-
-def test_invalid_complex_rejected():
-    with pytest.raises(InvalidComplex):
-        ChainComplex([1, 1, 1], {1: [{0: 1}], 2: [{0: 1}]}).validate()
 
 
 def test_boundary_with_wrong_column_count_rejected():

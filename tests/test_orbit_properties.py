@@ -115,10 +115,11 @@ def test_fiber_rows_match_cellwise_enumeration(name, k):
     graph = FIBER_GRAPHS[name]
     for m in (1, 2, 3):
         for part in bond_lattice(graph).labels:
-            items = fiber_matrices(graph, part, k, m)
-            want = cellwise_fiber_matrices(graph, part, k, m, PartialMatrix, block_classes)
-            assert [mat for mat, _, _, _ in items] == want
-            for mat, label, r_f, rank in items:
+            items = list(fiber_matrices(part, k, m))
+            assert [es for es, _, _, _ in items] == cellwise_fiber_matrices(
+                part, k, m, block_classes)
+            for entries, label, r_f, rank in items:
+                mat = PartialMatrix(graph.n, k, m, part, entries)
                 assert (label, r_f, rank) == (mat.label(), mat.r_f, bcp_rank(mat))
 
 

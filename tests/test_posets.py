@@ -55,6 +55,20 @@ def test_build_cyclic_rejected():
         build_poset(["a", "b"], [("a", "b"), ("b", "a")], {"a": 0, "b": 1})
 
 
+def test_cover_lists_ascend_whatever_the_cover_order():
+    # lower and upper are read in index order by the cellular stacking
+    p4 = partition_lattice(4)
+    labels = {p4.labels[i]: p4.rank[i] for i in range(p4.n)}
+    pairs = [(p4.labels[lo], p4.labels[hi]) for lo, hi in p4.covers]
+    rng = random.Random(5)
+    for _ in range(5):
+        rng.shuffle(pairs)
+        p = build_poset(list(labels), pairs, labels)
+        for x in range(p.n):
+            assert p.lower[x] == sorted(p.lower[x]) and p.upper[x] == sorted(p.upper[x])
+        assert (p.lower, p.upper) == (p4.lower, p4.upper)
+
+
 def test_build_not_graded_rejected():
     # the order is built, marked not graded, and refused by the cellular
     # construction, which needs a graded poset

@@ -45,10 +45,10 @@ def test_k1_reduction():
 def test_degree_formula():
     pres = RingPresentation(Graph.complete(3), 2, 2)
     for g, mat in enumerate(pres.matrices):
-        assert pres.degrees[g] == pres.degree_of(mat.r_b, mat.r_f) == 3 * mat.r_b + mat.r_f
+        assert pres.degrees[g] == 3 * mat.r_b + mat.r_f
     # r_b = 1, r_f = 1, m = 2 gives degree 4
-    mat = next(m for m in pres.matrices if m.r_b == 1 and m.r_f == 1)
-    assert pres.degree_of(mat.r_b, mat.r_f) == 4
+    g = next(g for g, m in enumerate(pres.matrices) if m.r_b == 1 and m.r_f == 1)
+    assert pres.degrees[g] == 4
 
 
 def test_rank_formula_vs_piece_sizes():
