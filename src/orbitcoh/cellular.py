@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .intlinalg import UnitReduction, elementary_divisors, shape_error, sparse_apply
+from .jsonio import SparseRows
 from .posets import GradedPoset
 from .sheaves import Copresheaf
 
@@ -106,20 +107,22 @@ class CellularForm:
         return [{r - lo: v for r, v in col.items() if lo <= r < hi} for col in self.diff[x]]
 
     def to_json_dict(self) -> dict:
-        """Piece ranks and, for each cover between nonzero pieces, its dense block."""
+        """Piece ranks and, for each cover between nonzero pieces, its block
+        as ``SparseRows``, written as the dense block."""
         poset, pr = self.poset, self.piece_ranks
         blocks = {}
         for x, cols in enumerate(self.diff):
             if not cols:
                 continue
             offsets = _cover_offsets(poset, pr, x)
-            rows = [[0] * len(cols) for _ in range(sum(pr[y] for y in offsets))]
+            rows: list[dict[int, int]] = [{} for _ in range(sum(pr[y] for y in offsets))]
             for j, col in enumerate(cols):
                 for i, v in col.items():
                     rows[i][j] = v
             for y, off in offsets.items():
                 if pr[y]:
-                    blocks[f"{poset.labels[y]}->{poset.labels[x]}"] = rows[off:off + pr[y]]
+                    blocks[f"{poset.labels[y]}->{poset.labels[x]}"] = SparseRows(
+                        len(cols), rows[off:off + pr[y]])
         return {
             "piece_ranks": {str(poset.labels[i]): r for i, r in enumerate(pr)},
             "differentials": blocks,

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification or form failure, 2 malformed
 input, 3 unsupported parameters.  Identical inputs produce
-byte-identical output.
+byte-identical output.  With ``--out`` each command builds its JSON
+document and streams it to the file in parts (``jsonio.dump``); without
+it, the command builds no document and prints a text table.
 
 Each command imports the modules it runs, so a child process loads only
 those.  ``betti`` and ``ring`` load ``cli``, ``jsonio``, ``orbit``,
@@ -22,7 +24,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-from .jsonio import BadInput, dumps, load_json, parse_copresheaf, parse_graph, parse_poset
+from .jsonio import BadInput, dump, load_json, parse_copresheaf, parse_graph, parse_poset
 
 if TYPE_CHECKING:
     from .orbit import Graph
@@ -56,12 +58,13 @@ def _emit(args, payload, text: str):
     """Write ``payload()`` as JSON to ``--out``, or else ``text`` to stdout.
 
     ``payload`` is called only when ``--out`` is given, so text output
-    never builds the JSON document.
+    never builds the JSON document.  The document is streamed to the
+    file by ``jsonio.dump``, with no joined copy of its text.
     """
     if args.out:
         try:
             with open(args.out, "w") as fh:
-                fh.write(dumps(payload()))
+                dump(payload(), fh)
         except OSError as exc:
             raise BadInput(f"cannot write {args.out}: {exc}") from exc
         print(f"wrote {args.out}")
@@ -166,16 +169,19 @@ def cmd_verify(args) -> int:
         raise BadInput("--oracle-limit must be a non-negative integer")
     graph = _graph_from_args(args)
     report = verify_full(graph, args.k, args.m, oracle_limit=args.oracle_limit)
-    payload = {
-        "command": "verify",
-        "k": args.k,
-        "m": args.m,
-        "ok": report.ok,
-        "checks": report.lines,
-        "rank_checks": report.rank_checks,
-        "product_checks": report.product_checks,
-    }
-    _emit(args, lambda: payload, str(report) + "\n")
+
+    def payload():
+        return {
+            "command": "verify",
+            "k": args.k,
+            "m": args.m,
+            "ok": report.ok,
+            "checks": report.lines,
+            "rank_checks": report.rank_checks,
+            "product_checks": report.product_checks,
+        }
+
+    _emit(args, payload, str(report) + "\n")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -186,23 +192,27 @@ def cmd_cellular(args) -> int:
     g = parse_copresheaf(load_json(args.copresheaf), poset)
     result = construct_cellular_form(poset, g)
     if isinstance(result, CellularForm):
-        payload = {"command": "cellular", "cellular": True}
-        payload.update(result.to_json_dict())
+        def payload():
+            return {"command": "cellular", "cellular": True, **result.to_json_dict()}
+
         lines = ["cellular form exists", "element  rank  piece"]
         for i, lab in enumerate(poset.labels):
             lines.append(f"{lab}  {poset.rank[i]}  {result.piece_ranks[i]}")
-        _emit(args, lambda: payload, "\n".join(lines) + "\n")
+        _emit(args, payload, "\n".join(lines) + "\n")
         return EXIT_OK
-    payload = {
-        "command": "cellular",
-        "cellular": False,
-        "element": str(result.element),
-        "step": result.step,
-        "detail": result.detail,
-    }
+
+    def verdict():
+        return {
+            "command": "cellular",
+            "cellular": False,
+            "element": str(result.element),
+            "step": result.step,
+            "detail": result.detail,
+        }
+
     text = (f"not cellular: {result.step} fails at {result.element}"
             f" ({result.detail})\n")
-    _emit(args, lambda: payload, text)
+    _emit(args, verdict, text)
     return EXIT_FAIL
 
 

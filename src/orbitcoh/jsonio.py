@@ -148,18 +148,41 @@ def parse_copresheaf(data, poset: GradedPoset) -> Copresheaf:
     return g
 
 
-def dumps(data) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, ASCII escapes, trailing newline.
+def dump(data, fh) -> None:
+    """Write canonical JSON text to the text file ``fh``: sorted keys,
+    two-space indent, ASCII escapes, trailing newline.
 
     The same text as ``json.dumps(data, sort_keys=True, indent=2) + "\\n"``
     for what the program writes: dicts with string keys, lists, tuples,
-    strings, ints, booleans and None.  Anything else, a float or a
-    non-string key included, raises ``TypeError``.
+    strings, ints, booleans, None, and ``SparseRows`` as the nested list
+    of its dense rows.  Anything else, a float or a non-string key
+    included, raises ``TypeError`` before anything is written.  The
+    parts go to ``fh`` as they are, never joined into one string.
     """
     out: list[str] = []
     _write(data, out, "\n", _IntTexts())
     out.append("\n")
-    return "".join(out)
+    fh.writelines(out)
+
+
+class SparseRows:
+    """A dense int matrix given as ``ncols`` and one sparse row
+    ``{column: value}`` per row, with no zero entries stored; equal by value.
+
+    A plain class, not a ``NamedTuple``: every command loads this module,
+    and building a named tuple class costs more at import than the class.
+    """
+
+    __slots__ = ("ncols", "rows")
+
+    def __init__(self, ncols: int, rows: list[dict[int, int]]):
+        self.ncols = ncols
+        self.rows = rows
+
+    def __eq__(self, other):
+        if type(other) is not SparseRows:
+            return NotImplemented
+        return self.ncols == other.ncols and self.rows == other.rows
 
 
 # the exact type of an int that is not a bool or other subclass
@@ -168,7 +191,7 @@ _INT = frozenset((int,))
 
 class _IntTexts(dict):
     """The text of each int written so far in one document, which holds
-    few distinct values, so each repr is built once per ``dumps`` call.
+    few distinct values, so each repr is built once per ``dump`` call.
     Look up exact ints only: ``True == 1``, so a bool would read ``1``."""
 
     def __missing__(self, x: int) -> str:
@@ -181,7 +204,8 @@ def _write(value, out: list[str], nl: str, texts: _IntTexts):
 
     Exact ints inside a container, most of every payload, are written in
     place without a call of ``_write``, their text read from ``texts``;
-    bools and other int subclasses take the general path.
+    bools and other int subclasses take the general path.  A
+    ``SparseRows`` is written row by row as its dense rows.
     """
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
@@ -231,5 +255,21 @@ def _write(value, out: list[str], nl: str, texts: _IntTexts):
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif type(value) is SparseRows:
+        if not value.rows:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        cell = inner + "  "
+        join = ("," + cell).join
+        # each row is a copy of the "0" cells with its entries filled in
+        zeros = ["0"] * value.ncols
+        lines = []
+        for row in value.rows:
+            cells = zeros.copy()
+            for c, v in row.items():
+                cells[c] = texts[v]
+            lines.append(f"[{cell}{join(cells)}{inner}]" if cells else "[]")
+        out.append(f"[{inner}{(',' + inner).join(lines)}{nl}]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

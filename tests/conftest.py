@@ -13,9 +13,11 @@ down-sets and constant sheaves, pullbacks and canonical f-homomorphisms,
 path graphs, cellular chains of a form, formal chains, class
 coordinates, free generators and induced maps of Tor, validated partial
 matrices and their defining order, the whole orbit lattice as a poset,
-and the explicit BCp cellular form of one fiber.
+the explicit BCp cellular form of one fiber, and the canonical JSON text
+of a document as one string (``dumps``).
 """
 
+import io
 import os
 from pathlib import Path
 from typing import NamedTuple
@@ -23,6 +25,7 @@ from typing import NamedTuple
 import orbitcoh
 from orbitcoh.cellular import CellularForm, stack_blocks
 from orbitcoh.intlinalg import ChainComplex, ColumnSolver, identity, kron, sparse_apply
+from orbitcoh.jsonio import dump
 from orbitcoh.morphisms import FHom
 from orbitcoh.oracle import shuffle_tensor
 from orbitcoh.orbit import (
@@ -56,6 +59,13 @@ def subprocess_env(**extra):
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + os.pathsep + inherited if inherited else root
     return env
+
+
+def dumps(data) -> str:
+    """The text ``jsonio.dump`` writes for ``data``, as one string."""
+    buf = io.StringIO()
+    dump(data, buf)
+    return buf.getvalue()
 
 
 def set_partitions(n: int):

@@ -11,6 +11,7 @@ from conftest import (
     cellular_chain,
     chain_poset,
     constant_sheaf,
+    dumps,
     partition_lattice,
     path_graph,
     top,
@@ -25,7 +26,6 @@ from orbitcoh.cellular import (
 )
 from orbitcoh import intlinalg
 from orbitcoh.intlinalg import homology, identity, sparse_apply
-from orbitcoh.jsonio import dumps
 from orbitcoh.morphisms import (
     FHom,
     PosetMorphism,

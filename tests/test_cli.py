@@ -6,8 +6,12 @@ import sys
 
 import pytest
 
-from conftest import STACKED_SQUARES, subprocess_env
+from conftest import STACKED_SQUARES, OrbitLattice, dumps, path_graph, subprocess_env
+from orbitcoh import cli, jsonio
+from orbitcoh.cellular import CellularForm, construct_cellular_form
 from orbitcoh.cli import main
+from orbitcoh.sheaves import delta_sheaf
+from reference_impl import library_dumps
 
 
 def run_cli(args, tmp_path=None):
@@ -422,6 +426,79 @@ def test_cellular_positive_homology_exit1(tmp_path):
     assert (code, err) == (1, "")
     assert text == ("not cellular: positive-homology fails at U "
                     "(homology below is nonzero in degree 1)\n")
+
+
+def lattice_files(tmp_path):
+    """The poset L(P3, 2, 2) and its delta sheaf at the minimum, as files
+    for ``cellular``, with the form the package builds on them."""
+    poset = OrbitLattice(path_graph(3), 2, 2).poset
+    bottom = poset.labels[poset.minimum()]
+    pf, cf = tmp_path / "p.json", tmp_path / "g.json"
+    pf.write_text(json.dumps({
+        "elements": list(poset.labels),
+        "covers": [[poset.labels[lo], poset.labels[hi]] for lo, hi in poset.covers],
+        "rank": list(poset.rank)}))
+    cf.write_text(json.dumps({"ranks": [int(lab == bottom) for lab in poset.labels]}))
+    form = construct_cellular_form(poset, delta_sheaf(poset, [bottom], 1, "co"))
+    return pf, cf, form
+
+
+@pytest.mark.parametrize("argv", [
+    ["betti", "--complete", "3", "--k", "2", "--m", "2"],
+    ["ring", "--complete", "2", "--k", "3", "--m", "2"],
+    ["verify", "--complete", "2", "--k", "2", "--m", "2"],
+    ["cellular", "--poset", "p.json", "--copresheaf", "g.json"],
+], ids=["betti", "ring", "verify", "cellular"])
+def test_out_file_is_the_text_of_its_document(tmp_path, monkeypatch, argv):
+    # the streamed file holds what dumps gives for the same document, and
+    # that is the standard library's text of what the file parses to
+    pf, cf, _ = lattice_files(tmp_path)
+    documents = []
+
+    def recording_dump(data, fh):
+        documents.append(data)
+        jsonio.dump(data, fh)
+
+    monkeypatch.setattr(cli, "dump", recording_dump)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out.json"
+    code, text, _ = run_cli(argv + ["--out", str(out)])
+    assert (code, text) == (0, f"wrote {out}\n")
+    written = out.read_text()
+    assert len(documents) == 1
+    assert written == dumps(documents[0]) == library_dumps(json.loads(written))
+
+
+def test_cellular_out_on_an_orbit_lattice(tmp_path):
+    pf, cf, form = lattice_files(tmp_path)
+    out = tmp_path / "form.json"
+    code, _, _ = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf),
+                          "--out", str(out)])
+    assert code == 0
+    assert out.read_text() == dumps({"command": "cellular", "cellular": True,
+                                     **form.to_json_dict()})
+
+
+def test_cellular_text_builds_no_document(tmp_path, monkeypatch):
+    pf, cf, form = lattice_files(tmp_path)
+
+    def refuse(self):
+        raise AssertionError("the JSON document was built")
+
+    monkeypatch.setattr(CellularForm, "to_json_dict", refuse)
+    code, text, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf)])
+    assert (code, err) == (0, "")
+    assert text.startswith("cellular form exists\nelement  rank  piece\n")
+    assert text.count("\n") == 2 + form.poset.n
+
+
+def test_cellular_unwritable_out(tmp_path):
+    pf, cf, _ = lattice_files(tmp_path)
+    out = tmp_path / "missing" / "form.json"
+    code, text, err = run_cli(["cellular", "--poset", str(pf), "--copresheaf", str(cf),
+                               "--out", str(out)])
+    assert (code, text) == (2, "")
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
 
 
 CHAIN_POSET = {"elements": ["a", "b"], "covers": [["a", "b"]], "rank": [0, 1]}

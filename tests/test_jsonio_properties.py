@@ -2,9 +2,11 @@
 
 Hypothesis draws payloads of the shapes the program writes (nested dicts
 with string keys, lists and tuples, ints of any size and sign, booleans,
-None and strings with escapes and non-ASCII text) and
-``jsonio.dumps`` must give the same text as ``library_dumps`` in
-``reference_impl.py``.  Runs are derandomized and keep no example
+None, strings with escapes and non-ASCII text, and ``SparseRows``
+matrices) and ``jsonio.dump``, read back as one string by ``dumps`` in
+``conftest.py``, must give the same text as ``library_dumps`` in
+``reference_impl.py`` gives for the payload with each matrix written out
+as its dense rows.  Runs are derandomized and keep no example
 database; the constants cache goes to the system temporary directory,
 as in ``test_orbit_properties.py``.
 """
@@ -18,8 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from conftest import dense, dumps
 from orbitcoh import jsonio
-from orbitcoh.jsonio import dumps
+from orbitcoh.jsonio import SparseRows
 from reference_impl import library_dumps
 
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "orbitcoh-hypothesis")
@@ -92,3 +95,42 @@ def test_int_texts_do_not_outlive_a_document():
 def test_other_values_raise_type_error(data):
     with pytest.raises(TypeError):
         dumps(data)
+
+
+@st.composite
+def sparse_rows(draw):
+    ncols = draw(st.integers(0, 5))
+    row = (st.dictionaries(st.integers(0, ncols - 1), ints.filter(bool), max_size=ncols)
+           if ncols else st.just({}))
+    return SparseRows(ncols, draw(st.lists(row, max_size=4)))
+
+
+def expand(value):
+    """``value`` with every ``SparseRows`` written out as its dense rows."""
+    if type(value) is SparseRows:
+        return dense(value.rows, value.ncols)
+    if isinstance(value, dict):
+        return {key: expand(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [expand(item) for item in value]
+    return value
+
+
+@laws
+@given(st.recursive(st.one_of(scalars, int_lists, sparse_rows()), containers, max_leaves=20))
+def test_sparse_rows_write_as_their_dense_rows(data):
+    assert dumps(data) == library_dumps(expand(data))
+
+
+@pytest.mark.parametrize("matrix", [
+    SparseRows(3, []),
+    SparseRows(0, [{}, {}]),
+    SparseRows(2, [{}, {}, {}]),
+    SparseRows(4, [{}, {3: -1, 0: 2 ** 63}, {}, {1: -(2 ** 64) - 3, 2: -7}]),
+], ids=["no-rows", "no-columns", "all-zero-rows", "big-and-negative"])
+def test_sparse_rows_edge_cases(matrix):
+    data = {"block": matrix, "nested": [matrix, {"again": matrix}]}
+    assert dumps(data) == library_dumps(expand(data))
+    assert matrix == SparseRows(matrix.ncols, [dict(row) for row in matrix.rows])
+    assert matrix != SparseRows(matrix.ncols + 1, matrix.rows)
+    assert matrix != (matrix.ncols, matrix.rows)

@@ -10,13 +10,13 @@ from conftest import (
     OrbitLattice,
     bcp_boundary,
     bcp_form,
+    dumps,
     fiber_poset,
     make_matrix,
     matrix_leq,
     partition_lattice,
     path_graph,
 )
-from orbitcoh.jsonio import dumps
 from orbitcoh.orbit import (
     Graph,
     bcp_assignments,

@@ -5,8 +5,7 @@ import sys
 
 import pytest
 
-from conftest import path_graph, subprocess_env
-from orbitcoh import jsonio
+from conftest import dumps, path_graph, subprocess_env
 from orbitcoh.orbit import Graph, join_theta
 from orbitcoh.ring import (
     RingAxiomViolation,
@@ -254,7 +253,7 @@ def test_json_export_shape():
 
 
 def _export_digest(pres) -> str:
-    return hashlib.sha256(jsonio.dumps(pres.to_json_dict()).encode()).hexdigest()
+    return hashlib.sha256(dumps(pres.to_json_dict()).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("graph,k,m,digest", [
